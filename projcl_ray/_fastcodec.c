@@ -1,7 +1,8 @@
 /* Optional C twins for the in-repo codecs' sequential hot loops: JPEG
  * baseline/progressive entropy decode (ITU T.81 §F.2/§G.1.2), FLAC Rice /
  * LPC / CRC-16 (RFC 9639), PNG scanline unfiltering (RFC 2083 §6), and the
- * TIFF (6.0 §13, early change) and GIF LZW variants.
+ * TIFF (6.0 §13, early change) and GIF LZW variants — plus the bilinear
+ * warp sampler, the warp kernel's per-pixel hot loop.
  *
  * Entropy/prefix decoding is inherently sequential — one code at a time —
  * so it cannot be vectorized with numpy; each function here is the same
@@ -16,6 +17,7 @@
  * bit position against the segment length so corrupt data errors instead
  * of reading out of bounds.
  */
+#include <stddef.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -1111,4 +1113,46 @@ long flac_plan_full(const int64_t *res, long n, long bs, int order,
     }
     *porder_out = best_po;
     return best_total;
+}
+
+/* Bilinear warp sampler for uint8 (h, w, c) images at float32 source-pixel
+ * coordinates: the C twin of warp.sample_bilinear. Same 4 taps, border
+ * zero outside the image (CLK_ADDRESS_CLAMP), same float32 operation
+ * order, so the output is bit-identical to the numpy sampler (built with
+ * -ffp-contract=off: a fused multiply-add would round differently). */
+static inline int64_t floor_i64(float v)
+{
+    /* numpy's floor(v).astype(int64) on x86-64: NaN and values outside
+     * int64 give INT64_MIN (cvttss2si's "integer indefinite") */
+    if (!(v >= -9223372036854775808.0f && v < 9223372036854775808.0f))
+        return INT64_MIN;
+    int64_t t = (int64_t)v; /* truncates toward zero */
+    return (float)t > v ? t - 1 : t;
+}
+
+void warp_bilinear_u8(const uint8_t *img, long h, long w, long c,
+                      const float *px, const float *py, long n, float *out)
+{
+    for (long i = 0; i < n; i++) {
+        int64_t x0 = floor_i64(px[i]), y0 = floor_i64(py[i]);
+        /* numpy: (px - x0) is float64, then cast to float32 */
+        float fx = (float)((double)px[i] - (double)x0);
+        float fy = (float)((double)py[i] - (double)y0);
+        int inx0 = x0 >= 0 && x0 < w, inx1 = x0 + 1 >= 0 && x0 + 1 < w;
+        int iny0 = y0 >= 0 && y0 < h, iny1 = y0 + 1 >= 0 && y0 + 1 < h;
+        const uint8_t *t00 = iny0 && inx0 ? img + (y0 * w + x0) * c : NULL;
+        const uint8_t *t01 = iny0 && inx1 ? img + (y0 * w + x0 + 1) * c : NULL;
+        const uint8_t *t10 = iny1 && inx0 ? img + ((y0 + 1) * w + x0) * c : NULL;
+        const uint8_t *t11 = iny1 && inx1 ? img + ((y0 + 1) * w + x0 + 1) * c : NULL;
+        float *o = out + i * c;
+        for (long k = 0; k < c; k++) {
+            float p00 = t00 ? (float)t00[k] : 0.0f;
+            float p01 = t01 ? (float)t01[k] : 0.0f;
+            float p10 = t10 ? (float)t10[k] : 0.0f;
+            float p11 = t11 ? (float)t11[k] : 0.0f;
+            float top = p00 + (p01 - p00) * fx;
+            float bot = p10 + (p11 - p10) * fx;
+            o[k] = top + (bot - top) * fy;
+        }
+    }
 }

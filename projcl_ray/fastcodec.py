@@ -1,4 +1,5 @@
-"""Optional C accelerator for the sequential codec hot loops.
+"""Optional C accelerator for the sequential codec hot loops and the warp
+kernel's bilinear sampler.
 
 The in-repo codecs are pure Python by design (always available, the
 determinism oracle) — but entropy decoding is one-Huffman-code-at-a-time
@@ -9,7 +10,8 @@ bit-exact) is compiled ONCE per machine into a cached shared object and
 loaded with ctypes; every failure mode — no compiler, build error, load
 error, `PROJCL_NO_FASTCODEC=1` — falls back to the pure-Python path
 silently. Parity is pinned in tests/test_warp.py (JPEG/PNG/TIFF) and
-tests/test_mosaic_media.py (FLAC).
+tests/test_mosaic_media.py (FLAC); the bilinear sampler (the one per-pixel
+loop numpy runs as 4 gathers plus ~12 temporaries) in tests/test_warp.py.
 
 Concurrency: Ray workers race to build on first use; each builds to a
 pid-suffixed temp file and `os.replace`s it into place (atomic on POSIX),
@@ -68,7 +70,8 @@ def lib():
         tmp = f"{so}.build{os.getpid()}"
         try:
             subprocess.run(
-                ["cc", "-O2", "-shared", "-fPIC", "-o", tmp, src],
+                ["cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC",
+                 "-o", tmp, src],
                 check=True, capture_output=True, timeout=120)
             os.replace(tmp, so)
         except Exception:
@@ -195,6 +198,12 @@ def lib():
             i64p, ctypes.c_long, ctypes.c_long,             # res, n, bs
             ctypes.c_int, u8p, i32p,                        # order, kinds, vals
             i32p,                                           # porder out
+        ]
+        f32p = ctypes.POINTER(ctypes.c_float)
+        L.warp_bilinear_u8.restype = None
+        L.warp_bilinear_u8.argtypes = [
+            u8p, ctypes.c_long, ctypes.c_long, ctypes.c_long,  # img, h, w, c
+            f32p, f32p, ctypes.c_long, f32p,                # px, py, n, out
         ]
         _LIB = L
     except OSError:
@@ -721,3 +730,28 @@ def flac_plan_full(res, bs: int, order: int):
     plans = [("esc", int(vals[p])) if kinds[p] else ("rice", int(vals[p]))
              for p in range(nparts)]
     return int(rc), porder.value, plans
+
+
+def warp_bilinear_u8(img, px, py):
+    """C path for warp.sample_bilinear on a uint8 (h, w, c) image at
+    float32 coordinates: returns the float32 (*px.shape, c) samples,
+    bit-identical to the numpy sampler, or None when unavailable."""
+    if (img.dtype != np.uint8 or img.ndim != 3 or px.dtype != np.float32
+            or py.dtype != np.float32 or px.shape != py.shape):
+        raise ValueError("warp_bilinear_u8 needs a uint8 (h, w, c) image and "
+                         "float32 coordinate arrays of one shape")
+    if _disabled():
+        return None
+    L = lib()
+    if L is None:
+        return None
+    img = np.ascontiguousarray(img)
+    px = np.ascontiguousarray(px)
+    py = np.ascontiguousarray(py)
+    h, w, c = img.shape
+    out = np.empty(px.shape + (c,), np.float32)
+    f32p = ctypes.POINTER(ctypes.c_float)
+    L.warp_bilinear_u8(img.ctypes.data_as(ctypes.POINTER(ctypes.c_uint8)),
+                       h, w, c, px.ctypes.data_as(f32p), py.ctypes.data_as(f32p),
+                       px.size, out.ctypes.data_as(f32p))
+    return out

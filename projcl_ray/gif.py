@@ -203,6 +203,11 @@ def decode_gif_frames(buf: bytes) -> tuple[np.ndarray, list[int]]:
         gct = np.frombuffer(buf, np.uint8, n * 3, pos).reshape(n, 3)
         pos += n * 3
 
+    # every coded pixel costs LZW data, and a 9-bit code emits at most a
+    # 4096-byte string, so a screen bigger than ~4096x the file is lying —
+    # reject it before allocating the canvas (and a copy of it per frame)
+    if h * w > 4096 * len(buf) + 64:
+        raise ValueError("corrupt GIF: logical screen larger than its data could code")
     canvas = np.zeros((h, w, 4), np.uint8)  # transparent logical screen
     frames: list[np.ndarray] = []
     delays: list[int] = []

@@ -318,15 +318,10 @@ class WarpTileActor:
     def __call__(self, batch: pa.Table) -> pa.Table:
         from .warp import default_warp_window
 
-        out: dict[str, list] = {
-            k: []
-            for k in (
-                "image_id", "caption", "cell_id", "tile_col", "tile_row", "tile_idx",
-                "tile_size", "bytes", "w", "h", "fmt", "center_lon", "center_lat",
-            )
-        }
         cols = {name: batch[name].to_pylist() for name in
-                ("image_id", "bytes", "w", "h", "fmt", "caption", "lon0", "lat0", "px_deg", "src_datum")}
+                ("bytes", "w", "h", "fmt", "lon0", "lat0", "px_deg", "src_datum")}
+        # per image: tile (col, row, idx) triples, cells, centres, encoded tiles
+        n_tiles, grid, cids, clons, clats, blobs = [], [], [], [], [], []
         for i in range(batch.num_rows):
             img = decode_image(cols["bytes"][i], cols["w"][i], cols["h"][i], cols["fmt"][i])
             georef = GeoRef(cols["lon0"][i], cols["lat0"][i], cols["px_deg"][i])
@@ -340,43 +335,37 @@ class WarpTileActor:
                 warped = warp_image(img, georef, spec, self.prepped)
             warped8 = np.clip(warped, 0, 255).astype(np.uint8)
             tiles = list(index_mod.cut_tiles(warped8, self.tile_size))
+            tcr = np.array([t[:3] for t in tiles], np.int32).reshape(-1, 3)
             # geographic center of every tile in ONE inverse call per image
-            txs = np.array([t[0] for t in tiles], np.float64)
-            tys = np.array([t[1] for t in tiles], np.float64)
-            cx = ox + sx * np.minimum((txs + 0.5) * self.tile_size / max(spec.width - 1, 1), 1.0)
-            cy = oy + sy * np.minimum((tys + 0.5) * self.tile_size / max(spec.height - 1, 1), 1.0)
+            cx = ox + sx * np.minimum((tcr[:, 0] + 0.5) * self.tile_size / max(spec.width - 1, 1), 1.0)
+            cy = oy + sy * np.minimum((tcr[:, 1] + 0.5) * self.tile_size / max(spec.height - 1, 1), 1.0)
             with np.errstate(all="ignore"):
                 clon, clat = self.prepped.inverse(cx, cy)
-            cids = index_mod.cell_id(clon, clat, self.res_deg)
-            for j, (tx, ty, tidx, tile) in enumerate(tiles):
-                out["image_id"].append(cols["image_id"][i])
-                out["caption"].append(cols["caption"][i])
-                out["cell_id"].append(int(cids[j]))
-                out["tile_col"].append(tx)
-                out["tile_row"].append(ty)
-                out["tile_idx"].append(tidx)
-                out["tile_size"].append(self.tile_size)
-                out["bytes"].append(encode_image(tile))
-                out["w"].append(tile.shape[1])
-                out["h"].append(tile.shape[0])
-                out["fmt"].append("raw")
-                out["center_lon"].append(float(clon[j]))
-                out["center_lat"].append(float(clat[j]))
+            n_tiles.append(len(tiles))
+            grid.append(tcr)
+            cids.append(index_mod.cell_id(clon, clat, self.res_deg))
+            clons.append(clon)
+            clats.append(clat)
+            blobs += [encode_image(t[3]) for t in tiles]
+        src_row = np.repeat(np.arange(batch.num_rows), n_tiles)
+        grid = np.concatenate(grid) if grid else np.empty((0, 3), np.int32)
+        n = len(src_row)
         return pa.table(
             {
-                "image_id": pa.array(out["image_id"], pa.string()),
-                "caption": pa.array(out["caption"], pa.string()),
-                "cell_id": pa.array(out["cell_id"], pa.int64()),
-                "tile_col": pa.array(out["tile_col"], pa.int32()),
-                "tile_row": pa.array(out["tile_row"], pa.int32()),
-                "tile_idx": pa.array(out["tile_idx"], pa.int32()),
-                "tile_size": pa.array(out["tile_size"], pa.int32()),
-                "bytes": pa.array(out["bytes"], pa.binary()),
-                "w": pa.array(out["w"], pa.int32()),
-                "h": pa.array(out["h"], pa.int32()),
-                "fmt": pa.array(out["fmt"], pa.string()),
-                "center_lon": pa.array(out["center_lon"], pa.float64()),
-                "center_lat": pa.array(out["center_lat"], pa.float64()),
+                "image_id": batch["image_id"].take(src_row).cast(pa.string()),
+                "caption": batch["caption"].take(src_row).cast(pa.string()),
+                "cell_id": pa.array(np.concatenate(cids) if cids else [], pa.int64()),
+                "tile_col": pa.array(grid[:, 0], pa.int32()),
+                "tile_row": pa.array(grid[:, 1], pa.int32()),
+                "tile_idx": pa.array(grid[:, 2], pa.int32()),
+                "tile_size": pa.array(np.full(n, self.tile_size, np.int32), pa.int32()),
+                "bytes": pa.array(blobs, pa.binary()),
+                # cut_tiles zero-pads edge tiles to the full tile size
+                "w": pa.array(np.full(n, self.tile_size, np.int32), pa.int32()),
+                "h": pa.array(np.full(n, self.tile_size, np.int32), pa.int32()),
+                "fmt": pa.array(["raw"] * n, pa.string()),
+                "center_lon": pa.array(np.concatenate(clons) if clons else [], pa.float64()),
+                "center_lat": pa.array(np.concatenate(clats) if clats else [], pa.float64()),
             }
         )
 

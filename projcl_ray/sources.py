@@ -6,9 +6,12 @@ bindings, so the readers try `ray.data.read_lance` first and fall back to
 Parquet transparently — the engine is format-agnostic (everything downstream
 is Arrow batches).
 
-The tile sink writes CELL-BUCKETED partitions so that (a) downstream cell
-joins read only matching buckets and (b) a failed run resumes per bucket
-(checkpoint.py manifests).
+The tile sink writes one Parquet file per write task, each row carrying a
+stored ``bucket`` column (``cell_id % n_buckets``) and each block's rows
+sorted by it, so downstream cell joins read only the rows of matching
+buckets (a ``filter=`` on ``bucket``, which Parquet row-group statistics
+can prune) without a directory per bucket: the file count follows the
+write tasks, not tasks × buckets.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import os
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data as rd
 
@@ -56,34 +60,27 @@ def write_tiles(
     n_buckets: int = 64,
     **kw,
 ) -> None:
-    """Partitioned tile sink: hash-bucket the cell key into `n_buckets`
-    directories (`bucket=<k>/...parquet`). A rerun can skip finished buckets;
-    cell-keyed consumers read only the buckets covering their cells."""
+    """Cell-bucketed tile sink: adds ``bucket = cell % n_buckets`` as a
+    stored column, sorts each block's rows by it, and writes one Parquet
+    file per write task (``kw`` goes to ``write_parquet``). Cell-keyed
+    consumers read only their buckets' rows via :func:`read_tile_buckets`."""
 
     def add_bucket(batch: pa.Table) -> pa.Table:
         cells = batch[cell_col].to_numpy(zero_copy_only=False)
-        return batch.append_column("bucket", pa.array((cells % n_buckets).astype(np.int64)))
+        bucket = (cells % n_buckets).astype(np.int64)
+        order = np.argsort(bucket, kind="stable")
+        return batch.append_column("bucket", pa.array(bucket)).take(order)
 
-    tiles.map_batches(add_bucket, batch_format="pyarrow").write_parquet(
-        out_dir, partition_cols=["bucket"], **kw
+    tiles.map_batches(add_bucket, batch_format="pyarrow", batch_size=None).write_parquet(
+        out_dir, **kw
     )
 
 
 def read_tile_buckets(out_dir: str, cells: np.ndarray, *, n_buckets: int = 64) -> rd.Dataset:
-    """Read only the buckets that can contain the given cells."""
+    """Read only the rows of the buckets that can contain the given cells
+    (empty, with the sink's schema, when none match)."""
     wanted = sorted({int(c) % n_buckets for c in np.asarray(cells).ravel()})
-    paths = [os.path.join(out_dir, f"bucket={b}") for b in wanted]
-    paths = [p for p in paths if os.path.isdir(p)]
-    if not paths:  # no matching buckets on disk → empty, typed by any bucket
-        any_bucket = [os.path.join(out_dir, d) for d in os.listdir(out_dir)
-                      if d.startswith("bucket=")]
-        if not any_bucket:
-            raise FileNotFoundError(f"no bucket dirs under {out_dir}")
-        return rd.read_parquet(any_bucket[:1]).limit(0)
-    # read_parquet expands ONE directory but not a list of them — list files
-    files = [os.path.join(p, f) for p in paths for f in sorted(os.listdir(p))
-             if f.endswith(".parquet")]
-    return rd.read_parquet(files)
+    return rd.read_parquet(out_dir, filter=pc.field("bucket").isin(wanted))
 
 
 def write_geotiffs(ds: rd.Dataset, out_dir: str, *, compression: str = "deflate",
@@ -93,9 +90,9 @@ def write_geotiffs(ds: rd.Dataset, out_dir: str, *, compression: str = "deflate"
     GeoTIFF ModelPixelScale/ModelTiepoint tags (tiff.py) — the inverse of
     ops.ingest_geotiff, so exported rasters re-ingest with no sidecar
     columns. File-per-image output is resumable: with ``skip_existing`` a
-    rerun skips rows whose file already exists (same contract as the
-    bucketed tile sink). Returns the manifest Dataset (image_id, path,
-    n_bytes, skipped) — consume it (write/iterate) to drive the export."""
+    rerun skips rows whose file already exists. Returns the manifest
+    Dataset (image_id, path, n_bytes, skipped) — consume it (write/iterate)
+    to drive the export."""
     os.makedirs(out_dir, exist_ok=True)
 
     def _export(batch: pa.Table) -> pa.Table:

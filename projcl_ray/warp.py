@@ -19,8 +19,9 @@ Reference semantics (`include/projcl/projcl_warp.h:30-82`, `src/projcl_warp.c`,
     pl_sample_quasi_bicubic.opencl:1-50
 - dest write is out[i, j] = sample(grid[i, j]) (grid row-major = image rows).
 
-Everything is vectorized NumPy over the whole dest grid; these functions are
-the per-image kernel bodies used inside ``map_batches`` actor stages (ops.py).
+Everything is vectorized NumPy over the whole dest grid (the bilinear sampler
+also has a bit-identical C twin, fastcodec.py); these functions are the
+per-image kernel bodies used inside ``map_batches`` actor stages (ops.py).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from functools import lru_cache
 
 from .proj import PreparedProjection, ProjParams, prepare
-from . import datums
+from . import datums, fastcodec
 
 
 @lru_cache(maxsize=256)
@@ -78,6 +79,11 @@ def sample_nearest(img: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarra
 
 
 def sample_bilinear(img: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    if (img.dtype == np.uint8 and img.ndim == 3 and px.dtype == np.float32
+            and py.dtype == np.float32 and px.shape == py.shape):
+        out = fastcodec.warp_bilinear_u8(img, px, py)  # bit-identical C twin
+        if out is not None:
+            return out
     x0 = np.floor(px).astype(np.int64)
     y0 = np.floor(py).astype(np.int64)
     # fractional weights in the image dtype: float32 pixels must not be
@@ -208,29 +214,103 @@ class WarpSpec:
         return prepare(self.proj_name, self.params)
 
 
+# The approximate transformer (GDALCreateApproxTransformer; gdalwarp's
+# ``-et 0.125`` default): the dest → source-pixel map is evaluated exactly
+# on a lattice of every LATTICE_STEP-th row and column (plus the last) and
+# interpolated bilinearly in between; an image whose map misses the exact
+# one by more than LATTICE_TOL_PX at any lattice-cell centre is warped
+# exactly instead.
+LATTICE_STEP = 8
+LATTICE_TOL_PX = 0.125
+
+
+@lru_cache(maxsize=64)
+def _lattice_axis(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lattice node indices along an n-px axis (every LATTICE_STEP-th and the
+    last), and for every pixel its lattice cell j and position t ∈ [0, 1]
+    between nodes j and j+1."""
+    nodes = np.unique(np.r_[np.arange(0, n, LATTICE_STEP), n - 1])
+    idx = np.arange(n)
+    j = np.minimum(idx // LATTICE_STEP, len(nodes) - 2)
+    t = (idx - nodes[j]) / (nodes[j + 1] - nodes[j])
+    for a in (nodes, j, t):
+        a.setflags(write=False)
+    return nodes, j, t
+
+
+def _source_pixels(gx, gy, georef, spec: WarpSpec, prepped: PreparedProjection):
+    """The exact dest → source-pixel map: inverse-project → geographic →
+    [datum shift] → source pixel coords (affine)."""
+    lon, lat = prepped.inverse(gx, gy)
+    if spec.dst_datum and spec.src_datum and spec.dst_datum != spec.src_datum:
+        # the dest grid lives in dst_datum; bring it to the source's datum
+        lon, lat = datums.shift_datum(lon, lat, spec.dst_datum, spec.src_datum)
+    return georef.to_pixels(lon, lat)
+
+
+def _lattice_pixels(georef, spec: WarpSpec, prepped: PreparedProjection):
+    """Float32 source-pixel coordinates of every dest pixel, interpolated from
+    the exact float64 map on the lattice; None when the lattice misses the
+    exact map by more than LATTICE_TOL_PX (or is non-finite) at any cell
+    centre, or the grid is too small to have cells."""
+    w, h = spec.width, spec.height
+    if w < 2 or h < 2:
+        return None
+    xn, xj, xt = _lattice_axis(w)
+    yn, yj, yt = _lattice_axis(h)
+    xc = (xn[:-1] + xn[1:]) / 2  # cell centres, in pixel index space
+    yc = (yn[:-1] + yn[1:]) / 2
+    # dest coords by dest_grid's formula (identical values at the nodes);
+    # nodes and centres go through the exact map in one call
+    gx = [spec.origin_x + spec.size_x * i / (w - 1) for i in (xn, xc)]
+    gy = [spec.origin_y + spec.size_y * i / (h - 1) for i in (yn, yc)]
+    nodes = np.meshgrid(gx[0], gy[0])
+    cents = np.meshgrid(gx[1], gy[1])
+    px, py = _source_pixels(np.concatenate([nodes[0].ravel(), cents[0].ravel()]),
+                            np.concatenate([nodes[1].ravel(), cents[1].ravel()]),
+                            georef, spec, prepped)
+    k = len(xn) * len(yn)
+    out = []
+    for v in (px, py):
+        node = v[:k].reshape(len(yn), len(xn))
+        mid = 0.25 * (node[:-1, :-1] + node[:-1, 1:] + node[1:, :-1] + node[1:, 1:])
+        if not (np.abs(mid - v[k:].reshape(mid.shape)) <= LATTICE_TOL_PX).all():
+            return None
+        # separable bilinear fill; a·(1−t) + b·t is exact at both nodes
+        rows = node[:, xj] * (1.0 - xt) + node[:, xj + 1] * xt
+        full = rows[yj] * (1.0 - yt)[:, None] + rows[yj + 1] * yt[:, None]
+        out.append(full.astype(np.float32))
+    return out
+
+
 def warp_image(img: np.ndarray, georef: GeoRef, spec: WarpSpec,
                prepped: PreparedProjection | None = None) -> np.ndarray:
     """The reference's 8-step warp recipe (projcl_warp.h:30-82) fused:
 
     dest grid (projected) → inverse-project → geographic → [datum shift] →
     source pixel coords (affine) → sample.  Returns float array (Hd, Wd, C).
+
+    The source-pixel map comes from the lattice approximation when it holds
+    to LATTICE_TOL_PX, else from the exact map at every pixel.
     """
     if prepped is None:
         prepped = spec.prepared()
-    gx, gy = dest_grid(spec.origin_x, spec.origin_y, spec.size_x, spec.size_y,
-                       spec.width, spec.height)
-    # pixel-path precision: float32 grids halve the projection-chain memory
-    # traffic (NumPy ufuncs stay in float32); coordinate error ~1e-3 px is far
-    # below the half-pixel sampling granularity. Exact float64 stays the rule
-    # for the point-projection API (ops.project_points).
-    gx = gx.astype(np.float32)
-    gy = gy.astype(np.float32)
     # keep uint8 sources uint8 (gathers cast per tap — see _gather); float
     # inputs are taken as float32 (exact for uint8-derived data, half the
     # traffic of float64; the reference is float32 too)
     img32 = img if img.dtype == np.uint8 else np.asarray(img, np.float32)
     sampler = SAMPLERS[spec.filter]
-    shift = bool(spec.dst_datum and spec.src_datum and spec.dst_datum != spec.src_datum)
+    approx = _lattice_pixels(georef, spec, prepped)
+    if approx is None:
+        gx, gy = dest_grid(spec.origin_x, spec.origin_y, spec.size_x, spec.size_y,
+                           spec.width, spec.height)
+        # pixel-path precision: float32 grids halve the projection-chain
+        # memory traffic (NumPy ufuncs stay in float32); coordinate error
+        # ~1e-3 px is far below the half-pixel sampling granularity. Exact
+        # float64 stays the rule for the point-projection API
+        # (ops.project_points).
+        gx = gx.astype(np.float32)
+        gy = gy.astype(np.float32)
 
     # process the dest grid in horizontal bands so the per-band temporaries
     # (projection intermediates + 16 sampler gathers) stay cache-resident —
@@ -239,11 +319,10 @@ def warp_image(img: np.ndarray, georef: GeoRef, spec: WarpSpec,
     out = np.empty((spec.height, spec.width, img32.shape[2]), dtype=np.float32)
     for r0 in range(0, spec.height, band_rows):
         r1 = min(r0 + band_rows, spec.height)
-        lon, lat = prepped.inverse(gx[r0:r1], gy[r0:r1])
-        if shift:
-            # the dest grid lives in dst_datum; bring it to the source's datum
-            lon, lat = datums.shift_datum(lon, lat, spec.dst_datum, spec.src_datum)
-        px, py = georef.to_pixels(lon, lat)
+        if approx is None:
+            px, py = _source_pixels(gx[r0:r1], gy[r0:r1], georef, spec, prepped)
+        else:
+            px, py = approx[0][r0:r1], approx[1][r0:r1]
         out[r0:r1] = sampler(img32, px, py)
     return out
 

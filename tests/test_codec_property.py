@@ -237,6 +237,22 @@ def test_pathological_structures_no_crash():
         tiff.decode_tiff(hdr + ifd)
 
 
+def test_gif_logical_screen_bomb_rejected():
+    """A 40-byte GIF declaring a 65535x65535 logical screen over one 1x1
+    frame fails as corrupt input before the ~17 GB canvas is allocated."""
+    import struct
+
+    from projcl_ray import gif
+
+    bomb = (b"GIF89a" + struct.pack("<HHBBB", 65535, 65535, 0x80, 0, 0) + bytes(6)
+            + b"\x21\xfe\x01x\x00"                               # comment
+            + b"\x2c" + struct.pack("<HHHHB", 0, 0, 1, 1, 0)
+            + b"\x02\x02\x44\x01\x00" + b"\x3b")
+    assert len(bomb) == 40
+    with pytest.raises(ValueError, match="^corrupt GIF"):
+        gif.decode_gif(bomb)
+
+
 def test_corrupt_input_fuzz_pure_paths():
     """Same contract with the C twins disabled (the pure-Python loops are
     the parity oracles and must hold the contract on their own)."""

@@ -27,24 +27,37 @@ def test_read_images_roundtrip(ray_session, tmp_path):
 
 
 def test_write_and_read_tile_buckets(ray_session, tmp_path):
+    import os
+
     import ray.data as rd
 
     tiles = ops.warp_and_tile(
-        rd.from_arrow(synth_images_table(12, seed=42)),
+        rd.from_arrow(synth_images_table(12, seed=42)).repartition(3),
         "mercator", ProjParams(spheroid="WGS_84"), tile_size=64, batch_size=4,
-    )
+    ).materialize()
     out = str(tmp_path / "tiles")
     sources.write_tiles(tiles, out, n_buckets=8)
-    full = rd.read_parquet(out)
-    n_total = full.count()
-    assert n_total >= 12
+    # one file per write task (at most one per block), no bucket directories
+    files = os.listdir(out)
+    assert all(f.endswith(".parquet") for f in files)
+    assert 1 <= len(files) <= tiles.num_blocks()
+    pdf = rd.read_parquet(out).to_pandas()
+    assert len(pdf) == tiles.count() >= 12
+    assert (pdf["bucket"] == pdf["cell_id"] % 8).all()
     # bucket pruning returns exactly the rows of the wanted cells' buckets
-    pdf = full.to_pandas()
     some_cells = pdf["cell_id"].unique()[:2]
     pruned = sources.read_tile_buckets(out, np.asarray(some_cells), n_buckets=8).to_pandas()
-    want_buckets = {int(c) % 8 for c in some_cells}
-    assert set(pruned["cell_id"] % 8) <= want_buckets
-    assert set(pdf[pdf["cell_id"].isin(some_cells)]["tile_idx"]) <= set(pruned["tile_idx"])
+    want = pdf[pdf["bucket"].isin({int(c) % 8 for c in some_cells})]
+    key = ["image_id", "tile_idx"]
+    assert len(pruned) == len(want)
+    assert pruned.sort_values(key).reset_index(drop=True).equals(
+        want.sort_values(key).reset_index(drop=True))
+    # a query matching no bucket is empty but keeps the sink's schema
+    missing = sorted(set(range(8)) - set(pdf["bucket"]))
+    for cells in ([missing[0]] if missing else [], []):
+        empty = sources.read_tile_buckets(out, np.asarray(cells, np.int64), n_buckets=8)
+        assert empty.count() == 0
+        assert empty.schema().names == list(pdf.columns)
 
 
 def test_cell_counts_matches_groupby(ray_session, sf_dir):

@@ -151,27 +151,122 @@ def test_codec_roundtrip_and_phash():
         decode_image(b"", 1, 1, "png")
 
 
+def _golden_specs():
+    """(golden key prefix, image, georef, prepared projection, bilinear
+    WarpSpec) for each tools/make_goldens.py case."""
+    from tools.make_goldens import CASES
+
+    for seed, w, h, proj, kw in CASES:
+        georef = GeoRef(lon0=5.0 + seed, lat0=47.0 - seed, px_deg=0.01)
+        prepped = prepare(proj, ProjParams(**kw))
+        ox, oy, sx, sy = default_warp_window(prepped, georef, w, h)
+        yield (f"{proj}_{seed}", synth_pixels(seed, w, h), georef, prepped,
+               WarpSpec(proj, ProjParams(**kw), ox, oy, sx, sy, w, h))
+
+
 def test_pipeline_matches_checked_in_goldens():
     """The float32 production warp must agree with the checked-in float64
     goldens (tools/make_goldens.py) at PSNR ≥ 50 dB (stricter than the
     input_hint's 40 dB gate)."""
+    import dataclasses
     import os
 
     golden_path = os.path.join(os.path.dirname(__file__), "goldens", "warp_golden.npz")
     goldens = np.load(golden_path)
-    from tools.make_goldens import CASES, FILTERS
+    from tools.make_goldens import FILTERS
 
-    for seed, w, h, proj, kw in CASES:
-        img = synth_pixels(seed, w, h)
-        georef = GeoRef(lon0=5.0 + seed, lat0=47.0 - seed, px_deg=0.01)
-        prepped = prepare(proj, ProjParams(**kw))
-        ox, oy, sx, sy = default_warp_window(prepped, georef, w, h)
+    for key, img, georef, _, spec in _golden_specs():
         for filt in FILTERS:
-            spec = WarpSpec(proj, ProjParams(**kw), ox, oy, sx, sy, w, h, filter=filt)
+            spec = dataclasses.replace(spec, filter=filt)
             got = np.clip(warp_image(img, georef, spec), 0, 255).astype(np.uint8)
-            g = goldens[f"{proj}_{seed}_{filt}"]
-            p = psnr(got, g)
-            assert p >= 50.0, (proj, seed, filt, p)
+            p = psnr(got, goldens[f"{key}_{filt}"])
+            assert p >= 50.0, (key, filt, p)
+
+
+def test_bilinear_c_twin_bit_identical(monkeypatch):
+    """The C bilinear sampler (uint8 image, float32 coords) is bit-identical
+    to the numpy sampler: inside, exactly on and just past the border, far
+    outside, and at NaN/inf coordinates."""
+    from projcl_ray import fastcodec
+
+    if fastcodec.lib() is None:
+        pytest.skip("no C compiler in this environment")
+    rng = np.random.default_rng(5)
+    cases = []
+    for _ in range(50):
+        h, w, c = int(rng.integers(1, 40)), int(rng.integers(1, 40)), int(rng.choice([1, 3, 4]))
+        img = rng.integers(0, 256, (h, w, c), dtype=np.uint8)
+        shape = (int(rng.integers(1, 30)), int(rng.integers(1, 30)))
+        px = rng.uniform(-2.5, w + 1.5, shape).astype(np.float32)
+        py = rng.uniform(-2.5, h + 1.5, shape).astype(np.float32)
+        edges_x = np.array([-1, -0.5, 0, w - 1, w - 0.5, w, 1e30, -1e30], np.float32)
+        edges_y = np.array([-1, -0.5, 0, h - 1, h - 0.5, h, 3e19, -0.0], np.float32)
+        flat_x, flat_y = px.reshape(-1), py.reshape(-1)
+        k = min(len(flat_x), 8)
+        flat_x[:k], flat_y[-k:] = edges_x[:k], edges_y[:k]
+        flat_x[rng.random(flat_x.size) < 0.05] = np.nan
+        flat_y[rng.random(flat_y.size) < 0.05] = np.inf
+        cases.append((img, px, py))
+    with np.errstate(all="ignore"):
+        got = [sample_bilinear(img, px, py) for img, px, py in cases]
+        monkeypatch.setenv("PROJCL_NO_FASTCODEC", "1")
+        ref = [sample_bilinear(img, px, py) for img, px, py in cases]
+    for g, r in zip(got, ref):
+        assert g.dtype == r.dtype == np.float32 and g.shape == r.shape
+        np.testing.assert_array_equal(g.view(np.uint32), r.view(np.uint32))
+
+
+def test_warp_c_path_equals_numpy_fallback(monkeypatch):
+    """The same bilinear warps with the C twins disabled (numpy samplers)
+    give bit-identical output."""
+    runs = []
+    for env in ("", "1"):
+        monkeypatch.setenv("PROJCL_NO_FASTCODEC", env)
+        with np.errstate(all="ignore"):
+            runs.append([warp_image(img, georef, spec, prepped)
+                         for _, img, georef, prepped, spec in _golden_specs()])
+    for c, n in zip(*runs):
+        np.testing.assert_array_equal(c.view(np.uint32), n.view(np.uint32))
+
+
+def test_lattice_inverse_within_tolerance_on_goldens():
+    """On every golden case the lattice-interpolated source-pixel map is
+    used and stays within LATTICE_TOL_PX of the exact float64 map."""
+    from projcl_ray.warp import LATTICE_TOL_PX, _lattice_pixels, _source_pixels
+
+    for _, img, georef, prepped, spec in _golden_specs():
+        with np.errstate(all="ignore"):
+            approx = _lattice_pixels(georef, spec, prepped)
+            gx, gy = dest_grid(spec.origin_x, spec.origin_y, spec.size_x, spec.size_y,
+                               spec.width, spec.height)
+            exact = _source_pixels(gx, gy, georef, spec, prepped)
+        assert approx is not None, spec.proj_name
+        err = max(np.abs(a - e).max() for a, e in zip(approx, exact))
+        assert err <= LATTICE_TOL_PX, (spec.proj_name, err)
+
+
+def test_lattice_failure_takes_exact_path():
+    """Transverse Mercator far from its central meridian at 0.5°/px bends
+    the map too much between lattice nodes: the check rejects the lattice
+    and the warp equals the exact per-pixel path (float32 dest grid →
+    inverse → pixels → sampler) bit for bit."""
+    from projcl_ray.warp import SAMPLERS, _lattice_pixels
+
+    params = ProjParams(spheroid="WGS_84")
+    prepped = prepare("transverse_mercator", params)
+    georef = GeoRef(lon0=60.0, lat0=70.0, px_deg=0.5)
+    img = synth_pixels(3, 64, 64)
+    ox, oy, sx, sy = default_warp_window(prepped, georef, 64, 64)
+    for filt in SAMPLERS:
+        spec = WarpSpec("transverse_mercator", params, ox, oy, sx, sy, 64, 64, filter=filt)
+        with np.errstate(all="ignore"):
+            assert _lattice_pixels(georef, spec, prepped) is None
+            got = warp_image(img, georef, spec, prepped)
+            gx, gy = dest_grid(ox, oy, sx, sy, 64, 64)
+            lon, lat = prepped.inverse(gx.astype(np.float32), gy.astype(np.float32))
+            px, py = georef.to_pixels(lon, lat)
+            want = SAMPLERS[filt](img, px, py)
+        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
 def test_projected_source_identity_warp():
