@@ -3,9 +3,15 @@ spatial-join/tiling additions) expressed as a transform over a
 ``ray.data.Dataset``.
 
 Design rules (SURVEY §1.3/§7):
-- per-record math = stateless ``map_batches`` with ``batch_format="numpy"``
-  (zero-copy Arrow → NumPy for primitive columns), params frozen in closures
-  (the host-precompute step of the reference, done once at build time);
+- per-record math = stateless ``map_columns``: the UDF reads the columns it
+  needs as NumPy (zero-copy for primitive columns) and returns only the
+  columns it adds or replaces; every other column stays the Arrow array it
+  was. A ``batch_format="numpy"`` stage returns a dict that Ray converts back
+  to Arrow, inferring each column's type with ``pa.infer_type``, which walks
+  an int64 column element by element. Params are frozen in closures (the
+  host-precompute step of the reference, done once at build time);
+- fan-out stages return an Arrow table too (``take`` of the input rows plus
+  the new columns), never a NumPy dict;
 - image/join stages default to stateless tasks with a per-worker-process
   state cache (see _cached below); explicit actor pools via ``use_actors=True``
   when per-worker setup is genuinely expensive;
@@ -103,6 +109,39 @@ def _adaptive_parts(n_rows: int, rows_per_part: int = 200_000,
     return int(min(maximum, max(minimum, -(-int(n_rows) // rows_per_part))))
 
 
+class _NumpyColumns(dict):
+    """Batch columns as NumPy arrays, each converted on first use."""
+
+    def __init__(self, table: pa.Table):
+        super().__init__()
+        self._table = table
+
+    def __missing__(self, name: str) -> np.ndarray:
+        got = self[name] = self._table.column(name).to_numpy(zero_copy_only=False)
+        return got
+
+
+def map_columns(ds: ray.data.Dataset, fn, *, batch_size: int | None) -> ray.data.Dataset:
+    """Row-preserving per-record stage over Arrow batches.
+
+    ``fn(cols)`` reads input columns from ``cols[name]`` as NumPy arrays and
+    returns a dict of only the columns it adds or replaces. A replaced column
+    keeps its position, a new one is appended in ``fn``'s order, and every
+    other column passes through as the Arrow array it already was, so Ray
+    never infers a type for it. The stage carries ``fn``'s name, so
+    ``ds.stats()`` reads ``MapBatches(<fn>)``."""
+
+    def stage(batch: pa.Table) -> pa.Table:
+        for name, values in fn(_NumpyColumns(batch)).items():
+            arr = pa.array(values)
+            i = batch.schema.get_field_index(name)
+            batch = batch.set_column(i, name, arr) if i >= 0 else batch.append_column(name, arr)
+        return batch
+
+    stage.__name__ = stage.__qualname__ = fn.__name__
+    return ds.map_batches(stage, batch_format="pyarrow", batch_size=batch_size)
+
+
 # ---------------------------------------------------------------------------
 # Projections & datum shifts (stateless vectorized stages)
 # ---------------------------------------------------------------------------
@@ -128,14 +167,12 @@ def project_points(
     in_a, in_b = (x_col, y_col) if inverse else (lon_col, lat_col)
     out_a, out_b = (lon_col, lat_col) if inverse else (x_col, y_col)
 
-    def _project(batch: dict) -> dict:
+    def _project(cols: dict) -> dict:
         with np.errstate(all="ignore"):
-            a, b = fn(batch[in_a], batch[in_b])
-        batch[out_a] = a
-        batch[out_b] = b
-        return batch
+            a, b = fn(cols[in_a], cols[in_b])
+        return {out_a: a, out_b: b}
 
-    return ds.map_batches(_project, batch_format="numpy", batch_size=batch_size)
+    return map_columns(ds, _project, batch_size=batch_size)
 
 
 def shift_datum(
@@ -154,13 +191,11 @@ def shift_datum(
     out_lon = out_lon or lon_col
     out_lat = out_lat or lat_col
 
-    def _shift(batch: dict) -> dict:
-        lo, la = datums_mod.shift_datum(batch[lon_col], batch[lat_col], src_datum, dst_datum)
-        batch[out_lon] = lo
-        batch[out_lat] = la
-        return batch
+    def _shift(cols: dict) -> dict:
+        lo, la = datums_mod.shift_datum(cols[lon_col], cols[lat_col], src_datum, dst_datum)
+        return {out_lon: lo, out_lat: la}
 
-    return ds.map_batches(_shift, batch_format="numpy", batch_size=batch_size)
+    return map_columns(ds, _shift, batch_size=batch_size)
 
 
 # ---------------------------------------------------------------------------
@@ -185,20 +220,16 @@ def geodesic_distance(
     'haversine'; ellipsoidal 'vincenty' (Karney rescue on the antipodal
     subset) or pure 'karney' otherwise, incl. azimuth columns)."""
 
-    def _hav(batch: dict) -> dict:
-        batch[out] = haversine(batch[lon1], batch[lat1], batch[lon2], batch[lat2], radius)
-        return batch
+    def _hav(cols: dict) -> dict:
+        return {out: haversine(cols[lon1], cols[lat1], cols[lon2], cols[lat2], radius)}
 
-    def _ell(batch: dict) -> dict:
+    def _ell(cols: dict) -> dict:
         solver = karney_inverse if method == "karney" else vincenty_inverse
-        d, a12, a21 = solver(batch[lon1], batch[lat1], batch[lon2], batch[lat2], spheroid)
-        batch[out] = d
-        batch["azi1_deg"] = a12
-        batch["azi2_deg"] = a21
-        return batch
+        d, a12, a21 = solver(cols[lon1], cols[lat1], cols[lon2], cols[lat2], spheroid)
+        return {out: d, "azi1_deg": a12, "azi2_deg": a21}
 
     fn = _hav if method == "haversine" else _ell
-    return ds.map_batches(fn, batch_format="numpy", batch_size=batch_size)
+    return map_columns(ds, fn, batch_size=batch_size)
 
 
 def forward_geodesic(
@@ -218,7 +249,7 @@ def forward_geodesic(
     src/projcl_run.c:694-745, as a controlled flat-map)."""
     az = np.asarray(list(azimuths_deg), np.float64)
 
-    def _fan(batch: dict) -> dict:
+    def _fan(batch: pa.Table) -> pa.Table:
         lon = np.asarray(batch[lon_col], np.float64)
         lat = np.asarray(batch[lat_col], np.float64)
         n, m = len(lon), len(az)
@@ -230,13 +261,12 @@ def forward_geodesic(
             lon2, lat2, _ = karney_direct(lon[:, None], lat[:, None], az[None, :], distance_m, spheroid)
         else:
             lon2, lat2, _ = vincenty_direct(lon[:, None], lat[:, None], az[None, :], distance_m, spheroid)
-        out = {k: np.repeat(np.asarray(v), m) for k, v in batch.items()}
-        out["azimuth_deg"] = np.tile(az, n)
-        out["lon2"] = lon2.ravel()
-        out["lat2"] = lat2.ravel()
-        return out
+        out = batch.take(pa.array(np.repeat(np.arange(n), m)))
+        out = out.append_column("azimuth_deg", pa.array(np.tile(az, n)))
+        out = out.append_column("lon2", pa.array(lon2.ravel()))
+        return out.append_column("lat2", pa.array(lat2.ravel()))
 
-    return ds.map_batches(_fan, batch_format="numpy", batch_size=batch_size)
+    return ds.map_batches(_fan, batch_format="pyarrow", batch_size=batch_size)
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +283,10 @@ def assign_cells(
     res_deg: float = index_mod.DEFAULT_RES_DEG,
     batch_size: int | None = 128 * 1024,
 ) -> ray.data.Dataset:
-    def _cells(batch: dict) -> dict:
-        batch[out] = index_mod.cell_id(batch[lon_col], batch[lat_col], res_deg)
-        return batch
+    def _cells(cols: dict) -> dict:
+        return {out: index_mod.cell_id(cols[lon_col], cols[lat_col], res_deg)}
 
-    return ds.map_batches(_cells, batch_format="numpy", batch_size=batch_size)
+    return map_columns(ds, _cells, batch_size=batch_size)
 
 
 def salt_hot_keys(
@@ -274,16 +303,15 @@ def salt_hot_keys(
     from a cheap count pre-pass; it is tiny and closure-captured."""
     max_fanout = max(hot_keys.values(), default=1)
 
-    def _salt(batch: dict) -> dict:
-        keys = np.asarray(batch[key_col], np.int64)
-        hashes = np.asarray(batch[hash_col])
+    def _salt(cols: dict) -> dict:
+        keys = np.asarray(cols[key_col], np.int64)
+        hashes = cols[hash_col]
         fanouts = np.ones(len(keys), np.int64)
         for k, f in hot_keys.items():
             fanouts[keys == k] = f
-        batch[out] = keys * max_fanout + (hashes % fanouts)
-        return batch
+        return {out: keys * max_fanout + (hashes % fanouts)}
 
-    return ds.map_batches(_salt, batch_format="numpy", batch_size=batch_size)
+    return map_columns(ds, _salt, batch_size=batch_size)
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +708,7 @@ class PIPJoinActor:
 
     def __init__(self, polys_ref, lon_col: str, lat_col: str):
         polys = ray.get(polys_ref) if isinstance(polys_ref, ray.ObjectRef) else polys_ref
-        self.poly_ids: list = [p[0] for p in polys]
+        self.names = pa.array([str(p[0]) for p in polys], pa.string())
         self.polys: list[np.ndarray] = [np.asarray(p[1], np.float64) for p in polys]
         self.bboxes = np.array([spatial_mod.polygon_bbox(p) for p in self.polys])
         self.lon_col, self.lat_col = lon_col, lat_col
@@ -689,8 +717,8 @@ class PIPJoinActor:
         lon = batch[self.lon_col].to_numpy(zero_copy_only=False)
         lat = batch[self.lat_col].to_numpy(zero_copy_only=False)
         row_idx: list[np.ndarray] = []
-        poly_ids: list[np.ndarray] = []
-        for pid, poly, (x0, y0, x1, y1) in zip(self.poly_ids, self.polys, self.bboxes):
+        poly_idx: list[np.ndarray] = []
+        for pi, (poly, (x0, y0, x1, y1)) in enumerate(zip(self.polys, self.bboxes)):
             cand = (lon >= x0) & (lon <= x1) & (lat >= y0) & (lat <= y1)
             if not cand.any():
                 continue
@@ -699,15 +727,14 @@ class PIPJoinActor:
             hits = ci[hit]
             if len(hits):
                 row_idx.append(hits)
-                poly_ids.append(np.full(len(hits), pid, dtype=object))
+                poly_idx.append(np.full(len(hits), pi, np.int32))
         if not row_idx:
             t = batch.slice(0, 0)
             return t.append_column("poly_id", pa.array([], pa.string()))
         rows = np.concatenate(row_idx)
-        pids = np.concatenate(poly_ids)
         order = np.argsort(rows, kind="stable")
         taken = batch.take(pa.array(rows[order]))
-        return taken.append_column("poly_id", pa.array([str(p) for p in pids[order]], pa.string()))
+        return taken.append_column("poly_id", self.names.take(np.concatenate(poly_idx)[order]))
 
 
 def pip_join(
@@ -1266,17 +1293,15 @@ def forward_geodesic_fixed_angle(
     (pl_forward_geodesic_fixed_angle_s, src/projcl_run.c:747-787). The origin
     is broadcast; each distance row gains (lon2, lat2)."""
 
-    def _trace(batch: dict) -> dict:
-        d = np.asarray(batch[dist_col], np.float64)
+    def _trace(cols: dict) -> dict:
+        d = np.asarray(cols[dist_col], np.float64)
         if method == "sphere":
             lon2, lat2 = forward_sphere(origin_lon, origin_lat, azimuth_deg, d, radius)
         else:
             lon2, lat2, _ = vincenty_direct(origin_lon, origin_lat, azimuth_deg, d, spheroid)
-        batch["lon2"] = lon2
-        batch["lat2"] = lat2
-        return batch
+        return {"lon2": lon2, "lat2": lat2}
 
-    return ds.map_batches(_trace, batch_format="numpy", batch_size=batch_size)
+    return map_columns(ds, _trace, batch_size=batch_size)
 
 
 def warp_tiled_mosaic(
@@ -1462,12 +1487,11 @@ def rasterize_points(
             }
         )
 
-    def add_cell(batch: dict) -> dict:
-        batch["raster_cell"] = np.asarray(batch["pix_key"], np.int64) // (tile_px * tile_px)
-        return batch
+    def add_cell(cols: dict) -> dict:
+        return {"raster_cell": np.asarray(cols["pix_key"], np.int64) // (tile_px * tile_px)}
 
     return (
-        parts.map_batches(add_cell, batch_format="numpy")
+        map_columns(parts, add_cell, batch_size=None)
         .groupby("raster_cell")
         .map_groups(densify, batch_format="pandas")
     )
@@ -1696,11 +1720,10 @@ def exact_quantiles(
     if not driver_concat:
         return distributed_quantiles(ds, col, qs, batch_size=batch_size)
 
-    def partial(batch: dict) -> dict:
-        return {col: np.sort(np.asarray(batch[col], np.float64))}
+    def partial(cols: dict) -> dict:
+        return {col: np.sort(np.asarray(cols[col], np.float64))}
 
-    parts = ds.select_columns([col]).map_batches(partial, batch_format="numpy",
-                                                 batch_size=batch_size)
+    parts = map_columns(ds.select_columns([col]), partial, batch_size=batch_size)
     vals = np.sort(np.concatenate(
         [np.asarray(b[col]) for b in parts.iter_batches(batch_format="numpy")]
     ))

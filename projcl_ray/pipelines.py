@@ -26,17 +26,15 @@ def derive_points(sf_dir: str, *, columns=("l_orderkey", "l_partkey")) -> rd.Dat
     operator can be hash-checked against DuckDB (column-pruned read)."""
     ds = rd.read_parquet(f"{sf_dir}/lineitem.parquet", columns=list(columns))
 
-    def derive(batch: dict) -> dict:
-        ok = np.asarray(batch["l_orderkey"], np.float64)
-        pk = np.asarray(batch["l_partkey"], np.float64)
+    def derive(cols: dict) -> dict:
+        ok = np.asarray(cols["l_orderkey"], np.float64)
+        pk = np.asarray(cols["l_partkey"], np.float64)
         return {
-            "l_orderkey": np.asarray(batch["l_orderkey"]),
-            "l_partkey": np.asarray(batch["l_partkey"]),
             "lon": -60.0 + np.mod(ok * 7.0 + pk * 13.0, 1200.0) / 10.0,
             "lat": -40.0 + np.mod(ok * 11.0 + pk * 3.0, 1200.0) / 10.0,
         }
 
-    return ds.map_batches(derive, batch_format="numpy")
+    return ops.map_columns(ds, derive, batch_size=None)
 
 
 def nation_boxes(sf_dir: str) -> list[tuple[str, np.ndarray]]:

@@ -393,16 +393,15 @@ SUPP_PT = (
 def _customer_points(sf_dir: str) -> rd.Dataset:
     ds = rd.read_parquet(f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"])
 
-    def derive(batch: dict) -> dict:
-        ck = np.asarray(batch["c_custkey"], np.float64)
-        nk = np.asarray(batch["c_nationkey"], np.float64)
+    def derive(cols: dict) -> dict:
+        ck = np.asarray(cols["c_custkey"], np.float64)
+        nk = np.asarray(cols["c_nationkey"], np.float64)
         return {
-            "c_custkey": np.asarray(batch["c_custkey"]),
             "lon": -60.0 + np.mod(ck * 7.0 + nk * 13.0, 1200.0) / 10.0,
             "lat": -40.0 + np.mod(ck * 11.0 + nk * 3.0, 1200.0) / 10.0,
         }
 
-    return ds.map_batches(derive, batch_format="numpy")
+    return ops.map_columns(ds, derive, batch_size=None)
 
 
 def _supplier_points(sf_dir: str):
@@ -432,14 +431,15 @@ FROM p2
 def q_haversine_pairs(sf_dir: str):
     ds = derive_points(sf_dir)
 
-    def second_point(batch: dict) -> dict:
-        ok = np.asarray(batch["l_orderkey"], np.float64)
-        pk = np.asarray(batch["l_partkey"], np.float64)
-        batch["lon2"] = -60.0 + np.mod(ok * 13.0 + pk * 7.0, 1200.0) / 10.0
-        batch["lat2"] = -40.0 + np.mod(ok * 3.0 + pk * 11.0, 1200.0) / 10.0
-        return batch
+    def second_point(cols: dict) -> dict:
+        ok = np.asarray(cols["l_orderkey"], np.float64)
+        pk = np.asarray(cols["l_partkey"], np.float64)
+        return {
+            "lon2": -60.0 + np.mod(ok * 13.0 + pk * 7.0, 1200.0) / 10.0,
+            "lat2": -40.0 + np.mod(ok * 3.0 + pk * 11.0, 1200.0) / 10.0,
+        }
 
-    ds = ds.map_batches(second_point, batch_format="numpy")
+    ds = ops.map_columns(ds, second_point, batch_size=None)
     ds = ops.geodesic_distance(ds, lon1="lon", lat1="lat", lon2="lon2", lat2="lat2",
                                out="dist", method="haversine")
     df = ds.select_columns(["l_orderkey", "l_partkey", "dist"]).to_pandas()
@@ -462,19 +462,19 @@ def q_distance_matrix(sf_dir: str):
     cust = _customer_points(sf_dir)
     s_ids, s_lon, s_lat = _supplier_points(sf_dir)
 
-    def cross(batch: dict) -> dict:
-        n, m = len(batch["c_custkey"]), len(s_ids)
+    def cross(batch: pa.Table) -> pa.Table:
+        n, m = batch.num_rows, len(s_ids)
         d = haversine(
-            np.asarray(batch["lon"])[:, None], np.asarray(batch["lat"])[:, None],
+            batch["lon"].to_numpy()[:, None], batch["lat"].to_numpy()[:, None],
             s_lon[None, :], s_lat[None, :],
         )
-        return {
-            "c_custkey": np.repeat(np.asarray(batch["c_custkey"]), m),
-            "s_suppkey": np.tile(s_ids, n),
-            "dist_m": np.floor(d.ravel()).astype(np.int64),
-        }
+        return pa.table({
+            "c_custkey": batch["c_custkey"].take(pa.array(np.repeat(np.arange(n), m))),
+            "s_suppkey": pa.array(np.tile(s_ids, n)),
+            "dist_m": pa.array(np.floor(d.ravel()).astype(np.int64)),
+        })
 
-    return cust.map_batches(cross, batch_format="numpy")
+    return cust.map_batches(cross, batch_format="pyarrow")
 
 
 @q(
@@ -638,20 +638,20 @@ def q_vincenty_matrix(sf_dir: str):
     cust = _customer_points(sf_dir)
     s_ids, s_lon, s_lat = _supplier_points(sf_dir)
 
-    def cross(batch: dict) -> dict:
-        n, m = len(batch["c_custkey"]), len(s_ids)
+    def cross(batch: pa.Table) -> pa.Table:
+        n, m = batch.num_rows, len(s_ids)
         d, a12, a21 = vincenty_inverse(
-            np.asarray(batch["lon"])[:, None], np.asarray(batch["lat"])[:, None],
+            batch["lon"].to_numpy()[:, None], batch["lat"].to_numpy()[:, None],
             s_lon[None, :], s_lat[None, :],
         )
-        return {
-            "c_custkey": np.repeat(np.asarray(batch["c_custkey"]), m),
-            "s_suppkey": np.tile(s_ids, n),
-            "dist_m": np.floor(d.ravel()).astype(np.int64),
-            "azi1_q": np.floor(a12.ravel() * 1e4 + 0.5).astype(np.int64),
-        }
+        return pa.table({
+            "c_custkey": batch["c_custkey"].take(pa.array(np.repeat(np.arange(n), m))),
+            "s_suppkey": pa.array(np.tile(s_ids, n)),
+            "dist_m": pa.array(np.floor(d.ravel()).astype(np.int64)),
+            "azi1_q": pa.array(np.floor(a12.ravel() * 1e4 + 0.5).astype(np.int64)),
+        })
 
-    return cust.map_batches(cross, batch_format="numpy")
+    return cust.map_batches(cross, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------
@@ -1707,16 +1707,12 @@ FROM o
 def q_fixed_angle(sf_dir: str):
     ds = rd.read_parquet(f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_partkey"])
 
-    def derive_dist(batch: dict) -> dict:
-        ok = np.asarray(batch["l_orderkey"], np.float64)
-        pk = np.asarray(batch["l_partkey"], np.float64)
-        return {
-            "l_orderkey": np.asarray(batch["l_orderkey"]),
-            "l_partkey": np.asarray(batch["l_partkey"]),
-            "distance_m": 1000.0 + np.mod(ok * 97.0 + pk * 13.0, 5000.0) * 1000.0,
-        }
+    def derive_dist(cols: dict) -> dict:
+        ok = np.asarray(cols["l_orderkey"], np.float64)
+        pk = np.asarray(cols["l_partkey"], np.float64)
+        return {"distance_m": 1000.0 + np.mod(ok * 97.0 + pk * 13.0, 5000.0) * 1000.0}
 
-    ds = ds.map_batches(derive_dist, batch_format="numpy")
+    ds = ops.map_columns(ds, derive_dist, batch_size=None)
     out = ops.forward_geodesic_fixed_angle(ds, *_TRACE_ORIGIN, _TRACE_AZ)
     df = out.select_columns(["l_orderkey", "l_partkey", "lon2", "lat2"]).to_pandas()
     df = _quant_df(df, {"lon2": 1e4, "lat2": 1e4})

@@ -91,6 +91,98 @@ def test_assign_cells_stage(ray_session, sf_dir):
     )
 
 
+def _mixed_table(n):
+    return pa.table({
+        "k": pa.array(np.arange(n, dtype=np.int64) * 3),
+        "name": pa.array([f"r{i}" for i in range(n)], pa.string()),
+        "w": pa.array([None if i % 3 == 0 else i / 2 for i in range(n)], pa.float64()),
+        "tags": pa.array([[i, i + 1] for i in range(n)], pa.list_(pa.int32())),
+    })
+
+
+def test_map_columns_contract(ray_session):
+    import ray
+    import ray.data as rd
+
+    def bump(cols):
+        return {"extra": cols["k"] * 2.5, "w": np.nan_to_num(cols["w"]) + 1.0,
+                "flag": cols["k"] % 2 == 0}
+
+    src = _mixed_table(1000)
+    out = ops.map_columns(rd.from_arrow(src), bump, batch_size=256).to_arrow_refs()
+    got = pa.concat_tables(ray.get(out)).sort_by("k")
+    assert got.column_names == ["k", "name", "w", "tags", "extra", "flag"]
+    # pass-through columns keep their Arrow type and values
+    for c in ("k", "name", "tags"):
+        assert got.schema.field(c).type == src.schema.field(c).type
+        assert got[c].to_pylist() == src[c].to_pylist()
+    # the replaced column keeps its index and takes fn's values
+    assert got.schema.field("w").type == pa.float64()
+    assert got["w"].to_pylist() == [1.0 if i % 3 == 0 else i / 2 + 1.0 for i in range(1000)]
+    assert got.schema.field("extra").type == pa.float64()
+    assert got.schema.field("flag").type == pa.bool_()
+    np.testing.assert_array_equal(got["extra"].to_numpy(), np.arange(1000) * 3 * 2.5)
+
+
+def test_map_columns_empty_batch_is_typed():
+    """Ray never hands an empty Dataset's UDF a batch, so call the stage
+    function directly, the way it is registered with map_batches."""
+
+    class Capture:
+        def map_batches(self, fn, **kw):
+            return fn, kw
+
+    def bump(cols):
+        return {"extra": cols["k"] * 2.5}
+
+    stage, kw = ops.map_columns(Capture(), bump, batch_size=None)
+    assert kw == {"batch_format": "pyarrow", "batch_size": None}
+    assert stage.__name__ == "bump"
+    got = stage(_mixed_table(0))
+    assert got.num_rows == 0
+    assert got.schema.names == ["k", "name", "w", "tags", "extra"]
+    assert got.schema.field("k").type == pa.int64()
+    assert got.schema.field("tags").type == pa.list_(pa.int32())
+    assert got.schema.field("extra").type == pa.float64()
+
+
+def test_point_chain_bit_identical_to_kernels(ray_session, sf_dir):
+    import pyarrow.parquet as pq
+
+    from projcl_ray import datums, pipelines
+
+    ds = pipelines.derive_points(sf_dir)
+    ds = ops.project_points(ds, "transverse_mercator", spheroid="WGS_84")
+    ds = ops.project_points(ds, "transverse_mercator", spheroid="WGS_84", inverse=True,
+                            lon_col="lon2", lat_col="lat2")
+    ds = ops.shift_datum(ds, "WGS_84", "NAD_27", out_lon="lon_n27", out_lat="lat_n27")
+    ds = ds.materialize()
+    stats = ds.stats()
+    assert "MapBatches(derive)" in stats
+    assert "MapBatches(_project)" in stats
+    assert "MapBatches(_shift)" in stats
+
+    out = ds.to_pandas()
+    keys = pq.read_table(f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_partkey"])
+    assert len(out) == keys.num_rows
+    assert out["l_orderkey"].sum() == np.asarray(keys["l_orderkey"]).sum()
+    assert list(out.columns) == ["l_orderkey", "l_partkey", "lon", "lat", "x", "y",
+                                 "lon2", "lat2", "lon_n27", "lat_n27"]
+    assert out["l_orderkey"].dtype == np.int64 and out["l_partkey"].dtype == np.int64
+    ok = out["l_orderkey"].to_numpy(np.float64)
+    pk = out["l_partkey"].to_numpy(np.float64)
+    lon = -60.0 + np.mod(ok * 7.0 + pk * 13.0, 1200.0) / 10.0
+    lat = -40.0 + np.mod(ok * 11.0 + pk * 3.0, 1200.0) / 10.0
+    tm = prepare("transverse_mercator", spheroid="WGS_84")
+    with np.errstate(all="ignore"):
+        x, y = tm.forward(lon, lat)
+        lon2, lat2 = tm.inverse(x, y)
+    lo27, la27 = datums.shift_datum(lon, lat, "WGS_84", "NAD_27")
+    for col, want in (("lon", lon), ("lat", lat), ("x", x), ("y", y), ("lon2", lon2),
+                      ("lat2", lat2), ("lon_n27", lo27), ("lat_n27", la27)):
+        np.testing.assert_array_equal(out[col].to_numpy(), want, err_msg=col)
+
+
 def test_warp_and_tile_actor_pool(ray_session):
     import ray.data as rd
 
