@@ -19,7 +19,7 @@ def entry() -> Any:
     """Flagship pipeline on /root/testdata/sf0.001; driver checks rows>=0."""
     from projcl_ray.pipelines import flagship
 
-    return flagship(n_images=48, concurrency=2)
+    return flagship(n_images=48)
 
 
 def queries() -> dict[str, Callable[[str], Any]]:

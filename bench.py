@@ -5,10 +5,6 @@ BASELINE.json metric) plus the other hot pipelines, over $GRAFT_SF_DIR
 Prints ONE JSON line:
   {"metric": ..., "value": <headline sec>, "unit": "sec",
    "queries": {name: sec, ...}, "sf": ..., "num_cpus": N, ...throughputs}
-
-`--scaling` runs the same suite in fresh processes at num_cpus=8 and 32 on the
-same input and reports both throughputs + scaling efficiency (the sandbox
-evidence for the N→4N cluster criterion; see BASELINE.md).
 """
 
 from __future__ import annotations
@@ -22,11 +18,6 @@ import time
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 N_IMAGES = int(os.environ.get("GRAFT_BENCH_IMAGES", "2048"))
-IMG_SIZE = int(os.environ.get("GRAFT_BENCH_IMG_SIZE", "0"))  # 0 = mixed 64/96/128
-FILTER = os.environ.get("GRAFT_BENCH_FILTER", "bilinear")
-# distributed aggregate (the 100 TB-representative path: at 10^12 images the
-# cell histogram is itself large) vs driver-merge (fastest for small results)
-DIST_AGG = os.environ.get("GRAFT_BENCH_DIST_AGG", "0") == "1"
 # comma-separated pipeline subset (e.g. "warp_tile"); empty = the full suite
 _ONLY = {s for s in os.environ.get("GRAFT_BENCH_ONLY", "").split(",") if s}
 
@@ -64,10 +55,9 @@ def run_suite() -> dict:
     # (untimed): real pipelines read pre-partitioned storage, so the timed
     # region is read → warp → tile → cell groupby, which parallelizes; feeding
     # a single driver-serialized Arrow table would bottleneck on the driver.
-    sizes = (IMG_SIZE,) if IMG_SIZE else (64, 96, 128)
-    img_dir = f"/tmp/graft_bench_images_{IMG_SIZE or 'mixed'}_{N_IMAGES}"
+    img_dir = f"/tmp/graft_bench_images_mixed_{N_IMAGES}"
     if not os.path.isdir(img_dir):
-        images = synth_images_table(N_IMAGES, seed=42, sizes=sizes)
+        images = synth_images_table(N_IMAGES, seed=42)  # mixed 64/96/128 px
         rd.from_arrow(images).repartition(64).write_parquet(img_dir + ".tmp")
         os.replace(img_dir + ".tmp", img_dir)
     pool = max(2, NUM_CPUS - 4)
@@ -75,19 +65,16 @@ def run_suite() -> dict:
     # measures steady-state throughput, not one-time process spin-up
     ops.warp_and_tile(rd.read_parquet(img_dir).limit(64), "transverse_mercator",
                       ProjParams(spheroid="WGS_84"),
-                      tile_size=64, filter=FILTER, batch_size=4).count()
+                      tile_size=64, batch_size=4).count()
     t0 = time.time()
     ds = rd.read_parquet(img_dir)
     tiles = ops.warp_and_tile(
         ds, "transverse_mercator", ProjParams(spheroid="WGS_84"),
-        tile_size=64, filter=FILTER, batch_size=8,
+        tile_size=64, batch_size=8,
     )
     slim = tiles.drop_columns(["bytes"])
-    if DIST_AGG:
-        n_tiles = ops.cell_counts(slim, "cell_id", driver_merge=False).to_pandas()["n"].sum()
-    else:
-        # combiner + driver merge: no shuffle for a few-hundred-cell histogram
-        n_tiles = ops.cell_counts(slim, "cell_id")["n"].sum()
+    # combiner + driver merge: no shuffle for a few-hundred-cell histogram
+    n_tiles = ops.cell_counts(slim)["n"].sum()
     timings["warp_tile"] = time.time() - t0
     extra["images_per_sec"] = round(N_IMAGES / timings["warp_tile"], 2)
     extra["tiles_per_sec"] = round(float(n_tiles) / timings["warp_tile"], 2)
@@ -97,7 +84,7 @@ def run_suite() -> dict:
         polys = synth_polygons(64)
         t0 = time.time()
         pts = derive_points(SF_DIR)
-        joined = ops.pip_join(pts, polys, concurrency=(2, pool))
+        joined = ops.pip_join(pts, polys)
         n_joined = joined.count()
         timings["pip_join"] = time.time() - t0
         n_pts = rd.read_parquet(f"{SF_DIR}/lineitem.parquet").count()
@@ -228,65 +215,5 @@ def _hw_ceiling(lo: int = 8, hi: int = 32) -> dict:
             "hw_efficiency_ceiling": round(1.0 / slowdown, 3)}
 
 
-def run_scaling(lo: int = 8, hi: int = 32, rounds: int = 3) -> dict:
-    """Noise-robust strong-scaling measurement: lo- and hi-parallelism runs
-    are INTERLEAVED (lo,hi × rounds) so any drift in the shared box's state
-    hits both levels alike, the pure-compute hardware ceiling is probed
-    between every round, and the reported efficiency is best-of-N per level
-    (VM noise is strictly additive, so the min is each level's honest
-    capability). Scaling runs execute only the headline warp+tile pipeline."""
-
-    def run(ncpu: int) -> dict:
-        # heavier per-image work for the scaling criterion so compute dominates
-        # Ray's fixed per-stage latencies at both parallelism levels
-        env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu))
-        env.setdefault("GRAFT_BENCH_IMG_SIZE", "256")
-        env.setdefault("GRAFT_BENCH_FILTER", "bicubic")
-        env.setdefault("GRAFT_BENCH_IMAGES", "3072")
-        env.setdefault("GRAFT_BENCH_DIST_AGG", "1")
-        env.setdefault("GRAFT_BENCH_ONLY", "warp_tile")
-        env["PYTHONPATH"] = os.path.dirname(os.path.abspath(__file__))
-        out = subprocess.run(
-            [sys.executable, os.path.abspath(__file__)],
-            env=env, capture_output=True, text=True, check=True,
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-        ).stdout
-        return json.loads(out.strip().splitlines()[-1])
-
-    runs_lo, runs_hi, ceilings = [], [], []
-    for _ in range(rounds):
-        runs_lo.append(run(lo))
-        runs_hi.append(run(hi))
-        ceilings.append(_hw_ceiling(lo, hi))
-    r_lo = min(runs_lo, key=lambda r: r["value"])
-    r_hi = min(runs_hi, key=lambda r: r["value"])
-    t_lo, t_hi = r_lo["value"], r_hi["value"]
-    eff = (t_lo / t_hi) / (hi / lo)
-    ceil_vals = sorted(c["hw_efficiency_ceiling"] for c in ceilings)
-    ceil_med = ceil_vals[len(ceil_vals) // 2]
-    return {
-        "metric": f"scaling efficiency (headline warp+tile), num_cpus {lo} -> {hi}",
-        f"sec_{lo}": t_lo,
-        f"sec_{hi}": t_hi,
-        f"images_per_sec_{lo}": r_lo["images_per_sec"],
-        f"images_per_sec_{hi}": r_hi["images_per_sec"],
-        "scaling_efficiency": round(eff, 3),
-        "hw_efficiency_ceiling": ceil_med,
-        "hw_efficiency_ceilings_per_round": ceil_vals,
-        "efficiency_vs_hw_ceiling": round(eff / ceil_med, 3),
-        f"all_runs_sec_{lo}": [r["value"] for r in runs_lo],
-        f"all_runs_sec_{hi}": [r["value"] for r in runs_hi],
-        "interleaved": True,
-        "sf": r_lo["sf"],
-    }
-
-
 if __name__ == "__main__":
-    if "--scaling" in sys.argv:
-        # optional "lo hi" pair after --scaling (default 8 32); "4 16" probes
-        # the N→4N criterion where all-core turbo effects are mildest
-        rest = [a for a in sys.argv[sys.argv.index("--scaling") + 1:] if a.isdigit()]
-        lo, hi = (int(rest[0]), int(rest[1])) if len(rest) >= 2 else (8, 32)
-        print(json.dumps(run_scaling(lo, hi)))
-    else:
-        print(json.dumps(run_suite()))
+    print(json.dumps(run_suite()))

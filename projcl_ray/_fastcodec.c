@@ -1,8 +1,8 @@
 /* Optional C twins for the in-repo codecs' sequential hot loops: JPEG
- * baseline/progressive entropy decode (ITU T.81 §F.2/§G.1.2), FLAC Rice /
- * LPC / CRC-16 (RFC 9639), PNG scanline unfiltering (RFC 2083 §6), and the
- * TIFF (6.0 §13, early change) and GIF LZW variants — plus the bilinear
- * warp sampler, the warp kernel's per-pixel hot loop.
+ * baseline/progressive entropy decode and encode (ITU T.81 §F.2/§G.1.2),
+ * PNG scanline unfiltering (RFC 2083 §6), and the TIFF (6.0 §13, early
+ * change) and GIF LZW variants — plus the bilinear warp sampler, the warp
+ * kernel's per-pixel hot loop.
  *
  * Entropy/prefix decoding is inherently sequential — one code at a time —
  * so it cannot be vectorized with numpy; each function here is the same
@@ -275,79 +275,6 @@ long jpeg_prog_ac_segment(
         }
     }
     return 0;
-}
-
-/* ---- FLAC (RFC 9639) hot loops — same algorithms as projcl_ray/flac.py,
- * bit-exact; Rice coding and LPC restoration are sample-sequential, the
- * two stages numpy can't vectorize. ---- */
-
-/* Decode n Rice(k) residuals (unary quotient + k remainder bits,
- * un-zigzagged) from an MSB-first bitstream. Returns the new bit position
- * or -1 on truncation. */
-long flac_rice(const uint8_t *data, long nbits, long pos,
-               long n, int k, int64_t *out)
-{
-    for (long i = 0; i < n; i++) {
-        long q = 0;
-        while (pos < nbits && !((data[pos >> 3] >> (7 - (pos & 7))) & 1)) {
-            pos++;
-            q++;
-        }
-        if (pos >= nbits) return -1;
-        pos++; /* the terminating 1-bit */
-        uint64_t u = (uint64_t)q << k;
-        if (k) {
-            if (pos + k > nbits) return -1;
-            uint64_t rem = 0;
-            for (int b = 0; b < k; b++)
-                rem = (rem << 1)
-                    | ((data[(pos + b) >> 3] >> (7 - ((pos + b) & 7))) & 1u);
-            pos += k;
-            u |= rem;
-        }
-        out[i] = (int64_t)(u >> 1) ^ -(int64_t)(u & 1);
-    }
-    return pos;
-}
-
-/* x[i] = res[i] + (sum_j coefs[j] * x[i-1-j]) >> shift, exact integer math
- * (accumulator bounded by order * 2^precision * 2^bps << 2^63). out must
- * have room for order + n samples; the first order are the warmup. */
-void flac_lpc_restore(const int64_t *warm, int order, const int64_t *res,
-                      long n, const int32_t *coefs, int shift, int64_t *out)
-{
-    for (int i = 0; i < order; i++) out[i] = warm[i];
-    for (long i = 0; i < n; i++) {
-        int64_t acc = 0;
-        const int64_t *x = out + order + i;
-        for (int j = 0; j < order; j++)
-            acc += (int64_t)coefs[j] * x[-1 - j];
-        out[order + i] = res[i] + (acc >> shift);
-    }
-}
-
-/* CRC-16/BUYPASS (poly 0x8005, MSB-first, init 0) — RFC 9639 frame CRC.
- * Byte-sequential; the table mirrors flac._CRC16. */
-static uint16_t _crc16_tbl[256];
-
-/* runs at dlopen, before any ctypes call can race (ctypes releases the
- * GIL, so lazy init with a plain flag would be a data race) */
-__attribute__((constructor)) static void _crc16_init(void)
-{
-    for (int i = 0; i < 256; i++) {
-        uint32_t c = (uint32_t)i << 8;
-        for (int b = 0; b < 8; b++)
-            c = (c & 0x8000u) ? ((c << 1) ^ 0x8005u) : (c << 1);
-        _crc16_tbl[i] = (uint16_t)c;
-    }
-}
-
-long flac_crc16(const uint8_t *data, long n)
-{
-    uint16_t c = 0;
-    for (long i = 0; i < n; i++)
-        c = _crc16_tbl[(c >> 8) ^ data[i]] ^ (uint16_t)(c << 8);
-    return c;
 }
 
 /* ---- PNG scanline unfiltering (RFC 2083 §6) — row-sequential with
@@ -932,187 +859,6 @@ long gif_lzw_encode(const uint8_t *data, long n, int min_code_size,
     }
     return on;
 #undef EMIT_LSB
-}
-
-/* ------------------------------------------------------------------ */
-/* IMA/DVI ADPCM (WAV format 0x11): the predictor/step-index chain is
- * value-sequential within a block; blocks are independent rows here.
- * Same reference algorithm as media._ima_step_nibbles / _ima_encode —
- * nibble-exact (parity pinned in pytest). */
-
-static const int32_t IMA_STEPS[89] = {
-    7, 8, 9, 10, 11, 12, 13, 14, 16, 17, 19, 21, 23, 25, 28, 31, 34, 37, 41,
-    45, 50, 55, 60, 66, 73, 80, 88, 97, 107, 118, 130, 143, 157, 173, 190,
-    209, 230, 253, 279, 307, 337, 371, 408, 449, 494, 544, 598, 658, 724,
-    796, 876, 963, 1060, 1166, 1282, 1411, 1552, 1707, 1878, 2066, 2272,
-    2499, 2749, 3024, 3327, 3660, 4026, 4428, 4871, 5358, 5894, 6484, 7132,
-    7845, 8630, 9493, 10442, 11487, 12635, 13899, 15289, 16818, 18500,
-    20350, 22385, 24623, 27086, 29794, 32767};
-static const int32_t IMA_ADJ[8] = {-1, -1, -1, -1, 2, 4, 6, 8};
-
-static inline void ima_step(int nib, int32_t *pred, int32_t *idx)
-{
-    int32_t step = IMA_STEPS[*idx];
-    int32_t diff = step >> 3;
-    if (nib & 1) diff += step >> 2;
-    if (nib & 2) diff += step >> 1;
-    if (nib & 4) diff += step;
-    int32_t p = *pred + ((nib & 8) ? -diff : diff);
-    if (p < -32768) p = -32768;
-    if (p > 32767) p = 32767;
-    *pred = p;
-    int32_t i = *idx + IMA_ADJ[nib & 7];
-    if (i < 0) i = 0;
-    if (i > 88) i = 88;
-    *idx = i;
-}
-
-/* flat: rows x spb int32 PCM; idx0: per-row initial step index;
- * nibs out: rows x (spb-1). Greedy reference quantizer. */
-void ima_encode_rows(const int32_t *flat, long rows, long spb,
-                     const int32_t *idx0, uint8_t *nibs)
-{
-    for (long r = 0; r < rows; r++) {
-        const int32_t *x = flat + r * spb;
-        uint8_t *o = nibs + r * (spb - 1);
-        int32_t pred = x[0], idx = idx0[r];
-        for (long t = 0; t + 1 < spb; t++) {
-            int32_t step = IMA_STEPS[idx];
-            int32_t diff = x[t + 1] - pred;
-            int nib = diff < 0 ? 8 : 0;
-            int32_t ad = diff < 0 ? -diff : diff;
-            if (ad >= step) { nib |= 4; ad -= step; }
-            if (ad >= (step >> 1)) { nib |= 2; ad -= step >> 1; }
-            if (ad >= (step >> 2)) nib |= 1;
-            o[t] = (uint8_t)nib;
-            ima_step(nib, &pred, &idx);
-        }
-    }
-}
-
-/* nibs: rows x t_steps; pred0/idx0: per-row initial state from the block
- * headers; out: rows x (t_steps+1) int16 (sample 0 = predictor). */
-void ima_decode_rows(const uint8_t *nibs, long rows, long t_steps,
-                     const int32_t *pred0, const int32_t *idx0, int16_t *out)
-{
-    for (long r = 0; r < rows; r++) {
-        const uint8_t *nb = nibs + r * t_steps;
-        int16_t *o = out + r * (t_steps + 1);
-        int32_t pred = pred0[r], idx = idx0[r];
-        o[0] = (int16_t)pred;
-        for (long t = 0; t < t_steps; t++) {
-            ima_step(nb[t], &pred, &idx);
-            o[t + 1] = (int16_t)pred;
-        }
-    }
-}
-
-/* ------------------------------------------------------------------ */
-/* FLAC encode residual planning (flac._plan_residual, whole plan): pick
- * partition order + per-partition Rice-vs-raw-escape coding by exact
- * coded size — identical selection (same tie-breaks) to the pure numpy
- * path, so the encoded bytes are unchanged; this just replaces ~27k tiny
- * numpy dispatches per frame with one C pass. kinds[p]: 0 = rice (vals[p]
- * = k), 1 = escape (vals[p] = bit width). Returns total bits, or -1 when
- * the block is not partitionable (caller raises). */
-long flac_plan_full(const int64_t *res, long n, long bs, int order,
-                    uint8_t *kinds, int32_t *vals, int32_t *porder_out)
-{
-    int pmax = -1;
-    for (int po = 0; po < 7; po++) {
-        if (bs % (1L << po) || (bs >> po) <= order) break;
-        pmax = po;
-    }
-    if (pmax < 0) return -1;
-    long P = 1L << pmax;
-    /* K = min(30, max(1, bit_length(max u) + 1)) */
-    uint64_t umax = 0;
-    for (long i = 0; i < n; i++) {
-        int64_t r = res[i];
-        uint64_t u = ((uint64_t)r << 1) ^ (uint64_t)(r >> 63);
-        if (u > umax) umax = u;
-    }
-    int bl = 0;
-    for (uint64_t m = umax; m; m >>= 1) bl++;
-    int K = bl + 1;
-    if (K < 1) K = 1;
-    if (K > 30) K = 30;
-    /* finest-partition stats: ssum[k][p], max/min/nonzero of raw res */
-    int64_t ssum[30][64], fmx[64], fmn[64], fnz[64];
-    for (long p = 0; p < P; p++) {
-        long lo = p == 0 ? 0 : (bs >> pmax) * p - order;
-        long hi = p + 1 < P ? (bs >> pmax) * (p + 1) - order : n;
-        int64_t mx = INT64_MIN, mn = INT64_MAX, nz = 0;
-        for (int k = 0; k < K; k++) ssum[k][p] = 0;
-        for (long i = lo; i < hi; i++) {
-            int64_t r = res[i];
-            uint64_t u = ((uint64_t)r << 1) ^ (uint64_t)(r >> 63);
-            for (int k = 0; k < K; k++) ssum[k][p] += (int64_t)(u >> k);
-            if (r > mx) mx = r;
-            if (r < mn) mn = r;
-            nz += r != 0;
-        }
-        fmx[p] = mx;
-        fmn[p] = mn;
-        fnz[p] = nz;
-    }
-    long best_total = -1;
-    int best_po = 0;
-    uint8_t cand_k[64];
-    int32_t cand_v[64];
-    for (int po = 0; po <= pmax; po++) {
-        long nparts = 1L << po, g = P / nparts, L = bs >> po;
-        long total = 4 + 5 * nparts;
-        for (long p = 0; p < nparts; p++) {
-            long npart = L - (p == 0 ? order : 0);
-            /* best Rice k: fold the finest sums over this group */
-            long rice_c = -1;
-            int k_best = 0;
-            for (int k = 0; k < K; k++) {
-                int64_t s = 0;
-                for (long j = 0; j < g; j++) s += ssum[k][p * g + j];
-                long c = (long)s + (long)(k + 1) * npart;
-                if (rice_c < 0 || c < rice_c) { rice_c = c; k_best = k; }
-            }
-            int64_t mx = INT64_MIN, mn = INT64_MAX, nz = 0;
-            for (long j = 0; j < g; j++) {
-                if (fmx[p * g + j] > mx) mx = fmx[p * g + j];
-                if (fmn[p * g + j] < mn) mn = fmn[p * g + j];
-                nz += fnz[p * g + j];
-            }
-            /* escape width: bit_length(max(mx+1, -mn, 1) - 1) + 1 if any
-             * nonzero sample, else 0 */
-            int w = 0;
-            if (nz) {
-                int64_t m = mx + 1 > -mn ? mx + 1 : -mn;
-                if (m < 1) m = 1;
-                m -= 1;
-                int b = 0;
-                for (uint64_t q = (uint64_t)m; q; q >>= 1) b++;
-                w = b + 1;
-            }
-            long esc_c = 5 + npart * (long)w;
-            if (esc_c < rice_c && w <= 31) {
-                cand_k[p] = 1;
-                cand_v[p] = w;
-                total += esc_c;
-            } else {
-                cand_k[p] = 0;
-                cand_v[p] = k_best;
-                total += rice_c;
-            }
-        }
-        if (best_total < 0 || total < best_total) {
-            best_total = total;
-            best_po = po;
-            for (long p = 0; p < nparts; p++) {
-                kinds[p] = cand_k[p];
-                vals[p] = cand_v[p];
-            }
-        }
-    }
-    *porder_out = best_po;
-    return best_total;
 }
 
 /* Bilinear warp sampler for uint8 (h, w, c) images at float32 source-pixel

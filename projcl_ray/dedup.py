@@ -432,7 +432,7 @@ def dup_components(
     The final id → component relabeling is one more bounded co-partition
     join against the full id column.
 
-    Measured-cardinality guard (the ops.cell_counts auto-guard pattern):
+    Measured-cardinality guard:
     when the MEASURED edge count is ≤ ``small_edge_threshold`` (default
     5M ⇒ ≤80 MB of edges), the same hash-min + pointer-jumping fixpoint
     runs vectorized in ONE Ray task instead — the per-round shuffle
@@ -469,8 +469,7 @@ def dup_components(
         n_parts = _adaptive_parts(n_edges)
     node_type = edges.schema().base_schema.field("src").type
 
-    # Measured-cardinality guard (same auto-guard pattern as
-    # ops.cell_counts): when the MEASURED edge count provably fits one
+    # Measured-cardinality guard: when the MEASURED edge count provably fits one
     # task's memory (16 B/edge → ≤80 MB at the threshold), the O(log D)
     # shuffle rounds below are pure fixed overhead — run the exact same
     # hash-min + pointer-jumping fixpoint in-memory inside ONE Ray task

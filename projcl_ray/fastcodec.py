@@ -9,9 +9,9 @@ system C compiler is present, `_fastcodec.c` (the same T.81 algorithm,
 bit-exact) is compiled ONCE per machine into a cached shared object and
 loaded with ctypes; every failure mode — no compiler, build error, load
 error, `PROJCL_NO_FASTCODEC=1` — falls back to the pure-Python path
-silently. Parity is pinned in tests/test_warp.py (JPEG/PNG/TIFF) and
-tests/test_mosaic_media.py (FLAC); the bilinear sampler (the one per-pixel
-loop numpy runs as 4 gathers plus ~12 temporaries) in tests/test_warp.py.
+silently. Parity is pinned in tests/test_warp.py (JPEG/PNG/TIFF/GIF and
+the bilinear sampler, the one per-pixel loop numpy runs as 4 gathers plus
+~12 temporaries).
 
 Concurrency: Ray workers race to build on first use; each builds to a
 pid-suffixed temp file and `os.replace`s it into place (atomic on POSIX),
@@ -112,19 +112,6 @@ def lib():
             ctypes.c_int32, ctypes.c_int32,                 # bpr, wib
             i32p,
         ]
-        i64p = ctypes.POINTER(ctypes.c_int64)
-        L.flac_rice.restype = ctypes.c_long
-        L.flac_rice.argtypes = [
-            ctypes.c_char_p, ctypes.c_long, ctypes.c_long,  # data, nbits, pos
-            ctypes.c_long, ctypes.c_int, i64p,              # n, k, out
-        ]
-        L.flac_lpc_restore.restype = None
-        L.flac_lpc_restore.argtypes = [
-            i64p, ctypes.c_int, i64p, ctypes.c_long,        # warm, order, res, n
-            i32p, ctypes.c_int, i64p,                       # coefs, shift, out
-        ]
-        L.flac_crc16.restype = ctypes.c_long
-        L.flac_crc16.argtypes = [ctypes.c_char_p, ctypes.c_long]
         u8p = ctypes.POINTER(ctypes.c_uint8)
         L.png_unfilter.restype = ctypes.c_long
         L.png_unfilter.argtypes = [
@@ -182,22 +169,6 @@ def lib():
         L.gif_lzw_encode.argtypes = [
             ctypes.c_char_p, ctypes.c_long, ctypes.c_int, i16p, u8p,
             ctypes.c_long,
-        ]
-        L.ima_encode_rows.restype = None
-        L.ima_encode_rows.argtypes = [
-            i32p, ctypes.c_long, ctypes.c_long,             # flat, rows, spb
-            i32p, u8p,                                      # idx0, nibs out
-        ]
-        L.ima_decode_rows.restype = None
-        L.ima_decode_rows.argtypes = [
-            u8p, ctypes.c_long, ctypes.c_long,              # nibs, rows, steps
-            i32p, i32p, i16p,                               # pred0, idx0, out
-        ]
-        L.flac_plan_full.restype = ctypes.c_long
-        L.flac_plan_full.argtypes = [
-            i64p, ctypes.c_long, ctypes.c_long,             # res, n, bs
-            ctypes.c_int, u8p, i32p,                        # order, kinds, vals
-            i32p,                                           # porder out
         ]
         f32p = ctypes.POINTER(ctypes.c_float)
         L.warp_bilinear_u8.restype = None
@@ -342,55 +313,6 @@ def jpeg_progressive_scan(store, scan, huff, Ss, Se, Ah, Al,
         if rc != 0:
             raise ValueError(f"corrupt JPEG: entropy decode failed ({rc})")
     return True
-
-
-def flac_rice(data: bytes, nbits: int, pos: int, n: int, k: int):
-    """C path for flac._rice_decode: returns (values int64 array, new bit
-    position) or None when unavailable. Raises on truncation like the pure
-    loop."""
-    if _disabled():
-        return None
-    L = lib()
-    if L is None:
-        return None
-    out = np.empty(n, np.int64)
-    rc = L.flac_rice(data, nbits, pos, n, k,
-                     out.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)))
-    if rc < 0:
-        raise ValueError("corrupt FLAC: truncated Rice partition")
-    return out, int(rc)
-
-
-def flac_crc16(data: bytes):
-    """C path for flac._crc16 (byte-sequential table CRC); None when
-    unavailable."""
-    if _disabled():
-        return None
-    L = lib()
-    if L is None:
-        return None
-    return int(L.flac_crc16(data, len(data)))
-
-
-def flac_lpc_restore(warm, res, coefs, shift):
-    """C path for flac._lpc_restore: returns the restored int64 array or
-    None when unavailable."""
-    if _disabled():
-        return None
-    L = lib()
-    if L is None:
-        return None
-    warm = np.ascontiguousarray(warm, np.int64)
-    res = np.ascontiguousarray(res, np.int64)
-    cf = np.ascontiguousarray(coefs, np.int32)
-    out = np.empty(len(warm) + len(res), np.int64)
-    i64p = ctypes.POINTER(ctypes.c_int64)
-    L.flac_lpc_restore(
-        warm.ctypes.data_as(i64p), len(warm),
-        res.ctypes.data_as(i64p), len(res),
-        cf.ctypes.data_as(ctypes.POINTER(ctypes.c_int32)), shift,
-        out.ctypes.data_as(i64p))
-    return out
 
 
 def png_unfilter(stream, h: int, stride: int, bpp: int):
@@ -652,84 +574,6 @@ def tiff_lzw_encode(data: bytes):
 def gif_lzw_encode(data: bytes, min_code_size: int):
     """C path for gif._lzw_encode; None when unavailable."""
     return _lzw_encode_c("gif_lzw_encode", data, min_code_size)
-
-
-def ima_encode_rows(flat, idx0):
-    """C path for media._ima_encode's greedy quantizer loop: flat is the
-    (rows, spb) int32 PCM matrix (row = one block×channel chain), idx0 the
-    per-row initial step index. Returns the (rows, spb-1) nibble matrix or
-    None when unavailable (caller runs the lockstep numpy loop)."""
-    if _disabled():
-        return None
-    L = lib()
-    if L is None:
-        return None
-    if (flat.dtype != np.int32 or not flat.flags.c_contiguous
-            or flat.ndim != 2 or flat.shape[1] < 1):
-        return None
-    idx0 = np.ascontiguousarray(idx0, np.int32)
-    rows, spb = flat.shape
-    nibs = np.empty((rows, spb - 1), np.uint8)
-    i32p = ctypes.POINTER(ctypes.c_int32)
-    L.ima_encode_rows(flat.ctypes.data_as(i32p), rows, spb,
-                      idx0.ctypes.data_as(i32p),
-                      nibs.ctypes.data_as(ctypes.POINTER(ctypes.c_uint8)))
-    return nibs
-
-
-def ima_decode_rows(nibs, pred0, idx0):
-    """C path for media._ima_decode's state walk: nibs is the (rows, T)
-    uint8 nibble matrix, pred0/idx0 the per-row block-header state.
-    Returns the (rows, T+1) int16 sample matrix (column 0 = predictor) or
-    None when unavailable."""
-    if _disabled():
-        return None
-    L = lib()
-    if L is None:
-        return None
-    if nibs.dtype != np.uint8 or not nibs.flags.c_contiguous or nibs.ndim != 2:
-        return None
-    pred0 = np.ascontiguousarray(pred0, np.int32)
-    idx0 = np.ascontiguousarray(idx0, np.int32)
-    rows, steps = nibs.shape
-    out = np.empty((rows, steps + 1), np.int16)
-    i32p = ctypes.POINTER(ctypes.c_int32)
-    L.ima_decode_rows(nibs.ctypes.data_as(ctypes.POINTER(ctypes.c_uint8)),
-                      rows, steps,
-                      pred0.ctypes.data_as(i32p), idx0.ctypes.data_as(i32p),
-                      out.ctypes.data_as(ctypes.POINTER(ctypes.c_int16)))
-    return out
-
-
-def flac_plan_full(res, bs: int, order: int):
-    """C path for flac._plan_residual (the whole plan, selection included
-    — integer-deterministic with the same tie-breaks, so the pure path
-    and this one return identical plans and identical encoded bytes).
-    Returns (total_bits, porder, [("rice", k) | ("esc", w)]) or None when
-    unavailable. Raises the pure path's ValueError on an unpartitionable
-    block."""
-    if _disabled():
-        return None
-    L = lib()
-    if L is None:
-        return None
-    if res.dtype != np.int64 or not res.flags.c_contiguous or res.ndim != 1:
-        return None
-    kinds = np.empty(64, np.uint8)
-    vals = np.empty(64, np.int32)
-    porder = ctypes.c_int32(0)
-    i64p = ctypes.POINTER(ctypes.c_int64)
-    i32p = ctypes.POINTER(ctypes.c_int32)
-    rc = L.flac_plan_full(res.ctypes.data_as(i64p), len(res), bs, order,
-                          kinds.ctypes.data_as(
-                              ctypes.POINTER(ctypes.c_uint8)),
-                          vals.ctypes.data_as(i32p), ctypes.byref(porder))
-    if rc < 0:
-        raise ValueError("block not partitionable")
-    nparts = 1 << porder.value
-    plans = [("esc", int(vals[p])) if kinds[p] else ("rice", int(vals[p]))
-             for p in range(nparts)]
-    return int(rc), porder.value, plans
 
 
 def warp_bilinear_u8(img, px, py):

@@ -1,9 +1,8 @@
 """Pure-Python GIF codec, implemented from the public GIF89a specification
 (W3C/CompuServe GRAPHICS INTERCHANGE FORMAT 89a) — the container ships no
 image libraries, so GIF ingest is implemented from the spec directly, same
-policy as png.py/jpeg.py. PIL is preferred at decode when importable
-(images.decode_image); this module is the always-available fallback and the
-determinism oracle.
+policy as png.py/jpeg.py. This module is the one GIF codec
+(images.decode_image dispatches here).
 
 Scope:
 - decode: GIF87a + GIF89a; global/local color tables, interlaced images

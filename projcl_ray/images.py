@@ -6,59 +6,27 @@ caption: string, phash: int64)`` plus our georeferencing sidecar columns
 ``(lon0: float64, lat0: float64, px_deg: float64, src_datum: string)``
 (FIXTURES.md §1) needed to warp/tile.
 
-Codec policy: ``fmt="raw"`` (uncompressed RGBA bytes, h·w·4 uint8, C-order),
-``fmt="png"`` and ``fmt="jpeg"`` are all first-class via in-repo pure-Python
-codecs (:mod:`projcl_ray.png`: zlib+numpy, lossless; :mod:`projcl_ray.jpeg`:
-baseline+progressive JFIF, vectorized DCT) — no PIL/cv2 needed anywhere, so
-the whole decode→warp→encode pipeline is real for compressed images too.
-
-Deployment knob: when an optimized codec library (PIL) IS importable,
-``decode_image`` uses it for png/jpeg — libjpeg-turbo entropy decode is
-orders of magnitude faster than any pure-Python Huffman walk, and on a
-compressed 100 TB corpus the decode stage dominates. The in-repo codecs stay
-as the always-available fallback and the determinism oracle; set
-``PROJCL_PURE_CODECS=1`` to force them (used by tests that pin exact pixel
-hashes). A skipped-unless-PIL-available pytest checks parity between the two
-paths (PNG bit-exact; JPEG within IDCT-rounding tolerance).
+Codec policy: ``fmt="raw"`` (uncompressed RGBA bytes, h·w·4 uint8, C-order)
+plus png, jpeg, gif, bmp and tiff, each decoded and encoded by exactly one
+in-repo codec (:mod:`projcl_ray.png`: zlib+numpy, lossless;
+:mod:`projcl_ray.jpeg`: baseline+progressive JFIF, vectorized DCT; hot loops
+in the C accelerator of :mod:`projcl_ray.fastcodec`). No PIL/cv2 anywhere, so
+output bytes are the same in every environment and every decoder sits behind
+the ``_corrupt.corrupt_guard`` error contract.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pyarrow as pa
 
 CHANNELS = 4  # RGBA, matching the reference's float4 pixel model
 
-_PIL_IMAGE = None  # probed once per process (0 = probed, absent)
-
-
-def _pil():
-    """Return PIL.Image when importable and not disabled, else None.
-    ``PROJCL_PURE_CODECS=0/false/no/off/''`` means NOT disabled — raw
-    truthiness would silently force the ~100×-slower pure-Python codecs on
-    an operator who exported the conventional 'off' spelling."""
-    global _PIL_IMAGE
-    if os.environ.get("PROJCL_PURE_CODECS", "").lower() not in (
-            "", "0", "false", "no", "off"):
-        return None
-    if _PIL_IMAGE is None:
-        try:
-            from PIL import Image as _img  # noqa: PLC0415
-
-            _PIL_IMAGE = _img
-        except ImportError:
-            _PIL_IMAGE = 0
-    return _PIL_IMAGE or None
-
 
 def decode_image(buf: bytes, w: int, h: int, fmt: str) -> np.ndarray:
     """bytes → (h, w, 4) uint8. ``raw`` is the first-class format
-    (uncompressed RGBA, always available); png/jpeg/gif/bmp decode via PIL
-    when importable (libjpeg/zlib-speed — the production path on a real
-    cluster), else via the in-repo pure-Python codecs (always available,
-    the determinism oracle)."""
+    (uncompressed RGBA); the compressed formats decode via their in-repo
+    codec."""
     if fmt == "raw":
         return np.frombuffer(buf, dtype=np.uint8).reshape(h, w, CHANNELS)
     if fmt == "rawrgb":  # 3-channel raw → opaque RGBA (reference accepts any
@@ -73,109 +41,37 @@ def decode_image(buf: bytes, w: int, h: int, fmt: str) -> np.ndarray:
         out[..., 0] = out[..., 1] = out[..., 2] = lum
         out[..., 3] = 255
         return out
-    if fmt in ("png", "jpeg", "gif", "bmp", "tiff"):
-        # tiff always decodes in-repo: PIL's mode conversion for deep
-        # sample types (uint16/float32 DEM bands) differs from our
-        # deterministic 8-bit preview (tiff.decode_tiff_geo), and the
-        # GeoTIFF tag path needs the in-repo parser anyway
-        pil = _pil() if fmt != "tiff" else None
-        if pil is not None:
-            import io
+    if fmt == "png":
+        from . import png as _png
 
-            out = np.asarray(pil.open(io.BytesIO(buf)).convert("RGBA"))
-            return np.ascontiguousarray(out, np.uint8)
-        if fmt == "png":
-            from . import png as _png
-
-            return _png.decode_png(buf)
-        if fmt == "gif":
-            from . import gif as _gif
-
-            return _gif.decode_gif(buf)
-        if fmt == "bmp":
-            from . import bmp as _bmp
-
-            return _bmp.decode_bmp(buf)
-        if fmt == "tiff":
-            from . import tiff as _tiff
-
-            return _tiff.decode_tiff(buf)
+        return _png.decode_png(buf)
+    if fmt == "jpeg":
         from . import jpeg as _jpeg
 
         return _jpeg.decode_jpeg(buf)
+    if fmt == "gif":
+        from . import gif as _gif
+
+        return _gif.decode_gif(buf)
+    if fmt == "bmp":
+        from . import bmp as _bmp
+
+        return _bmp.decode_bmp(buf)
+    if fmt == "tiff":
+        from . import tiff as _tiff
+
+        return _tiff.decode_tiff(buf)
     raise ValueError(f"unknown image format {fmt!r}")
-
-
-def _pil_encode(arr: np.ndarray, fmt: str, kw: dict) -> bytes | None:
-    """ENCODE-side swap-in, mirroring decode_image's PIL preference: when an
-    optimized codec library is importable, prefer it for the formats whose
-    in-repo encoders are the measured per-core ceilings (GIF palette
-    mapping; see BENCH/codec_throughput_r4.json). Used only when the
-    requested options are expressible through PIL without changing
-    decoded-pixel semantics:
-
-    - png: no kwargs (``filter_type`` tunes the in-repo compressor only;
-      lossless either way);
-    - jpeg: ``quality``/``subsample`` map 1:1 to libjpeg options (lossy
-      format — coefficient-parity pipelines call jpeg.encode_jpeg
-      directly and are unaffected);
-    - gif: no kwargs, fully-opaque, ≤256 distinct colors — the palette is
-      built EXACTLY in numpy so PIL only runs the LZW compressor
-      (lossless by construction; PIL's own ADAPTIVE median-cut carries no
-      exactness guarantee).
-
-    Returns None → caller falls through to the in-repo codec (always
-    available, the determinism oracle). ``PROJCL_PURE_CODECS=1`` disables
-    this hook like the decode one."""
-    pil = _pil()
-    if pil is None or arr.ndim != 3 or arr.shape[2] != CHANNELS \
-            or arr.dtype != np.uint8:
-        return None
-    import io
-
-    bio = io.BytesIO()
-    if fmt == "png" and not kw:
-        pil.fromarray(arr, "RGBA").save(bio, "PNG")
-        return bio.getvalue()
-    if fmt == "jpeg" and set(kw) <= {"quality", "subsample"}:
-        pil.fromarray(np.ascontiguousarray(arr[..., :3]), "RGB").save(
-            bio, "JPEG", quality=int(kw.get("quality", 90)),
-            subsampling=2 if kw.get("subsample", False) else 0)
-        return bio.getvalue()
-    if fmt == "gif" and not kw and bool((arr[..., 3] == 255).all()):
-        flat = arr[..., :3].reshape(-1, 3)
-        packed = ((flat[:, 0].astype(np.uint32) << 16)
-                  | (flat[:, 1].astype(np.uint32) << 8)
-                  | flat[:, 2].astype(np.uint32))  # 1-D unique ≫ unique(axis=0)
-        upk, inverse = np.unique(packed, return_inverse=True)
-        if len(upk) > 256:
-            return None  # in-repo encoder owns the error contract
-        im = pil.fromarray(
-            inverse.astype(np.uint8).reshape(arr.shape[:2]), "P")
-        pal = np.zeros((256, 3), np.uint8)
-        pal[: len(upk), 0] = (upk >> 16) & 0xFF
-        pal[: len(upk), 1] = (upk >> 8) & 0xFF
-        pal[: len(upk), 2] = upk & 0xFF
-        im.putpalette(pal.ravel().tolist())
-        im.save(bio, "GIF")
-        return bio.getvalue()
-    return None
 
 
 def encode_image(arr: np.ndarray, fmt: str = "raw", **png_kw) -> bytes:
     """(h, w, 4) uint8 → bytes. ``raw``, ``png``, ``jpeg``, ``gif`` and
-    ``bmp`` always available via the in-repo pure-Python codecs (png: pass
+    ``bmp`` (and ``tiff``) via the in-repo codecs (png: pass
     ``filter_type=4`` for ~2× smaller files; jpeg: ``quality=``,
     ``subsample=`` — lossy, alpha dropped; gif: palette format, lossless
-    only for <=255 distinct colors — quantize first). When PIL is
-    importable it is preferred for png/jpeg/gif where the options allow
-    (see :func:`_pil_encode`)."""
+    only for <=255 distinct colors — quantize first)."""
     if fmt == "raw":
         return np.ascontiguousarray(arr, dtype=np.uint8).tobytes()
-    if fmt in ("png", "jpeg", "gif"):
-        buf = _pil_encode(np.ascontiguousarray(arr, dtype=np.uint8), fmt, png_kw)
-        if buf is not None:
-            return buf
     if fmt == "png":
         from . import png as _png
 
@@ -196,7 +92,7 @@ def encode_image(arr: np.ndarray, fmt: str = "raw", **png_kw) -> bytes:
         from . import tiff as _tiff
 
         return _tiff.encode_tiff(np.ascontiguousarray(arr, dtype=np.uint8), **png_kw)
-    raise NotImplementedError(f"{fmt} encode not available in this environment")
+    raise NotImplementedError(f"no encoder for image format {fmt!r}")
 
 
 def phash64(arr: np.ndarray) -> int:

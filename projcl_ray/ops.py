@@ -12,9 +12,8 @@ Design rules (SURVEY §1.3/§7):
   host-precompute step of the reference, done once at build time);
 - fan-out stages return an Arrow table too (``take`` of the input rows plus
   the new columns), never a NumPy dict;
-- image/join stages default to stateless tasks with a per-worker-process
-  state cache (see _cached below); explicit actor pools via ``use_actors=True``
-  when per-worker setup is genuinely expensive;
+- image/join stages are stateless tasks with a per-worker-process state
+  cache (see _cached below) — one execution mode per stage;
 - small lookup sides (polygon layers, query matrices) broadcast once via
   ``ray.put`` and fetched zero-copy per worker — never re-shipped per batch;
 - wide ops keyed on ``cell_id`` with optional salting for hot cells.
@@ -50,14 +49,11 @@ from .warp import GeoRef, WarpSpec, warp_image
 # ---------------------------------------------------------------------------
 # Worker-process state cache.
 #
-# Two execution modes for stateful stages:
-# - stateless TASKS + this per-process cache (default): state is built (or
-#   ray.get-fetched, zero-copy from the local object store) once per worker
-#   process and reused across all tasks/stages. Ray's shared worker pool warms
-#   once per session, so repeated pipelines pay no pool-spawn cost.
-# - ACTOR pools (use_actors=True): a dedicated pool per stage execution. Worth
-#   it when per-actor setup is genuinely expensive (real image codecs, model
-#   weights) or needs isolation; costs ~seconds of pool spawn per execution.
+# Stateful stages run as stateless TASKS over this per-process cache: state is
+# built (or ray.get-fetched, zero-copy from the local object store) once per
+# worker process and reused across all tasks/stages. Ray's shared worker pool
+# warms once per session, so repeated pipelines pay no pool-spawn cost (an
+# actor pool would spawn per stage execution, seconds each).
 # ---------------------------------------------------------------------------
 
 _STATE_CACHE: dict = {}
@@ -315,17 +311,17 @@ def salt_hot_keys(
 
 
 # ---------------------------------------------------------------------------
-# Image warp + tile actor stage
+# Image warp + tile stage
 # ---------------------------------------------------------------------------
 
 
 class WarpTileActor:
-    """Actor-pool stage: decode → warp to the target projection → cut tiles →
-    emit one row per tile.
+    """The warp+tile worker body: decode → warp to the target projection →
+    cut tiles → emit one row per tile.
 
-    State built once per actor (__init__ = pl_context_init + pl_compile_code +
-    param precompute): the prepared projection and the warp policy. Batches
-    should be small (images are wide rows).
+    State built once per worker process (__init__ = pl_context_init +
+    pl_compile_code + param precompute): the prepared projection and the
+    warp policy. Batches should be small (images are wide rows).
 
     Output schema: image_id, caption, cell_id, tile_col, tile_row, tile_idx,
     tile_size, bytes (raw RGBA), w, h, fmt, center_lon, center_lat.
@@ -458,30 +454,14 @@ def warp_and_tile(
     dst_datum: str | None = None,
     res_deg: float = index_mod.DEFAULT_RES_DEG,
     batch_size: int = 16,
-    use_actors: bool = False,
-    concurrency: int | tuple[int, int] = (2, 8),
     **param_kw,
 ) -> ray.data.Dataset:
-    """The flagship image stage: warp+tile (SURVEY §3.2 Ray shape).
-
-    Default = stateless tasks with per-worker-process cached state (the
-    prepared projection is cheap; Ray's warm shared worker pool beats spawning
-    an actor pool per execution). Pass ``use_actors=True`` for an explicit
-    actor pool when per-worker setup is expensive (real codecs, models).
+    """The flagship image stage: warp+tile (SURVEY §3.2 Ray shape), as
+    stateless tasks with per-worker-process cached state (the prepared
+    projection is cheap; Ray's warm shared worker pool beats spawning an
+    actor pool per execution).
     """
     params = params or ProjParams(**param_kw)
-    if use_actors:
-        return ds.map_batches(
-            WarpTileActor,
-            fn_constructor_args=(proj_name, params),
-            fn_constructor_kwargs=dict(
-                tile_size=tile_size, filter=filter, dst_datum=dst_datum, res_deg=res_deg
-            ),
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency,
-        )
-
     key = ("warp_tile", proj_name, params, tile_size, filter, dst_datum, res_deg)
 
     def _warp(batch: pa.Table) -> pa.Table:
@@ -505,7 +485,7 @@ def ingest_geotiff(ds: ray.data.Dataset, *, src_datum: str = "WGS_84",
     the north-up georeference (lon0/lat0/px_deg) is recovered from the
     embedded GeoTIFF ModelPixelScale/ModelTiepoint tags (tiff.py) — no
     sidecar georeference columns, exactly how georeferenced rasters arrive
-    from the wild. Runs as a stateless vectorized map_batches stage; media
+    from the wild. Runs as a stateless vectorized map_batches stage; image
     rows are wide, so batch_size stays small (same rule as warp)."""
 
     def _ingest(batch: pa.Table) -> pa.Table:
@@ -702,9 +682,10 @@ def dem_terrain_features(ds: ray.data.Dataset, *, z_factor: float = 1.0,
 
 
 class PIPJoinActor:
-    """Broadcast PIP join: polygon layer fetched once per actor from the object
-    store; per batch, candidate-filter by bbox then exact ray-crossing test.
-    Emits one output row per (point, containing polygon) pair."""
+    """Broadcast PIP join: polygon layer fetched once per worker process from
+    the object store; per batch, candidate-filter by bbox then exact
+    ray-crossing test. Emits one output row per (point, containing polygon)
+    pair."""
 
     def __init__(self, polys_ref, lon_col: str, lat_col: str):
         polys = ray.get(polys_ref) if isinstance(polys_ref, ray.ObjectRef) else polys_ref
@@ -744,20 +725,10 @@ def pip_join(
     lon_col="lon",
     lat_col="lat",
     batch_size: int | None = 64 * 1024,
-    use_actors: bool = False,
-    concurrency: int | tuple[int, int] = (2, 8),
 ) -> ray.data.Dataset:
     """Point-in-polygon join against a small polygon layer: broadcast via
     ray.put once, fetched zero-copy per worker process (cached), no shuffle."""
     ref = ray.put(polygons)
-    if use_actors:
-        return ds.map_batches(
-            PIPJoinActor,
-            fn_constructor_args=(ref, lon_col, lat_col),
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency,
-        )
 
     def _pip(batch: pa.Table) -> pa.Table:
         worker = _cached(("pip", ref.hex(), lon_col, lat_col),
@@ -870,21 +841,11 @@ def knn_join(
     lat_col="lat",
     batch_size: int | None = 32 * 1024,
     prune_res_deg: float | None = None,
-    use_actors: bool = False,
-    concurrency: int | tuple[int, int] = (2, 8),
 ) -> ray.data.Dataset:
     """Geodesic kNN join. ``prune_res_deg`` switches on the ring-of-cells
     candidate pruning (the 100 TB path: per-query cost scales with local
     target density, not total target count)."""
     ref = ray.put((np.asarray(target_ids), np.asarray(target_lon), np.asarray(target_lat)))
-    if use_actors:
-        return ds.map_batches(
-            KnnActor,
-            fn_constructor_args=(ref, k, lon_col, lat_col, prune_res_deg),
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency,
-        )
 
     def _knn(batch: pa.Table) -> pa.Table:
         worker = _cached(("knn", ref.hex(), k, lon_col, lat_col, prune_res_deg),
@@ -1535,78 +1496,48 @@ def vectorize_tiles(
 
 def cell_counts(
     ds: ray.data.Dataset,
-    key_col: str = "cell_id",
     *,
     batch_size: int | None = None,  # whole blocks: a coalescing batch_size would stall the stream
-    driver_merge: bool | str = "auto",
-    auto_cap: int = 4_000_000,
 ):
-    """Skew-proof distributed count per key: partial counts per batch inside
-    map_batches (the combiner). A hot key contributes ONE row per batch
-    instead of all its rows — pre-aggregation beats salting for algebraic
-    aggregates (SURVEY §7).
+    """Skew-proof count per ``cell_id``, returned as a pandas DataFrame with
+    int64 columns ``cell_id`` and ``n``.
 
-    Merge of the partials:
-    - ``driver_merge=True``: stream the partial rows to the driver and merge
-      incrementally in pandas — NO shuffle, and the driver holds only the
-      merged distinct keys (not the raw partials stream). Returns a pandas
-      DataFrame. Ray's sort-based aggregate costs seconds of fixed latency
-      regardless of row count — for a few thousand output rows the driver
-      merge removes it entirely (measured 13.6 s → 7.7 s on the headline
-      pipeline).
-    - ``driver_merge=False``: distributed groupby-sum over the partials (for
-      genuinely huge key cardinalities). Returns a Dataset.
-    - ``driver_merge="auto"`` (default): start the streaming driver merge;
-      if the merged distinct-key count exceeds ``auto_cap`` (the key turned
-      out finer than cell-grained — tile ids, user ids, content hashes),
-      abandon it and fall back to the distributed merge, returning a
-      Dataset. The guard triggers off measured cardinality, not a docstring
-      threshold; the only cost is paid in the (misjudged) fine-key case,
-      where the partials re-execute — correctness of scale beats speed
-      there. Callers that need a guaranteed DataFrame pass
-      ``driver_merge=True`` (cell-grained keys: ≤ 2592 cells at 5° — the
-      merged frame is always tiny).
+    Partial counts per batch inside map_batches (the combiner): a hot cell
+    contributes ONE row per batch instead of all its rows — pre-aggregation
+    beats salting for algebraic aggregates (SURVEY §7). The partial rows
+    stream to the driver and merge incrementally in pandas — no shuffle, and
+    the driver holds only the merged distinct cells (≤ 2592 at 5°). Ray's
+    sort-based aggregate costs seconds of fixed latency regardless of row
+    count; for a few thousand output rows the driver merge removes it
+    entirely (measured 13.6 s → 7.7 s on the headline pipeline).
     """
+    import pandas as pd
 
     def partial(batch: dict) -> dict:
-        keys, counts = np.unique(np.asarray(batch[key_col], np.int64), return_counts=True)
-        return {key_col: keys, "partial_n": counts.astype(np.int64)}
+        keys, counts = np.unique(np.asarray(batch["cell_id"], np.int64), return_counts=True)
+        return {"cell_id": keys, "partial_n": counts.astype(np.int64)}
 
     partials = ds.map_batches(partial, batch_format="numpy", batch_size=batch_size)
-    if driver_merge:  # True or "auto"
-        import pandas as pd
-
-        strict = driver_merge is True
-        compact_at = 1_000_000 if strict else min(1_000_000, auto_cap)
-        acc: list = []
-        acc_rows = 0
-        merged_rows = 0  # distinct keys after the last compaction
-        flipped = False
-        for b in partials.iter_batches(batch_format="pandas", batch_size=None):
-            acc.append(b)
-            acc_rows += len(b)
-            # amortized compaction: once the merged frame itself exceeds
-            # compact_at, wait until the uncompacted stream doubles it —
-            # otherwise every batch would re-groupby the full merged frame
-            # (quadratic driver work for 1M-4M-key runs)
-            if acc_rows > max(compact_at, 2 * merged_rows):
-                merged = pd.concat(acc).groupby(key_col, as_index=False)["partial_n"].sum()
-                acc, acc_rows = [merged], len(merged)
-                merged_rows = len(merged)
-                if not strict and merged_rows > auto_cap:
-                    flipped = True
-                    break
-        if not flipped:
-            if not acc:
-                return pd.DataFrame({key_col: pd.array([], dtype="int64"),
-                                     "n": pd.array([], dtype="int64")})
-            return (
-                pd.concat(acc).groupby(key_col, as_index=False)["partial_n"]
-                .sum().rename(columns={"partial_n": "n"})
-            )
-    from ray.data.aggregate import Sum
-
-    return partials.groupby(key_col).aggregate(Sum("partial_n", alias_name="n"))
+    acc: list = []
+    acc_rows = 0
+    merged_rows = 0  # distinct cells after the last compaction
+    for b in partials.iter_batches(batch_format="pandas", batch_size=None):
+        acc.append(b)
+        acc_rows += len(b)
+        # amortized compaction: once the merged frame itself exceeds 1M
+        # rows, wait until the uncompacted stream doubles it — otherwise
+        # every batch would re-groupby the full merged frame
+        if acc_rows > max(1_000_000, 2 * merged_rows):
+            merged = pd.concat(acc).groupby("cell_id", as_index=False)["partial_n"].sum()
+            acc, acc_rows = [merged], len(merged)
+            merged_rows = len(merged)
+    if not acc:
+        return pd.DataFrame({"cell_id": pd.array([], dtype="int64"),
+                             "n": pd.array([], dtype="int64")})
+    return (
+        pd.concat(acc).groupby("cell_id", as_index=False)["partial_n"]
+        .sum().rename(columns={"partial_n": "n"})
+    )
 
 
 def pip_join_large(

@@ -75,11 +75,10 @@ def flagship(
     tile_size: int = 64,
     filter: str = "bilinear",
     res_deg: float = 5.0,
-    concurrency: int | tuple[int, int] = (2, 8),
     batch_size: int = 8,
     images_ds: rd.Dataset | None = None,
 ) -> rd.Dataset:
-    """images → warp+tile (actor pool) → PIP join of tile centers against a
+    """images → warp+tile → PIP join of tile centers against a
     polygon layer → per-cell aggregate (tile count, image count proxy, mean
     pixel stats). Returns the small cell-level result Dataset."""
     if images_ds is None:
@@ -92,7 +91,6 @@ def flagship(
         filter=filter,
         res_deg=res_deg,
         batch_size=batch_size,
-        concurrency=concurrency,
     )
     polys = synth_polygons(32)
     # batch_size=None: pip's 64k default is sized for slim point tables; on
@@ -101,7 +99,7 @@ def flagship(
     # warp->pip stage to a single task (measured 9.4 s vs 1.3 s at 2048
     # images). Per-block batches keep the stage as parallel as the read.
     joined = ops.pip_join(tiles, polys, lon_col="center_lon", lat_col="center_lat",
-                          concurrency=concurrency, batch_size=None)
+                          batch_size=None)
 
     # pixel-free projection before the shuffle (SURVEY §7 'Wide binary rows')
     def strip_pixels(batch: pa.Table) -> pa.Table:

@@ -683,7 +683,7 @@ def q_salted_cell_counts(sf_dir: str):
     aggregate on the salted key → de-salt and merge — must reproduce the
     plain (unsalted) per-cell counts exactly."""
     ds = ops.assign_cells(derive_points(sf_dir), res_deg=DEFAULT_RES_DEG)
-    pre = ops.cell_counts(ds, "cell_id", driver_merge=True)  # combiner pre-pass
+    pre = ops.cell_counts(ds)  # combiner pre-pass
     cut = float(pre["n"].quantile(0.95))
     hot = {int(r["cell_id"]): 8 for _, r in pre.iterrows() if r["n"] > cut}
     if not hot:  # degenerate tiny inputs: salt the max cell anyway
@@ -1418,7 +1418,7 @@ def q_warp_tiles(sf_dir: str):
 
     ds = rd.from_arrow(synth_images_table(32, seed=42))
     tiles = ops.warp_and_tile(ds, "mercator", ProjParams(spheroid="WGS_84"),
-                              tile_size=64, batch_size=8, concurrency=2)
+                              tile_size=64, batch_size=8)
     return _ingest_layout(tiles)
 
 
@@ -1637,7 +1637,7 @@ def q_jpeg_progressive_ingest(sf_dir: str):
 
 @q("flagship_cells")
 def q_flagship(sf_dir: str):
-    return flagship(n_images=32, concurrency=2)
+    return flagship(n_images=32)
 
 
 def _pyramid_oracle_sql(n: int, seed: int, sizes: tuple, tile: int,
@@ -1680,7 +1680,7 @@ def q_tile_pyramid(sf_dir: str):
 
 
 # ---------------------------------------------------------------------------
-# Fixed-angle geodesic trace, mosaic warp, media, phash dedup
+# Fixed-angle geodesic trace, mosaic warp, phash dedup
 # ---------------------------------------------------------------------------
 
 _TRACE_ORIGIN = (10.0, 20.0)
@@ -1791,131 +1791,6 @@ def q_mosaic(sf_dir: str):
                 }
             )
     return ops.warp_tiled_mosaic(rd.from_items(rows), "mercator", ProjParams(spheroid="WGS_84"))
-
-
-@q("media_audio_features")  # codec stub path — rows-only
-def q_audio(sf_dir: str):
-    from .media import audio_features, synth_audio_table
-
-    return audio_features(rd.from_arrow(synth_audio_table(32)))
-
-
-@q("media_wav_features")  # real RIFF/WAVE ingest (in-repo codec) — rows-only
-def q_wav(sf_dir: str):
-    """Audio features over REAL WAV containers: the synthetic pcm16 clips are
-    wrapped in RIFF/WAVE (media.encode_wav) and decoded by the in-repo pure-
-    Python codec (media.decode_wav) — the audio analogue of the png path."""
-    import pyarrow as pa
-
-    from .media import audio_features, encode_wav, synth_audio_table
-
-    rows = synth_audio_table(32).to_pylist()
-    for r in rows:
-        pcm = np.frombuffer(r["bytes"], "<i2")
-        r["bytes"] = encode_wav(pcm, r["sample_rate"])
-        r["fmt"] = "wav"
-    return audio_features(rd.from_arrow(pa.Table.from_pylist(rows)))
-
-
-@q("media_flac_features")  # real FLAC ingest (in-repo codec) — rows-only
-def q_flac(sf_dir: str):
-    """Audio features over REAL FLAC containers: the same synthetic pcm16
-    clips as media_wav_features, compressed by the in-repo pure-Python FLAC
-    codec (projcl_ray/flac.py — FIXED/LPC predictors, Rice residuals) and
-    decoded back losslessly, so the feature rows are bit-identical to the
-    WAV query's (pinned in tests/test_mosaic_media.py). Runs the
-    BLOCK-STREAMED decode path (chunk_samples: one FLAC frame in memory
-    at a time — the long-clip shape; features are chunking-invariant)."""
-    import pyarrow as pa
-
-    from .flac import encode_flac
-    from .media import audio_features, synth_audio_table
-
-    rows = synth_audio_table(32).to_pylist()
-    for r in rows:
-        pcm = np.frombuffer(r["bytes"], "<i2")
-        r["bytes"] = encode_flac(pcm, r["sample_rate"])
-        r["fmt"] = "flac"
-    return audio_features(rd.from_arrow(pa.Table.from_pylist(rows)),
-                          chunk_samples=4096)
-
-
-def _mp3_scan_oracle_sql(n: int = 32) -> str:
-    """Independent oracle for the MPEG catalog scan: the QUERY parses the
-    synthesized container BYTES frame by frame; this SQL derives the same
-    statistics from the GENERATION PARAMETERS (media.synth_mp3_table's
-    arithmetic) — frame sizes via the spec formula 144·br/sr with the
-    cumulative-remainder padding cadence (total pads over n frames =
-    total_frac // sr, since the accumulator stays in [0, sr)). Two fully
-    independent code paths must agree on every value."""
-    return f"""
-WITH idx AS (SELECT range AS i FROM range(0, {n})),
-p AS (SELECT i,
-  CAST(20 + 3*(i % 7) AS BIGINT) AS n_frames,
-  CAST(CASE i % 4 WHEN 0 THEN 96 WHEN 1 THEN 128 WHEN 2 THEN 160 ELSE 192 END AS BIGINT) AS br,
-  CAST(CASE i % 3 WHEN 0 THEN 44100 WHEN 1 THEN 48000 ELSE 32000 END AS BIGINT) AS sr,
-  (i % 3 = 0) AS mono,
-  (i % 4 = 0) AS vbr
- FROM idx),
-f AS (SELECT *,
-  n_frames * 1152 AS n_samples,
-  (n_frames + 1) // 2 AS n_hi, n_frames // 2 AS n_lo,
-  (144 * br * 1000) // sr AS base_hi, (144 * br * 1000) % sr AS frac_hi,
-  (144 * 64 * 1000) // sr AS base_lo, (144 * 64 * 1000) % sr AS frac_lo
- FROM p),
-t AS (SELECT *,
-  CASE WHEN vbr THEN n_hi*base_hi + n_lo*base_lo ELSE n_frames*base_hi END
-    + (CASE WHEN vbr THEN n_hi*frac_hi + n_lo*frac_lo ELSE n_frames*frac_hi END) // sr
-    AS total_bytes
- FROM f)
-SELECT printf('mp3_%06d', i) AS clip_id,
-  n_frames, n_samples, sr AS sample_rate,
-  CAST(CASE WHEN mono THEN 1 ELSE 2 END AS BIGINT) AS channels,
-  CASE WHEN mono THEN 'mono' ELSE 'stereo' END AS mode,
-  CAST(3 AS BIGINT) AS layer,
-  CAST(floor(CAST(n_samples AS DOUBLE)/sr*1000.0 + 0.5) AS BIGINT) AS duration_ms,
-  CASE WHEN vbr THEN 'vbr' ELSE 'cbr' END AS bitrate_mode,
-  CASE WHEN vbr THEN least(br, 64) ELSE br END AS min_bitrate_kbps,
-  CASE WHEN vbr THEN greatest(br, 64) ELSE br END AS max_bitrate_kbps,
-  CAST(floor(CAST(total_bytes*8 AS DOUBLE)/1000.0/(CAST(n_samples AS DOUBLE)/sr) + 0.5) AS BIGINT)
-    AS avg_bitrate_kbps
-FROM t
-"""
-
-
-@q("media_mp3_frame_scan", _mp3_scan_oracle_sql(32))
-def q_mp3_scan(sf_dir: str):
-    """MPEG audio catalog scan: per-clip frame-accurate container metadata
-    (frame count, duration, CBR/VBR bitrate stats, channel mode) over a
-    mixed mp3 corpus — the ingest pass a scraped-audio catalog runs before
-    deciding what to decode. The frame walk (projcl_ray/mp3.py) never
-    reads payload bytes, so it is exact for any real-world mp3. Oracle:
-    the SQL derives the same statistics from the synth GENERATION
-    parameters (spec frame-size formula + padding cadence) while the
-    query parses the bytes — two independent paths hash-compared; also
-    pinned in pytest (test_mp3_frame_parser_exact). Sample decode
-    dispatches to the library swap-in hook (see media.decode_audio)."""
-    from .media import mp3_frame_scan, synth_mp3_table
-
-    return mp3_frame_scan(rd.from_arrow(synth_mp3_table(32))).drop_columns(["fmt"])
-
-
-@q("media_video_frame_sample")  # rows-only
-def q_video(sf_dir: str):
-    from .media import sample_video_frames, synth_video_table
-
-    return sample_video_frames(rd.from_arrow(synth_video_table(4)), every_n=5)
-
-
-@q("media_mjpeg_frame_sample")  # rows-only
-def q_video_mjpeg(sf_dir: str):
-    """Same frame-sampling stage over MJPEG-in-AVI clips — the container and
-    per-frame JPEG decode both run through the in-repo codecs (avi.py,
-    jpeg.py), i.e. a real compressed-video ingest path end-to-end."""
-    from .media import sample_video_frames, synth_video_table
-
-    return sample_video_frames(
-        rd.from_arrow(synth_video_table(4, fmt="avi")), every_n=5)
 
 
 # ---------------------------------------------------------------------------
@@ -2410,17 +2285,16 @@ def q_ann_neardup_components(sf_dir: str):
 
 # ---------------------------------------------------------------------------
 # Driver-sampling rotation: the correctness driver gates the FIRST 50 queries
-# only. Round-5 priority: (a) the 9 queries whose correctness evidence is NEW
+# only. Round-5 priority: (a) the 8 queries whose correctness evidence is NEW
 # this round — the 7 warp/ingest queries converted from rows-only to DuckDB
-# tile-layout oracles, ann_ivf_topk (now corpus-refined centroids) and the
-# new media_mp3_frame_scan; then (b) the 44 queries the round-4 driver did
-# not sample (the VERDICT r4 #7 ask), minus three rows-only demos deferred
-# to the tail to fit 50 (media_video_frame_sample, flagship_partitioned_
-# resume, warp_tile_pyramid — value-unchecked under the driver either way).
-# The tail holds those three, the four low-risk round-5-touched queries that
-# were re-gated locally (md5-pinned simhash/fingerprint trio +
-# media_flac_features), and the rest of the round-4 sample. Every query
-# keeps its oracle; only dict insertion order changes.
+# tile-layout oracles and ann_ivf_topk (now corpus-refined centroids); then
+# (b) the queries the round-4 driver did not sample (the VERDICT r4 #7 ask),
+# minus two rows-only demos deferred to the tail (flagship_partitioned_resume,
+# warp_tile_pyramid — value-unchecked under the driver either way). The tail
+# holds those two, the low-risk round-5-touched queries that were re-gated
+# locally (the md5-pinned simhash/fingerprint trio), and the rest of the
+# round-4 sample. Every query keeps its oracle; only dict insertion order
+# changes.
 # ---------------------------------------------------------------------------
 
 _R5_PRIORITY = [
@@ -2428,12 +2302,11 @@ _R5_PRIORITY = [
     "geotiff_dem_ingest_warp_tile", "gif_bmp_ingest_warp_tile",
     "png_ingest_warp_tile", "jpeg_ingest_warp_tile",
     "jpeg_progressive_ingest_warp_tile", "ann_ivf_topk",
-    "media_mp3_frame_scan",
 ]
 _R5_DEFER = [
-    "media_video_frame_sample", "flagship_partitioned_resume",
+    "flagship_partitioned_resume",
     "warp_tile_pyramid", "dedup_simhash", "dedup_simhash_neardups",
-    "text_fingerprint", "media_flac_features",
+    "text_fingerprint",
 ]
 _SAMPLED_R04 = [
     "project_polyconic_ell_roundtrip",
@@ -2478,8 +2351,6 @@ _SAMPLED_R04 = [
     "dem_terrain_features",
     "gif_bmp_ingest_warp_tile",
     "jpeg_progressive_ingest_warp_tile",
-    "media_flac_features",
-    "media_mjpeg_frame_sample",
     "forward_geodesic_karney",
     "events_hourly_window",
     "filter_high_value_orders",

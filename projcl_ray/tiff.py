@@ -4,8 +4,7 @@ TIFF is the canonical geospatial raster container, so alongside pixel
 decode this module extracts the georeferencing tags (ModelPixelScaleTag
 33550, ModelTiepointTag 33922) straight into the warp pipeline's
 ``GeoRef`` — real-world raster ingest end-to-end with no external
-libraries (PIL is preferred at decode when importable, same policy as
-png/jpeg in images.decode_image).
+libraries.
 
 Scope:
 - decode: little- and big-endian classic TIFF; strip- and tile-organized

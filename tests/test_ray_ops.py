@@ -183,14 +183,14 @@ def test_point_chain_bit_identical_to_kernels(ray_session, sf_dir):
         np.testing.assert_array_equal(out[col].to_numpy(), want, err_msg=col)
 
 
-def test_warp_and_tile_actor_pool(ray_session):
+def test_warp_and_tile_tasks(ray_session):
     import ray.data as rd
 
     tbl = synth_images_table(12, seed=42)
     ds = rd.from_arrow(tbl)
     tiles = ops.warp_and_tile(
         ds, "mercator", ProjParams(spheroid="WGS_84"),
-        tile_size=64, batch_size=4, concurrency=2,
+        tile_size=64, batch_size=4,
     )
     df = tiles.to_pandas()
     assert len(df) >= 12  # at least one tile per image
@@ -304,25 +304,6 @@ def test_pip_join_large_matches_broadcast(ray_session, sf_dir):
     key = lambda df: set(zip(df["lon"].round(9), df["lat"].round(9), df["poly_id"]))
     assert key(lg) == key(bc)
     assert len(lg) == len(bc)
-
-
-def test_warp_and_tile_actor_mode_matches_task_mode(ray_session):
-    """use_actors=True (explicit actor pool) must produce exactly the same
-    tiles as the default task mode — the two execution modes share the worker
-    body and differ only in state placement."""
-    import ray.data as rd
-
-    tbl = synth_images_table(8, seed=42)
-    kw = dict(tile_size=64, batch_size=4)
-    task = ops.warp_and_tile(rd.from_arrow(tbl), "mercator", ProjParams(spheroid="WGS_84"),
-                             **kw).to_pandas()
-    actor = ops.warp_and_tile(rd.from_arrow(tbl), "mercator", ProjParams(spheroid="WGS_84"),
-                              use_actors=True, concurrency=2, **kw).to_pandas()
-    t = task.sort_values(["image_id", "tile_idx"]).reset_index(drop=True)
-    a = actor.sort_values(["image_id", "tile_idx"]).reset_index(drop=True)
-    assert len(t) == len(a)
-    assert (t["cell_id"] == a["cell_id"]).all()
-    assert all(tb == ab for tb, ab in zip(t["bytes"], a["bytes"]))  # bit-identical pixels
 
 
 def test_knn_pruned_polar_rows_no_duplicates(ray_session):

@@ -1,6 +1,7 @@
 """Sources/sinks, pre-aggregated counts, datum shift on grids."""
 
 import numpy as np
+import pandas as pd
 import pytest
 
 from projcl_ray import ops, sources
@@ -61,30 +62,24 @@ def test_write_and_read_tile_buckets(ray_session, tmp_path):
 
 
 def test_cell_counts_matches_groupby(ray_session, sf_dir):
-    import ray.data as rd
-
     from projcl_ray.pipelines import derive_points
 
     ds = ops.assign_cells(derive_points(sf_dir))
-    # driver-merge mode returns pandas directly; shuffle mode returns a Dataset
-    fast = ops.cell_counts(ds, driver_merge=True).set_index("cell_id")["n"]
-    dist = ops.cell_counts(ds, driver_merge=False).to_pandas().set_index("cell_id")["n"]
-    slow = ds.groupby("cell_id").count().to_pandas().set_index("cell_id")["count()"]
-    assert fast.sort_index().equals(slow.sort_index().rename("n"))
-    assert dist.sort_index().equals(slow.sort_index().rename("n"))
-    # auto mode: cell-grained key stays a driver merge (DataFrame)…
-    auto = ops.cell_counts(ds)
-    assert not isinstance(auto, rd.Dataset)
-    assert auto.set_index("cell_id")["n"].sort_index().equals(
-        slow.sort_index().rename("n"))
-    # …but a key finer than the cap auto-flips to the distributed merge
-    # (Dataset), with identical counts — no docstring threshold involved
-    fine = ops.cell_counts(ds, key_col="l_orderkey", auto_cap=50)
-    assert isinstance(fine, rd.Dataset)
-    got = fine.to_pandas().set_index("l_orderkey")["n"]
-    want = (ds.groupby("l_orderkey").count().to_pandas()
-            .set_index("l_orderkey")["count()"].rename("n"))
-    assert got.sort_index().equals(want.sort_index())
+    got = ops.cell_counts(ds)
+    assert isinstance(got, pd.DataFrame)
+    want = ds.groupby("cell_id").count().to_pandas().set_index("cell_id")["count()"]
+    assert got.set_index("cell_id")["n"].sort_index().equals(want.sort_index().rename("n"))
+
+
+def test_cell_counts_empty_dataset(ray_session):
+    import ray.data as rd
+
+    ds = rd.from_items([{"cell_id": 1}]).filter(expr="cell_id < 0")
+    got = ops.cell_counts(ds)
+    assert isinstance(got, pd.DataFrame)
+    assert len(got) == 0
+    assert list(got.columns) == ["cell_id", "n"]
+    assert got["cell_id"].dtype == np.int64 and got["n"].dtype == np.int64
 
 
 def test_datum_shift_on_grids():

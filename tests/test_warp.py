@@ -667,45 +667,6 @@ def test_fastcodec_c_entropy_parity():
             os.environ["PROJCL_NO_FASTCODEC"] = old
 
 
-def test_fast_codec_swapin_parity():
-    """Deployment knob: when PIL is importable, decode_image routes png/jpeg
-    through it (libjpeg/zlib speed); the in-repo codecs remain the fallback
-    and oracle. Parity: PNG must match bit-exactly (lossless both sides);
-    JPEG within IDCT-rounding tolerance. Skipped where PIL is absent (this
-    container) — the PROJCL_PURE_CODECS escape hatch is tested regardless."""
-    import pytest
-
-    from projcl_ray import images as I
-    from projcl_ray import jpeg as J
-    from projcl_ray import png as P
-    from projcl_ray.images import synth_pixels
-
-    # the escape hatch must always force the pure path (testable without PIL)
-    import os
-    old = os.environ.get("PROJCL_PURE_CODECS")
-    os.environ["PROJCL_PURE_CODECS"] = "1"
-    try:
-        assert I._pil() is None
-    finally:
-        if old is None:
-            os.environ.pop("PROJCL_PURE_CODECS")
-        else:
-            os.environ["PROJCL_PURE_CODECS"] = old
-
-    pytest.importorskip("PIL.Image")
-    assert I._pil() is not None
-    img = synth_pixels(7, 45, 33)
-    png_bytes = P.encode_png(img, filter_type=4)
-    np.testing.assert_array_equal(
-        I.decode_image(png_bytes, 45, 33, "png"), P.decode_png(png_bytes))
-    jpg_bytes = J.encode_jpeg(img, quality=90)
-    fast = I.decode_image(jpg_bytes, 45, 33, "jpeg").astype(np.float64)
-    pure = J.decode_jpeg(jpg_bytes).astype(np.float64)
-    assert fast.shape == pure.shape
-    mse = np.mean((fast[..., :3] - pure[..., :3]) ** 2)
-    assert 10 * np.log10(255.0**2 / max(mse, 1e-12)) > 40.0
-
-
 def test_jpeg_progressive_query_matches_baseline_query(ray_session):
     """The progressive-JPEG ingest path must produce BIT-IDENTICAL tiles to
     the baseline-JPEG path: a progressive re-encode at the same quality/
@@ -1198,87 +1159,6 @@ def test_tiff_tiled_and_predictor_roundtrip():
     plain = len(tiff.encode_tiff(img))
     pred = len(tiff.encode_tiff(img, predictor=2))
     assert pred < plain
-
-
-def test_pil_encode_swapin_wiring(monkeypatch):
-    """The image encoder swap-in (images._pil_encode) must engage ONLY for
-    PIL-expressible calls — png with no kwargs, jpeg with quality/subsample,
-    gif with no kwargs over opaque ≤256-color pixels — and fall through to
-    the in-repo codecs otherwise. Stub-module wiring test (runs without
-    PIL); real-library parity in test_pil_encode_swapin_parity."""
-    from projcl_ray import images as I
-    from projcl_ray.images import encode_image, synth_pixels
-
-    calls = []
-
-    class _StubIm:
-        def __init__(self, fmt_tag):
-            self.fmt_tag = fmt_tag
-
-        def putpalette(self, pal):
-            calls.append(("putpalette", len(pal)))
-
-        def save(self, bio, fmt, **kw):
-            calls.append(("save", fmt, kw))
-            bio.write(b"STUB-" + fmt.encode())
-
-    class _StubPIL:
-        @staticmethod
-        def fromarray(arr, mode):
-            calls.append(("fromarray", mode, arr.shape, arr.dtype.str))
-            return _StubIm(mode)
-
-    monkeypatch.setattr(I, "_PIL_IMAGE", _StubPIL)
-    monkeypatch.delenv("PROJCL_PURE_CODECS", raising=False)
-    img = synth_pixels(3, 24, 16)
-
-    assert encode_image(img, "png") == b"STUB-PNG"
-    assert encode_image(img, "jpeg", quality=92, subsample=True) == b"STUB-JPEG"
-    assert calls[-1] == ("save", "JPEG", {"quality": 92, "subsampling": 2})
-    quant = ((img >> 6) << 6).astype(np.uint8)
-    quant[..., 3] = 255
-    assert encode_image(quant, "gif") == b"STUB-GIF"
-
-    # non-expressible options fall through to the in-repo codecs
-    assert encode_image(img, "png", filter_type=4).startswith(b"\x89PNG")
-    assert encode_image(quant, "gif", interlace=True).startswith(b"GIF89a")
-    from projcl_ray import bmp as _bmp  # bmp has no PIL hook at all
-    assert encode_image(img, "bmp")[:2] == b"BM"
-
-    # PROJCL_PURE_CODECS disables the hook entirely
-    monkeypatch.setenv("PROJCL_PURE_CODECS", "1")
-    assert encode_image(img, "png").startswith(b"\x89PNG")
-
-
-def test_pil_encode_swapin_parity():
-    """Real-library parity (skipped unless PIL importable): PIL-encoded
-    png/gif must decode — via the IN-REPO decoders — to the exact source
-    pixels (the gif path builds its palette exactly in numpy, so PIL only
-    runs the LZW compressor); jpeg is lossy, so PSNR-bounded."""
-    import pytest
-
-    pytest.importorskip("PIL.Image")
-    from projcl_ray import gif as G
-    from projcl_ray import jpeg as J
-    from projcl_ray import png as P
-    from projcl_ray.images import _pil_encode, synth_pixels
-
-    img = synth_pixels(11, 40, 28)
-    buf = _pil_encode(img, "png", {})
-    assert buf is not None
-    np.testing.assert_array_equal(P.decode_png(buf), img)
-
-    quant = ((img >> 5) << 5).astype(np.uint8)
-    quant[..., 3] = 255
-    buf = _pil_encode(quant, "gif", {})
-    assert buf is not None
-    np.testing.assert_array_equal(G.decode_gif(buf)[..., :3], quant[..., :3])
-
-    buf = _pil_encode(img, "jpeg", {"quality": 95})
-    assert buf is not None
-    out = J.decode_jpeg(buf).astype(np.float64)
-    mse = np.mean((out[..., :3] - img[..., :3].astype(np.float64)) ** 2)
-    assert 10 * np.log10(255.0**2 / max(mse, 1e-12)) > 30.0
 
 
 def test_jpeg_12bit_roundtrip_and_parity():

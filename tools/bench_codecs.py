@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from projcl_ray import avi, bmp, fastcodec, flac, gif, jpeg, media, png, tiff
+from projcl_ray import bmp, fastcodec, gif, jpeg, png, tiff
 
 REPS = 3
 
@@ -41,17 +41,6 @@ def _image(px: int, seed: int = 7) -> np.ndarray:
     g = np.clip(base[::-1] + tex, 0, 255)
     b = np.clip(0.5 * (base + base[::-1]), 0, 255)
     return np.stack([r, g, b], axis=-1).astype(np.uint8)
-
-
-def _pcm(n: int, seed: int = 11) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    t = np.arange(n, dtype=np.float64)
-    sig = (
-        9000 * np.sin(2 * np.pi * 440 * t / 44100)
-        + 3000 * np.sin(2 * np.pi * 1310 * t / 44100)
-        + rng.normal(0, 180, n)
-    )
-    return np.clip(sig, -32768, 32767).astype(np.int16)
 
 
 def main(out_path: str) -> None:
@@ -83,7 +72,7 @@ def main(out_path: str) -> None:
             os.environ["PROJCL_NO_FASTCODEC"] = "1"
 
     # base rows measure the PURE-python loops (the determinism oracle);
-    # _cfast rows re-measure decode with the compiled entropy/Rice paths
+    # _cfast rows re-measure decode with the compiled entropy/LZW paths
     # (projcl_ray/fastcodec.py) when a compiler exists
     os.environ["PROJCL_NO_FASTCODEC"] = "1"
     record("png_f4", lambda: png.encode_png(img, filter_type=4),
@@ -116,29 +105,6 @@ def main(out_path: str) -> None:
                  lambda: tiff.encode_tiff(img, compression="lzw"),
                  tiff.decode_tiff, raw_mb)
 
-    pcm = _pcm(64000)
-    pcm_mb = pcm.nbytes / 1e6
-    record("wav_pcm16", lambda: media.encode_wav(pcm, 44100),
-           media.decode_wav, pcm_mb)
-    record("wav_ulaw", lambda: media.encode_wav(pcm, 44100, codec="ulaw"),
-           media.decode_wav, pcm_mb)
-    record("wav_ima_adpcm", lambda: media.encode_wav_ima_adpcm(pcm, 44100),
-           media.decode_wav, pcm_mb)
-    record_cfast("wav_ima_adpcm_cfast",
-                 lambda: media.encode_wav_ima_adpcm(pcm, 44100),
-                 media.decode_wav, pcm_mb)
-    record("flac", lambda: flac.encode_flac(pcm, 44100), flac.decode_flac,
-           pcm_mb)
-    record_cfast("flac_cfast", lambda: flac.encode_flac(pcm, 44100),
-                 flac.decode_flac, pcm_mb)
-
-    frames = np.stack([np.roll(_image(64, seed=s), s, axis=1)
-                       for s in range(12)])
-    record("avi_mjpeg", lambda: avi.encode_avi_mjpeg(frames, fps=12),
-           avi.decode_avi_mjpeg, frames.nbytes / 1e6)
-    record_cfast("avi_mjpeg_cfast",
-                 lambda: avi.encode_avi_mjpeg(frames, fps=12),
-                 avi.decode_avi_mjpeg, frames.nbytes / 1e6)
     os.environ.pop("PROJCL_NO_FASTCODEC", None)
 
     out = {
@@ -146,8 +112,7 @@ def main(out_path: str) -> None:
                    "codecs, MB/s of raw payload)"),
         "codecs": res,
         "note": ("regenerated by tools/bench_codecs.py; best-of-%d per "
-                 "direction on a 256px synthetic raster / 64k-sample PCM "
-                 "/ 12x64px MJPEG clip" % REPS),
+                 "direction on a 256px synthetic raster" % REPS),
     }
     with open(out_path, "w") as f:
         json.dump(out, f, indent=1)
