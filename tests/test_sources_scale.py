@@ -82,6 +82,23 @@ def test_cell_counts_empty_dataset(ray_session):
     assert got["cell_id"].dtype == np.int64 and got["n"].dtype == np.int64
 
 
+def test_cell_counts_merges_partials_across_blocks(ray_session):
+    """A hot cell spread over many blocks and small batches yields one
+    partial row per batch; the driver merge must sum them exactly."""
+    import ray.data as rd
+
+    rng = np.random.default_rng(5)
+    cells = np.concatenate([np.full(900, 7), rng.integers(0, 50, 600)])
+    rng.shuffle(cells)
+    ds = rd.from_numpy(cells.astype(np.int64)).rename_columns({"data": "cell_id"})
+    got = ops.cell_counts(ds.repartition(6), batch_size=40)
+    keys, counts = np.unique(cells, return_counts=True)
+    got = got.sort_values("cell_id").reset_index(drop=True)
+    np.testing.assert_array_equal(got["cell_id"].to_numpy(), keys)
+    np.testing.assert_array_equal(got["n"].to_numpy(), counts)
+    assert got["cell_id"].dtype == np.int64 and got["n"].dtype == np.int64
+
+
 def test_datum_shift_on_grids():
     """pl_shift_grid_datum parity: the fused shift applies to grid-shaped
     arrays unchanged (same function, meshgrid input — SURVEY §2.4)."""
