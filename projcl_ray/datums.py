@@ -119,14 +119,15 @@ def cartesian_to_geodetic(x, y, z, spheroid: str):
     Y = np.asarray(y, np.float64)
     Z = np.asarray(z, np.float64)
     lam = np.where(X != 0.0, np.arctan2(Y, X), np.where(Y <= 0.0, -math.pi / 2, math.pi / 2))
-    W = np.hypot(X, Y)
+    W2 = X * X + Y * Y  # Earth-scale metres: the squares cannot overflow
+    W = np.sqrt(W2)
     T0 = Z * AD_C
-    S0 = np.hypot(T0, W)
+    S0 = np.sqrt(T0 * T0 + W2)
     with np.errstate(divide="ignore", invalid="ignore"):
         sinB0 = T0 / S0
         cosB0 = W / S0
-    T1 = Z + info.minor_axis * info.ecc2 / info.one_ecc2 * sinB0**3
-    Ssum = W - info.major_axis * info.ecc2 * cosB0**3
+    T1 = Z + info.minor_axis * info.ecc2 / info.one_ecc2 * (sinB0 * sinB0 * sinB0)
+    Ssum = W - info.major_axis * info.ecc2 * (cosB0 * cosB0 * cosB0)
     phi = np.arctan2(T1, Ssum)
     return lam * (180.0 / math.pi), phi * (180.0 / math.pi)
 

@@ -2,9 +2,10 @@
 
 Semantics per `kernel/pl_project_albers_equal_area.opencl:23-162` and host prep
 `src/projcl_run.c:310-367`: folded scale = scale·a/n; kernel rho omits the /n
-(it lives in the folded scale).  The ellipsoidal inverse Newton loop (phi1_,
-kernel lines 4-21) runs to float64 tolerance; the near-pole case clamps φ to
-±π/2 when |ec − |q|| ≤ tol (kernel line 157's select).
+(it lives in the folded scale).  The ellipsoidal inverse takes the authalic
+latitude β = asin(q/q_p) in closed form and recovers φ by the shared series
+instead of the kernel's phi1_ Newton loop (lines 4-21); the near-pole case
+clamps φ to ±π/2 when |ec − |q|| ≤ tol (kernel line 157's select).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 
 from .base import (
     as_float,
+    aux_to_geodetic,
     DEG_TO_RAD,
     RAD_TO_DEG,
     PreparedProjection,
@@ -24,35 +26,6 @@ from .base import (
     qsfn,
     register,
 )
-
-
-def _phi1(qs, e, one_es, tol=None, max_iter=30):
-    """Invert the authalic latitude: solve φ with qsfn(sinφ)=qs.
-
-    Reference: phi1_ Newton loop (pl_project_albers_equal_area.opencl:4-21).
-    """
-    from .base import dtype_tol
-
-    if tol is None:
-        tol = dtype_tol(np.asarray(qs))
-    phi = np.arcsin(np.clip(0.5 * qs, -1.0, 1.0))
-    for _ in range(max_iter):
-        sinphi, cosphi = np.sin(phi), np.cos(phi)
-        con = e * sinphi
-        com = 1.0 - con * con
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dphi = (
-                0.5
-                * com
-                * com
-                / cosphi
-                * (qs / one_es - sinphi / com - np.arctanh(con) / e)
-            )
-        dphi = np.where(np.isfinite(dphi), dphi, 0.0)
-        phi = phi + dphi
-        if np.all(np.abs(dphi) <= tol):
-            break
-    return phi
 
 
 @register("albers_equal_area")
@@ -84,7 +57,8 @@ def prepare_albers(params: ProjParams) -> PreparedProjection:
     k = params.scale * info.major_axis / n
     e = info.ecc
     one_es = info.one_ecc2
-    ec = info.ec
+    ec = info.ec  # q at the pole, q_p
+    beta_to_phi = info.beta_to_phi
     spherical = params.spherical
 
     def forward(lon, lat):
@@ -106,7 +80,7 @@ def prepare_albers(params: ProjParams) -> PreparedProjection:
             q = (c - (xx * xx + yy * yy)) / n
             phi = np.where(
                 np.abs(ec - np.abs(q)) > 1e-10,
-                _phi1(q, e, one_es),
+                aux_to_geodetic(np.arcsin(np.clip(q / ec, -1.0, 1.0)), beta_to_phi),
                 np.copysign(math.pi / 2, q),
             )
         lam = np.arctan2(xx, yy) / n

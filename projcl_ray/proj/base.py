@@ -11,8 +11,10 @@ Conventions preserved from the reference:
 - ``out = (x0, y0) + folded_scale * f(λ−λ0, φ)`` with the same constant folding
   per projection (e.g. Albers folds ``scale·a/n``, TM folds ``scale·a·krueger_A``);
 - longitude wrap via ``pl_mod_pi`` (`kernel/peel.opencl:55-57`);
-- iterative inverses converge to tolerance instead of the reference's fixed
-  float32 iteration counts (`kernel/peel.opencl:12-15`) — strictly tighter.
+- the reference's iterative latitude inverses (`pl_phi2`, Albers ``phi1_``,
+  stereographic ``phi_sph2ell``, the TM Newton step on τ) become one closed-form
+  series, :func:`aux_to_geodetic`, with a fixed cost per point; only the 2-D
+  Newton solves (polyconic, Winkel) still iterate, to :func:`dtype_tol`.
 """
 
 from __future__ import annotations
@@ -189,22 +191,19 @@ def dtype_tol(arr, f64=1e-15, f32=2e-7):
     return f32 if getattr(arr, "dtype", None) == np.dtype(np.float32) else f64
 
 
-def phi2(log_ts, e, tol=None, max_iter=20):
-    """Inverse of the conformal latitude: solve φ from log(ts).
+def aux_to_geodetic(x, coeffs):
+    """Geodetic latitude from an auxiliary one: φ = x + Σₖ cₖ·sin 2kx.
 
-    Reference: pl_phi2 fixed-point loop (peel.opencl:39-53), run to float64
-    tolerance here.
+    ``x`` is the conformal χ with ``info.chi_to_phi`` or the authalic β with
+    ``info.beta_to_phi`` (radians).  Clenshaw summation: one sin/cos pair and
+    a short recurrence, the same cost for every point.
     """
-    if tol is None:
-        tol = dtype_tol(np.asarray(log_ts))
-    phi = -np.arctan(np.sinh(log_ts))
-    for _ in range(max_iter):
-        con = e * np.sin(phi)
-        dphi = -np.arctan(np.sinh(log_ts - e * np.arctanh(con))) - phi
-        phi = phi + dphi
-        if np.all(np.abs(dphi) <= tol):
-            break
-    return phi
+    two_x = 2.0 * x
+    two_cos = 2.0 * np.cos(two_x)
+    b1, b2 = coeffs[-1], 0.0
+    for c in reversed(coeffs[:-1]):
+        b1, b2 = c + two_cos * b1 - b2, b1
+    return x + np.sin(two_x) * b1
 
 
 def mod_pi(lam):

@@ -3,7 +3,7 @@
 Semantics per `kernel/pl_project_lambert_azimuthal_equal_area.opencl` and host
 prep `src/projcl_run.c:397-442`: ellipsoid maps through the authalic sphere
 (qp, sinB1/cosB1, rq, dd, xmf/ymf precomputed), inverse recovers φ from the
-authalic latitude with the ``apa`` series.
+authalic latitude with the shared β → φ series.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .base import as_float, DEG_TO_RAD, RAD_TO_DEG, PreparedProjection, ProjParams, mod_pi, qsfn, register
+from .base import as_float, aux_to_geodetic, DEG_TO_RAD, RAD_TO_DEG, PreparedProjection, ProjParams, mod_pi, qsfn, register
 
 
 @register("lambert_azimuthal_equal_area")
@@ -49,7 +49,7 @@ def prepare_laea(params: ProjParams) -> PreparedProjection:
     else:
         e = info.ecc
         one_es = info.one_ecc2
-        apa = info.apa
+        beta_to_phi = info.beta_to_phi
         qp = qsfn(1.0, e, one_es)
         sin_phi0 = math.sin(phi0)
         sinB1 = qsfn(sin_phi0, e, one_es) / qp
@@ -78,12 +78,7 @@ def prepare_laea(params: ProjParams) -> PreparedProjection:
             sin_ce = np.sqrt(np.maximum(1.0 - 0.25 * rho2, 0.0)) / rq  # sin(Ce)/rho
             beta = np.arcsin(np.clip(cos_ce * sinB1 + yy * sin_ce * cosB1, -1.0, 1.0))
             lam = np.arctan2(xx * sin_ce, cosB1 * cos_ce - yy * sinB1 * sin_ce)
-            phi = (
-                beta
-                + apa[0] * np.sin(2.0 * beta)
-                + apa[1] * np.sin(4.0 * beta)
-                + apa[2] * np.sin(6.0 * beta)
-            )
+            phi = aux_to_geodetic(beta, beta_to_phi)
             return mod_pi(lam + lam0) * RAD_TO_DEG, phi * RAD_TO_DEG
 
     return PreparedProjection("lambert_azimuthal_equal_area", params, forward, inverse)

@@ -14,13 +14,13 @@ import numpy as np
 
 from .base import (
     as_float,
+    aux_to_geodetic,
     DEG_TO_RAD,
     RAD_TO_DEG,
     PreparedProjection,
     ProjParams,
     mod_pi,
     msfn,
-    phi2,
     register,
     tsfn,
 )
@@ -59,6 +59,7 @@ def prepare_lcc(params: ProjParams) -> PreparedProjection:
     k = params.scale * info.major_axis
     sign_n = math.copysign(1.0, n)
     e = info.ecc
+    chi_to_phi = info.chi_to_phi
     spherical = params.spherical
 
     def forward(lon, lat):
@@ -77,10 +78,10 @@ def prepare_lcc(params: ProjParams) -> PreparedProjection:
         rho = np.copysign(np.hypot(xx, yy), n)
         with np.errstate(divide="ignore", invalid="ignore"):
             log_rc = np.log(rho / c) / n
-            if spherical:
-                phi = np.where(rho != 0.0, -np.arctan(np.sinh(log_rc)), math.copysign(math.pi / 2, n))
-            else:
-                phi = np.where(rho != 0.0, phi2(log_rc, e), math.copysign(math.pi / 2, n))
+            phi = -np.arctan(np.sinh(log_rc))  # conformal latitude
+            if not spherical:
+                phi = aux_to_geodetic(phi, chi_to_phi)
+            phi = np.where(rho != 0.0, phi, math.copysign(math.pi / 2, n))
         lam = np.arctan2(xx * sign_n, yy * sign_n) / n
         return mod_pi(lam + lam0) * RAD_TO_DEG, phi * RAD_TO_DEG
 

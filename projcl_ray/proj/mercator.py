@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import as_float, DEG_TO_RAD, RAD_TO_DEG, PreparedProjection, ProjParams, phi2, register
+from .base import as_float, aux_to_geodetic, DEG_TO_RAD, RAD_TO_DEG, PreparedProjection, ProjParams, register
 
 
 @register("mercator")
@@ -32,6 +32,7 @@ def prepare_mercator(params: ProjParams) -> PreparedProjection:
 
     else:
         e = info.ecc
+        chi_to_phi = info.chi_to_phi
 
         def forward(lon, lat):
             lam = as_float(lon) * DEG_TO_RAD
@@ -42,6 +43,6 @@ def prepare_mercator(params: ProjParams) -> PreparedProjection:
         def inverse(x, y):
             lam = (as_float(x) - x0) / k
             yy = (as_float(y) - y0) / k
-            return lam * RAD_TO_DEG, phi2(-yy, e) * RAD_TO_DEG
+            return lam * RAD_TO_DEG, aux_to_geodetic(np.arctan(np.sinh(yy)), chi_to_phi) * RAD_TO_DEG
 
     return PreparedProjection("mercator", params, forward, inverse)

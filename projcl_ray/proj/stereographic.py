@@ -4,7 +4,9 @@ Semantics per `kernel/pl_project_oblique_stereographic.opencl:21-112` and host
 prep `src/projcl_run.c:520-566`: ellipsoid → conformal sphere (c0, log_k0) →
 stereographic plane.  The reference ships no spherical kernels (a spherical
 request fails kernel lookup, SURVEY §2.3); we keep that contract and raise.
-The inverse's φ_sph→φ_ell fixed-point loop runs to float64 tolerance.
+The inverse maps φ_sph to the ellipsoid's isometric latitude ψ in closed form and
+recovers φ_ell from the conformal latitude atan(sinh ψ) by the shared series
+instead of the kernel's phi_sph2ell fixed-point loop.
 """
 
 from __future__ import annotations
@@ -13,23 +15,7 @@ import math
 
 import numpy as np
 
-from .base import as_float, DEG_TO_RAD, RAD_TO_DEG, PreparedProjection, ProjParams, mod_pi, register
-
-
-def _phi_sph2ell(phi_sph, e, log_k0, c0, tol=None, max_iter=30):
-    """Invert the conformal-sphere latitude (kernel phi_sph2ell, lines 4-19)."""
-    from .base import dtype_tol
-
-    if tol is None:
-        tol = dtype_tol(np.asarray(phi_sph))
-    log_num = (np.arcsinh(np.tan(phi_sph)) - log_k0) / c0
-    phi_ell = phi_sph
-    for _ in range(max_iter):
-        prev = phi_ell
-        phi_ell = np.arctan(np.sinh(log_num + e * np.arctanh(e * np.sin(prev))))
-        if np.all(np.abs(phi_ell - prev) <= tol):
-            break
-    return phi_ell
+from .base import as_float, aux_to_geodetic, DEG_TO_RAD, RAD_TO_DEG, PreparedProjection, ProjParams, mod_pi, register
 
 
 @register("oblique_stereographic")
@@ -58,6 +44,7 @@ def prepare_stereographic(params: ProjParams) -> PreparedProjection:
         * ((1.0 - e * sin_phi0) / (1.0 + e * sin_phi0)) ** (0.5 * c0 * e)
     )
     log_k0 = math.log(k0)
+    chi_to_phi = info.chi_to_phi
 
     def forward(lon, lat):
         lam_ell = as_float(lon) * DEG_TO_RAD - lam0
@@ -85,7 +72,9 @@ def prepare_stereographic(params: ProjParams) -> PreparedProjection:
         phi_sph = np.arcsin(np.clip(np.where(rho == 0.0, sinPhiC0, sin_phi), -1.0, 1.0))
         lam = np.arctan2(xx * sinC, rho * cosPhiC0 * cosC - yy * sinPhiC0 * sinC)
         lam = lam / c0
-        phi = _phi_sph2ell(phi_sph, e, log_k0, c0)
+        # conformal sphere → ellipsoid (kernel phi_sph2ell, lines 4-19)
+        psi = (np.arcsinh(np.tan(phi_sph)) - log_k0) / c0
+        phi = aux_to_geodetic(np.arctan(np.sinh(psi)), chi_to_phi)
         return mod_pi(lam + lam0) * RAD_TO_DEG, phi * RAD_TO_DEG
 
     return PreparedProjection("oblique_stereographic", params, forward, inverse)

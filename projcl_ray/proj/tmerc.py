@@ -2,16 +2,41 @@
 
 Semantics per `kernel/pl_project_transverse_mercator.opencl:8-216` (Karney 2011,
 J. Geodesy 85(8):475-485) and host prep `src/projcl_run.c:588-609`: the folded
-scale for the ellipsoid is scale·a·krueger_A.  The reference's single Newton
-step on τ in the ellipsoidal inverse is replaced by a converge-to-tolerance
-Newton loop (float64).
+scale for the ellipsoid is scale·a·krueger_A.  Both Krüger sums are evaluated
+by one Clenshaw recurrence on the complex angle 2(ξ+iη).  The reference's single
+Newton step on τ in the ellipsoidal inverse is replaced by the closed-form
+conformal-latitude series (:func:`~projcl_ray.proj.base.aux_to_geodetic`), which
+is exact to float64 and costs the same for every point.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .base import as_float, DEG_TO_RAD, RAD_TO_DEG, PreparedProjection, ProjParams, dtype_tol, mod_pi, register
+from .base import (
+    as_float,
+    aux_to_geodetic,
+    DEG_TO_RAD,
+    RAD_TO_DEG,
+    PreparedProjection,
+    ProjParams,
+    mod_pi,
+    register,
+)
+
+
+def _krueger_sum(xi, eta, coeffs):
+    """Σₖ cₖ·sin 2k(ξ+iη) as (real, imaginary) parts, by Clenshaw summation
+    on the complex angle: one sin/cos pair and one exp per point."""
+    s, c = np.sin(2 * xi), np.cos(2 * xi)
+    ex = np.exp(2 * eta)
+    sh, ch = 0.5 * (ex - 1 / ex), 0.5 * (ex + 1 / ex)
+    two_cos = 2 * (c * ch) - 2j * (s * sh)  # 2·cos 2ζ
+    b1, b2 = coeffs[-1], 0.0
+    for a in reversed(coeffs[:-1]):
+        b1, b2 = a + two_cos * b1 - b2, b1
+    total = b1 * ((s * ch) + 1j * (c * sh))  # b1·sin 2ζ
+    return total.real, total.imag
 
 
 @register("transverse_mercator")
@@ -43,66 +68,34 @@ def prepare_tmerc(params: ProjParams) -> PreparedProjection:
 
     else:
         e = info.ecc
-        one_es = info.one_ecc2
         k = params.scale * info.major_axis * info.krueger_A
         al = info.krueger_alpha
         be = info.krueger_beta
-
-        def _angle_multiples(t, hyperbolic=False):
-            """sin/cos (or sinh/cosh) of 2t,4t,6t,8t via double/compound angles,
-            matching the kernel's recurrences."""
-            if hyperbolic:
-                s2, c2 = np.sinh(2 * t), np.cosh(2 * t)
-                s4, c4 = 2 * s2 * c2, 2 * c2 * c2 - 1
-                s6, c6 = s4 * c2 + c4 * s2, c4 * c2 + s4 * s2
-            else:
-                s2, c2 = np.sin(2 * t), np.cos(2 * t)
-                s4, c4 = 2 * s2 * c2, 2 * c2 * c2 - 1
-                s6, c6 = s4 * c2 + c4 * s2, c4 * c2 - s4 * s2
-            s8, c8 = 2 * s4 * c4, 2 * c4 * c4 - 1
-            return (s2, s4, s6, s8), (c2, c4, c6, c8)
+        chi_to_phi = info.chi_to_phi
 
         def forward(lon, lat):
             lam = as_float(lon) * DEG_TO_RAD - lam0
             phi = as_float(lat) * DEG_TO_RAD
             sinl, cosl = np.sin(lam), np.cos(lam)
             tau = np.tan(phi)
-            sigma = np.sinh(e * np.arctanh(e * tau / np.hypot(1.0, tau)))
-            tau1 = tau * np.hypot(1.0, sigma) - sigma * np.hypot(1.0, tau)
+            root = np.sqrt(1.0 + tau * tau)
+            sigma = np.sinh(e * np.arctanh(e * tau / root))
+            tau1 = tau * np.sqrt(1.0 + sigma * sigma) - sigma * root
             xi = np.arctan2(tau1, cosl)
-            eta = np.arcsinh(sinl / np.hypot(tau1, cosl))
-            (s2, s4, s6, s8), (c2, c4, c6, c8) = _angle_multiples(xi)
-            (sh2, sh4, sh6, sh8), (ch2, ch4, ch6, ch8) = _angle_multiples(eta, hyperbolic=True)
-            y = xi + al[0] * s2 * ch2 + al[1] * s4 * ch4 + al[2] * s6 * ch6 + al[3] * s8 * ch8
-            x = eta + al[0] * c2 * sh2 + al[1] * c4 * sh4 + al[2] * c6 * sh6 + al[3] * c8 * sh8
-            return x0 + k * x, y0 + k * y
+            eta = np.arcsinh(sinl / np.sqrt(tau1 * tau1 + cosl * cosl))
+            dy, dx = _krueger_sum(xi, eta, al)
+            return x0 + k * (eta + dx), y0 + k * (xi + dy)
 
         def inverse(x, y):
             xx = (as_float(x) - x0) / k
             yy = (as_float(y) - y0) / k
-            (s2, s4, s6, s8), (c2, c4, c6, c8) = _angle_multiples(yy)
-            (sh2, sh4, sh6, sh8), (ch2, ch4, ch6, ch8) = _angle_multiples(xx, hyperbolic=True)
-            xi = yy - (be[0] * s2 * ch2 + be[1] * s4 * ch4 + be[2] * s6 * ch6 + be[3] * s8 * ch8)
-            eta = xx - (be[0] * c2 * sh2 + be[1] * c4 * sh4 + be[2] * c6 * sh6 + be[3] * c8 * sh8)
+            dy, dx = _krueger_sum(yy, xx, be)
+            xi, eta = yy - dy, xx - dx
             sinh_eta = np.sinh(eta)
             sin_xi, cos_xi = np.sin(xi), np.cos(xi)
-            tau0 = sin_xi / np.hypot(sinh_eta, cos_xi)
-            tau = tau0.copy()
-            tol = dtype_tol(tau0, 1e-14, 1e-6)
-            for _ in range(5):  # Karney: converges quadratically; reference does 1 step
-                sigma = np.sinh(e * np.arctanh(e * tau / np.hypot(1.0, tau)))
-                tau_p = tau * np.hypot(1.0, sigma) - sigma * np.hypot(1.0, tau)
-                dtau = (
-                    (tau0 - tau_p)
-                    / np.hypot(1.0, tau_p)
-                    * (1.0 + one_es * tau * tau)
-                    / (one_es * np.hypot(1.0, tau))
-                )
-                tau = tau + dtau
-                if np.all(np.abs(dtau) < tol * np.maximum(1.0, np.abs(tau))):
-                    break
             lam = np.arctan2(sinh_eta, cos_xi)
-            phi = np.arctan(tau)
+            chi = np.arctan2(sin_xi, np.sqrt(sinh_eta * sinh_eta + cos_xi * cos_xi))
+            phi = aux_to_geodetic(chi, chi_to_phi)
             return mod_pi(lam + lam0) * RAD_TO_DEG, phi * RAD_TO_DEG
 
     return PreparedProjection("transverse_mercator", params, forward, inverse)

@@ -236,3 +236,72 @@ def test_pole_clamp_albers_ellipsoidal():
     x, y = q.forward(np.array([180.0, 179.999]), np.array([0.0, 0.0]))
     assert not np.isfinite(x[0])          # exact antipode: undefined
     assert np.isfinite(x[1]) and np.isfinite(y[1])  # anything else: fine
+
+
+@pytest.mark.parametrize("spheroid", ["WGS_84", "CLARKE_1880_RGS"])
+def test_auxiliary_latitude_series_accuracy(spheroid):
+    """The conformal (χ → φ) and authalic (β → φ) series behind every
+    ellipsoidal latitude inverse, against χ and β evaluated at 40 digits from
+    their closed forms, for |φ| ≤ 89.9° (CLARKE_1880_RGS has the largest
+    third flattening in the table)."""
+    import mpmath as mp
+
+    from projcl_ray.proj.base import aux_to_geodetic
+    from projcl_ray.spheroid import SPHEROID_AXES, get_spheroid
+
+    info = get_spheroid(spheroid)
+    a, b = (mp.mpf(v) for v in SPHEROID_AXES[spheroid])
+    with mp.workdps(40):
+        e2 = 1 - b * b / (a * a)
+        e = mp.sqrt(e2)
+
+        def q(s):
+            return (1 - e2) * (s / (1 - e2 * s * s) + mp.atanh(e * s) / e)
+
+        q_p = q(mp.mpf(1))
+        phis, chis, betas = [], [], []
+        for k in range(-1798, 1799):  # 0.05° steps
+            phi = mp.mpf(k) / 20 * mp.pi / 180
+            s = mp.sin(phi)
+            psi = mp.asinh(mp.tan(phi)) - e * mp.atanh(e * s)
+            phis.append(float(phi))
+            chis.append(float(mp.atan(mp.sinh(psi))))
+            betas.append(float(mp.asin(q(s) / q_p)))
+    phis = np.array(phis)
+    for name, x, coeffs in (("conformal", chis, info.chi_to_phi), ("authalic", betas, info.beta_to_phi)):
+        err = np.max(np.abs(aux_to_geodetic(np.array(x), coeffs) - phis)) * 180.0 / math.pi
+        assert err <= 1e-12, f"{spheroid} {name}: {err:.3g}°"
+
+
+ELLIPSOIDAL = [(name, kw) for name, kw in CASES if not ProjParams(**kw).spherical]
+
+
+def _with_bad_rows(a, b):
+    """Insert NaN and ±inf rows into a clean two-column batch; returns the
+    dirty columns and the mask that selects the original rows."""
+    bad = [(np.nan, 0.0), (np.inf, 0.0), (-np.inf, 0.0), (0.0, np.nan),
+           (0.0, np.inf), (0.0, -np.inf), (np.nan, np.nan), (np.inf, -np.inf)]
+    at = np.linspace(0, len(a), len(bad)).astype(int)
+    clean = np.insert(np.ones(len(a), bool), at, False)
+    return (np.insert(a, at, [p[0] for p in bad]), np.insert(b, at, [p[1] for p in bad]), clean)
+
+
+@pytest.mark.parametrize("name,kw", ELLIPSOIDAL, ids=lambda v: str(v))
+def test_ellipsoidal_dtype_and_row_independence(name, kw):
+    """float32 in gives float32 out (the warp pixel path's contract), and each
+    output row depends on its own input row only: NaN/±inf rows leave every
+    other row of the batch bit-identical, forward and inverse."""
+    p = prepare(name, **kw)
+    with np.errstate(all="ignore"):
+        fx, fy = p.forward(LON.astype(np.float32), LAT.astype(np.float32))
+        ilon, ilat = p.inverse(fx, fy)
+        assert [v.dtype for v in (fx, fy, ilon, ilat)] == [np.dtype(np.float32)] * 4
+
+        x, y = p.forward(LON, LAT)
+        lon2, lat2 = p.inverse(x, y)
+        dlon, dlat, clean = _with_bad_rows(LON, LAT)
+        dx, dy = p.forward(dlon, dlat)
+        dx_, dy_, _ = _with_bad_rows(x, y)
+        dlon2, dlat2 = p.inverse(dx_, dy_)
+    for got, want in ((dx, x), (dy, y), (dlon2, lon2), (dlat2, lat2)):
+        np.testing.assert_array_equal(got[clean], want)
