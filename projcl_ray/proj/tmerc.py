@@ -5,8 +5,8 @@ J. Geodesy 85(8):475-485) and host prep `src/projcl_run.c:588-609`: the folded
 scale for the ellipsoid is scale·a·krueger_A.  Both Krüger sums are evaluated
 by one Clenshaw recurrence on the complex angle 2(ξ+iη).  The reference's single
 Newton step on τ in the ellipsoidal inverse is replaced by the closed-form
-conformal-latitude series (:func:`~projcl_ray.proj.base.aux_to_geodetic`), which
-is exact to float64 and costs the same for every point.
+conformal-latitude series (:func:`~projcl_ray.proj.base.aux_to_geodetic`): within
+1.3e-14° of the exact inverse, at the same cost for every point.
 """
 
 from __future__ import annotations
