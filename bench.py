@@ -38,7 +38,7 @@ def run_suite() -> dict:
     ctx = DataContext.get_current()
     ctx.enable_progress_bars = False
 
-    from projcl_ray import ann, dedup, ops
+    from projcl_ray import ops
     from projcl_ray.images import synth_images_table
     from projcl_ray.pipelines import derive_points, synth_polygons
     from projcl_ray.proj import ProjParams
@@ -60,7 +60,6 @@ def run_suite() -> dict:
         images = synth_images_table(N_IMAGES, seed=42)  # mixed 64/96/128 px
         rd.from_arrow(images).repartition(64).write_parquet(img_dir + ".tmp")
         os.replace(img_dir + ".tmp", img_dir)
-    pool = max(2, NUM_CPUS - 4)
     # warm the shared worker pool (imports + state cache) so the timed run
     # measures steady-state throughput, not one-time process spin-up
     ops.warp_and_tile(rd.read_parquet(img_dir).limit(64), "transverse_mercator",
@@ -120,20 +119,6 @@ def run_suite() -> dict:
         q_knn(SF_DIR)
         timings["knn"] = time.time() - t0
 
-    # --- dedup: exact + minhash LSH over documents ---
-    if _want("dedup_exact"):
-        t0 = time.time()
-        dedup.exact_dedup(rd.read_parquet(f"{SF_DIR}/documents.parquet",
-                                          columns=["doc_id", "text"])).count()
-        timings["dedup_exact"] = time.time() - t0
-    if _want("dedup_minhash"):
-        t0 = time.time()
-        dedup.minhash_lsh_candidates(
-            rd.read_parquet(f"{SF_DIR}/documents.parquet", columns=["doc_id", "text"]),
-            concurrency=(2, pool),
-        ).count()
-        timings["dedup_minhash"] = time.time() - t0
-
     # --- raster<->vector: density tiles over the derived points ---
     if _want("rasterize"):
         t0 = time.time()
@@ -156,20 +141,6 @@ def run_suite() -> dict:
         t0 = time.time()
         ops.asof_join(left, right, on="ts", by="user_id", n_parts=64).count()
         timings["asof_join"] = time.time() - t0
-
-    # --- ANN cosine top-k ---
-    if _want("ann_topk"):
-        import pyarrow.parquet as pq
-
-        head = pq.read_table(f"{SF_DIR}/embeddings.parquet").to_pandas().head(16)
-        q_ids = head["vec_id"].to_numpy()
-        q_mat = np.stack(head["embedding"].to_numpy())
-        t0 = time.time()
-        ann.ann_brute_topk(
-            rd.read_parquet(f"{SF_DIR}/embeddings.parquet", columns=["vec_id", "embedding"]),
-            q_ids, q_mat, k=10, concurrency=(2, pool),
-        ).count()
-        timings["ann_topk"] = time.time() - t0
 
     ray.shutdown()
 

@@ -14,7 +14,7 @@ Design rules (SURVEY §1.3/§7):
   the new columns), never a NumPy dict;
 - image/join stages are stateless tasks with a per-worker-process state
   cache (see _cached below) — one execution mode per stage;
-- small lookup sides (polygon layers, query matrices) broadcast once via
+- small lookup sides (polygon layers, kNN targets) broadcast once via
   ``ray.put`` and fetched zero-copy per worker — never re-shipped per batch;
 - wide ops keyed on ``cell_id`` with optional salting for hot cells.
 
@@ -42,7 +42,7 @@ from .geodesic import (
     vincenty_direct,
     vincenty_inverse,
 )
-from .images import decode_image, encode_image, phash64
+from .images import decode_image, encode_image
 from .proj import ProjParams, prepare
 from .warp import GeoRef, WarpSpec, warp_image
 
@@ -64,21 +64,6 @@ def _cached(key, builder):
     if got is None:
         got = _STATE_CACHE[key] = builder()
     return got
-
-
-def part_on_key(col: str, n_parts: int, out: str = "part"):
-    """map_batches fn appending a hash-partition column over ``col`` — the
-    ONE partitioner shared by every co-partition shuffle (Knuth
-    multiplicative spread of ``hash_key_u64`` so consecutive integer ids
-    don't land in consecutive parts). Keep it single-sourced: stages that
-    must co-partition (e.g. the components label join) silently stop
-    aligning if two copies ever diverge."""
-    def _p(batch: pa.Table) -> pa.Table:
-        p = (hash_key_u64(np.asarray(batch[col])) * np.uint64(2654435761)) \
-            % np.uint64(n_parts)
-        return batch.append_column(out, pa.array(p.astype(np.int64)))
-
-    return _p
 
 
 def hash_key_u64(arr) -> np.ndarray:
@@ -1665,68 +1650,6 @@ def exact_quantiles(
         idx = min(max(int(np.ceil(q * n)) - 1, 0), n - 1)
         out[q] = float(vals[idx])
     return out
-
-
-def _bit_length_u64(x: np.ndarray) -> np.ndarray:
-    """Exact vectorized bit_length for uint64 (no float log2 — its rounding
-    flips at power-of-two boundaries above 2^53)."""
-    x = np.asarray(x, np.uint64).copy()
-    out = np.zeros(x.shape, np.int64)
-    for shift in (32, 16, 8, 4, 2, 1):
-        m = x >= (np.uint64(1) << np.uint64(shift))
-        out[m] += shift
-        x[m] >>= np.uint64(shift)
-    out += (x > 0).astype(np.int64)
-    return out
-
-
-def approx_count_distinct(
-    ds: ray.data.Dataset,
-    col: str,
-    *,
-    p: int = 6,
-    batch_size: int | None = None,
-) -> float:
-    """HyperLogLog distinct count (Flajolet et al. 2007), m = 2^p registers —
-    the classic mergeable sketch for COUNT(DISTINCT) at any scale: each batch
-    emits its (m,) register maxima (a fixed-size partial regardless of rows),
-    the driver merges by elementwise max. Relative error ≈ 1.04/√m.
-
-    Determinism contract: the key hash is md5 of str(value) (DuckDB
-    md5_number_upper), the register sum is computed over EXACT power-of-two
-    integers (no float-summation order dependence), so the estimate is a
-    deterministic number reproducible bit-for-bit in SQL — the sketch itself
-    can sit under a hash-compare oracle."""
-    from .text import md5_token_hashes
-
-    m = 1 << p
-    rest_bits = 64 - p
-    mask = np.uint64((1 << rest_bits) - 1)
-
-    def partial(batch: dict) -> dict:
-        h = md5_token_hashes([str(v) for v in np.asarray(batch[col]).tolist()])
-        regs = np.zeros(m, np.int64)
-        if len(h):
-            buckets = (h >> np.uint64(rest_bits)).astype(np.int64)
-            rank = rest_bits - _bit_length_u64(h & mask) + 1
-            np.maximum.at(regs, buckets, rank)
-        return {"regs": regs[None, :]}
-
-    merged = np.zeros(m, np.int64)
-    parts = ds.select_columns([col]).map_batches(partial, batch_format="numpy",
-                                                 batch_size=batch_size)
-    for b in parts.iter_batches(batch_format="numpy"):
-        merged = np.maximum(merged, np.asarray(b["regs"]).max(axis=0))
-
-    alpha = {4: 0.673, 5: 0.697, 6: 0.709}.get(p, 0.7213 / (1.0 + 1.079 / m))
-    maxm = int(merged.max())
-    # exact integer Σ 2^(maxm - M_j): float summation order cannot perturb it
-    numer = sum(1 << (maxm - int(r)) for r in merged)
-    est = alpha * float(m * m) * (2.0 ** maxm) / float(numer)
-    zeros = int((merged == 0).sum())
-    if est <= 2.5 * m and zeros > 0:  # small-range correction
-        est = float(m) * float(np.log(m / zeros))
-    return est
 
 
 def distributed_quantiles(

@@ -14,7 +14,8 @@ Conventions preserved from the reference:
 - the reference's iterative latitude inverses (`pl_phi2`, Albers ``phi1_``,
   stereographic ``phi_sph2ell``, the TM Newton step on τ) become one closed-form
   series, :func:`aux_to_geodetic`, with a fixed cost per point; only the 2-D
-  Newton solves (polyconic, Winkel) still iterate, to :func:`dtype_tol`.
+  Newton solves (polyconic, Winkel) and Robinson's spline inverse still
+  iterate, to :func:`dtype_tol`.
 """
 
 from __future__ import annotations
@@ -189,6 +190,32 @@ def dtype_tol(arr, f64=1e-15, f32=2e-7):
     (the warp pixel path) exit iterative inverses as soon as they hit float32
     resolution instead of running to the iteration cap."""
     return f32 if getattr(arr, "dtype", None) == np.dtype(np.float32) else f64
+
+
+def newton_rows(step, unknowns, consts, n_iter, tol):
+    """Newton iteration that stops each row on its own.
+
+    ``step(*unknowns, *consts)`` returns one correction per unknown, which is
+    subtracted from it. Only the rows not yet converged are passed to
+    ``step``; a row leaves once every correction is below ``tol``, and a NaN
+    row after its first pass. So a row's result never depends on the other
+    rows of the batch, and converged rows cost nothing.
+    """
+    shape = np.broadcast_shapes(*(np.shape(a) for a in (*unknowns, *consts)))
+    us = [np.ravel(np.broadcast_to(u, shape)).copy() for u in unknowns]
+    cs = [np.ravel(np.broadcast_to(c, shape)) for c in consts]
+    act = slice(None)  # every row on the first pass, without a gather
+    for _ in range(n_iter):
+        cur = [u[act] for u in us]
+        deltas = step(*cur, *(c[act] for c in cs))
+        still = np.zeros(cur[0].size, bool)
+        for u, a, d in zip(us, cur, deltas):
+            u[act] = a - d
+            still |= np.abs(d) >= tol
+        if not still.any():
+            break
+        act = np.flatnonzero(still) if isinstance(act, slice) else act[still]
+    return [u.reshape(shape) for u in us]
 
 
 def aux_to_geodetic(x, coeffs):

@@ -26,6 +26,7 @@ from .base import (
     mlfn,
     mlfn1,
     mod_pi,
+    newton_rows,
     register,
 )
 
@@ -64,8 +65,9 @@ def prepare_polyconic(params: ProjParams) -> PreparedProjection:
             phi = np.where(np.abs(phi) < 1e-9, 1e-9, phi)
             sinp, cosp = np.sin(phi), np.cos(phi)
             lam = np.arcsin(np.clip(xx * sinp / cosp, -1.0, 1.0)) / sinp
-            _ctol = dtype_tol(xx, 1e-14, 1e-6)
-            for _ in range(n_iter):
+
+            def step(phi, lam, xx, yy):
+                sinp, cosp = np.sin(phi), np.cos(phi)
                 sinp = np.where(np.abs(sinp) < 1e-12, np.copysign(1e-12, sinp + 1e-300), sinp)
                 sinLS, cosLS = np.sin(lam * sinp), np.cos(lam * sinp)
                 cosLS1 = sinLS * np.tan(0.5 * lam * sinp)
@@ -77,13 +79,9 @@ def prepare_polyconic(params: ProjParams) -> PreparedProjection:
                 df1l = cosp * cosLS
                 df2l = cosp * sinLS
                 inv_det = 1.0 / (df1p * df2l - df2p * df1l)
-                dphi = (f1 * df2l - f2 * df1l) * inv_det
-                dlam = (f2 * df1p - f1 * df2p) * inv_det
-                phi = phi - dphi
-                lam = lam - dlam
-                sinp, cosp = np.sin(phi), np.cos(phi)
-                if np.all(np.abs(dphi) < _ctol) and np.all(np.abs(dlam) < _ctol):
-                    break
+                return (f1 * df2l - f2 * df1l) * inv_det, (f2 * df1p - f1 * df2p) * inv_det
+
+            phi, lam = newton_rows(step, (phi, lam), (xx, yy), n_iter, dtype_tol(xx, 1e-14, 1e-6))
             return mod_pi(lam + lam0) * RAD_TO_DEG, phi * RAD_TO_DEG
 
     else:
@@ -117,43 +115,26 @@ def prepare_polyconic(params: ProjParams) -> PreparedProjection:
             sinp0, cosp0 = np.sin(phi), np.cos(phi)
             mlp0 = np.sqrt(1.0 - es * sinp0 * sinp0)
             lam = np.arcsin(np.clip(xx * sinp0 / cosp0 * mlp0, -1.0, 1.0)) / sinp0
-            _ctol = dtype_tol(xx, 1e-14, 1e-6)
-            # active-set Newton: iterate only the not-yet-converged elements
-            # (converged points otherwise pay for the slowest point's 20+ iters)
-            shape = phi.shape
-            phi_f = np.ravel(phi).copy()
-            lam_f = np.ravel(lam).copy()
-            xx_f = np.ravel(np.broadcast_to(xx, shape)).copy()
-            yy_f = np.ravel(np.broadcast_to(yy, shape)).copy()
-            act = np.arange(phi_f.size)
-            for _ in range(n_iter):
-                phi_a, lam_a = phi_f[act], lam_f[act]
-                xx_a, yy_a = xx_f[act], yy_f[act]
-                sinp, cosp = np.sin(phi_a), np.cos(phi_a)
+
+            def step(phi, lam, xx, yy):
+                sinp, cosp = np.sin(phi), np.cos(phi)
                 sinp = np.where(np.abs(sinp) < 1e-12, np.copysign(1e-12, sinp + 1e-300), sinp)
                 mlp = np.sqrt(1.0 - es * sinp * sinp)
                 tanp = sinp / cosp
-                sinLS, cosLS = np.sin(lam_a * sinp), np.cos(lam_a * sinp)
-                sinL2, cosL2 = np.sin(0.5 * lam_a * sinp), np.cos(0.5 * lam_a * sinp)
-                f1 = sinLS / tanp / mlp - xx_a
-                f2 = mlfn(phi_a, sinp, cosp, en) - ml0 + xx_a * sinL2 / cosL2 - yy_a
+                sinLS, cosLS = np.sin(lam * sinp), np.cos(lam * sinp)
+                sinL2, cosL2 = np.sin(0.5 * lam * sinp), np.cos(0.5 * lam * sinp)
+                f1 = sinLS / tanp / mlp - xx
+                f2 = mlfn(phi, sinp, cosp, en) - ml0 + xx * sinL2 / cosL2 - yy
                 df1l = cosp / mlp * cosLS
                 df2l = cosp / mlp * sinLS
                 c1 = es * (1.0 + cosp * cosp) / (mlp * (1.0 - es * sinp * sinp))
                 c2 = 1.0 / (sinp * sinp * mlp * (1.0 - es * sinp * sinp))
-                df1p = lam_a * cosp / tanp / mlp * cosLS + sinLS * (c1 - c2)
-                df2p = mlfn1(phi_a, sinp, cosp, en) + 0.5 * lam_a * xx_a * cosp / (cosL2 * cosL2)
+                df1p = lam * cosp / tanp / mlp * cosLS + sinLS * (c1 - c2)
+                df2p = mlfn1(phi, sinp, cosp, en) + 0.5 * lam * xx * cosp / (cosL2 * cosL2)
                 inv_det = 1.0 / (df1p * df2l - df2p * df1l)
-                dphi = (f1 * df2l - f2 * df1l) * inv_det
-                dlam = (f2 * df1p - f1 * df2p) * inv_det
-                phi_f[act] = phi_a - dphi
-                lam_f[act] = lam_a - dlam
-                still = (np.abs(dphi) >= _ctol) | (np.abs(dlam) >= _ctol)
-                if not still.any():
-                    break
-                act = act[still]
-            phi = phi_f.reshape(shape)
-            lam = lam_f.reshape(shape)
+                return (f1 * df2l - f2 * df1l) * inv_det, (f2 * df1p - f1 * df2p) * inv_det
+
+            phi, lam = newton_rows(step, (phi, lam), (xx, yy), n_iter, dtype_tol(xx, 1e-14, 1e-6))
             return mod_pi(lam + lam0) * RAD_TO_DEG, phi * RAD_TO_DEG
 
     return PreparedProjection("american_polyconic", params, forward, inverse)

@@ -12,7 +12,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import as_float, DEG_TO_RAD, RAD_TO_DEG, PreparedProjection, ProjParams, register
+from .base import (
+    as_float,
+    DEG_TO_RAD,
+    RAD_TO_DEG,
+    PreparedProjection,
+    ProjParams,
+    dtype_tol,
+    newton_rows,
+    register,
+)
 
 FXC = 0.8487
 FYC = 1.3523
@@ -71,13 +80,13 @@ _Y = np.array(
 )
 
 
-def _v(coef, z):
-    """Cubic poly eval: coef is (n,4) gathered rows, z the local offset."""
-    return coef[..., 0] + z * (coef[..., 1] + z * (coef[..., 2] + z * coef[..., 3]))
+def _v(c, z):
+    """Cubic poly eval: c holds the 4 coefficient arrays, z the local offset."""
+    return c[0] + z * (c[1] + z * (c[2] + z * c[3]))
 
 
-def _dv(coef, z):
-    return coef[..., 1] + z * (2.0 * coef[..., 2] + z * 3.0 * coef[..., 3])
+def _dv(c, z):
+    return c[1] + z * (2.0 * c[2] + z * 3.0 * c[3])
 
 
 @register("robinson")
@@ -87,49 +96,51 @@ def prepare_robinson(params: ProjParams) -> PreparedProjection:
     info = params.info
     x0, y0 = params.x0, params.y0
     k = params.scale * info.major_axis
+    # coefficient-major tables in each working dtype, so float32 stays float32
+    tables = {np.dtype(dt): (_X.T.astype(dt), _Y.T.astype(dt)) for dt in (np.float32, np.float64)}
 
     def forward(lon, lat):
         lam = as_float(lon) * DEG_TO_RAD
         phi = as_float(lat) * DEG_TO_RAD
+        X, Y = tables[phi.dtype]
         dphi = np.abs(phi)
-        index = np.minimum(np.floor(dphi * C1).astype(np.int64), NODES - 1)
-        z = (dphi - RC1 * index) * RAD_TO_DEG
-        x = _v(_X[index], z) * FXC * lam
-        y = np.copysign(_v(_Y[index], z) * FYC, phi)
+        # fmin maps NaN to the last node: the row stays NaN, the gather in range
+        fidx = np.floor(np.fmin(dphi * C1, NODES - 1))
+        index = fidx.astype(np.int64)
+        z = (dphi - RC1 * fidx) * RAD_TO_DEG
+        x = _v(X[:, index], z) * FXC * lam
+        y = np.copysign(_v(Y[:, index], z) * FYC, phi)
         return x0 + k * x, y0 + k * y
 
     def inverse(x, y):
         xx = (as_float(x) - x0) / k
         yy = (as_float(y) - y0) / k
+        X, Y = tables[yy.dtype]
         lam = xx / FXC
         phi_abs = np.abs(yy / FYC)
         polar = phi_abs >= 1.0
-        phi = np.where(polar, np.pi / 2, 0.0)
-        lam = np.where(polar, lam / _X[NODES, 0], lam)
+        lam = np.where(polar, lam / X[0, NODES], lam)
 
         # general case: locate the Y-table interval containing phi_abs
         pa = np.clip(phi_abs, 0.0, 1.0)
-        index = np.clip(np.floor(pa * NODES).astype(np.int64), 0, NODES - 1)
+        index = np.fmin(np.floor(pa * NODES), NODES - 1).astype(np.int64)  # NaN → last node
         # correct the guess by scanning (tables are monotone; at most a few steps)
         for _ in range(NODES):
-            too_high = _Y[index, 0] > pa
-            too_low = _Y[np.minimum(index + 1, NODES), 0] <= pa
+            too_high = Y[0, index] > pa
+            too_low = Y[0, np.minimum(index + 1, NODES)] <= pa
             step = np.where(too_high, -1, np.where(too_low, 1, 0))
             if not np.any(step):
                 break
             index = np.clip(index + step, 0, NODES - 1)
 
-        Tcoef = _Y[index].copy()
-        t = 5.0 * (pa - Tcoef[..., 0]) / (_Y[np.minimum(index + 1, NODES), 0] - Tcoef[..., 0])
-        Tcoef[..., 0] -= pa
-        for _ in range(50):
-            t1 = _v(Tcoef, t) / _dv(Tcoef, t)
-            t = t - t1
-            if np.all(np.abs(t1) < 1e-12):
-                break
-        gen_phi = (5.0 * index + t) * DEG_TO_RAD
-        gen_lam = lam / _v(_X[index], t)
-        phi = np.where(polar, phi, gen_phi)
+        c = Y[:, index]
+        t = 5.0 * (pa - c[0]) / (Y[0, np.minimum(index + 1, NODES)] - c[0])
+        c[0] -= pa
+        (t,) = newton_rows(lambda t, *c: (_v(c, t) / _dv(c, t),), (t,), tuple(c),
+                           50, dtype_tol(xx, 1e-12, 1e-6))
+        gen_phi = (5.0 * index.astype(t.dtype) + t) * DEG_TO_RAD
+        gen_lam = lam / _v(X[:, index], t)
+        phi = np.where(polar, np.pi / 2, gen_phi)
         lam = np.where(polar, lam, gen_lam)
         phi = np.copysign(phi, np.where(yy == 0.0, 1.0, yy))
         return lam * RAD_TO_DEG, phi * RAD_TO_DEG

@@ -27,6 +27,17 @@ def test_queries_oracle_keys_consistent():
         assert isinstance(sql, str) and "SELECT" in sql.upper()
 
 
+def test_query_order_lists_name_registered_queries():
+    """The lists that fix the query order name only registered queries: the
+    reorder keeps just the names found in QUERIES, so a stale entry would sit
+    there unnoticed."""
+    from projcl_ray import queries as q
+
+    for name in ("_R5_PRIORITY", "_R5_DEFER", "_SAMPLED_R04"):
+        stale = [k for k in getattr(q, name) if k not in q.QUERIES]
+        assert not stale, (name, stale)
+
+
 def test_checkpoint_resume(ray_session, tmp_path):
     import ray.data as rd
 

@@ -273,21 +273,27 @@ def test_auxiliary_latitude_series_accuracy(spheroid):
         assert err <= 1e-12, f"{spheroid} {name}: {err:.3g}°"
 
 
-ELLIPSOIDAL = [(name, kw) for name, kw in CASES if not ProjParams(**kw).spherical]
+BAD_ROWS = [(np.nan, 0.0), (np.inf, 0.0), (-np.inf, 0.0), (0.0, np.nan),
+            (0.0, np.inf), (0.0, -np.inf), (np.nan, np.nan), (np.inf, -np.inf)]
 
 
 def _with_bad_rows(a, b):
-    """Insert NaN and ±inf rows into a clean two-column batch; returns the
-    dirty columns and the mask that selects the original rows."""
-    bad = [(np.nan, 0.0), (np.inf, 0.0), (-np.inf, 0.0), (0.0, np.nan),
-           (0.0, np.inf), (0.0, -np.inf), (np.nan, np.nan), (np.inf, -np.inf)]
-    at = np.linspace(0, len(a), len(bad)).astype(int)
+    """Insert the BAD_ROWS NaN and ±inf rows into a clean two-column batch;
+    returns the dirty columns and the mask that selects the original rows."""
+    at = np.linspace(0, len(a), len(BAD_ROWS)).astype(int)
     clean = np.insert(np.ones(len(a), bool), at, False)
-    return (np.insert(a, at, [p[0] for p in bad]), np.insert(b, at, [p[1] for p in bad]), clean)
+    return (np.insert(a, at, [p[0] for p in BAD_ROWS]),
+            np.insert(b, at, [p[1] for p in BAD_ROWS]), clean)
 
 
-@pytest.mark.parametrize("name,kw", ELLIPSOIDAL, ids=lambda v: str(v))
-def test_ellipsoidal_dtype_and_row_independence(name, kw):
+# Uniform points: rows converge after different numbers of Newton passes, so
+# a batch-wide stop rule shows up as changed bits in the finite rows.
+_RNG = np.random.default_rng(7)
+ULON, ULAT = _RNG.uniform(-60, 60, 2000), _RNG.uniform(-70, 70, 2000)
+
+
+@pytest.mark.parametrize("name,kw", CASES, ids=lambda v: str(v))
+def test_dtype_and_row_independence(name, kw):
     """float32 in gives float32 out (the warp pixel path's contract), and each
     output row depends on its own input row only: NaN/±inf rows leave every
     other row of the batch bit-identical, forward and inverse."""
@@ -297,11 +303,29 @@ def test_ellipsoidal_dtype_and_row_independence(name, kw):
         ilon, ilat = p.inverse(fx, fy)
         assert [v.dtype for v in (fx, fy, ilon, ilat)] == [np.dtype(np.float32)] * 4
 
-        x, y = p.forward(LON, LAT)
-        lon2, lat2 = p.inverse(x, y)
-        dlon, dlat, clean = _with_bad_rows(LON, LAT)
-        dx, dy = p.forward(dlon, dlat)
-        dx_, dy_, _ = _with_bad_rows(x, y)
-        dlon2, dlat2 = p.inverse(dx_, dy_)
-    for got, want in ((dx, x), (dy, y), (dlon2, lon2), (dlat2, lat2)):
-        np.testing.assert_array_equal(got[clean], want)
+    for lon, lat in ((LON, LAT), (ULON, ULAT)):
+        with np.errstate(all="ignore"):
+            x, y = p.forward(lon, lat)
+            lon2, lat2 = p.inverse(x, y)
+            dlon, dlat, clean = _with_bad_rows(lon, lat)
+            dx, dy = p.forward(dlon, dlat)
+            dx_, dy_, _ = _with_bad_rows(x, y)
+            dlon2, dlat2 = p.inverse(dx_, dy_)
+        for got, want in ((dx, x), (dy, y), (dlon2, lon2), (dlat2, lat2)):
+            np.testing.assert_array_equal(got[clean], want)
+
+
+@pytest.mark.parametrize("name,kw", CASES, ids=lambda v: str(v))
+def test_forward_nonfinite_rows_stay_nonfinite(name, kw):
+    """A NaN or ±inf longitude or latitude never projects to a finite point,
+    in float64 or float32: a bad input row must not land on the map as a
+    plausible coordinate (Robinson's table lookup once clamped or crashed)."""
+    p = prepare(name, **kw)
+    for dt in (np.float64, np.float32):
+        lon = np.array([r[0] for r in BAD_ROWS], dt)
+        lat = np.array([r[1] for r in BAD_ROWS], dt)
+        with np.errstate(all="ignore"):
+            x, y = p.forward(lon, lat)
+        assert x.dtype == y.dtype == np.dtype(dt)
+        finite = np.isfinite(x) & np.isfinite(y)
+        assert not finite.any(), [BAD_ROWS[i] for i in np.flatnonzero(finite)]

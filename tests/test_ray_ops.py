@@ -682,35 +682,3 @@ def test_knn_small_radius_polar_exact(ray_session):
     got2 = out2.sort_values(["qid", "neighbor_rank"]).reset_index(drop=True)
     np.testing.assert_array_equal(got2["tid"].to_numpy().reshape(-1, 2), t_ids[idx])
     np.testing.assert_allclose(got2["distance_m"].to_numpy().reshape(-1, 2), exp, rtol=1e-12)
-
-
-def test_hll_accuracy_and_merge(ray_session, sf_dir):
-    """HLL estimate within 3σ (σ = 1.04/√m) of the exact distinct count at
-    several cardinalities, and per-batch register merging must equal a
-    single-batch sketch (mergeability)."""
-    import ray.data as rd
-
-    rng = np.random.default_rng(1)
-    for true_n in (50, 1000, 20000):
-        keys = rng.choice(10_000_000, true_n, replace=False)
-        dup = np.concatenate([keys, keys[: true_n // 2]])
-        rng.shuffle(dup)
-        ds = rd.from_arrow(pa.table({"k": pa.array(dup)}))
-        est = ops.approx_count_distinct(ds, "k", p=6)
-        sigma = 1.04 / np.sqrt(64)
-        assert abs(est - true_n) <= 3 * sigma * true_n + 3, (true_n, est)
-    # mergeability: many small blocks vs one block give the identical estimate
-    ds1 = rd.from_arrow(pa.table({"k": pa.array(keys)}))
-    ds2 = ds1.repartition(16)
-    assert ops.approx_count_distinct(ds1, "k") == ops.approx_count_distinct(ds2, "k")
-
-
-def test_hll_matches_exact_on_orders(ray_session, sf_dir):
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
-    ds = rd.read_parquet(f"{sf_dir}/orders.parquet", columns=["o_custkey"])
-    exact = len(np.unique(pq.read_table(f"{sf_dir}/orders.parquet",
-                                        columns=["o_custkey"])["o_custkey"].to_numpy()))
-    est = ops.approx_count_distinct(ds, "o_custkey", p=6)
-    assert abs(est - exact) <= 3 * (1.04 / 8) * exact + 3

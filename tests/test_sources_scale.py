@@ -125,52 +125,6 @@ def test_exact_quantiles_matches_numpy(ray_session, sf_dir):
         assert v == vals[idx], (q, v, vals[idx])
 
 
-def test_extract_json_field(ray_session, sf_dir):
-    import json
-
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
-    from projcl_ray.text import extract_json_field
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["event_id", "props"])
-    out = extract_json_field(ds, "k").to_pandas().sort_values("event_id")
-    exp = pq.read_table(f"{sf_dir}/events.parquet", columns=["event_id", "props"]).to_pandas()
-    exp = exp.sort_values("event_id")
-    np.testing.assert_array_equal(
-        out["k"].to_numpy(), [json.loads(p)["k"] for p in exp["props"]]
-    )
-    # malformed JSON → null, not an exception
-    bad = rd.from_items([{"props": "{not json"}, {"props": '{"k": 7}'}])
-    got = extract_json_field(bad, "k").to_pandas()
-    assert got["k"].isna().sum() == 1 and got["k"].dropna().iloc[0] == 7
-    # batch-parse hazards: null rows, alignment-shifting fragments ("1,2"
-    # splits into extra array elements when rows join into one JSON doc),
-    # non-dict documents, and the string-typed output path
-    import pandas as pd
-
-    tricky = rd.from_pandas(pd.DataFrame({"props": pd.array(
-        [None, "1,2", '{"k": "x"}', "42", '{"k": 3}'], dtype="string")}))
-    tk = extract_json_field(tricky, "k").to_pandas()["k"]
-    assert list(tk.isna()) == [True, True, False, True, False]
-    assert tk.iloc[2] == "x" and tk.iloc[4] == "3"  # string path: str(v)
-    # count-preserving misalignment: row 0's unterminated string would absorb
-    # row 1 in the joined-array parse while row 1's comma splits it back into
-    # the right element COUNT — only the structural screen catches the shift
-    # (the per-row contract is [null, null, 2])
-    shifty = rd.from_items([
-        {"props": '"abc'}, {"props": 'x", {"k": 1}'}, {"props": '{"k": 2}'},
-    ])
-    sk = extract_json_field(shifty, "k").to_pandas()["k"]
-    assert list(sk.isna()) == [True, True, False] and sk.iloc[2] == 2
-    # same via unclosed brackets instead of strings
-    shifty2 = rd.from_items([
-        {"props": '{"k": [1'}, {"props": '2], "k": 9}'}, {"props": '{"k": 5}'},
-    ])
-    s2 = extract_json_field(shifty2, "k").to_pandas()["k"]
-    assert list(s2.isna()) == [True, True, False] and s2.iloc[2] == 5
-
-
 def test_semi_anti_join_keys(ray_session, sf_dir):
     import pyarrow.parquet as pq
     import ray.data as rd

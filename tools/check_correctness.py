@@ -15,7 +15,7 @@ import duckdb
 import numpy as np
 import pandas as pd
 
-TABLES = "region nation customer supplier part orders lineitem events documents embeddings".split()
+TABLES = "region nation customer supplier part orders lineitem events".split()
 
 
 def to_pandas(result) -> pd.DataFrame:
