@@ -2,7 +2,7 @@
  * baseline/progressive entropy decode and encode (ITU T.81 §F.2/§G.1.2),
  * PNG scanline unfiltering (RFC 2083 §6), and the TIFF (6.0 §13, early
  * change) and GIF LZW variants — plus the bilinear warp sampler, the warp
- * kernel's per-pixel hot loop.
+ * kernel's per-pixel hot loop, alone and fused with the lattice fill.
  *
  * Entropy/prefix decoding is inherently sequential — one code at a time —
  * so it cannot be vectorized with numpy; each function here is the same
@@ -876,29 +876,96 @@ static inline int64_t floor_i64(float v)
     return (float)t > v ? t - 1 : t;
 }
 
+/* The four taps and fractional weights of one bilinear sample; a NULL tap
+ * lies outside the image and reads as 0. */
+typedef struct {
+    const uint8_t *t00, *t01, *t10, *t11;
+    float fx, fy;
+} Taps;
+
+static inline Taps bilinear_taps(const uint8_t *img, long h, long w, long c,
+                                 float px, float py)
+{
+    Taps t;
+    int64_t x0 = floor_i64(px), y0 = floor_i64(py);
+    /* numpy: (px - x0) is float64, then cast to float32 */
+    t.fx = (float)((double)px - (double)x0);
+    t.fy = (float)((double)py - (double)y0);
+    int inx0 = x0 >= 0 && x0 < w, inx1 = x0 + 1 >= 0 && x0 + 1 < w;
+    int iny0 = y0 >= 0 && y0 < h, iny1 = y0 + 1 >= 0 && y0 + 1 < h;
+    t.t00 = iny0 && inx0 ? img + (y0 * w + x0) * c : NULL;
+    t.t01 = iny0 && inx1 ? img + (y0 * w + x0 + 1) * c : NULL;
+    t.t10 = iny1 && inx0 ? img + ((y0 + 1) * w + x0) * c : NULL;
+    t.t11 = iny1 && inx1 ? img + ((y0 + 1) * w + x0 + 1) * c : NULL;
+    return t;
+}
+
+static inline float bilinear_at(const Taps *t, long k)
+{
+    float p00 = t->t00 ? (float)t->t00[k] : 0.0f;
+    float p01 = t->t01 ? (float)t->t01[k] : 0.0f;
+    float p10 = t->t10 ? (float)t->t10[k] : 0.0f;
+    float p11 = t->t11 ? (float)t->t11[k] : 0.0f;
+    float top = p00 + (p01 - p00) * t->fx;
+    float bot = p10 + (p11 - p10) * t->fx;
+    return top + (bot - top) * t->fy;
+}
+
 void warp_bilinear_u8(const uint8_t *img, long h, long w, long c,
                       const float *px, const float *py, long n, float *out)
 {
     for (long i = 0; i < n; i++) {
-        int64_t x0 = floor_i64(px[i]), y0 = floor_i64(py[i]);
-        /* numpy: (px - x0) is float64, then cast to float32 */
-        float fx = (float)((double)px[i] - (double)x0);
-        float fy = (float)((double)py[i] - (double)y0);
-        int inx0 = x0 >= 0 && x0 < w, inx1 = x0 + 1 >= 0 && x0 + 1 < w;
-        int iny0 = y0 >= 0 && y0 < h, iny1 = y0 + 1 >= 0 && y0 + 1 < h;
-        const uint8_t *t00 = iny0 && inx0 ? img + (y0 * w + x0) * c : NULL;
-        const uint8_t *t01 = iny0 && inx1 ? img + (y0 * w + x0 + 1) * c : NULL;
-        const uint8_t *t10 = iny1 && inx0 ? img + ((y0 + 1) * w + x0) * c : NULL;
-        const uint8_t *t11 = iny1 && inx1 ? img + ((y0 + 1) * w + x0 + 1) * c : NULL;
-        float *o = out + i * c;
-        for (long k = 0; k < c; k++) {
-            float p00 = t00 ? (float)t00[k] : 0.0f;
-            float p01 = t01 ? (float)t01[k] : 0.0f;
-            float p10 = t10 ? (float)t10[k] : 0.0f;
-            float p11 = t11 ? (float)t11[k] : 0.0f;
-            float top = p00 + (p01 - p00) * fx;
-            float bot = p10 + (p11 - p10) * fx;
-            o[k] = top + (bot - top) * fy;
+        Taps t = bilinear_taps(img, h, w, c, px[i], py[i]);
+        for (long k = 0; k < c; k++)
+            out[i * c + k] = bilinear_at(&t, k);
+    }
+}
+
+/* np.clip(v, 0, 255).astype(np.uint8): truncation; NaN passes the clip
+ * and numpy's cast turns it into 0. */
+static inline uint8_t clip_u8(float v)
+{
+    if (!(v >= 0.0f))
+        return 0;
+    return v >= 255.0f ? 255 : (uint8_t)v;
+}
+
+/* The bilinear sampler above with each pixel's source coordinates filled
+ * in inline from the warp lattice (warp._lattice_fill): nodes_x/nodes_y
+ * are the float64 source-pixel maps at the lattice nodes, (ny, nx)
+ * row-major, and (xj, xt) / (yj, yt) the per-axis cell and position
+ * tables of warp._lattice_axis. The fill is the numpy separable fill's
+ * float64 operation order, rounded to float32, so the samples are
+ * bit-identical to filling the full px/py grids and sampling them. Writes
+ * float32 samples to outf, or, when outf is NULL, the clipped and
+ * truncated uint8 samples to outb; the output is (out_h, out_w, c). */
+void warp_lattice_bilinear_u8(const uint8_t *img, long h, long w, long c,
+                              const double *nodes_x, const double *nodes_y, long nx,
+                              const int64_t *xj, const double *xt, long out_w,
+                              const int64_t *yj, const double *yt, long out_h,
+                              float *outf, uint8_t *outb)
+{
+    for (long r = 0; r < out_h; r++) {
+        const double ty = yt[r], sy = 1.0 - ty;
+        const double *ax = nodes_x + yj[r] * nx, *bx = ax + nx;
+        const double *ay = nodes_y + yj[r] * nx, *by = ay + nx;
+        for (long q = 0; q < out_w; q++) {
+            const int64_t j = xj[q];
+            const double tx = xt[q], sx = 1.0 - tx;
+            /* rows[k] = node[k, j]·(1−xt) + node[k, j+1]·xt, then
+             * rows[yj]·(1−yt) + rows[yj+1]·yt */
+            float px = (float)((ax[j] * sx + ax[j + 1] * tx) * sy
+                               + (bx[j] * sx + bx[j + 1] * tx) * ty);
+            float py = (float)((ay[j] * sx + ay[j + 1] * tx) * sy
+                               + (by[j] * sx + by[j + 1] * tx) * ty);
+            Taps t = bilinear_taps(img, h, w, c, px, py);
+            long o = (r * out_w + q) * c;
+            if (outf)
+                for (long k = 0; k < c; k++)
+                    outf[o + k] = bilinear_at(&t, k);
+            else
+                for (long k = 0; k < c; k++)
+                    outb[o + k] = clip_u8(bilinear_at(&t, k));
         }
     }
 }

@@ -11,7 +11,7 @@ loaded with ctypes; every failure mode — no compiler, build error, load
 error, `PROJCL_NO_FASTCODEC=1` — falls back to the pure-Python path
 silently. Parity is pinned in tests/test_warp.py (JPEG/PNG/TIFF/GIF and
 the bilinear sampler, the one per-pixel loop numpy runs as 4 gathers plus
-~12 temporaries).
+~12 temporaries, alone and fused with the warp lattice fill).
 
 Concurrency: Ray workers race to build on first use; each builds to a
 pid-suffixed temp file and `os.replace`s it into place (atomic on POSIX),
@@ -175,6 +175,16 @@ def lib():
         L.warp_bilinear_u8.argtypes = [
             u8p, ctypes.c_long, ctypes.c_long, ctypes.c_long,  # img, h, w, c
             f32p, f32p, ctypes.c_long, f32p,                # px, py, n, out
+        ]
+        f64p = ctypes.POINTER(ctypes.c_double)
+        i64p = ctypes.POINTER(ctypes.c_int64)
+        L.warp_lattice_bilinear_u8.restype = None
+        L.warp_lattice_bilinear_u8.argtypes = [
+            u8p, ctypes.c_long, ctypes.c_long, ctypes.c_long,  # img, h, w, c
+            f64p, f64p, ctypes.c_long,                      # node maps, nx
+            i64p, f64p, ctypes.c_long,                      # xj, xt, out_w
+            i64p, f64p, ctypes.c_long,                      # yj, yt, out_h
+            f32p, u8p,                                      # outf | outb
         ]
         _LIB = L
     except OSError:
@@ -598,4 +608,45 @@ def warp_bilinear_u8(img, px, py):
     L.warp_bilinear_u8(img.ctypes.data_as(ctypes.POINTER(ctypes.c_uint8)),
                        h, w, c, px.ctypes.data_as(f32p), py.ctypes.data_as(f32p),
                        px.size, out.ctypes.data_as(f32p))
+    return out
+
+
+def warp_lattice_bilinear_u8(img, nodes_x, nodes_y, x_axis, y_axis, u8: bool):
+    """C path for the warp lattice fill (warp._lattice_fill) followed by
+    warp.sample_bilinear on a uint8 (h, w, c) image: ``nodes_x``/``nodes_y``
+    are the float64 source-pixel maps at the lattice nodes, ``x_axis`` and
+    ``y_axis`` the ``(j, t)`` tables of warp._lattice_axis. Returns the
+    (out_h, out_w, c) float32 samples, or with ``u8`` the samples clipped
+    to [0, 255] and truncated to uint8 — bit-identical to the numpy fill,
+    sampler and cast — or None when unavailable."""
+    if img.dtype != np.uint8 or img.ndim != 3:
+        raise ValueError("warp_lattice_bilinear_u8 needs a uint8 (h, w, c) image")
+    if _disabled():
+        return None
+    L = lib()
+    if L is None:
+        return None
+    img = np.ascontiguousarray(img)
+    nodes_x = np.ascontiguousarray(nodes_x, np.float64)
+    nodes_y = np.ascontiguousarray(nodes_y, np.float64)
+    (xj, xt), (yj, yt) = x_axis, y_axis
+    # the kernel reads nodes[j] and nodes[j + 1] unchecked
+    if (nodes_x.shape != nodes_y.shape or nodes_x.ndim != 2 or len(xj) != len(xt)
+            or len(yj) != len(yt) or not 0 <= xj.min(initial=0) <= xj.max(initial=0) < nodes_x.shape[1] - 1
+            or not 0 <= yj.min(initial=0) <= yj.max(initial=0) < nodes_x.shape[0] - 1):
+        raise ValueError("lattice tables do not match the node maps")
+    xj, yj = (np.ascontiguousarray(a, np.int64) for a in (xj, yj))
+    xt, yt = (np.ascontiguousarray(a, np.float64) for a in (xt, yt))
+    h, w, c = img.shape
+    out = np.empty((len(yj), len(xj), c), np.uint8 if u8 else np.float32)
+    f64p = ctypes.POINTER(ctypes.c_double)
+    i64p = ctypes.POINTER(ctypes.c_int64)
+    f32p = ctypes.POINTER(ctypes.c_float)
+    u8p = ctypes.POINTER(ctypes.c_uint8)
+    L.warp_lattice_bilinear_u8(
+        img.ctypes.data_as(u8p), h, w, c,
+        nodes_x.ctypes.data_as(f64p), nodes_y.ctypes.data_as(f64p), nodes_x.shape[1],
+        xj.ctypes.data_as(i64p), xt.ctypes.data_as(f64p), len(xj),
+        yj.ctypes.data_as(i64p), yt.ctypes.data_as(f64p), len(yj),
+        None if u8 else out.ctypes.data_as(f32p), out.ctypes.data_as(u8p) if u8 else None)
     return out

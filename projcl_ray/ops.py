@@ -44,7 +44,8 @@ from .geodesic import (
 )
 from .images import decode_image, encode_image
 from .proj import ProjParams, prepare
-from .warp import GeoRef, WarpSpec, warp_image
+from .warp import GeoRef, WarpSpec, warp_images_u8, warp_windows
+from .warp import warp_image  # noqa: F401  ops.warp_image, the per-image warp (perfbench traces it)
 
 # ---------------------------------------------------------------------------
 # Worker-process state cache.
@@ -308,6 +309,13 @@ class WarpTileActor:
     pl_compile_code + param precompute): the prepared projection and the
     warp policy. Batches should be small (images are wide rows).
 
+    A batch runs in phases, each once over every image, the way ProjCL runs
+    one kernel over one flat coordinate buffer: decode; one forward
+    projection for all the warp windows (warp.warp_windows); one inverse
+    projection for all the lattices, then per image the lattice check and
+    the fill+sample (warp.warp_images_u8); cut tiles; one inverse projection
+    for all the tile centres and one cell_id; one Arrow build.
+
     Output schema: image_id, caption, cell_id, tile_col, tile_row, tile_idx,
     tile_size, bytes (raw RGBA), w, h, fmt, center_lon, center_lat.
     """
@@ -325,56 +333,45 @@ class WarpTileActor:
         self.res_deg = res_deg
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from .warp import default_warp_window
-
         cols = {name: batch[name].to_pylist() for name in
                 ("bytes", "w", "h", "fmt", "lon0", "lat0", "px_deg", "src_datum")}
-        # per image: tile (col, row, idx) triples, cells, centres, encoded tiles
-        n_tiles, grid, cids, clons, clats, blobs = [], [], [], [], [], []
-        for i in range(batch.num_rows):
-            img = decode_image(cols["bytes"][i], cols["w"][i], cols["h"][i], cols["fmt"][i])
-            georef = GeoRef(cols["lon0"][i], cols["lat0"][i], cols["px_deg"][i])
-            ox, oy, sx, sy = default_warp_window(self.prepped, georef, cols["w"][i], cols["h"][i])
-            spec = WarpSpec(
-                self.proj_name, self.params, ox, oy, sx, sy,
-                cols["w"][i], cols["h"][i], filter=self.filter,
-                src_datum=cols["src_datum"][i], dst_datum=self.dst_datum,
-            )
-            with np.errstate(all="ignore"):
-                warped = warp_image(img, georef, spec, self.prepped)
-            warped8 = np.clip(warped, 0, 255).astype(np.uint8)
-            tiles = list(index_mod.cut_tiles(warped8, self.tile_size))
-            tcr = np.array([t[:3] for t in tiles], np.int32).reshape(-1, 3)
-            # geographic center of every tile in ONE inverse call per image
-            cx = ox + sx * np.minimum((tcr[:, 0] + 0.5) * self.tile_size / max(spec.width - 1, 1), 1.0)
-            cy = oy + sy * np.minimum((tcr[:, 1] + 0.5) * self.tile_size / max(spec.height - 1, 1), 1.0)
-            with np.errstate(all="ignore"):
-                clon, clat = self.prepped.inverse(cx, cy)
-            n_tiles.append(len(tiles))
-            grid.append(tcr)
-            cids.append(index_mod.cell_id(clon, clat, self.res_deg))
-            clons.append(clon)
-            clats.append(clat)
-            blobs += [encode_image(t[3]) for t in tiles]
-        src_row = np.repeat(np.arange(batch.num_rows), n_tiles)
-        grid = np.concatenate(grid) if grid else np.empty((0, 3), np.int32)
+        ws, hs = cols["w"], cols["h"]
+        imgs = [decode_image(*row) for row in zip(cols["bytes"], ws, hs, cols["fmt"])]
+        win = warp_windows(self.prepped, cols["lon0"], cols["lat0"], cols["px_deg"], ws, hs)
+        georefs = [GeoRef(*g) for g in zip(cols["lon0"], cols["lat0"], cols["px_deg"])]
+        specs = [
+            WarpSpec(self.proj_name, self.params, *w4, w, h, filter=self.filter,
+                     src_datum=src, dst_datum=self.dst_datum)
+            for w4, w, h, src in zip(zip(*(v.tolist() for v in win)), ws, hs, cols["src_datum"])
+        ]
+        tiles = [list(index_mod.cut_tiles(img, self.tile_size))
+                 for img in warp_images_u8(imgs, georefs, specs, self.prepped)]
+        src_row = np.repeat(np.arange(batch.num_rows), [len(t) for t in tiles])
+        grid = np.array([t[:3] for ts in tiles for t in ts], np.int32).reshape(-1, 3)
+        # geographic centre of every tile in ONE inverse call per batch
+        ox, oy, sx, sy = (v[src_row] for v in win)
+        w_1, h_1 = (np.maximum(np.asarray(v, np.int64)[src_row] - 1, 1) for v in (ws, hs))
+        cx = ox + sx * np.minimum((grid[:, 0] + 0.5) * self.tile_size / w_1, 1.0)
+        cy = oy + sy * np.minimum((grid[:, 1] + 0.5) * self.tile_size / h_1, 1.0)
+        with np.errstate(all="ignore"):
+            clon, clat = self.prepped.inverse(cx, cy)
         n = len(src_row)
         return pa.table(
             {
                 "image_id": batch["image_id"].take(src_row).cast(pa.string()),
                 "caption": batch["caption"].take(src_row).cast(pa.string()),
-                "cell_id": pa.array(np.concatenate(cids) if cids else [], pa.int64()),
+                "cell_id": pa.array(index_mod.cell_id(clon, clat, self.res_deg), pa.int64()),
                 "tile_col": pa.array(grid[:, 0], pa.int32()),
                 "tile_row": pa.array(grid[:, 1], pa.int32()),
                 "tile_idx": pa.array(grid[:, 2], pa.int32()),
                 "tile_size": pa.array(np.full(n, self.tile_size, np.int32), pa.int32()),
-                "bytes": pa.array(blobs, pa.binary()),
+                "bytes": pa.array([encode_image(t[3]) for ts in tiles for t in ts], pa.binary()),
                 # cut_tiles zero-pads edge tiles to the full tile size
                 "w": pa.array(np.full(n, self.tile_size, np.int32), pa.int32()),
                 "h": pa.array(np.full(n, self.tile_size, np.int32), pa.int32()),
                 "fmt": pa.array(["raw"] * n, pa.string()),
-                "center_lon": pa.array(np.concatenate(clons) if clons else [], pa.float64()),
-                "center_lat": pa.array(np.concatenate(clats) if clats else [], pa.float64()),
+                "center_lon": pa.array(clon, pa.float64()),
+                "center_lat": pa.array(clat, pa.float64()),
             }
         )
 

@@ -19,9 +19,14 @@ Reference semantics (`include/projcl/projcl_warp.h:30-82`, `src/projcl_warp.c`,
     pl_sample_quasi_bicubic.opencl:1-50
 - dest write is out[i, j] = sample(grid[i, j]) (grid row-major = image rows).
 
-Everything is vectorized NumPy over the whole dest grid (the bilinear sampler
-also has a bit-identical C twin, fastcodec.py); these functions are the
-per-image kernel bodies used inside ``map_batches`` actor stages (ops.py).
+Everything is vectorized NumPy over the whole dest grid; the bilinear sampler
+also has a bit-identical C twin, alone and fused with the lattice fill
+(fastcodec.py). ``warp_image`` warps one image. The warp+tile stage
+(ops.WarpTileActor) warps a batch: ``warp_windows`` runs one forward
+projection for every image's window and ``warp_images_u8`` one inverse
+projection for every image's lattice, the way the reference runs one kernel
+over one flat coordinate buffer; both give the numbers of the per-image
+calls.
 """
 
 from __future__ import annotations
@@ -159,15 +164,6 @@ class GeoRef:
     def to_pixels(self, lon: np.ndarray, lat: np.ndarray):
         return (lon - self.lon0) / self.px_deg, (self.lat0 - lat) / self.px_deg
 
-    def extent(self, w: int, h: int) -> tuple[float, float, float, float]:
-        """(lon_min, lon_max, lat_min, lat_max) of pixel centers."""
-        return (
-            self.lon0,
-            self.lon0 + self.px_deg * (w - 1),
-            self.lat0 - self.px_deg * (h - 1),
-            self.lat0,
-        )
-
 
 @dataclass(frozen=True)
 class ProjectedGeoRef:
@@ -248,39 +244,127 @@ def _source_pixels(gx, gy, georef, spec: WarpSpec, prepped: PreparedProjection):
     return georef.to_pixels(lon, lat)
 
 
+@lru_cache(maxsize=64)
+def _lattice_index(w: int, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pixel-index coordinates (x, y) of the lattice nodes, row-major,
+    followed by the lattice-cell centres."""
+    xn, yn = _lattice_axis(w)[0], _lattice_axis(h)[0]
+    xc = (xn[:-1] + xn[1:]) / 2
+    yc = (yn[:-1] + yn[1:]) / 2
+    nodes = np.meshgrid(xn.astype(np.float64), yn.astype(np.float64))
+    cents = np.meshgrid(xc, yc)
+    out = tuple(np.concatenate([n.ravel(), c.ravel()]) for n, c in zip(nodes, cents))
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _lattice_points(spec: WarpSpec):
+    """Float64 dest coordinates of the lattice nodes (row-major) followed by
+    the lattice-cell centres: the points the exact map is evaluated at for
+    the lattice check. None when the grid is too small to have cells."""
+    w, h = spec.width, spec.height
+    if w < 2 or h < 2:
+        return None
+    ix, iy = _lattice_index(w, h)
+    # dest_grid's formula (identical values at the nodes)
+    return (spec.origin_x + spec.size_x * ix / (w - 1),
+            spec.origin_y + spec.size_y * iy / (h - 1))
+
+
+def _lattice_check(px, py, w: int, h: int):
+    """Split the exact map at :func:`_lattice_points` into its float64
+    (ny, nx) node grids; None when their bilinear interpolation misses the
+    exact map by more than LATTICE_TOL_PX (or is non-finite) at any cell
+    centre."""
+    nx, ny = len(_lattice_axis(w)[0]), len(_lattice_axis(h)[0])
+    k = nx * ny
+    nodes = []
+    for v in (px, py):
+        node = v[:k].reshape(ny, nx)
+        mid = 0.25 * (node[:-1, :-1] + node[:-1, 1:] + node[1:, :-1] + node[1:, 1:])
+        if not (np.abs(mid - v[k:].reshape(mid.shape)) <= LATTICE_TOL_PX).all():
+            return None
+        nodes.append(node)
+    return nodes
+
+
+def _lattice_fill(node: np.ndarray, w: int, h: int) -> np.ndarray:
+    """Float32 map at every dest pixel from its float64 node grid, by the
+    separable bilinear fill; a·(1−t) + b·t is exact at both nodes. The fused
+    C sampler (fastcodec.warp_lattice_bilinear_u8) computes the same
+    numbers inline."""
+    _, xj, xt = _lattice_axis(w)
+    _, yj, yt = _lattice_axis(h)
+    rows = node[:, xj] * (1.0 - xt) + node[:, xj + 1] * xt
+    full = rows[yj] * (1.0 - yt)[:, None] + rows[yj + 1] * yt[:, None]
+    return full.astype(np.float32)
+
+
+def _lattice_nodes(georef, spec: WarpSpec, prepped: PreparedProjection):
+    """The checked lattice node grids of one image (:func:`_lattice_check`),
+    or None."""
+    pts = _lattice_points(spec)
+    if pts is None:
+        return None
+    px, py = _source_pixels(*pts, georef, spec, prepped)
+    return _lattice_check(px, py, spec.width, spec.height)
+
+
 def _lattice_pixels(georef, spec: WarpSpec, prepped: PreparedProjection):
     """Float32 source-pixel coordinates of every dest pixel, interpolated from
     the exact float64 map on the lattice; None when the lattice misses the
     exact map by more than LATTICE_TOL_PX (or is non-finite) at any cell
     centre, or the grid is too small to have cells."""
-    w, h = spec.width, spec.height
-    if w < 2 or h < 2:
+    nodes = _lattice_nodes(georef, spec, prepped)
+    if nodes is None:
         return None
-    xn, xj, xt = _lattice_axis(w)
-    yn, yj, yt = _lattice_axis(h)
-    xc = (xn[:-1] + xn[1:]) / 2  # cell centres, in pixel index space
-    yc = (yn[:-1] + yn[1:]) / 2
-    # dest coords by dest_grid's formula (identical values at the nodes);
-    # nodes and centres go through the exact map in one call
-    gx = [spec.origin_x + spec.size_x * i / (w - 1) for i in (xn, xc)]
-    gy = [spec.origin_y + spec.size_y * i / (h - 1) for i in (yn, yc)]
-    nodes = np.meshgrid(gx[0], gy[0])
-    cents = np.meshgrid(gx[1], gy[1])
-    px, py = _source_pixels(np.concatenate([nodes[0].ravel(), cents[0].ravel()]),
-                            np.concatenate([nodes[1].ravel(), cents[1].ravel()]),
-                            georef, spec, prepped)
-    k = len(xn) * len(yn)
-    out = []
-    for v in (px, py):
-        node = v[:k].reshape(len(yn), len(xn))
-        mid = 0.25 * (node[:-1, :-1] + node[:-1, 1:] + node[1:, :-1] + node[1:, 1:])
-        if not (np.abs(mid - v[k:].reshape(mid.shape)) <= LATTICE_TOL_PX).all():
-            return None
-        # separable bilinear fill; a·(1−t) + b·t is exact at both nodes
-        rows = node[:, xj] * (1.0 - xt) + node[:, xj + 1] * xt
-        full = rows[yj] * (1.0 - yt)[:, None] + rows[yj + 1] * yt[:, None]
-        out.append(full.astype(np.float32))
-    return out
+    return [_lattice_fill(v, spec.width, spec.height) for v in nodes]
+
+
+def _sample(img: np.ndarray, georef, spec: WarpSpec, prepped: PreparedProjection,
+            nodes, u8: bool) -> np.ndarray:
+    """Sample ``img`` at the warp's source-pixel map: the lattice fill of
+    ``nodes`` (see :func:`_lattice_check`) when given, else the exact map at
+    every pixel. Returns float32 (Hd, Wd, C), or with ``u8`` the samples
+    clipped to [0, 255] and truncated to uint8. Bilinear warps of uint8
+    images on the lattice run the fill and the sampler fused in C."""
+    w, h = spec.width, spec.height
+    if nodes is not None and spec.filter == "bilinear" and img.dtype == np.uint8:
+        out = fastcodec.warp_lattice_bilinear_u8(
+            img, *nodes, _lattice_axis(w)[1:], _lattice_axis(h)[1:], u8)
+        if out is not None:
+            return out
+    # keep uint8 sources uint8 (gathers cast per tap — see _gather); float
+    # inputs are taken as float32 (exact for uint8-derived data, half the
+    # traffic of float64; the reference is float32 too)
+    img32 = img if img.dtype == np.uint8 else np.asarray(img, np.float32)
+    sampler = SAMPLERS[spec.filter]
+    if nodes is None:
+        gx, gy = dest_grid(spec.origin_x, spec.origin_y, spec.size_x, spec.size_y, w, h)
+        # pixel-path precision: float32 grids halve the projection-chain
+        # memory traffic (NumPy ufuncs stay in float32); coordinate error
+        # ~1e-3 px is far below the half-pixel sampling granularity. Exact
+        # float64 stays the rule for the point-projection API
+        # (ops.project_points).
+        gx = gx.astype(np.float32)
+        gy = gy.astype(np.float32)
+    else:
+        approx = [_lattice_fill(v, w, h) for v in nodes]
+
+    # process the dest grid in horizontal bands so the per-band temporaries
+    # (projection intermediates + 16 sampler gathers) stay cache-resident —
+    # under many concurrent workers the unbanded version is DRAM-bound
+    band_rows = max(1, 8192 // max(w, 1))
+    out = np.empty((h, w, img32.shape[2]), dtype=np.float32)
+    for r0 in range(0, h, band_rows):
+        r1 = min(r0 + band_rows, h)
+        if nodes is None:
+            px, py = _source_pixels(gx[r0:r1], gy[r0:r1], georef, spec, prepped)
+        else:
+            px, py = approx[0][r0:r1], approx[1][r0:r1]
+        out[r0:r1] = sampler(img32, px, py)
+    return np.clip(out, 0, 255).astype(np.uint8) if u8 else out
 
 
 def warp_image(img: np.ndarray, georef: GeoRef, spec: WarpSpec,
@@ -295,36 +379,78 @@ def warp_image(img: np.ndarray, georef: GeoRef, spec: WarpSpec,
     """
     if prepped is None:
         prepped = spec.prepared()
-    # keep uint8 sources uint8 (gathers cast per tap — see _gather); float
-    # inputs are taken as float32 (exact for uint8-derived data, half the
-    # traffic of float64; the reference is float32 too)
-    img32 = img if img.dtype == np.uint8 else np.asarray(img, np.float32)
-    sampler = SAMPLERS[spec.filter]
-    approx = _lattice_pixels(georef, spec, prepped)
-    if approx is None:
-        gx, gy = dest_grid(spec.origin_x, spec.origin_y, spec.size_x, spec.size_y,
-                           spec.width, spec.height)
-        # pixel-path precision: float32 grids halve the projection-chain
-        # memory traffic (NumPy ufuncs stay in float32); coordinate error
-        # ~1e-3 px is far below the half-pixel sampling granularity. Exact
-        # float64 stays the rule for the point-projection API
-        # (ops.project_points).
-        gx = gx.astype(np.float32)
-        gy = gy.astype(np.float32)
+    return _sample(img, georef, spec, prepped, _lattice_nodes(georef, spec, prepped), u8=False)
 
-    # process the dest grid in horizontal bands so the per-band temporaries
-    # (projection intermediates + 16 sampler gathers) stay cache-resident —
-    # under many concurrent workers the unbanded version is DRAM-bound
-    band_rows = max(1, 8192 // max(spec.width, 1))
-    out = np.empty((spec.height, spec.width, img32.shape[2]), dtype=np.float32)
-    for r0 in range(0, spec.height, band_rows):
-        r1 = min(r0 + band_rows, spec.height)
-        if approx is None:
-            px, py = _source_pixels(gx[r0:r1], gy[r0:r1], georef, spec, prepped)
-        else:
-            px, py = approx[0][r0:r1], approx[1][r0:r1]
-        out[r0:r1] = sampler(img32, px, py)
+
+def warp_images_u8(imgs, georefs, specs, prepped: PreparedProjection) -> list[np.ndarray]:
+    """:func:`warp_image` over a batch of images with north-up
+    :class:`GeoRef` georeferences that share one destination projection,
+    filter and ``dst_datum``, each clipped and truncated to
+    uint8 — the numbers of warping them one by one, with one inverse
+    projection over every image's lattice nodes and cell centres, one datum
+    shift per distinct source datum and one affine to source pixels. The
+    lattice check, and the exact path for an image that fails it, stay per
+    image."""
+    pts = [_lattice_points(spec) for spec in specs]
+    counts = np.array([0 if p is None else len(p[0]) for p in pts], np.int64)
+    offs = np.concatenate([[0], np.cumsum(counts)])
+    out = []
+    with np.errstate(all="ignore"):
+        if offs[-1]:
+            lon, lat = prepped.inverse(np.concatenate([p[0] for p in pts if p is not None]),
+                                       np.concatenate([p[1] for p in pts if p is not None]))
+            dst = specs[0].dst_datum
+            if dst:
+                # the dest grids live in dst_datum; bring each to its source's
+                src = np.repeat([s.src_datum or dst for s in specs], counts)
+                for datum in np.unique(src):
+                    if datum != dst:
+                        m = src == datum
+                        lon[m], lat[m] = datums.shift_datum(lon[m], lat[m], dst, datum)
+            # GeoRef.to_pixels, point by point
+            lon0, lat0, px_deg = (np.repeat([getattr(g, f) for g in georefs], counts)
+                                  for f in ("lon0", "lat0", "px_deg"))
+            px, py = (lon - lon0) / px_deg, (lat0 - lat) / px_deg
+        for i, (img, georef, spec) in enumerate(zip(imgs, georefs, specs)):
+            part = slice(offs[i], offs[i + 1])
+            nodes = None if pts[i] is None else _lattice_check(px[part], py[part], spec.width, spec.height)
+            # a NaN sample (a 1-px-wide image's 0/0 grid) casts to 0
+            out.append(_sample(img, georef, spec, prepped, nodes, u8=True))
     return out
+
+
+def warp_windows(prepped: PreparedProjection, lon0, lat0, px_deg, w, h,
+                 pad: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`default_warp_window` for a batch of north-up georeferences
+    (arrays of lon0, lat0, px_deg and image sizes): one forward projection
+    over every image's 132 border points. Returns the (origin_x, origin_y,
+    size_x, size_y) arrays."""
+    lon0, lat0, px_deg = (np.asarray(v, np.float64).reshape(-1, 1) for v in (lon0, lat0, px_deg))
+    w, h = (np.asarray(v, np.int64).reshape(-1, 1) for v in (w, h))
+    # extent of the pixel centres
+    lon_min, lon_max = lon0, lon0 + px_deg * (w - 1)
+    lat_min, lat_max = lat0 - px_deg * (h - 1), lat0
+
+    def linspace33(a, b):  # np.linspace(a, b, 33) row by row, bit for bit
+        step = (b - a) / 32
+        y = np.arange(33.0)
+        y = np.where(step == 0, y / 32 * (b - a), y * step) + a
+        y[:, -1:] = b
+        return y
+
+    def full33(a):
+        return np.broadcast_to(a, (len(a), 33))
+
+    edge_lon = np.concatenate([linspace33(lon_min, lon_max), linspace33(lon_min, lon_max),
+                               full33(lon_min), full33(lon_max)], axis=1)
+    edge_lat = np.concatenate([full33(lat_min), full33(lat_max),
+                               linspace33(lat_min, lat_max), linspace33(lat_min, lat_max)], axis=1)
+    ex, ey = prepped.forward(edge_lon.ravel(), edge_lat.ravel())
+    ex, ey = ex.reshape(edge_lon.shape), ey.reshape(edge_lat.shape)
+    x0, x1 = ex.min(axis=1), ex.max(axis=1)
+    y0, y1 = ey.min(axis=1), ey.max(axis=1)
+    dx, dy = (x1 - x0) * pad, (y1 - y0) * pad
+    return x0 - dx, y0 - dy, (x1 - x0) + 2 * dx, (y1 - y0) + 2 * dy
 
 
 def default_warp_window(prepped: PreparedProjection, georef: GeoRef, w: int, h: int,
@@ -337,28 +463,8 @@ def default_warp_window(prepped: PreparedProjection, georef: GeoRef, w: int, h: 
     positive size, so warped output row 0 is the southernmost row (south-up).
     Pass a negated size_y/origin at max-y for north-up output — grid
     orientation is the caller's choice, exactly as in the reference."""
-    lon_min, lon_max, lat_min, lat_max = georef.extent(w, h)
-    edge_lon = np.concatenate(
-        [
-            np.linspace(lon_min, lon_max, 33),
-            np.linspace(lon_min, lon_max, 33),
-            np.full(33, lon_min),
-            np.full(33, lon_max),
-        ]
-    )
-    edge_lat = np.concatenate(
-        [
-            np.full(33, lat_min),
-            np.full(33, lat_max),
-            np.linspace(lat_min, lat_max, 33),
-            np.linspace(lat_min, lat_max, 33),
-        ]
-    )
-    ex, ey = prepped.forward(edge_lon, edge_lat)
-    x0, x1 = float(ex.min()), float(ex.max())
-    y0, y1 = float(ey.min()), float(ey.max())
-    dx, dy = (x1 - x0) * pad, (y1 - y0) * pad
-    return x0 - dx, y0 - dy, (x1 - x0) + 2 * dx, (y1 - y0) + 2 * dy
+    win = warp_windows(prepped, georef.lon0, georef.lat0, georef.px_deg, w, h, pad)
+    return tuple(float(v[0]) for v in win)
 
 
 # ---------------------------------------------------------------------------

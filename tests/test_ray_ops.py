@@ -682,3 +682,21 @@ def test_knn_small_radius_polar_exact(ray_session):
     got2 = out2.sort_values(["qid", "neighbor_rank"]).reset_index(drop=True)
     np.testing.assert_array_equal(got2["tid"].to_numpy().reshape(-1, 2), t_ids[idx])
     np.testing.assert_allclose(got2["distance_m"].to_numpy().reshape(-1, 2), exp, rtol=1e-12)
+
+
+def test_value_hash_hashes_binary_columns():
+    """The correctness gate's value_hash takes a bytes column (hashed by its
+    hex; astype(str) raised UnicodeDecodeError on non-UTF-8 bytes) and
+    hashes text columns as before."""
+    import hashlib
+
+    import pandas as pd
+
+    from tools.check_correctness import value_hash
+
+    blobs = pd.DataFrame({"k": [2, 1], "b": [b"\xff\x00", b"\x80abc"]})
+    h = value_hash(blobs)
+    assert h == value_hash(blobs.iloc[::-1])
+    assert h != value_hash(pd.DataFrame({"k": [2, 1], "b": [b"\xff\x01", b"\x80abc"]}))
+    text = pd.DataFrame({"s": ["b", "a", None]})
+    assert value_hash(text) == hashlib.sha256("None\x1fa\x1fb".encode()).hexdigest()[:16]

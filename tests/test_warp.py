@@ -269,6 +269,153 @@ def test_lattice_failure_takes_exact_path():
         np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
+def _lattice_cases():
+    """(img, georef, spec, prepped) for every 64/96/128 size pair (last
+    lattice cell 7 px), 65×33 (all cells 8 px) and 70×37 (last cells 5 and
+    4 px), all lattice-passing."""
+    params = ProjParams(spheroid="WGS_84")
+    prepped = prepare("transverse_mercator", params)
+    sizes = [(w, h) for w in (64, 96, 128) for h in (64, 96, 128)] + [(65, 33), (70, 37)]
+    for k, (w, h) in enumerate(sizes):
+        georef = GeoRef(lon0=-20.0 + 7 * k, lat0=60.0 - 4 * k, px_deg=0.01 + 0.004 * k)
+        ox, oy, sx, sy = default_warp_window(prepped, georef, w, h)
+        yield (synth_pixels(k, w, h), georef,
+               WarpSpec("transverse_mercator", params, ox, oy, sx, sy, w, h), prepped)
+
+
+def _near_float32_ties(rng, shape, n):
+    k = rng.integers(1, n - 1, shape).astype(np.float32)
+    tie = k.astype(np.float64) + np.spacing(k).astype(np.float64) / 2
+    return tie + rng.integers(-3, 4, shape) * np.spacing(tie)
+
+
+def test_lattice_sampler_c_bit_identical(monkeypatch):
+    """The C lattice fill fused into the bilinear sampler equals the numpy
+    lattice fill → sample_bilinear → clip/uint8 cast bit for bit, on the
+    production lattices, on random node maps that reach past the image
+    border and on maps that sit on float32 rounding ties, and equals the
+    pure-numpy (PROJCL_NO_FASTCODEC=1) warp."""
+    from projcl_ray import fastcodec
+    from projcl_ray.warp import _lattice_axis, _lattice_fill, _lattice_nodes, warp_images_u8
+
+    if fastcodec.lib() is None:
+        pytest.skip("no C compiler in this environment")
+    rng = np.random.default_rng(12)
+    cases = list(_lattice_cases())
+    with np.errstate(all="ignore"):
+        for img, georef, spec, prepped in cases:
+            w, h = spec.width, spec.height
+            node_sets = [_lattice_nodes(georef, spec, prepped)]
+            assert node_sets[0] is not None, (w, h)
+            shape = node_sets[0][0].shape
+            node_sets.append([rng.uniform(-3, w + 3, shape), rng.uniform(-3, h + 3, shape)])
+            # maps a few float64 ulps off float32 rounding ties: any change
+            # to the fill's float64 operation order flips some of them
+            node_sets.append([_near_float32_ties(rng, shape, n) for n in (w, h)])
+            for nodes in node_sets:
+                px, py = (_lattice_fill(v, w, h) for v in nodes)
+                ref = sample_bilinear(img, px, py)
+                axes = (_lattice_axis(w)[1:], _lattice_axis(h)[1:])
+                got_f = fastcodec.warp_lattice_bilinear_u8(img, *nodes, *axes, False)
+                got_u8 = fastcodec.warp_lattice_bilinear_u8(img, *nodes, *axes, True)
+                np.testing.assert_array_equal(got_f.view(np.uint32), ref.view(np.uint32))
+                np.testing.assert_array_equal(got_u8, np.clip(ref, 0, 255).astype(np.uint8))
+        fused = warp_images_u8(*zip(*[c[:3] for c in cases]), cases[0][3])
+        monkeypatch.setenv("PROJCL_NO_FASTCODEC", "1")
+        numpy_u8 = warp_images_u8(*zip(*[c[:3] for c in cases]), cases[0][3])
+    for f, n in zip(fused, numpy_u8):
+        assert f.dtype == n.dtype == np.uint8
+        np.testing.assert_array_equal(f, n)
+
+
+def _mixed_image_rows() -> "pa.Table":
+    """Images of 64/96/128 px, a 65×33 one, a 1-px-wide one and one whose
+    lattice fails (TM, lon0 60°, 0.5°/px), with source datums that differ
+    from NAD_27 and one that matches it."""
+    import pyarrow as pa
+
+    shapes = [(64, 64), (96, 128), (128, 96), (65, 33), (1, 40), (64, 64),
+              (128, 128), (96, 64), (64, 96)]
+    datums_ = ["WGS_84", "NAD_27", None, "WGS_84", "ED_50", "OSGB_36", "NAD_27", "WGS_84", "ED_50"]
+    rows = []
+    for i, ((w, h), datum) in enumerate(zip(shapes, datums_)):
+        lon0, lat0, px = (60.0, 70.0, 0.5) if i == 5 else (-30.0 + 9 * i, 55.0 - 5 * i, 0.02)
+        rows.append({"image_id": f"img{i}", "caption": f"scene {i}",
+                     "bytes": encode_image(synth_pixels(i, w, h)), "w": w, "h": h,
+                     "fmt": "raw", "lon0": lon0, "lat0": lat0, "px_deg": px,
+                     "src_datum": datum})
+    return pa.Table.from_pylist(rows)
+
+
+def test_warp_tile_batch_equals_per_image():
+    """WarpTileActor's batched phases give, column for column and bit for
+    bit, what warping the images one by one through the public calls gives
+    (default_warp_window → warp_image → clip/uint8 → cut_tiles → tile-centre
+    inverse → cell_id); splitting the rows into batches of 1, 5 or 16 gives
+    the same table, and a 0-row batch gives the typed 13-column schema."""
+    import warnings
+
+    import pyarrow as pa
+
+    from projcl_ray import index, ops
+    from projcl_ray.warp import _lattice_pixels
+
+    params = ProjParams(spheroid="WGS_84")
+    prepped = prepare("transverse_mercator", params)
+    tbl = _mixed_image_rows()
+    actor = ops.WarpTileActor("transverse_mercator", params, tile_size=64, dst_datum="NAD_27")
+
+    ref: dict[str, list] = {c: [] for c in ("image_id", "caption", "cell_id", "tile_col",
+                                            "tile_row", "tile_idx", "bytes", "center_lon",
+                                            "center_lat")}
+    lattice_failed = 0
+    for r in tbl.to_pylist():
+        w, h = r["w"], r["h"]
+        georef = GeoRef(r["lon0"], r["lat0"], r["px_deg"])
+        ox, oy, sx, sy = default_warp_window(prepped, georef, w, h)
+        spec = WarpSpec("transverse_mercator", params, ox, oy, sx, sy, w, h,
+                        src_datum=r["src_datum"], dst_datum="NAD_27")
+        with np.errstate(all="ignore"):
+            lattice_failed += w > 1 and _lattice_pixels(georef, spec, prepped) is None
+            warped = warp_image(decode_image(r["bytes"], w, h, "raw"), georef, spec, prepped)
+            warped = np.clip(warped, 0, 255).astype(np.uint8)
+        tiles = list(index.cut_tiles(warped, 64))
+        tx = np.array([t[0] for t in tiles])
+        ty = np.array([t[1] for t in tiles])
+        cx = ox + sx * np.minimum((tx + 0.5) * 64 / max(w - 1, 1), 1.0)
+        cy = oy + sy * np.minimum((ty + 0.5) * 64 / max(h - 1, 1), 1.0)
+        with np.errstate(all="ignore"):
+            clon, clat = prepped.inverse(cx, cy)
+        for k, (c, row_, idx, pix) in enumerate(tiles):
+            ref["image_id"].append(r["image_id"])
+            ref["caption"].append(r["caption"])
+            ref["tile_col"].append(c)
+            ref["tile_row"].append(row_)
+            ref["tile_idx"].append(idx)
+            ref["bytes"].append(encode_image(pix))
+        ref["cell_id"] += index.cell_id(clon, clat).tolist()
+        ref["center_lon"] += clon.tolist()
+        ref["center_lat"] += clat.tolist()
+    assert lattice_failed == 1
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the 1-px-wide image's NaN cast is silent
+        got = pa.concat_tables([actor(tbl.slice(s, 16)) for s in range(0, tbl.num_rows, 16)])
+    assert got.num_columns == 13
+    n = got.num_rows
+    assert n == len(ref["bytes"])
+    for name, vals in ref.items():
+        assert got[name].to_pylist() == vals, name
+    for name in ("tile_size", "w", "h"):
+        assert got[name].to_pylist() == [64] * n, name
+    assert got["fmt"].to_pylist() == ["raw"] * n
+    for size in (1, 5):
+        split = pa.concat_tables([actor(tbl.slice(s, size)) for s in range(0, tbl.num_rows, size)])
+        assert split.equals(got), size
+    empty = actor(tbl.slice(0, 0))
+    assert empty.num_rows == 0 and empty.schema.equals(got.schema)
+
+
 def test_projected_source_identity_warp():
     """Full 8-step path with a source image stored IN a projection
     (projcl_warp.h:30-82): dest grid → inverse → geographic → forward into the

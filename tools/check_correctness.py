@@ -33,7 +33,8 @@ def canon(df: pd.DataFrame) -> pd.DataFrame:
     df = df[sorted(df.columns)].copy()
     for c in df.columns:
         if df[c].dtype == object:
-            df[c] = df[c].astype(str)
+            # astype(str) decodes bytes as UTF-8: hash blobs by their hex
+            df[c] = df[c].map(lambda v: v.hex() if isinstance(v, bytes) else v).astype(str)
     return df.sort_values(list(df.columns), kind="stable").reset_index(drop=True)
 
 
