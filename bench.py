@@ -126,22 +126,6 @@ def run_suite() -> dict:
         timings["rasterize"] = time.time() - t0
         extra["raster_tiles"] = int(n_rtiles)
 
-    # --- as-of feature join over the events log ---
-    # inputs staged untimed (same policy as the image corpus above): the
-    # timed region is the JOIN, not the upstream filter/aggregate pipelines
-    if _want("asof_join"):
-        from ray.data.aggregate import Sum as _Sum
-
-        ev = rd.read_parquet(f"{SF_DIR}/events.parquet",
-                             columns=["event_id", "user_id", "ts", "event_type", "value"])
-        left = ev.filter(expr="event_type == 'purchase'").drop_columns(["event_type"]).materialize()
-        right = ev.filter(expr="event_type == 'click'").groupby(["user_id", "ts"]).aggregate(
-            _Sum("value", alias_name="click_value")
-        ).materialize()
-        t0 = time.time()
-        ops.asof_join(left, right, on="ts", by="user_id", n_parts=64).count()
-        timings["asof_join"] = time.time() - t0
-
     ray.shutdown()
 
     out = {

@@ -138,7 +138,6 @@ def synth_pixels(seed: int, w: int, h: int) -> np.ndarray:
 
 _SIZES = (64, 96, 128)
 _PXDEG = (0.01, 0.02, 0.05)
-_PROJS = ("mercator", "transverse_mercator", "lambert_conformal_conic")
 
 
 def synth_images_table(n_rows: int, seed: int = 42, dup_every: int = 97,

@@ -38,6 +38,7 @@ from .geodesic import (
     SPHERE_RADIUS,
     forward_sphere,
     haversine,
+    karney_direct,
     karney_inverse,
     vincenty_direct,
     vincenty_inverse,
@@ -65,30 +66,6 @@ def _cached(key, builder):
     if got is None:
         got = _STATE_CACHE[key] = builder()
     return got
-
-
-def hash_key_u64(arr) -> np.ndarray:
-    """Dtype-agnostic, process-stable 64-bit key hash for partitioning and
-    sampling. Integer keys pass through UNCHANGED (so integer-key behavior is
-    reproducible in SQL); strings/UUIDs/other dtypes hash via
-    ``pandas.util.hash_array`` (fixed-key siphash, deterministic across
-    processes and runs)."""
-    a = np.asarray(arr)
-    if np.issubdtype(a.dtype, np.integer):
-        return a.astype(np.uint64)
-    import pandas as pd
-
-    if not isinstance(a, np.ndarray) or a.dtype.kind not in "OUSV":
-        a = np.asarray(a, dtype=object)
-    return pd.util.hash_array(a, categorize=False).astype(np.uint64)
-
-
-def _adaptive_parts(n_rows: int, rows_per_part: int = 200_000,
-                    minimum: int = 64, maximum: int = 1 << 16) -> int:
-    """Bounded-group shuffle sizing: one part ≈ ``rows_per_part`` rows, so
-    per-part worker memory stays constant as the corpus grows (the fixed
-    n_parts=256 pattern grew per-part memory linearly with corpus size)."""
-    return int(min(maximum, max(minimum, -(-int(n_rows) // rows_per_part))))
 
 
 class _NumpyColumns(dict):
@@ -184,6 +161,15 @@ def shift_datum(
 # Geodesic stages
 # ---------------------------------------------------------------------------
 
+_ELL_INVERSE = {"vincenty": vincenty_inverse, "karney": karney_inverse}
+_ELL_DIRECT = {"vincenty": vincenty_direct, "karney": karney_direct}
+
+
+def _check_method(method: str, accepted) -> None:
+    """Reject a geodesic method the stage does not implement, at build time."""
+    if method not in accepted:
+        raise ValueError(f"unknown geodesic method {method!r}; expected one of {sorted(accepted)}")
+
 
 def geodesic_distance(
     ds: ray.data.Dataset,
@@ -200,13 +186,14 @@ def geodesic_distance(
 ) -> ray.data.Dataset:
     """Row-wise inverse geodesic (pl_inverse_geodesic_s semantics for
     'haversine'; ellipsoidal 'vincenty' (Karney rescue on the antipodal
-    subset) or pure 'karney' otherwise, incl. azimuth columns)."""
+    subset) or pure 'karney', incl. azimuth columns)."""
+    _check_method(method, {"haversine", *_ELL_INVERSE})
 
     def _hav(cols: dict) -> dict:
         return {out: haversine(cols[lon1], cols[lat1], cols[lon2], cols[lat2], radius)}
 
     def _ell(cols: dict) -> dict:
-        solver = karney_inverse if method == "karney" else vincenty_inverse
+        solver = _ELL_INVERSE[method]
         d, a12, a21 = solver(cols[lon1], cols[lat1], cols[lon2], cols[lat2], spheroid)
         return {out: d, "azi1_deg": a12, "azi2_deg": a21}
 
@@ -228,7 +215,9 @@ def forward_geodesic(
 ) -> ray.data.Dataset:
     """“Blast radius” fan-out: each input point × each azimuth → destination
     point rows (the reference's fixed-distance cross product,
-    src/projcl_run.c:694-745, as a controlled flat-map)."""
+    src/projcl_run.c:694-745, as a controlled flat-map): 'sphere',
+    'vincenty' or 'karney'."""
+    _check_method(method, {"sphere", *_ELL_DIRECT})
     az = np.asarray(list(azimuths_deg), np.float64)
 
     def _fan(batch: pa.Table) -> pa.Table:
@@ -237,12 +226,9 @@ def forward_geodesic(
         n, m = len(lon), len(az)
         if method == "sphere":
             lon2, lat2 = forward_sphere(lon[:, None], lat[:, None], az[None, :], distance_m, radius)
-        elif method == "karney":
-            from .geodesic import karney_direct
-
-            lon2, lat2, _ = karney_direct(lon[:, None], lat[:, None], az[None, :], distance_m, spheroid)
         else:
-            lon2, lat2, _ = vincenty_direct(lon[:, None], lat[:, None], az[None, :], distance_m, spheroid)
+            lon2, lat2, _ = _ELL_DIRECT[method](lon[:, None], lat[:, None], az[None, :],
+                                                distance_m, spheroid)
         out = batch.take(pa.array(np.repeat(np.arange(n), m)))
         out = out.append_column("azimuth_deg", pa.array(np.tile(az, n)))
         out = out.append_column("lon2", pa.array(lon2.ravel()))
@@ -837,87 +823,6 @@ def knn_join(
     return ds.map_batches(_knn, batch_format="pyarrow", batch_size=batch_size)
 
 
-def stratified_sample(
-    ds: ray.data.Dataset,
-    key_col: str,
-    strata_col: str,
-    fractions: dict,
-    *,
-    default: float = 0.0,
-    seed: int = 1,
-    batch_size: int | None = None,
-) -> ray.data.Dataset:
-    """Per-stratum deterministic sampling: each stratum (language, source,
-    cell, priority ...) keeps its own fraction, rows selected by the SAME
-    key-hash as :func:`deterministic_sample` — group-consistent, run-stable,
-    and SQL-reproducible for integer keys. Strata absent from ``fractions``
-    use ``default`` (0 = drop). The fractions map is tiny and closure-shipped."""
-    thr = {k: np.uint64(int(f * 4294967296.0)) for k, f in fractions.items()}
-    thr_default = np.uint64(int(default * 4294967296.0))
-
-    def _sample(batch: pa.Table) -> pa.Table:
-        keys = hash_key_u64(np.asarray(batch[key_col]))
-        mixed = keys + np.uint64(seed) * np.uint64(2654435769)
-        h = (mixed * np.uint64(2654435761)) % np.uint64(4294967296)
-        # vectorized stratum→threshold: dictionary-encode the strata column
-        # (one pass in Arrow C++), map only the few DISTINCT values through
-        # the fractions dict, then gather — no per-row Python
-        import pyarrow.compute as pc
-
-        enc = pc.dictionary_encode(batch[strata_col].combine_chunks())
-        # null strata take thr_default: append a sentinel LUT slot and route
-        # null dictionary indices (which round-trip as float NaN otherwise)
-        # to it before the gather
-        lut = np.array([thr.get(s, thr_default) for s in enc.dictionary.to_pylist()]
-                       + [thr_default], np.uint64)
-        idx = pc.fill_null(enc.indices, len(lut) - 1).to_numpy(zero_copy_only=False)
-        limit = lut[idx.astype(np.int64)]
-        return batch.filter(pa.array(h < limit))
-
-    return ds.map_batches(_sample, batch_format="pyarrow", batch_size=batch_size)
-
-
-def group_quantiles(
-    ds: ray.data.Dataset,
-    key_col: str,
-    col: str,
-    qs: list[float],
-) -> ray.data.Dataset:
-    """Exact per-group quantiles (DuckDB quantile_disc semantics): one
-    payload-free groupby shuffle of (key, value), then a vectorized sort +
-    rank-select per group. The group is the unit of memory (bounded by
-    per-key volume, like sessionize); for single groups larger than a worker
-    use :func:`distributed_quantiles` on the filtered key instead.
-
-    Output columns ``q<percent>`` (q25, q50, q99) for two-decimal quantiles;
-    finer quantiles keep their full digits (0.995 → q995) so labels never
-    collide — duplicate labels raise."""
-    import pandas as pd
-
-    def _label(q: float) -> str:
-        pct = q * 100.0
-        if pct == int(pct):
-            return f"q{int(pct):02d}"
-        return "q" + format(q, ".10g")[2:]  # 0.995 -> q995 (no truncation)
-
-    labels = [_label(q) for q in qs]
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"duplicate quantile labels {labels} for qs={qs}")
-
-    def per_group(group: "pd.DataFrame") -> "pd.DataFrame":
-        v = np.sort(group[col].to_numpy(np.float64))
-        n = len(v)
-        row = {key_col: [group[key_col].iloc[0]]}
-        for q, lab in zip(qs, labels):
-            idx = min(max(int(np.ceil(q * n)) - 1, 0), n - 1)
-            row[lab] = [float(v[idx])]
-        return pd.DataFrame(row)
-
-    return ds.select_columns([key_col, col]).groupby(key_col).map_groups(
-        per_group, batch_format="pandas"
-    )
-
-
 def knn_join_large(
     queries: ray.data.Dataset,
     targets: ray.data.Dataset,
@@ -1234,7 +1139,9 @@ def forward_geodesic_fixed_angle(
 ) -> ray.data.Dataset:
     """Great-circle trace: ONE origin + fixed azimuth × a Dataset of distances
     (pl_forward_geodesic_fixed_angle_s, src/projcl_run.c:747-787). The origin
-    is broadcast; each distance row gains (lon2, lat2)."""
+    is broadcast; each distance row gains (lon2, lat2). Methods: 'sphere'
+    or 'vincenty'."""
+    _check_method(method, {"sphere", "vincenty"})
 
     def _trace(cols: dict) -> dict:
         d = np.asarray(cols[dist_col], np.float64)
@@ -1612,456 +1519,3 @@ def pip_join_large(
     # a (point, poly) pair can match in one cell only (the point's cell), so
     # no cross-cell dedup is needed — every point has exactly one cell_id.
     return joined
-
-
-def exact_quantiles(
-    ds: ray.data.Dataset,
-    col: str,
-    qs: list[float],
-    *,
-    batch_size: int | None = None,
-    driver_concat: bool = False,
-) -> dict[float, float]:
-    """Exact quantiles of a numeric column, DuckDB quantile_disc semantics
-    (the value at 1-based rank ceil(q·n)).
-
-    Default path = :func:`distributed_quantiles`: exact at any scale with
-    bounded driver memory (bracket refinement — no column concat, no sketch
-    approximation error, so the SQL oracle stays hash-green). The legacy
-    ``driver_concat=True`` path pulls the whole sorted column to the driver —
-    only for small data / cross-checking the distributed path in tests."""
-    if not driver_concat:
-        return distributed_quantiles(ds, col, qs, batch_size=batch_size)
-
-    def partial(cols: dict) -> dict:
-        return {col: np.sort(np.asarray(cols[col], np.float64))}
-
-    parts = map_columns(ds.select_columns([col]), partial, batch_size=batch_size)
-    vals = np.sort(np.concatenate(
-        [np.asarray(b[col]) for b in parts.iter_batches(batch_format="numpy")]
-    ))
-    n = len(vals)
-    out = {}
-    for q in qs:
-        # quantile_disc: value at index ceil(q*n) - 1 (1-based), clamped
-        idx = min(max(int(np.ceil(q * n)) - 1, 0), n - 1)
-        out[q] = float(vals[idx])
-    return out
-
-
-def distributed_quantiles(
-    ds: ray.data.Dataset,
-    col: str,
-    qs: list[float],
-    *,
-    batch_size: int | None = None,
-    n_splits: int = 512,
-    max_collect: int = 4_000_000,
-    max_rounds: int = 8,
-) -> dict[float, float]:
-    """EXACT quantiles with bounded driver memory — the scale path that
-    replaced the driver-side column concat (and makes a lossy KLL/t-digest
-    sketch unnecessary: same mergeable-partial plumbing, zero rank error).
-
-    Plan (each pass is one streaming map over the single selected column):
-    1. per-block evenly-spaced sorted samples → driver picks ~n_splits
-       candidate split points;
-    2. per-block ``searchsorted`` counts below each split → driver locates,
-       for every requested rank, the [lo, hi) bracket that provably contains
-       it (count(<lo) ≤ rank < count(<hi));
-    3. collect ONLY the bracket values (≈ n/n_splits each, ``max_collect``
-       guarded — oversized brackets re-split for another round) and select
-       the exact rank inside.
-
-    Assumes no NaNs in the column (parquet nulls should be filtered
-    upstream). Passes re-execute the upstream plan, so feed it a cheap scan
-    (e.g. a column-pruned ``read_parquet``), not an expensive pipeline.
-    """
-    slim = ds.select_columns([col])
-
-    def sample_block(batch: dict) -> dict:
-        v = np.asarray(batch[col], np.float64)
-        if len(v) == 0:
-            return {"s": v}
-        k = min(len(v), 256)
-        idx = np.linspace(0, len(v) - 1, k).astype(np.int64)
-        return {"s": np.sort(v)[idx]}
-
-    sampled = slim.map_batches(sample_block, batch_format="numpy", batch_size=batch_size)
-    pool = np.concatenate(
-        [np.asarray(b["s"]) for b in sampled.iter_batches(batch_format="numpy")] or
-        [np.empty(0, np.float64)]
-    )
-    if len(pool) == 0:
-        return {q: float("nan") for q in qs}
-    splits = np.unique(np.quantile(pool, np.linspace(0.0, 1.0, n_splits)))
-
-    def make_counts(spl: np.ndarray):
-        def count_below(batch: dict) -> dict:
-            v = np.sort(np.asarray(batch[col], np.float64))
-            c = np.searchsorted(v, spl, side="left").astype(np.int64)
-            return {"c": c[None, :], "n": np.array([len(v)], np.int64)}
-
-        return count_below
-
-    out: dict[float, float] = {}
-    # ranks (0-based) still unresolved → iterate bracket refinement
-    for round_no in range(max_rounds):
-        counted = slim.map_batches(make_counts(splits), batch_format="numpy",
-                                   batch_size=batch_size)
-        cb = np.zeros(len(splits), np.int64)
-        total = 0
-        for b in counted.iter_batches(batch_format="numpy"):
-            cb += np.asarray(b["c"]).sum(axis=0)
-            total += int(np.asarray(b["n"]).sum())
-        targets = {q: min(max(int(np.ceil(q * total)) - 1, 0), total - 1) for q in qs
-                   if q not in out}
-        brackets: dict[float, tuple[float, float, int]] = {}
-        sizes: dict[tuple[float, float], int] = {}
-        for q, t in targets.items():
-            below = np.nonzero(cb <= t)[0]
-            above = np.nonzero(cb > t)[0]
-            lo = splits[below[-1]] if len(below) else -np.inf
-            hi = splits[above[0]] if len(above) else np.inf
-            lo_count = int(cb[below[-1]]) if len(below) else 0
-            hi_count = int(cb[above[0]]) if len(above) else total
-            brackets[q] = (lo, hi, lo_count)
-            sizes[(lo, hi)] = hi_count - lo_count
-        uniq = sorted(sizes)
-
-        def in_brackets(v: np.ndarray) -> np.ndarray:
-            mask = np.zeros(len(v), bool)
-            for lo, hi in uniq:
-                mask |= (v >= lo) & (v < hi)
-            return mask
-
-        if sum(sizes.values()) > max_collect and round_no < max_rounds - 1:
-            # pathological skew: the exact counts (NOT a collect) say the
-            # brackets exceed the driver budget — re-split from a bounded
-            # per-block SAMPLE of the bracket interiors and try again
-            def bracket_samples(batch: dict) -> dict:
-                v = np.asarray(batch[col], np.float64)
-                v = np.sort(v[in_brackets(v)])
-                if len(v) == 0:
-                    return {"s": v}
-                idx = np.linspace(0, len(v) - 1, min(len(v), 256)).astype(np.int64)
-                return {"s": v[idx]}
-
-            pool = np.concatenate(
-                [np.asarray(b["s"]) for b in
-                 slim.map_batches(bracket_samples, batch_format="numpy",
-                                  batch_size=batch_size).iter_batches(batch_format="numpy")]
-                or [np.empty(0, np.float64)]
-            )
-            refined = np.unique(np.quantile(pool, np.linspace(0.0, 1.0, n_splits))) \
-                if len(pool) else np.empty(0, np.float64)
-            new_splits = np.unique(np.concatenate([splits, refined]))
-            if len(new_splits) == len(splits):  # duplicates can't split further
-                pass  # fall through and collect (exactness over the budget)
-            else:
-                splits = new_splits
-                continue
-
-        def collect(batch: dict) -> dict:
-            v = np.asarray(batch[col], np.float64)
-            return {col: v[in_brackets(v)]}
-
-        vals = np.sort(np.concatenate(
-            [np.asarray(b[col]) for b in
-             slim.map_batches(collect, batch_format="numpy", batch_size=batch_size)
-             .iter_batches(batch_format="numpy")] or [np.empty(0, np.float64)]
-        ))
-        for q, (lo, hi, lo_count) in brackets.items():
-            # vals holds every value in all brackets; restrict to this one
-            seg = vals[(vals >= lo) & (vals < hi)]
-            out[q] = float(seg[targets[q] - lo_count])
-        break
-    return out
-
-
-class BloomFilter:
-    """Vectorized Bloom filter over 64-bit key hashes (double hashing
-    h1 + i·h2, Kirsch–Mitzenmacher): the broadcastable stand-in for an exact
-    key set when the set itself would strain the object store. Sized from the
-    standard m = −n·ln p/ln²2, k = (m/n)·ln 2 formulas."""
-
-    def __init__(self, n_keys: int, fpr: float = 0.01):
-        n_keys = max(int(n_keys), 1)
-        m = int(np.ceil(-n_keys * np.log(fpr) / (np.log(2.0) ** 2)))
-        self.m = max(m, 64)
-        self.k = max(1, int(round(self.m / n_keys * np.log(2.0))))
-        self.bits = np.zeros((self.m + 63) // 64, np.uint64)
-
-    def _h12(self, keys) -> tuple[np.ndarray, np.ndarray]:
-        h = hash_key_u64(keys)
-        h1 = (h ^ (h >> np.uint64(33))) * np.uint64(0xFF51AFD7ED558CCD)
-        h2 = ((h >> np.uint64(29)) ^ h) * np.uint64(0xC4CEB9FE1A85EC53) | np.uint64(1)
-        return h1, h2
-
-    def add(self, keys) -> "BloomFilter":
-        h1, h2 = self._h12(keys)
-        for i in range(self.k):
-            idx = (h1 + np.uint64(i) * h2) % np.uint64(self.m)
-            np.bitwise_or.at(self.bits, (idx >> np.uint64(6)).astype(np.int64),
-                             np.uint64(1) << (idx & np.uint64(63)))
-        return self
-
-    def might_contain(self, keys) -> np.ndarray:
-        h1, h2 = self._h12(keys)
-        out = np.ones(len(h1), bool)
-        for i in range(self.k):
-            idx = (h1 + np.uint64(i) * h2) % np.uint64(self.m)
-            word = self.bits[(idx >> np.uint64(6)).astype(np.int64)]
-            out &= (word >> (idx & np.uint64(63))) & np.uint64(1) != 0
-        return out
-
-
-def range_join(
-    ds: ray.data.Dataset,
-    intervals: list[tuple],
-    value_col: str,
-    *,
-    id_out: str = "interval_id",
-    batch_size: int | None = None,
-) -> ray.data.Dataset:
-    """Non-equi INTERVAL join against a broadcast interval table: each row
-    matches the interval [lo, hi) containing ``value_col``. ``intervals`` is
-    (id, lo, hi) with sorted, non-overlapping ranges, so matching is ONE
-    vectorized searchsorted per batch — the shape of a banding/range join at
-    any corpus size (the interval table is small by nature; rows outside
-    every interval drop, i.e. inner semantics)."""
-    iv = sorted(intervals, key=lambda t: t[1])
-    ids = np.asarray([t[0] for t in iv])
-    los = np.asarray([t[1] for t in iv], np.float64)
-    his = np.asarray([t[2] for t in iv], np.float64)
-    if np.any(his[:-1] > los[1:]):
-        raise ValueError("intervals must be non-overlapping")
-    ref = ray.put((ids, los, his))
-
-    def _match(batch: pa.Table) -> pa.Table:
-        _ids, _los, _his = _cached(("rangejoin", ref.hex()), lambda: ray.get(ref))
-        v = np.asarray(batch[value_col], np.float64)
-        idx = np.searchsorted(_los, v, side="right") - 1
-        ok = (idx >= 0) & (v < _his[np.clip(idx, 0, len(_his) - 1)])
-        out = batch.filter(pa.array(ok))
-        return out.append_column(id_out, pa.array(_ids[idx[ok]]))
-
-    return ds.map_batches(_match, batch_format="pyarrow", batch_size=batch_size)
-
-
-def asof_join(
-    left: ray.data.Dataset,
-    right: ray.data.Dataset,
-    *,
-    on: str = "ts",
-    by: str = "user_id",
-    right_suffix: str = "_ref",
-    n_parts: int | None = None,
-) -> ray.data.Dataset:
-    """Distributed AS-OF join (DuckDB `ASOF JOIN` semantics, inner): each
-    left row matches the LATEST right row of the same ``by`` key with
-    ``right.on <= left.on``; left rows with no earlier right row drop.
-
-    Scale shape: both sides hash-partition on the ``by`` key into bounded
-    groups (count-adaptive like sessionize), and each part runs ONE
-    vectorized ``pandas.merge_asof`` — the classic feature-join for
-    training-data pipelines (attach the most recent profile/stats row to
-    every event) without ever materializing either table globally.
-    Right-side non-key columns are suffixed and keep their EXACT dtypes
-    (ints stay int64, strings stay strings): schema harmonization uses typed
-    FILLERS instead of nulls (so pandas never upcasts), and the asof match
-    gathers right rows by local row index rather than merging value columns
-    through float64. Ties in right ``on`` within a key are the caller's to
-    break (pre-aggregate right to unique (by, on)).
-
-    ``n_parts=None`` materializes both inputs once (object store, spillable)
-    so the adaptive sizing's count() is metadata-free and the shuffle reads
-    the materialized blocks instead of re-executing computed pipelines; pass
-    ``n_parts`` explicitly to keep fully streaming ingest."""
-    import pandas as pd
-
-    if n_parts is None:
-        left = left.materialize()
-        right = right.materialize()
-        n_parts = _adaptive_parts(left.count() + right.count())
-
-    l_schema = left.schema().base_schema
-    r_schema = right.schema().base_schema
-    l_cols = list(l_schema.names)
-    r_val_cols = [c for c in r_schema.names if c not in (on, by)]
-    r_out = {c: c + right_suffix if c in l_cols else c for c in r_val_cols}
-    on_ref = on + right_suffix  # right's own timestamp, kept as a value col
-
-    def _filler(typ: pa.DataType, n: int) -> pa.Array:
-        """Typed filler column (NOT nulls — nulls make pandas upcast int64
-        to float64 inside groups; filler rows are dropped before the merge,
-        so their values never surface)."""
-        if pa.types.is_integer(typ) or pa.types.is_floating(typ):
-            val: object = 0
-        elif pa.types.is_string(typ) or pa.types.is_large_string(typ):
-            val = ""
-        elif pa.types.is_boolean(typ):
-            val = False
-        elif pa.types.is_binary(typ) or pa.types.is_large_binary(typ):
-            val = b""
-        else:  # exotic types (lists/timestamps): nulls, caller beware
-            return pa.nulls(n, typ)
-        return pa.array([val] * n, typ)
-
-    def tag_left(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        batch = batch.append_column("asof_role", pa.array(np.zeros(n, np.int8)))
-        for c in r_val_cols:
-            batch = batch.append_column(r_out[c], _filler(r_schema.field(c).type, n))
-        batch = batch.append_column(on_ref, _filler(r_schema.field(on).type, n))
-        return batch.select(sorted(batch.column_names))
-
-    def tag_right(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        out = {by: batch[by], on: batch[on], on_ref: batch[on]}
-        for c in r_val_cols:
-            out[r_out[c]] = batch[c]
-        t = pa.table(out)
-        t = t.append_column("asof_role", pa.array(np.ones(n, np.int8)))
-        for c in l_cols:
-            if c not in t.column_names:
-                t = t.append_column(c, _filler(l_schema.field(c).type, n))
-        return t.select(sorted(t.column_names))
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        part = (hash_key_u64(np.asarray(batch[by])) * np.uint64(2654435761)) % np.uint64(n_parts)
-        return batch.append_column("asof_part", pa.array(part.astype(np.int64)))
-
-    # tag and partition fused into one pass per side (one fewer map stage)
-    both = left.map_batches(lambda b: add_part(tag_left(b)), batch_format="pyarrow").union(
-        right.map_batches(lambda b: add_part(tag_right(b)), batch_format="pyarrow")
-    )
-
-    out_cols = l_cols + [on_ref] + [r_out[c] for c in r_val_cols]
-    r_gather_cols = [on_ref] + [r_out[c] for c in r_val_cols]
-
-    def join_part(group: "pd.DataFrame") -> "pd.DataFrame":
-        lf = group[group["asof_role"] == 0]
-        rf = group[group["asof_role"] == 1]
-        if not len(lf) or not len(rf):
-            return lf.iloc[0:0][out_cols].copy()
-        lf = lf[l_cols].sort_values(on, kind="stable")
-        rf = rf.sort_values(on, kind="stable").reset_index(drop=True)
-        # match by LOCAL ROW INDEX, then gather right columns dtype-exactly:
-        # only the index rides through merge_asof's NaN-capable float path
-        # (row indices are < 2^53, so the float round-trip is exact)
-        ridx = rf[[by, on]].assign(__ridx=np.arange(len(rf), dtype=np.int64))
-        m = pd.merge_asof(lf, ridx, on=on, by=by, direction="backward")
-        hit = m["__ridx"].notna().to_numpy()
-        m = m[hit]
-        take = m["__ridx"].to_numpy(np.float64).astype(np.int64)
-        m = m.drop(columns=["__ridx"])
-        for c in r_gather_cols:
-            m[c] = rf[c].to_numpy()[take]
-        return m[out_cols]
-
-    return both.groupby("asof_part").map_groups(join_part, batch_format="pandas")
-
-
-def topk_per_group(
-    ds: ray.data.Dataset,
-    key_col: str,
-    by_col: str,
-    k: int,
-    *,
-    descending: bool = True,
-    tie_col: str | None = None,
-    batch_size: int | None = None,
-) -> ray.data.Dataset:
-    """Top-k rows per group — the pre-aggregate-before-shuffle shape: each
-    batch keeps only its LOCAL top-k per key (a mergeable partial, so a hot
-    key contributes ≤ k rows per batch to the shuffle instead of all its
-    rows), then a small per-key merge finishes. Ties in ``by_col`` break by
-    ``tie_col`` ascending (matching SQL's ROW_NUMBER ORDER BY ... , tie)."""
-    import pandas as pd
-
-    tie = [tie_col] if tie_col else []
-
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        g = batch.sort_values([by_col] + tie, ascending=[not descending] + [True] * len(tie),
-                              kind="stable")
-        return g.groupby(key_col, sort=False).head(k)
-
-    def merge(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values([by_col] + tie, ascending=[not descending] + [True] * len(tie),
-                              kind="stable").head(k)
-        return g.assign(group_rank=np.arange(len(g), dtype=np.int32))
-
-    partials = ds.map_batches(partial, batch_format="pandas", batch_size=batch_size)
-    return partials.groupby(key_col).map_groups(merge, batch_format="pandas")
-
-
-def semi_join_keys(
-    ds: ray.data.Dataset,
-    keys,
-    key_col: str,
-    *,
-    anti: bool = False,
-    bloom_fpr: float | None = None,
-    batch_size: int | None = None,
-) -> ray.data.Dataset:
-    """Semi/anti join against a broadcast key set (the guide's pattern for
-    one-small-side joins): the key set ships once via ray.put, each batch
-    filters with a vectorized np.isin. ``anti=True`` keeps non-matching rows.
-
-    ``bloom_fpr`` switches the broadcast to a :class:`BloomFilter` (~10 bits
-    per key at 1% FPR vs 8+ bytes for the exact set) — the 100 TB pre-filter:
-    the SEMI join then passes ≤ fpr extra rows (follow with an exact join if
-    exactness matters); an ANTI join would DROP true rows on false positives,
-    so it stays exact-set only (ValueError)."""
-    if bloom_fpr is not None:
-        if anti:
-            raise ValueError("Bloom pre-filter would drop rows on false "
-                             "positives — anti joins require the exact set")
-        uk = np.unique(np.asarray(keys))
-        ref = ray.put(BloomFilter(len(uk), bloom_fpr).add(uk))
-    else:
-        ref = ray.put(np.unique(np.asarray(keys)))
-
-    def _filter(batch: pa.Table) -> pa.Table:
-        keyset = _cached(("semijoin", ref.hex()), lambda: ray.get(ref))
-        col = np.asarray(batch[key_col])
-        if isinstance(keyset, BloomFilter):
-            mask = keyset.might_contain(col)
-        else:
-            mask = np.isin(col, keyset)
-        if anti:
-            mask = ~mask
-        # Table.filter keeps the typed schema on empty results (no
-        # empty-block schema-mismatch warnings downstream)
-        return batch.filter(pa.array(mask))
-
-    return ds.map_batches(_filter, batch_format="pyarrow", batch_size=batch_size)
-
-
-def deterministic_sample(
-    ds: ray.data.Dataset,
-    key_col: str,
-    fraction: float,
-    *,
-    seed: int = 1,
-    batch_size: int | None = None,
-) -> ray.data.Dataset:
-    """Deterministic, reproducible sampling by key hash (Knuth multiplicative
-    hashing on the integer key): a row is kept iff
-    ``(key * 2654435761 + seed) mod 2^32 < fraction * 2^32``.
-
-    Unlike ``ds.random_sample`` this is (a) stable across runs/cluster sizes,
-    (b) consistent for equal keys (all rows of a key are kept or dropped
-    together — sampling by GROUP, the usual requirement for training-data
-    splits), and (c) integer-exact, so reproducible in SQL."""
-    threshold = np.uint64(int(fraction * 4294967296.0))
-
-    def _sample(batch: pa.Table) -> pa.Table:
-        keys = hash_key_u64(np.asarray(batch[key_col]))
-        mixed = keys + np.uint64(seed) * np.uint64(2654435769)
-        h = (mixed * np.uint64(2654435761)) % np.uint64(4294967296)
-        # Table.filter keeps the typed schema on empty results
-        return batch.filter(pa.array(h < threshold))
-
-    return ds.map_batches(_sample, batch_format="pyarrow", batch_size=batch_size)

@@ -866,153 +866,6 @@ ORACLES["knn_join_large_customers_suppliers"] = ORACLES["knn_customers_suppliers
 
 
 # ---------------------------------------------------------------------------
-# Relational coverage (groupby/join/sort/window over the star schema)
-# ---------------------------------------------------------------------------
-
-
-@q(
-    "agg_lineitem_pricing",
-    """
-SELECT l_returnflag, l_linestatus,
-  CAST(floor(SUM(l_quantity)*100.0 + 0.5) AS BIGINT) AS sum_qty,
-  CAST(floor(SUM(l_extendedprice)*100.0 + 0.5) AS BIGINT) AS sum_price,
-  COUNT(*) AS n
-FROM lineitem GROUP BY l_returnflag, l_linestatus
-""",
-)
-def q_tpch_q1(sf_dir: str):
-    ds = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice"],
-    )
-    out = ds.groupby(["l_returnflag", "l_linestatus"]).aggregate(
-        Sum("l_quantity", alias_name="sum_qty"),
-        Sum("l_extendedprice", alias_name="sum_price"),
-        Count(alias_name="n"),
-    ).to_pandas()
-    # 2-decimal source values make sums integer-valued: quantize as cents with
-    # round-to-nearest so summation-order FP error cannot flip the result
-    out["sum_qty"] = np.floor(out["sum_qty"].to_numpy() * 100.0 + 0.5).astype(np.int64)
-    out["sum_price"] = np.floor(out["sum_price"].to_numpy() * 100.0 + 0.5).astype(np.int64)
-    return out
-
-
-@q(
-    "join_orders_per_nation",
-    """
-SELECT n.n_name, COUNT(*) AS n_orders
-FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey
-JOIN nation n ON c.c_nationkey = n.n_nationkey
-GROUP BY n.n_name
-""",
-)
-def q_orders_per_nation(sf_dir: str):
-    """Broadcast hash join: dimension tables (customer→nation map) built
-    driver-side and applied inside map_batches — no shuffle of the fact
-    table."""
-    import pyarrow.parquet as pq
-
-    cust = pq.read_table(f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"])
-    nat = pq.read_table(f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"])
-    nmap = dict(zip(nat["n_nationkey"].to_pylist(), nat["n_name"].to_pylist()))
-    cmap = dict(zip(cust["c_custkey"].to_pylist(), cust["c_nationkey"].to_pylist()))
-    lookup = {ck: nmap[nk] for ck, nk in cmap.items()}
-
-    ds = rd.read_parquet(f"{sf_dir}/orders.parquet", columns=["o_custkey"])
-
-    def attach(batch: pd.DataFrame) -> pd.DataFrame:
-        batch["n_name"] = batch["o_custkey"].map(lookup)
-        return batch
-
-    joined = ds.map_batches(attach, batch_format="pandas")
-    return joined.groupby("n_name").aggregate(Count(alias_name="n_orders"))
-
-
-@q(
-    "sort_top_orders",
-    """
-SELECT o_orderkey, CAST(floor(o_totalprice*100.0 + 0.5) AS BIGINT) AS price_m
-FROM orders ORDER BY o_totalprice DESC, o_orderkey LIMIT 10
-""",
-)
-def q_top_orders(sf_dir: str):
-    ds = rd.read_parquet(f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_totalprice"])
-    top = ds.sort(["o_totalprice", "o_orderkey"], descending=[True, False]).limit(10).to_pandas()
-    top["price_m"] = np.floor(top["o_totalprice"].to_numpy() * 100.0 + 0.5).astype(np.int64)
-    return top[["o_orderkey", "price_m"]]
-
-
-@q(
-    "topk_orders_per_priority",
-    """
-WITH r AS (SELECT o_orderpriority, o_orderkey, o_totalprice,
-  ROW_NUMBER() OVER (PARTITION BY o_orderpriority
-                     ORDER BY o_totalprice DESC, o_orderkey) AS rk
-  FROM orders)
-SELECT o_orderpriority, o_orderkey,
-  CAST(floor(o_totalprice*100.0 + 0.5) AS BIGINT) AS price_c,
-  CAST(rk - 1 AS BIGINT) AS group_rank
-FROM r WHERE rk <= 3
-""",
-)
-def q_topk_per_group(sf_dir: str):
-    """Grouped top-k via the per-batch-partial combiner (a hot group ships
-    ≤ k rows per batch, never its full volume)."""
-    ds = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                         columns=["o_orderpriority", "o_orderkey", "o_totalprice"])
-    out = ops.topk_per_group(ds, "o_orderpriority", "o_totalprice", 3,
-                             tie_col="o_orderkey").to_pandas()
-    out["price_c"] = np.floor(out["o_totalprice"].to_numpy() * 100.0 + 0.5).astype(np.int64)
-    out["group_rank"] = out["group_rank"].astype(np.int64)
-    return out[["o_orderpriority", "o_orderkey", "price_c", "group_rank"]]
-
-
-@q(
-    "events_hourly_window",
-    """
-SELECT event_type, date_trunc('hour', ts) AS window_start,
-  COUNT(*) AS n, CAST(floor(SUM(value)*100.0 + 0.5) AS BIGINT) AS sum_value
-FROM events GROUP BY event_type, date_trunc('hour', ts)
-""",
-)
-def q_events_window(sf_dir: str):
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["event_type", "ts", "value"])
-
-    def window(batch: pd.DataFrame) -> pd.DataFrame:
-        batch["window_start"] = batch["ts"].dt.floor("h").astype("datetime64[us]")
-        return batch[["event_type", "window_start", "value"]]
-
-    agg = ds.map_batches(window, batch_format="pandas").groupby(
-        ["event_type", "window_start"]
-    ).aggregate(Count(alias_name="n"), Sum("value", alias_name="sum_value"))
-    out = agg.to_pandas()
-    out["sum_value"] = np.floor(out["sum_value"].to_numpy() * 100.0 + 0.5).astype(np.int64)
-    return out
-
-
-@q(
-    "filter_high_value_orders",
-    """
-SELECT o_orderpriority, COUNT(*) AS n
-FROM orders WHERE o_totalprice > 1000.0 AND o_orderstatus = 'O'
-GROUP BY o_orderpriority
-""",
-)
-def q_filter(sf_dir: str):
-    import pyarrow.compute as pc
-
-    ds = rd.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderpriority", "o_totalprice", "o_orderstatus"]
-    )
-    ds = ds.map_batches(
-        lambda t: t.filter(pc.and_(pc.greater(t["o_totalprice"], 1000.0),
-                                   pc.equal(t["o_orderstatus"], "O"))),
-        batch_format="pyarrow",
-    )
-    return ds.groupby("o_orderpriority").aggregate(Count(alias_name="n"))
-
-
-# ---------------------------------------------------------------------------
 # Image pipelines (warp semantics are not SQL-expressible — rows-only checks;
 # the real pixel correctness gate is tests/test_warp.py's PSNR goldens)
 # ---------------------------------------------------------------------------
@@ -1532,75 +1385,8 @@ FROM r
 
 
 # ---------------------------------------------------------------------------
-# Window family over the events log (window.py)
+# Large-layer PIP, partitioned flagship, projected-source warp
 # ---------------------------------------------------------------------------
-
-
-@q(
-    "window_tumbling_15m",
-    """
-SELECT event_type,
-  to_timestamp(floor(epoch(ts) / 900.0) * 900.0)::TIMESTAMP AS window_start,
-  COUNT(*) AS n, CAST(floor(SUM(value)*100.0 + 0.5) AS BIGINT) AS sum_q
-FROM events GROUP BY 1, 2
-""",
-)
-def q_window_tumbling(sf_dir: str):
-    from . import window
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["event_type", "ts", "value"])
-    out = window.tumbling(ds, 900.0).to_pandas()
-    out["sum_q"] = np.floor(out["sum_value"].to_numpy() * 100.0 + 0.5).astype(np.int64)
-    return out[["event_type", "window_start", "n", "sum_q"]]
-
-
-@q(
-    "window_sliding_30m_hop15m",
-    """
-WITH e AS (SELECT event_type, value, epoch(ts) AS sec FROM events),
-w AS (SELECT *, floor(sec/900.0)*900.0 AS last_start FROM e),
-f AS (
-  SELECT event_type, value, last_start AS ws FROM w WHERE last_start <= sec AND sec < last_start + 1800.0
-  UNION ALL
-  SELECT event_type, value, last_start - 900.0 AS ws FROM w
-    WHERE last_start - 900.0 <= sec AND sec < last_start + 900.0
-)
-SELECT event_type, to_timestamp(ws)::TIMESTAMP AS window_start,
-  COUNT(*) AS n, CAST(floor(SUM(value)*100.0 + 0.5) AS BIGINT) AS sum_q
-FROM f GROUP BY 1, 2
-""",
-)
-def q_window_sliding(sf_dir: str):
-    from . import window
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["event_type", "ts", "value"])
-    out = window.sliding(ds, 1800.0, 900.0).to_pandas()
-    out["sum_q"] = np.floor(out["sum_value"].to_numpy() * 100.0 + 0.5).astype(np.int64)
-    return out[["event_type", "window_start", "n", "sum_q"]]
-
-
-@q(
-    "window_sessions",
-    """
-WITH e AS (SELECT user_id, ts, value,
-    lag(ts) OVER (PARTITION BY user_id ORDER BY ts) AS prev FROM events),
-m AS (SELECT *, CASE WHEN prev IS NULL
-    OR epoch_us(ts) - epoch_us(prev) > 3600000000 THEN 1 ELSE 0 END AS new_s FROM e),
-s AS (SELECT *, SUM(new_s) OVER (PARTITION BY user_id ORDER BY ts
-    ROWS UNBOUNDED PRECEDING) AS sid FROM m)
-SELECT user_id, MIN(ts) AS session_start, MAX(ts) AS session_end,
-  COUNT(*) AS n, CAST(floor(SUM(value)*100.0 + 0.5) AS BIGINT) AS sum_q
-FROM s GROUP BY user_id, sid
-""",
-)
-def q_window_sessions(sf_dir: str):
-    """Gaps-and-islands sessionization vs the SQL lag/cumsum formulation."""
-    from . import window
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id", "ts", "value"])
-    out = window.sessionize(ds, 3600.0).to_pandas()
-    out["sum_q"] = np.floor(out["sum_value"].to_numpy() * 100.0 + 0.5).astype(np.int64)
-    return out[["user_id", "session_start", "session_end", "n", "sum_q"]]
 
 
 @q("pip_join_large_boxes", ORACLES["pip_join_boxes"])  # same oracle: paths must agree
@@ -1620,89 +1406,6 @@ def q_pip_large(sf_dir: str):
     agg["n"] = agg["n"].astype(np.int64)
     agg["sum_ok"] = agg["sum_ok"].astype(np.int64)
     return agg
-
-
-_PRICE_BANDS = [("b0", 0.0, 50000.0), ("b1", 50000.0, 150000.0),
-                ("b2", 150000.0, 300000.0), ("b3", 300000.0, 450000.0)]
-_BANDS_SQL = " UNION ALL ".join(
-    f"SELECT '{i}' AS interval_id, {lo!r} AS lo, {hi!r} AS hi" for i, lo, hi in _PRICE_BANDS
-)
-
-
-@q(
-    "range_join_price_bands",
-    f"""
-WITH bands AS ({_BANDS_SQL})
-SELECT b.interval_id, COUNT(*) AS n,
-  CAST(floor(SUM(o.o_totalprice)*100.0 + 0.5) AS BIGINT) AS sum_c
-FROM orders o JOIN bands b ON o.o_totalprice >= b.lo AND o.o_totalprice < b.hi
-GROUP BY b.interval_id
-""",
-)
-def q_range_join(sf_dir: str):
-    """Interval (range) join: one vectorized searchsorted per batch against
-    the broadcast band table, vs the SQL non-equi join. Orders above the last
-    band drop (inner semantics on both sides)."""
-    ds = rd.read_parquet(f"{sf_dir}/orders.parquet", columns=["o_totalprice"])
-    out = ops.range_join(ds, _PRICE_BANDS, "o_totalprice")
-    agg = out.groupby("interval_id").aggregate(
-        Count(alias_name="n"), Sum("o_totalprice", alias_name="sum_c")
-    ).to_pandas()
-    agg["sum_c"] = np.floor(agg["sum_c"].to_numpy() * 100.0 + 0.5).astype(np.int64)
-    return agg
-
-
-@q(
-    "asof_join_purchase_click",
-    """
-WITH l AS (SELECT event_id, user_id, ts, value FROM events WHERE event_type = 'purchase'),
-r AS (SELECT user_id, ts, SUM(value) AS click_value FROM events
-      WHERE event_type = 'click' GROUP BY 1, 2)
-SELECT l.event_id, l.user_id, l.ts, r.ts AS ts_ref,
-  CAST(floor(l.value*100.0 + 0.5) AS BIGINT) AS value_c,
-  CAST(floor(r.click_value*100.0 + 0.5) AS BIGINT) AS click_c
-FROM l ASOF JOIN r ON l.user_id = r.user_id AND l.ts >= r.ts
-""",
-)
-def q_asof_join(sf_dir: str):
-    """Feature as-of join: each purchase event picks up the user's most
-    recent click stats (bounded-group merge_asof vs DuckDB's native ASOF
-    JOIN). The right side pre-aggregates to unique (user, ts) so asof ties
-    cannot occur."""
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_id", "user_id", "ts", "event_type", "value"])
-    left = ev.filter(expr="event_type == 'purchase'").drop_columns(["event_type"])
-    right = (
-        ev.filter(expr="event_type == 'click'")
-        .groupby(["user_id", "ts"]).aggregate(Sum("value", alias_name="click_value"))
-    )
-    out = ops.asof_join(left, right, on="ts", by="user_id", n_parts=64).to_pandas()
-    out["value_c"] = np.floor(out["value"].to_numpy() * 100.0 + 0.5).astype(np.int64)
-    out["click_c"] = np.floor(out["click_value"].to_numpy() * 100.0 + 0.5).astype(np.int64)
-    return out[["event_id", "user_id", "ts", "ts_ref", "value_c", "click_c"]]
-
-
-@q(
-    "quantiles_extendedprice",
-    """
-SELECT 'l_extendedprice' AS col,
-  CAST(floor(quantile_disc(l_extendedprice, 0.5)*100.0 + 0.5) AS BIGINT) AS p50,
-  CAST(floor(quantile_disc(l_extendedprice, 0.9)*100.0 + 0.5) AS BIGINT) AS p90,
-  CAST(floor(quantile_disc(l_extendedprice, 0.99)*100.0 + 0.5) AS BIGINT) AS p99
-FROM lineitem
-""",
-)
-def q_quantiles(sf_dir: str):
-    ds = rd.read_parquet(f"{sf_dir}/lineitem.parquet", columns=["l_extendedprice"])
-    qv = ops.exact_quantiles(ds, "l_extendedprice", [0.5, 0.9, 0.99])
-    return pd.DataFrame(
-        {
-            "col": ["l_extendedprice"],
-            "p50": [np.int64(np.floor(qv[0.5] * 100.0 + 0.5))],
-            "p90": [np.int64(np.floor(qv[0.9] * 100.0 + 0.5))],
-            "p99": [np.int64(np.floor(qv[0.99] * 100.0 + 0.5))],
-        }
-    )
 
 
 @q("flagship_partitioned_resume")  # checkpoint/lineage demo — rows-only
@@ -1726,113 +1429,6 @@ def q_flagship_partitioned(sf_dir: str):
         )
     finally:
         shutil.rmtree(out, ignore_errors=True)
-
-
-@q(
-    "anti_join_customers_no_450k_order",
-    """
-SELECT c_mktsegment, COUNT(*) AS n
-FROM customer WHERE c_custkey NOT IN
-  (SELECT o_custkey FROM orders WHERE o_totalprice > 450000.0)
-GROUP BY c_mktsegment
-""",
-)
-def q_anti_join(sf_dir: str):
-    """Anti join via broadcast key set (Bloom filter at scale). Keys collected
-    with a payload-free filtered column scan."""
-    import pyarrow.compute as pc
-    import pyarrow.parquet as pq
-
-    o = pq.read_table(f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"])
-    keys = o.filter(pc.greater(o["o_totalprice"], 450000.0))["o_custkey"].to_numpy()
-    cust = rd.read_parquet(f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"])
-    out = ops.semi_join_keys(cust, keys, "c_custkey", anti=True)
-    return out.groupby("c_mktsegment").aggregate(Count(alias_name="n"))
-
-
-@q(
-    "semi_join_customers_with_orders",
-    """
-SELECT c_mktsegment, COUNT(*) AS n
-FROM customer WHERE c_custkey IN (SELECT o_custkey FROM orders)
-GROUP BY c_mktsegment
-""",
-)
-def q_semi_join(sf_dir: str):
-    import pyarrow.parquet as pq
-
-    okeys = pq.read_table(f"{sf_dir}/orders.parquet", columns=["o_custkey"])["o_custkey"].to_numpy()
-    cust = rd.read_parquet(f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"])
-    out = ops.semi_join_keys(cust, okeys, "c_custkey")
-    return out.groupby("c_mktsegment").aggregate(Count(alias_name="n"))
-
-
-@q(
-    "deterministic_sample_10pct",
-    """
-SELECT o_orderpriority, COUNT(*) AS n,
-  CAST(floor(SUM(o_totalprice)*100.0 + 0.5) AS BIGINT) AS sum_cents
-FROM orders
-WHERE ((CAST(o_orderkey AS HUGEINT) + 1 * 2654435769) * 2654435761) % 4294967296 < CAST(0.1 * 4294967296.0 AS BIGINT)
-GROUP BY o_orderpriority
-""",
-)
-def q_det_sample(sf_dir: str):
-    ds = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                         columns=["o_orderkey", "o_orderpriority", "o_totalprice"])
-    out = ops.deterministic_sample(ds, "o_orderkey", 0.1, seed=1)
-    agg = out.groupby("o_orderpriority").aggregate(
-        Count(alias_name="n"), Sum("o_totalprice", alias_name="sum_cents")
-    ).to_pandas()
-    agg["sum_cents"] = np.floor(agg["sum_cents"].to_numpy() * 100.0 + 0.5).astype(np.int64)
-    return agg
-
-
-@q(
-    "stratified_sample_by_priority",
-    """
-SELECT o_orderpriority, COUNT(*) AS n,
-  CAST(floor(SUM(o_totalprice)*100.0 + 0.5) AS BIGINT) AS sum_c
-FROM orders
-WHERE ((CAST(o_orderkey AS HUGEINT) + 1 * 2654435769) * 2654435761) % 4294967296
-  < CAST(CASE o_orderpriority
-      WHEN '1-URGENT' THEN 0.2 WHEN '3-MEDIUM' THEN 0.05 ELSE 0.0
-    END * 4294967296.0 AS BIGINT)
-GROUP BY o_orderpriority
-""",
-)
-def q_stratified_sample(sf_dir: str):
-    """Per-stratum deterministic sampling (different keep-rates per class),
-    SQL-reproducible via the same integer hash as deterministic_sample."""
-    ds = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                         columns=["o_orderkey", "o_orderpriority", "o_totalprice"])
-    out = ops.stratified_sample(ds, "o_orderkey", "o_orderpriority",
-                                {"1-URGENT": 0.2, "3-MEDIUM": 0.05}, seed=1)
-    agg = out.groupby("o_orderpriority").aggregate(
-        Count(alias_name="n"), Sum("o_totalprice", alias_name="sum_c")
-    ).to_pandas()
-    agg["sum_c"] = np.floor(agg["sum_c"].to_numpy() * 100.0 + 0.5).astype(np.int64)
-    return agg
-
-
-@q(
-    "group_quantiles_price_by_priority",
-    """
-SELECT o_orderpriority,
-  CAST(floor(quantile_disc(o_totalprice, 0.25)*100.0 + 0.5) AS BIGINT) AS q25_c,
-  CAST(floor(quantile_disc(o_totalprice, 0.50)*100.0 + 0.5) AS BIGINT) AS q50_c,
-  CAST(floor(quantile_disc(o_totalprice, 0.95)*100.0 + 0.5) AS BIGINT) AS q95_c
-FROM orders GROUP BY o_orderpriority
-""",
-)
-def q_group_quantiles(sf_dir: str):
-    ds = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                         columns=["o_orderpriority", "o_totalprice"])
-    out = ops.group_quantiles(ds, "o_orderpriority", "o_totalprice",
-                              [0.25, 0.50, 0.95]).to_pandas()
-    for c in ("q25", "q50", "q95"):
-        out[c + "_c"] = np.floor(out[c].to_numpy() * 100.0 + 0.5).astype(np.int64)
-    return out[["o_orderpriority", "q25_c", "q50_c", "q95_c"]]
 
 
 @q("warp_projected_source")  # pixel op — rows-only; exactness gate in pytest
@@ -1865,69 +1461,10 @@ def q_warp_projected_source(sf_dir: str):
 
 
 # ---------------------------------------------------------------------------
-# Driver-sampling rotation: the correctness driver gates the FIRST 50 queries
-# only. Round-5 priority: (a) the 7 warp/ingest queries whose tile-layout
-# DuckDB oracles are new that round; then (b) the queries the round-4 driver
-# did not sample (the VERDICT r4 #7 ask), minus two rows-only demos deferred
-# to the tail (flagship_partitioned_resume, warp_tile_pyramid —
-# value-unchecked under the driver either way). The tail holds those two and
-# the rest of the round-4 sample. Every query keeps its oracle; only dict
-# insertion order changes.
+# Query order: the correctness driver gates only the first 50 queries, so the
+# oracle-checked ones come first, in registration order, then the rows-only
+# ones.
 # ---------------------------------------------------------------------------
 
-_R5_PRIORITY = [
-    "warp_tile_pipeline", "geotiff_ingest_warp_tile",
-    "geotiff_dem_ingest_warp_tile", "gif_bmp_ingest_warp_tile",
-    "png_ingest_warp_tile", "jpeg_ingest_warp_tile",
-    "jpeg_progressive_ingest_warp_tile",
-]
-_R5_DEFER = [
-    "flagship_partitioned_resume",
-    "warp_tile_pyramid",
-]
-_SAMPLED_R04 = [
-    "project_polyconic_ell_roundtrip",
-    "project_winkel_roundtrip",
-    "project_robinson_roundtrip",
-    "project_stereographic_roundtrip",
-    "datum_shift_wgs84_nad27",
-    "geodesic_haversine_pairs",
-    "geodesic_distance_matrix",
-    "forward_geodesic_sphere",
-    "forward_geodesic_vincenty",
-    "vincenty_inverse_matrix",
-    "cell_assign_counts",
-    "salted_cell_counts",
-    "pip_join_boxes",
-    "geofence_customers_near_suppliers",
-    "rasterize_density_tiles",
-    "polygon_area_nation_boxes",
-    "knn_customers_suppliers",
-    "knn_join_large_customers_suppliers",
-    "agg_lineitem_pricing",
-    "join_orders_per_nation",
-    "sort_top_orders",
-    "topk_orders_per_priority",
-    "geotiff_export_resume",
-    "geotiff_ingest_warp_tile",
-    "geotiff_dem_ingest_warp_tile",
-    "zonal_stats_dem",
-    "dem_terrain_features",
-    "gif_bmp_ingest_warp_tile",
-    "jpeg_progressive_ingest_warp_tile",
-    "forward_geodesic_karney",
-    "events_hourly_window",
-    "filter_high_value_orders",
-    "warp_tile_pipeline",
-    "png_ingest_warp_tile",
-    "jpeg_ingest_warp_tile"
-]
-
-_head = list(_R5_PRIORITY)
-_head += [k for k in QUERIES
-          if k not in _SAMPLED_R04 and k not in _head and k not in _R5_DEFER]
-_tail = _R5_DEFER + [k for k in QUERIES if k not in _head and k not in _R5_DEFER]
-_rotated = {k: QUERIES[k] for k in _head + _tail if k in QUERIES}
-assert len(_rotated) == len(QUERIES)
-QUERIES.clear()
-QUERIES.update(_rotated)
+_ordered = sorted(QUERIES, key=lambda k: k not in ORACLES)  # stable sort
+QUERIES = {k: QUERIES[k] for k in _ordered}

@@ -36,12 +36,6 @@ def point_in_polygon(px: np.ndarray, py: np.ndarray, poly: np.ndarray) -> np.nda
     return inside
 
 
-def points_in_polygons(px, py, polys: list[np.ndarray]):
-    """(n_points, n_polys) boolean matrix; use for small polygon layers
-    (broadcast side of a PIP join)."""
-    return np.stack([point_in_polygon(px, py, p) for p in polys], axis=1)
-
-
 def polygon_area(poly: np.ndarray) -> float:
     """Planar shoelace area of a simple polygon (absolute value; closed or
     open ring). Units = coordinate units squared (deg² here — reproject first

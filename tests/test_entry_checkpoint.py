@@ -1,9 +1,19 @@
-"""Driver-contract smoke (entry/queries/oracle_sql) + checkpoint resume."""
+"""Driver-contract smoke (entry/queries/oracle_sql), the gate's table list,
+and checkpoint resume."""
 
+import importlib.util
 import os
 
+import duckdb
 import numpy as np
 import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "check_correctness",
+    os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                 "tools", "check_correctness.py"))
+check_correctness = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(check_correctness)
 
 
 def test_entry_contract(ray_session):
@@ -27,15 +37,52 @@ def test_queries_oracle_keys_consistent():
         assert isinstance(sql, str) and "SELECT" in sql.upper()
 
 
-def test_query_order_lists_name_registered_queries():
-    """The lists that fix the query order name only registered queries: the
-    reorder keeps just the names found in QUERIES, so a stale entry would sit
-    there unnoticed."""
-    from projcl_ray import queries as q
+def test_oracle_checked_queries_come_first():
+    """The correctness driver gates only the first 50 queries, so every
+    oracle-checked query comes before every rows-only one."""
+    import __ray_entry__ as e
 
-    for name in ("_R5_PRIORITY", "_R5_DEFER", "_SAMPLED_R04"):
-        stale = [k for k in getattr(q, name) if k not in q.QUERIES]
-        assert not stale, (name, stale)
+    checked = set(e.oracle_sql())
+    flags = [name in checked for name in e.queries()]
+    assert flags == sorted(flags, reverse=True)
+
+
+def _unbound_oracles(sf_dir: str, tables: list[str]) -> list[str]:
+    """Oracles that fail to bind against views over only ``tables``."""
+    import __ray_entry__ as e
+
+    con = check_correctness.connect(sf_dir, tables)
+    bad = []
+    for name, sql in e.oracle_sql().items():
+        try:
+            con.execute("EXPLAIN " + sql)
+        except duckdb.Error:
+            bad.append(name)
+    return bad
+
+
+def test_gate_tables_bind_every_oracle(sf_dir):
+    assert _unbound_oracles(sf_dir, check_correctness.TABLES) == []
+
+
+@pytest.mark.parametrize("dropped", check_correctness.TABLES)
+def test_gate_tables_are_all_read(sf_dir, dropped):
+    """Every table the gate loads is read by at least one oracle."""
+    kept = [t for t in check_correctness.TABLES if t != dropped]
+    assert _unbound_oracles(sf_dir, kept)
+
+
+def test_gate_value_hash_ignores_row_and_column_order():
+    """The gate compares row sets: its hash ignores row and column order
+    (bytes cells included) and changes with any value."""
+    import pandas as pd
+
+    df = pd.DataFrame({"k": [3, 1, 2], "v": [0.5, 1.5, 2.5], "b": [b"\x00", b"\xff", b"ab"]})
+    h = check_correctness.value_hash(df)
+    shuffled = df.iloc[[2, 0, 1]][["b", "v", "k"]]
+    assert check_correctness.value_hash(shuffled) == h
+    changed = df.assign(v=[0.5, 1.5, 2.6])
+    assert check_correctness.value_hash(changed) != h
 
 
 def test_checkpoint_resume(ray_session, tmp_path):

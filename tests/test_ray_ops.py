@@ -81,6 +81,94 @@ def test_forward_geodesic_fanout(ray_session, sf_dir):
     np.testing.assert_allclose(d, 50_000.0, atol=1e-6)
 
 
+def _geodesic_pairs():
+    """Seeded pairs in the test window plus the cases that pick a solver's
+    branch: same point, meridional, equatorial and near-antipodal."""
+    rng = np.random.default_rng(11)
+    lon1, lon2 = rng.uniform(-60, 60, (2, 200))
+    lat1, lat2 = rng.uniform(-40, 80, (2, 200))
+    edge = np.array([[10.0, 20.0, 10.0, 20.0], [5.0, -30.0, 5.0, 60.0],
+                     [0.0, 0.0, 120.0, 0.0], [0.0, 0.5, 179.7, -0.4]])
+    return tuple(np.concatenate([a, e]) for a, e in zip((lon1, lat1, lon2, lat2), edge.T))
+
+
+_GEODESIC_STAGES = {
+    "geodesic_distance": lambda ds, m: ops.geodesic_distance(ds, method=m),
+    "forward_geodesic": lambda ds, m: ops.forward_geodesic(ds, [30.0, 200.0], 2.0e6, method=m),
+    "forward_geodesic_fixed_angle":
+        lambda ds, m: ops.forward_geodesic_fixed_angle(ds, 10.0, 20.0, 45.0, method=m),
+}
+
+
+@pytest.mark.parametrize("method", ["haversine", "vincenty", "karney"])
+def test_geodesic_distance_stage_equals_kernel(ray_session, method):
+    import ray.data as rd
+
+    from projcl_ray import geodesic
+
+    lon1, lat1, lon2, lat2 = _geodesic_pairs()
+    ds = rd.from_arrow(pa.table({"lon1": lon1, "lat1": lat1, "lon2": lon2, "lat2": lat2}))
+    out = _GEODESIC_STAGES["geodesic_distance"](ds, method).to_pandas()
+    if method == "haversine":
+        exp = {"distance_m": geodesic.haversine(lon1, lat1, lon2, lat2)}
+    else:
+        kernel = {"vincenty": geodesic.vincenty_inverse, "karney": geodesic.karney_inverse}[method]
+        exp = dict(zip(("distance_m", "azi1_deg", "azi2_deg"), kernel(lon1, lat1, lon2, lat2)))
+    for col, want in exp.items():
+        np.testing.assert_array_equal(out[col].to_numpy(), want, err_msg=col)
+
+
+@pytest.mark.parametrize("method", ["sphere", "vincenty", "karney"])
+def test_forward_geodesic_stage_equals_kernel(ray_session, method):
+    import ray.data as rd
+
+    from projcl_ray import geodesic
+
+    lon, lat = _geodesic_pairs()[:2]
+    ds = rd.from_arrow(pa.table({"lon": lon, "lat": lat}))
+    out = _GEODESIC_STAGES["forward_geodesic"](ds, method).to_pandas()
+    az = np.array([30.0, 200.0])
+    args = (lon[:, None], lat[:, None], az[None, :], 2.0e6)
+    if method == "sphere":
+        lon2, lat2 = geodesic.forward_sphere(*args)
+    else:
+        kernel = {"vincenty": geodesic.vincenty_direct, "karney": geodesic.karney_direct}[method]
+        lon2, lat2, _ = kernel(*args)
+    np.testing.assert_array_equal(out["azimuth_deg"].to_numpy(), np.tile(az, len(lon)))
+    np.testing.assert_array_equal(out["lon2"].to_numpy(), lon2.ravel())
+    np.testing.assert_array_equal(out["lat2"].to_numpy(), lat2.ravel())
+
+
+@pytest.mark.parametrize("method", ["sphere", "vincenty"])
+def test_fixed_angle_stage_equals_kernel(ray_session, method):
+    import ray.data as rd
+
+    from projcl_ray import geodesic
+
+    d = np.array([0.0, 1e3, 1e5, 1e6, 5e6, 1.5e7])
+    ds = rd.from_arrow(pa.table({"distance_m": d}))
+    out = _GEODESIC_STAGES["forward_geodesic_fixed_angle"](ds, method).to_pandas()
+    if method == "sphere":
+        lon2, lat2 = geodesic.forward_sphere(10.0, 20.0, 45.0, d)
+    else:
+        lon2, lat2, _ = geodesic.vincenty_direct(10.0, 20.0, 45.0, d)
+    np.testing.assert_array_equal(out["lon2"].to_numpy(), lon2)
+    np.testing.assert_array_equal(out["lat2"].to_numpy(), lat2)
+
+
+@pytest.mark.parametrize("stage, method", [
+    ("geodesic_distance", "sphere"),
+    ("geodesic_distance", "Vincenty"),
+    ("forward_geodesic", "haversine"),
+    ("forward_geodesic_fixed_angle", "karney"),
+])
+def test_geodesic_stage_rejects_unknown_method(stage, method):
+    """An unimplemented method raises when the stage is built (no Dataset is
+    needed), instead of running another solver."""
+    with pytest.raises(ValueError, match="unknown geodesic method"):
+        _GEODESIC_STAGES[stage](None, method)
+
+
 def test_assign_cells_stage(ray_session, sf_dir):
     ds = lineitem_points(ray_session, sf_dir, limit=5000)
     out = ops.assign_cells(ds, res_deg=5.0).to_pandas()
@@ -379,53 +467,6 @@ def test_knn_join_large_matches_brute(ray_session):
         np.testing.assert_array_equal(got["tid"].to_numpy().reshape(-1, 3), idx)
 
 
-def test_distributed_quantiles_exact(ray_session, sf_dir):
-    """Bracket-refinement quantiles must equal the driver-concat exact path
-    bit-for-bit — including on heavily duplicated (skewed) values where one
-    bracket holds most of the column."""
-    import ray.data as rd
-
-    ds = rd.read_parquet(f"{sf_dir}/lineitem.parquet", columns=["l_extendedprice"])
-    qs = [0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 1.0]
-    assert ops.distributed_quantiles(ds, "l_extendedprice", qs) == ops.exact_quantiles(
-        ds, "l_extendedprice", qs, driver_concat=True
-    )
-
-    rng = np.random.default_rng(5)
-    skew = np.concatenate([np.full(40_000, 7.0), rng.uniform(0, 1, 500), [1e9]])
-    rng.shuffle(skew)
-    sk = rd.from_arrow(pa.table({"v": pa.array(skew)}))
-    got = ops.distributed_quantiles(sk, "v", qs, n_splits=16, max_collect=1000)
-    exp = ops.exact_quantiles(sk, "v", qs, driver_concat=True)
-    assert got == exp
-
-
-def test_bloom_semi_join_no_false_negatives(ray_session, sf_dir):
-    """Bloom pre-filter: every true member passes (zero false negatives),
-    false-positive rate near the requested bound, anti+bloom rejected."""
-    import ray.data as rd
-
-    from projcl_ray.ops import BloomFilter
-
-    rng = np.random.default_rng(3)
-    members = rng.choice(1_000_000, 20_000, replace=False)
-    bf = BloomFilter(len(members), fpr=0.01).add(members)
-    assert bf.might_contain(members).all()  # no false negatives, ever
-    non = np.setdiff1d(rng.choice(4_000_000, 100_000, replace=False) + 1_000_000, members)
-    fpr = bf.might_contain(non).mean()
-    assert fpr < 0.02, fpr
-
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet", columns=["o_custkey"])
-    keys = orders.to_pandas()["o_custkey"].unique()
-    cust = rd.read_parquet(f"{sf_dir}/customer.parquet", columns=["c_custkey"])
-    exact = ops.semi_join_keys(cust, keys, "c_custkey").count()
-    bloom = ops.semi_join_keys(cust, keys, "c_custkey", bloom_fpr=0.01).count()
-    assert bloom >= exact  # superset: no true row dropped
-    assert bloom <= exact + int(0.02 * cust.count()) + 1
-    with pytest.raises(ValueError):
-        ops.semi_join_keys(cust, keys, "c_custkey", anti=True, bloom_fpr=0.01)
-
-
 def test_resize_images_shapes_and_filters(ray_session):
     """Resize stage: exact output shape, all four filters run, identity-size
     bilinear resize is a no-op on the pixels, passthrough columns survive."""
@@ -448,91 +489,6 @@ def test_resize_images_shapes_and_filters(ray_session):
         decode_image(out["bytes"].iloc[0], w, h, "raw"),
         decode_image(src["bytes"][0].as_py(), w, h, "raw"),
     )
-
-
-def test_topk_per_group_combiner_matches_pandas(ray_session, sf_dir):
-    import ray.data as rd
-
-    ds = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                         columns=["o_orderpriority", "o_orderkey", "o_totalprice"])
-    got = ops.topk_per_group(ds, "o_orderpriority", "o_totalprice", 5,
-                             tie_col="o_orderkey").to_pandas()
-    pdf = ds.to_pandas().sort_values(["o_totalprice", "o_orderkey"],
-                                     ascending=[False, True], kind="stable")
-    exp = pdf.groupby("o_orderpriority", sort=False).head(5)
-    key = ["o_orderpriority", "o_orderkey"]
-    assert sorted(map(tuple, got[key].to_numpy())) == sorted(map(tuple, exp[key].to_numpy()))
-    assert (got.sort_values(["o_orderpriority", "group_rank"])
-               .groupby("o_orderpriority")["o_totalprice"]
-               .apply(lambda s: (s.diff().dropna() <= 0).all()).all())
-
-
-def test_asof_join_matches_pandas(ray_session, sf_dir):
-    """Bounded-group as-of join must equal a global pandas merge_asof."""
-    import pandas as pd
-    import ray.data as rd
-
-    from ray.data.aggregate import Sum
-
-    ev = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_id", "user_id", "ts", "event_type", "value"])
-    left = ev.filter(expr="event_type == 'purchase'").drop_columns(["event_type"])
-    right = (ev.filter(expr="event_type == 'click'")
-             .groupby(["user_id", "ts"]).aggregate(Sum("value", alias_name="cv")))
-    got = ops.asof_join(left, right, on="ts", by="user_id").to_pandas()
-
-    lp = left.to_pandas().sort_values("ts", kind="stable")
-    rp = right.to_pandas().sort_values("ts", kind="stable")
-    rp["ts_ref"] = rp["ts"]
-    exp = pd.merge_asof(lp, rp[["user_id", "ts", "ts_ref", "cv"]],
-                        on="ts", by="user_id", direction="backward")
-    exp = exp[exp["ts_ref"].notna()]
-    g = got.sort_values("event_id").reset_index(drop=True)
-    e = exp.sort_values("event_id").reset_index(drop=True)
-    assert (g["event_id"].to_numpy() == e["event_id"].to_numpy()).all()
-    assert (g["ts_ref"].to_numpy() == e["ts_ref"].to_numpy()).all()
-    np.testing.assert_allclose(g["cv"].to_numpy(), e["cv"].to_numpy())
-
-
-def test_asof_join_preserves_right_dtypes(ray_session):
-    """Right value columns must keep their EXACT dtypes through the join:
-    int64 beyond 2^53 (would corrupt through a float64 cast) and string
-    features (previously rejected by the float64 union trick)."""
-    import ray.data as rd
-
-    big = (1 << 60) + 12345  # not representable in float64
-    left = rd.from_items([
-        {"user_id": 1, "ts": 10.0, "eid": 1},
-        {"user_id": 1, "ts": 30.0, "eid": 2},
-        {"user_id": 2, "ts": 5.0, "eid": 3},   # no earlier right row → drops
-    ])
-    right = rd.from_items([
-        {"user_id": 1, "ts": 8.0, "big_feature": big, "tag": "alpha"},
-        {"user_id": 1, "ts": 20.0, "big_feature": big + 1, "tag": "beta"},
-        {"user_id": 2, "ts": 9.0, "big_feature": 7, "tag": "gamma"},
-    ])
-    out = ops.asof_join(left, right, on="ts", by="user_id", n_parts=4).to_pandas()
-    out = out.sort_values("eid").reset_index(drop=True)
-    assert out["eid"].tolist() == [1, 2]
-    assert out["big_feature"].dtype == np.int64
-    assert out["big_feature"].tolist() == [big, big + 1]  # bit-exact int64
-    assert out["tag"].tolist() == ["alpha", "beta"]
-    assert out["ts_ref"].tolist() == [8.0, 20.0]
-
-
-def test_range_join_boundaries(ray_session):
-    """[lo, hi) boundary semantics: lo included, hi excluded, gaps dropped,
-    overlapping intervals rejected."""
-    import ray.data as rd
-
-    ds = rd.from_items([{"v": x} for x in (0.0, 9.999, 10.0, 19.999, 20.0, 25.0, 30.0, -1.0)])
-    iv = [("a", 0.0, 10.0), ("b", 10.0, 20.0), ("c", 25.0, 30.0)]  # gap [20,25)
-    out = ops.range_join(ds, iv, "v").to_pandas().sort_values("v")
-    assert list(zip(out["v"], out["interval_id"])) == [
-        (0.0, "a"), (9.999, "a"), (10.0, "b"), (19.999, "b"), (25.0, "c")
-    ]
-    with pytest.raises(ValueError):
-        ops.range_join(ds, [("a", 0.0, 10.0), ("b", 5.0, 20.0)], "v").to_pandas()
 
 
 def test_rasterize_and_vectorize_roundtrip(ray_session, sf_dir):

@@ -111,50 +111,6 @@ def test_datum_shift_on_grids():
     np.testing.assert_array_equal(lat2, pf.reshape(gy.shape))
 
 
-def test_exact_quantiles_matches_numpy(ray_session, sf_dir):
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
-    ds = rd.read_parquet(f"{sf_dir}/lineitem.parquet", columns=["l_extendedprice"])
-    got = ops.exact_quantiles(ds, "l_extendedprice", [0.0, 0.5, 0.95, 1.0])
-    vals = np.sort(pq.read_table(f"{sf_dir}/lineitem.parquet",
-                                 columns=["l_extendedprice"])["l_extendedprice"].to_numpy())
-    n = len(vals)
-    for q, v in got.items():
-        idx = min(max(int(np.ceil(q * n)) - 1, 0), n - 1)
-        assert v == vals[idx], (q, v, vals[idx])
-
-
-def test_semi_anti_join_keys(ray_session, sf_dir):
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
-    cust = rd.read_parquet(f"{sf_dir}/customer.parquet", columns=["c_custkey"])
-    all_keys = pq.read_table(f"{sf_dir}/customer.parquet", columns=["c_custkey"])["c_custkey"].to_numpy()
-    some = all_keys[: len(all_keys) // 3]
-    semi = ops.semi_join_keys(cust, some, "c_custkey").to_pandas()
-    anti = ops.semi_join_keys(cust, some, "c_custkey", anti=True).to_pandas()
-    assert set(semi["c_custkey"]) == set(some)
-    assert set(anti["c_custkey"]) == set(all_keys) - set(some)
-    assert len(semi) + len(anti) == len(all_keys)
-
-
-def test_deterministic_sample_properties(ray_session, sf_dir):
-    import ray.data as rd
-
-    ds = rd.read_parquet(f"{sf_dir}/orders.parquet", columns=["o_orderkey"])
-    n_total = ds.count()
-    a = ops.deterministic_sample(ds, "o_orderkey", 0.2, seed=1).to_pandas()
-    b = ops.deterministic_sample(ds, "o_orderkey", 0.2, seed=1).to_pandas()
-    c = ops.deterministic_sample(ds, "o_orderkey", 0.2, seed=2).to_pandas()
-    assert set(a["o_orderkey"]) == set(b["o_orderkey"])  # stable across runs
-    assert set(a["o_orderkey"]) != set(c["o_orderkey"])  # seed changes the split
-    assert 0.1 * n_total < len(a) < 0.3 * n_total  # ~fraction
-    # fraction monotonicity: a 10% sample is a subset of the 20% sample
-    small = ops.deterministic_sample(ds, "o_orderkey", 0.1, seed=1).to_pandas()
-    assert set(small["o_orderkey"]) <= set(a["o_orderkey"])
-
-
 def test_geotiff_export_roundtrip_and_resume(ray_session, tmp_path):
     """write_geotiffs → read_geotiffs round-trips pixels bit-exactly and the
     georeference through the embedded tags; a second export run skips every

@@ -15,7 +15,15 @@ import duckdb
 import numpy as np
 import pandas as pd
 
-TABLES = "region nation customer supplier part orders lineitem events".split()
+TABLES = "nation customer supplier lineitem".split()
+
+
+def connect(sf_dir: str, tables: list[str] = TABLES) -> duckdb.DuckDBPyConnection:
+    """DuckDB connection with one view per table over ``sf_dir``'s parquet files."""
+    con = duckdb.connect()
+    for t in tables:
+        con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf_dir}/{t}.parquet')")
+    return con
 
 
 def to_pandas(result) -> pd.DataFrame:
@@ -68,10 +76,7 @@ def main():
 
     import __ray_entry__ as entrymod
 
-    con = duckdb.connect()
-    for t in TABLES:
-        con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf_dir}/{t}.parquet')")
-
+    con = connect(sf_dir)
     queries = entrymod.queries()
     oracles = entrymod.oracle_sql()
     n_pass = n_fail = n_rows_only = 0
