@@ -31,4 +31,4 @@ def queries() -> dict[str, Callable[[str], Any]]:
 def oracle_sql() -> dict[str, str]:
     from projcl_ray.queries import ORACLES
 
-    return {k: v for k, v in ORACLES.items() if isinstance(v, str)}
+    return dict(ORACLES)

@@ -197,7 +197,9 @@ def jpeg_baseline_scan(store, scan, huff, restart_interval, segments,
     """C path for jpeg._decode_baseline_scan. Returns True when it decoded
     the scan (store mutated in place), False when the caller must run the
     pure-Python loop. Raises the same ValueError the pure loop raises on
-    corrupt entropy data."""
+    corrupt entropy data. ``huff`` maps (class, id) to the (symbol, length)
+    lookup tables as 65536-byte ``bytes``, built once per table content by
+    jpeg._decode_lut; ctypes passes them to C without a copy."""
     if _disabled():
         return False
     L = lib()
@@ -208,16 +210,10 @@ def jpeg_baseline_scan(store, scan, huff, restart_interval, segments,
         return False
     interleaved = ncomp > 1
     units = mcus_x * mcus_y if interleaved else scan[0]["wib"] * scan[0]["hib"]
-    luts = {}
-    for s in scan:
-        for key in ((0, s["dc"]), (1, s["ac"])):
-            if key not in luts:
-                sym, ln = huff[key]
-                luts[key] = (sym.tobytes(), ln.tobytes())
-    dsym = (ctypes.c_char_p * ncomp)(*[luts[(0, s["dc"])][0] for s in scan])
-    dlen = (ctypes.c_char_p * ncomp)(*[luts[(0, s["dc"])][1] for s in scan])
-    asym = (ctypes.c_char_p * ncomp)(*[luts[(1, s["ac"])][0] for s in scan])
-    alen = (ctypes.c_char_p * ncomp)(*[luts[(1, s["ac"])][1] for s in scan])
+    dsym = (ctypes.c_char_p * ncomp)(*[huff[(0, s["dc"])][0] for s in scan])
+    dlen = (ctypes.c_char_p * ncomp)(*[huff[(0, s["dc"])][1] for s in scan])
+    asym = (ctypes.c_char_p * ncomp)(*[huff[(1, s["ac"])][0] for s in scan])
+    alen = (ctypes.c_char_p * ncomp)(*[huff[(1, s["ac"])][1] for s in scan])
     vv = (ctypes.c_int32 * ncomp)(*[s["v"] for s in scan])
     hh = (ctypes.c_int32 * ncomp)(*[s["h"] for s in scan])
     bpr = (ctypes.c_int32 * ncomp)(*[s["bpr"] for s in scan])
@@ -265,12 +261,11 @@ def jpeg_progressive_scan(store, scan, huff, Ss, Se, Ah, Al,
         interleaved = ncomp > 1
         units = (mcus_x * mcus_y if interleaved
                  else scan[0]["wib"] * scan[0]["hib"])
-        tabs = [huff[(0, s["dc"])] for s in scan] if Ah == 0 else None
-        syms = ([t[0].tobytes() for t in tabs] if tabs
-                else [b""] * ncomp)  # refinement reads raw bits only
-        lens = [t[1].tobytes() for t in tabs] if tabs else [b""] * ncomp
-        dsym = (ctypes.c_char_p * ncomp)(*syms)
-        dlen = (ctypes.c_char_p * ncomp)(*lens)
+        # refinement reads raw bits only: no tables
+        tabs = ([huff[(0, s["dc"])] for s in scan] if Ah == 0
+                else [(b"", b"")] * ncomp)
+        dsym = (ctypes.c_char_p * ncomp)(*[t[0] for t in tabs])
+        dlen = (ctypes.c_char_p * ncomp)(*[t[1] for t in tabs])
         vv = (ctypes.c_int32 * ncomp)(*[s["v"] for s in scan])
         hh = (ctypes.c_int32 * ncomp)(*[s["h"] for s in scan])
         bpr = (ctypes.c_int32 * ncomp)(*[s["bpr"] for s in scan])
@@ -305,8 +300,7 @@ def jpeg_progressive_scan(store, scan, huff, Ss, Se, Ah, Al,
     a = store[s["id"]]
     if a.dtype != np.int32 or not a.flags.c_contiguous:
         return False  # pure path handles it; never hand ctypes a bad view
-    sym, ln = huff[(1, s["ac"])]
-    sym_b, len_b = sym.tobytes(), ln.tobytes()
+    sym_b, len_b = huff[(1, s["ac"])]
     units = s["wib"] * s["hib"]
     step = restart_interval or units
     if len(segments) * step < units:

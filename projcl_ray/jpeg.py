@@ -6,14 +6,17 @@ container ships no image libraries, so baseline JFIF support is implemented
 from the JPEG specification (ITU T.81) directly.
 
 Scope:
-- decode: baseline sequential DCT (SOF0/1) AND progressive DCT (SOF2 —
-  spectral selection + successive approximation per ITU T.81 §G.1.2,
-  multi-scan, EOB runs, refinement correction bits), 8-bit, 1 or 3
-  components, any sampling factors in {1, 2} (4:4:4 / 4:2:2 / 4:2:0),
-  standard or custom DQT/DHT tables (including per-scan redefinition),
-  restart markers (DRI/RSTn), 0xFF00 byte unstuffing. Arithmetic coding
-  and hierarchical modes are rejected with a clear error. Output is
-  (h, w, 4) uint8 RGBA.
+- decode (``decode_jpeg``): baseline/extended sequential DCT (SOF0/1) AND
+  progressive DCT (SOF2 — spectral selection + successive approximation
+  per ITU T.81 §G.1.2, multi-scan, EOB runs, refinement correction bits),
+  1 or 3 components, standard or custom DQT/DHT tables (including
+  per-scan redefinition), restart markers (DRI/RSTn), 0xFF00 byte
+  unstuffing. 8-bit files return (h, w, 4) uint8 RGBA; 12-bit SOF1 files
+  return native-range uint16. The SOF check admits sampling factors 1–4
+  (T.81 A.1.1); subsampled planes are upsampled by nearest neighbour at
+  the integer ratio to the largest factor. The tests cover 4:4:4 (all
+  factors 1) and 4:2:0 (luma 2×2), single- and multi-scan. Arithmetic
+  coding and hierarchical modes are rejected with a clear error.
 - encode: gray/RGB/RGBA → baseline JFIF with the Annex-K standard
   quantization (libjpeg quality scaling) and Huffman tables; 4:4:4 by
   default, optional 4:2:0 (``subsample=True``). ``progressive=True``
@@ -22,12 +25,14 @@ Scope:
   tables generated by the Annex K.2/K.3 flowcharts. Deterministic bytes.
 
 Numerics: FDCT/IDCT are exact orthonormal 8×8 DCT-II matrices applied to all
-blocks at once with einsum (float64) — vectorized where it matters; only the
-entropy coding walks symbols in Python (a few per block).
+blocks at once as two GEMMs (float64) — vectorized where it matters; only
+the entropy coding walks symbols (in C when fastcodec is built, else in
+Python, a few per block).
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 
 import numpy as np
@@ -118,16 +123,30 @@ def _canonical_codes(bits: list[int], vals: list[int]):
     return out
 
 
-def _decode_lut(bits: list[int], vals: list[int]):
-    """16-bit-prefix lookup tables: prefix → (symbol, code length)."""
-    sym = np.zeros(1 << 16, np.uint8)
-    ln = np.zeros(1 << 16, np.uint8)
-    for s, (code, length) in _canonical_codes(bits, vals).items():
-        lo = code << (16 - length)
-        hi = (code + 1) << (16 - length)
-        sym[lo:hi] = s
-        ln[lo:hi] = length
-    return sym, ln
+@functools.lru_cache(maxsize=32)
+def _decode_lut(table: bytes) -> tuple[bytes, bytes]:
+    """DHT table body (BITS[1..16] then HUFFVAL) → 16-bit-prefix lookup
+    tables: prefix → symbol and prefix → code length, 65536 bytes each.
+
+    Canonical codes (T.81 C.2) tile the 16-bit prefix space contiguously
+    from 0 in HUFFVAL order, a code of length L spanning 2^(16-L)
+    prefixes, so each table is one repeat of the values by their spans,
+    zero-padded (length 0 marks an invalid code). Spans summing past 2^16
+    are an over-subscribed code — libjpeg's JERR_BAD_HUFF_TABLE.
+
+    Memoized on the table bytes: a worker decoding a corpus that shares
+    its tables builds each one once, and the C and pure scan decoders
+    index the same immutable ``bytes``. At most 32 entries (4 MiB)."""
+    bits = np.frombuffer(table, np.uint8, 16)
+    vals = np.frombuffer(table, np.uint8, offset=16)
+    lengths = np.repeat(np.arange(1, 17, dtype=np.uint8), bits)
+    spans = 1 << (16 - lengths.astype(np.int64))
+    used = int(spans.sum())
+    if len(vals) > 256 or used > 1 << 16:
+        raise ValueError("corrupt JPEG: bad Huffman table")
+    pad = bytes((1 << 16) - used)
+    return (bytes(np.repeat(vals, spans)) + pad,
+            bytes(np.repeat(lengths, spans)) + pad)
 
 
 def _gen_huffman(freq: np.ndarray) -> tuple[list[int], list[int]]:
@@ -834,10 +853,11 @@ def _decode_baseline_scan(store, scan, huff, restart_interval, segments,
     scan scripts) require.
 
     The hot loop is fully inlined: bit reads work on local (data, pos)
-    ints, the 16-bit Huffman lookahead tables are plain ``bytes`` (C-speed
-    indexing — ``int(np_scalar)`` per coefficient was ~40% of entropy
-    time), and each block's coefficients build in a Python list with one
-    vectorized copy into the numpy store.
+    ints, the 16-bit Huffman lookahead tables in ``huff`` arrive as plain
+    ``bytes`` built once per table content by the memoized _decode_lut
+    (C-speed indexing — ``int(np_scalar)`` per coefficient was ~40% of
+    entropy time), and each block's coefficients build in a Python list
+    with one vectorized copy into the numpy store.
 
     When a C compiler is present, the bit-exact compiled version of this
     loop takes over (projcl_ray/fastcodec.py — entropy decoding is
@@ -849,13 +869,6 @@ def _decode_baseline_scan(store, scan, huff, restart_interval, segments,
     if fastcodec.jpeg_baseline_scan(store, scan, huff, restart_interval,
                                     segments, mcus_x, mcus_y):
         return
-    # per-scan bytes-LUT cache: (symbol, length) as bytes for each table
-    luts = {}
-    for s in scan:
-        for key in ((0, s["dc"]), (1, s["ac"])):
-            if key not in luts:
-                sym, ln = huff[key]
-                luts[key] = (sym.tobytes(), ln.tobytes())
     seg_i = 0
     data = segments[0] + b"\x00" * 8
     pos = 0
@@ -870,8 +883,8 @@ def _decode_baseline_scan(store, scan, huff, restart_interval, segments,
             pos = 0
             preds = {s["id"]: 0 for s in scan}
         for s in scan:
-            dsym, dlen = luts[(0, s["dc"])]
-            asym, alen = luts[(1, s["ac"])]
+            dsym, dlen = huff[(0, s["dc"])]
+            asym, alen = huff[(1, s["ac"])]
             sid = s["id"]
             st = store[sid]
             pred = preds[sid]
@@ -955,13 +968,8 @@ def _decode_progressive_scan(store, scan, huff, Ss, Se, Ah, Al,
         eobrun = 0
         preds = {s["id"]: 0 for s in scan}
 
-    lut_cache = {}  # numpy LUTs → bytes once per scan (C-speed indexing)
-
     def huffdec(tbl):
-        c = lut_cache.get(id(tbl))
-        if c is None:
-            c = lut_cache[id(tbl)] = (tbl[0].tobytes(), tbl[1].tobytes())
-        sym, ln = c
+        sym, ln = tbl
         pk = r.peek16()
         l = ln[pk]
         if l == 0:
@@ -1087,7 +1095,7 @@ def decode_jpeg(buf: bytes) -> np.ndarray:
         raise ValueError("not a JPEG (no SOI)")
     pos = 2
     qtbl: dict[int, np.ndarray] = {}
-    huff: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+    huff: dict[tuple[int, int], tuple[bytes, bytes]] = {}
     restart_interval = 0
     frame = None
     sample_prec = 8
@@ -1132,12 +1140,10 @@ def decode_jpeg(buf: bytes) -> np.ndarray:
                 if p + 17 > len(seg):
                     raise ValueError("corrupt JPEG: truncated DHT segment")
                 tc, tid = seg[p] >> 4, seg[p] & 15
-                bits = list(seg[p + 1 : p + 17])
-                nv = sum(bits)
+                nv = sum(seg[p + 1 : p + 17])
                 if p + 17 + nv > len(seg):
                     raise ValueError("corrupt JPEG: truncated DHT segment")
-                vals = list(seg[p + 17 : p + 17 + nv])
-                huff[(tc, tid)] = _decode_lut(bits, vals)
+                huff[(tc, tid)] = _decode_lut(bytes(seg[p + 1 : p + 17 + nv]))
                 p += 17 + nv
         elif marker in (0xC0, 0xC1, 0xC2):  # SOF0/1 baseline, SOF2 progressive
             progressive = marker == 0xC2

@@ -87,10 +87,10 @@ def _hav_sql(lon1, lat1, lon2, lat2, radius=R):
 # --- query registry ---------------------------------------------------------
 
 QUERIES: dict[str, callable] = {}
-ORACLES: dict[str, str | callable] = {}
+ORACLES: dict[str, str] = {}
 
 
-def q(name: str, oracle: str | callable | None = None):
+def q(name: str, oracle: str | None = None):
     def deco(fn):
         QUERIES[name] = fn
         if oracle is not None:

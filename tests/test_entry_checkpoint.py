@@ -28,8 +28,11 @@ def test_entry_contract(ray_session):
 def test_queries_oracle_keys_consistent():
     import __ray_entry__ as e
 
+    from projcl_ray.queries import ORACLES
+
     qs = e.queries()
     oracles = e.oracle_sql()
+    assert set(oracles) == set(ORACLES)  # every oracle reaches the driver
     assert set(oracles) <= set(qs)
     assert len(qs) >= 30
     assert len(oracles) >= 20

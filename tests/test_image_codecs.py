@@ -12,7 +12,7 @@ raises ``ValueError``, never another exception type.
 import numpy as np
 import pytest
 
-from projcl_ray import fastcodec
+from projcl_ray import fastcodec, jpeg
 from projcl_ray.images import decode_image, encode_image, synth_pixels
 
 W, H = 37, 29
@@ -99,3 +99,92 @@ def test_unknown_format_raises():
         decode_image(b"\x00" * 16, 2, 2, "webp")
     with pytest.raises(NotImplementedError, match="no encoder"):
         encode_image(_source("png"), "webp")
+
+
+# --- JPEG Huffman decode tables ----------------------------------------------
+
+def _per_symbol_lut(bits, vals):
+    """Reference build: one slice assignment per canonical code."""
+    sym = np.zeros(1 << 16, np.uint8)
+    ln = np.zeros(1 << 16, np.uint8)
+    for s, (code, length) in jpeg._canonical_codes(bits, vals).items():
+        lo, hi = code << (16 - length), (code + 1) << (16 - length)
+        sym[lo:hi] = s
+        ln[lo:hi] = length
+    return sym.tobytes(), ln.tobytes()
+
+
+def _huffman_specs():
+    specs = [(jpeg.DC_LUMA_BITS, jpeg.DC_LUMA_VALS),
+             (jpeg.AC_LUMA_BITS, jpeg.AC_LUMA_VALS),
+             (jpeg.DC_CHROMA_BITS, jpeg.DC_CHROMA_VALS),
+             (jpeg.AC_CHROMA_BITS, jpeg.AC_CHROMA_VALS)]
+    rng = np.random.default_rng(1401)
+    for _ in range(50):
+        # sparse to dense symbol sets; skewed counts reach the K.3 fold
+        keep = rng.random(256) < rng.uniform(0.01, 1.0)
+        keep[rng.integers(256)] = True
+        freq = rng.integers(1, 1 << int(rng.integers(1, 24)), 256) * keep
+        specs.append(jpeg._gen_huffman(freq))
+    return specs
+
+
+def test_decode_lut_equals_per_symbol_build():
+    for bits, vals in _huffman_specs():
+        sym, ln = jpeg._decode_lut(bytes(bits) + bytes(vals))
+        assert type(sym) is bytes and type(ln) is bytes
+        assert (sym, ln) == _per_symbol_lut(bits, vals)
+
+
+def test_decode_lut_rejects_bad_tables():
+    """Over-subscribed codes (Kraft sum past 2^16, libjpeg's
+    JERR_BAD_HUFF_TABLE) and more than 256 values are corrupt."""
+    for bits, vals in (
+            ([2, 2] + [0] * 14, [1, 2, 3, 4]),  # 2-bit codes past the end
+            ([3] + [0] * 15, [1, 2, 3]),  # three 1-bit codes
+            ([0] * 8 + [255, 255] + [0] * 6, [0] * 510)):  # Kraft-valid, 510 values
+        with pytest.raises(ValueError, match="bad Huffman table"):
+            jpeg._decode_lut(bytes(bits) + bytes(vals))
+    # a whole file: re-count the first DHT table (12 DC-luma values) as two
+    # 1-bit and ten 2-bit codes; same value count, so every length holds
+    buf = bytearray(encode_image(_source("jpeg"), "jpeg"))
+    p = buf.index(b"\xFF\xC4") + 5  # marker, length, Tc/Th
+    assert sum(buf[p:p + 16]) == 12
+    buf[p:p + 16] = bytes([2, 10] + [0] * 14)
+    with pytest.raises(ValueError, match="bad Huffman table"):
+        decode_image(bytes(buf), W, H, "jpeg")
+
+
+def test_decode_lut_memo_stays_bounded():
+    jpeg._decode_lut.cache_clear()
+    rng = np.random.default_rng(7)
+    for _ in range(12):  # per-scan optimized tables: several new per file
+        img = rng.integers(0, 256, (24, 24, 3), dtype=np.uint8)
+        jpeg.decode_jpeg(jpeg.encode_jpeg(img, progressive=True))
+    info = jpeg._decode_lut.cache_info()
+    assert info.misses > 32 and info.currsize <= 32
+
+
+@pytest.mark.parametrize("env", ["", "1"], ids=["c", "pure"])
+def test_decode_lut_memo_does_not_change_pixels(env, monkeypatch):
+    """A mixed sequence decoded with a warm memo gives the pixels each file
+    gives when decoded right after a cache_clear()."""
+    monkeypatch.setenv("PROJCL_NO_FASTCODEC", env)
+    if not env and fastcodec.lib() is None:
+        pytest.skip("no C compiler in this environment")
+    img = _source("jpeg")
+    dem = synth_pixels(5, W, H)[..., 0].astype(np.uint16) * 16 + 7  # 12-bit
+    files = [jpeg.encode_jpeg(img),
+             jpeg.encode_jpeg(img, subsample=True, restart_interval=3),
+             jpeg.encode_jpeg(img, progressive=True),
+             jpeg.encode_jpeg(synth_pixels(9, W, H), progressive=True),
+             jpeg.encode_jpeg(dem),
+             jpeg.encode_jpeg(img, quality=60, multiscan=True)]
+    cold = []
+    for buf in files:
+        jpeg._decode_lut.cache_clear()
+        cold.append(jpeg.decode_jpeg(buf))
+    jpeg._decode_lut.cache_clear()
+    for i in (0, 2, 4, 1, 3, 5, 2, 0, 4, 3, 1, 5):
+        np.testing.assert_array_equal(jpeg.decode_jpeg(files[i]), cold[i])
+    assert jpeg._decode_lut.cache_info().hits > 0
