@@ -38,7 +38,7 @@ def run_suite() -> dict:
     ctx = DataContext.get_current()
     ctx.enable_progress_bars = False
 
-    from projcl_ray import ops
+    from projcl_ray import ops, sources
     from projcl_ray.images import synth_images_table
     from projcl_ray.pipelines import derive_points, synth_polygons
     from projcl_ray.proj import ProjParams
@@ -62,11 +62,11 @@ def run_suite() -> dict:
         os.replace(img_dir + ".tmp", img_dir)
     # warm the shared worker pool (imports + state cache) so the timed run
     # measures steady-state throughput, not one-time process spin-up
-    ops.warp_and_tile(rd.read_parquet(img_dir).limit(64), "transverse_mercator",
+    ops.warp_and_tile(sources.read_images(img_dir).limit(64), "transverse_mercator",
                       ProjParams(spheroid="WGS_84"),
                       tile_size=64, batch_size=4).count()
     t0 = time.time()
-    ds = rd.read_parquet(img_dir)
+    ds = sources.read_images(img_dir)
     tiles = ops.warp_and_tile(
         ds, "transverse_mercator", ProjParams(spheroid="WGS_84"),
         tile_size=64, batch_size=8,

@@ -80,6 +80,27 @@ class _NumpyColumns(dict):
         return got
 
 
+def _map_blocks(ds: ray.data.Dataset, fn, *, batch_size: int | None) -> ray.data.Dataset:
+    """Run ``fn(table) -> table`` once per block, on ``batch_size``-row
+    slices of it (the whole block when None), and return the slices'
+    outputs as one table.
+
+    The slicing happens inside the UDF, not in Ray: ``map_batches`` is
+    called with ``batch_size=None``. A ``batch_size=`` there, or a read
+    that splits its blocks, stops Ray from fusing the stage with the read
+    before it, and every unfused block costs a Ray task. The stage carries
+    ``fn``'s name, so ``ds.stats()`` reads ``MapBatches(<fn>)``."""
+
+    def stage(block: pa.Table) -> pa.Table:
+        n = block.num_rows
+        if batch_size is None or n <= batch_size:
+            return fn(block)
+        return pa.concat_tables([fn(block.slice(i, batch_size)) for i in range(0, n, batch_size)])
+
+    stage.__name__ = stage.__qualname__ = fn.__name__
+    return ds.map_batches(stage, batch_format="pyarrow", batch_size=None)
+
+
 def map_columns(ds: ray.data.Dataset, fn, *, batch_size: int | None) -> ray.data.Dataset:
     """Row-preserving per-record stage over Arrow batches.
 
@@ -87,8 +108,10 @@ def map_columns(ds: ray.data.Dataset, fn, *, batch_size: int | None) -> ray.data
     returns a dict of only the columns it adds or replaces. A replaced column
     keeps its position, a new one is appended in ``fn``'s order, and every
     other column passes through as the Arrow array it already was, so Ray
-    never infers a type for it. The stage carries ``fn``'s name, so
-    ``ds.stats()`` reads ``MapBatches(<fn>)``."""
+    never infers a type for it. One stage call receives a whole block and
+    hands ``fn`` ``batch_size``-row slices of it (:func:`_map_blocks`). The
+    stage carries ``fn``'s name, so ``ds.stats()`` reads
+    ``MapBatches(<fn>)``."""
 
     def stage(batch: pa.Table) -> pa.Table:
         for name, values in fn(_NumpyColumns(batch)).items():
@@ -98,7 +121,7 @@ def map_columns(ds: ray.data.Dataset, fn, *, batch_size: int | None) -> ray.data
         return batch
 
     stage.__name__ = stage.__qualname__ = fn.__name__
-    return ds.map_batches(stage, batch_format="pyarrow", batch_size=batch_size)
+    return _map_blocks(ds, stage, batch_size=batch_size)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +316,10 @@ class WarpTileActor:
 
     State built once per worker process (__init__ = pl_context_init +
     pl_compile_code + param precompute): the prepared projection and the
-    warp policy. Batches should be small (images are wide rows).
+    warp policy. One call takes one slice of images: ``warp_and_tile``
+    receives a whole block per stage call and hands this body
+    ``batch_size``-row slices of it, which keeps the working set small
+    (images are wide rows).
 
     A batch runs in phases, each once over every image, the way ProjCL runs
     one kernel over one flat coordinate buffer: decode; one forward
@@ -428,6 +454,10 @@ def warp_and_tile(
     stateless tasks with per-worker-process cached state (the prepared
     projection is cheap; Ray's warm shared worker pool beats spawning an
     actor pool per execution).
+
+    One stage call receives a whole block, so a read of parquet files runs
+    fused with this stage, one task per file; ``batch_size`` is the number
+    of images :class:`WarpTileActor` warps at a time within the block.
     """
     params = params or ProjParams(**param_kw)
     key = ("warp_tile", proj_name, params, tile_size, filter, dst_datum, res_deg)
@@ -442,7 +472,7 @@ def warp_and_tile(
         )
         return worker(batch)
 
-    return ds.map_batches(_warp, batch_format="pyarrow", batch_size=batch_size)
+    return _map_blocks(ds, _warp, batch_size=batch_size)
 
 
 def ingest_geotiff(ds: ray.data.Dataset, *, src_datum: str = "WGS_84",
@@ -695,7 +725,9 @@ def pip_join(
     batch_size: int | None = 64 * 1024,
 ) -> ray.data.Dataset:
     """Point-in-polygon join against a small polygon layer: broadcast via
-    ray.put once, fetched zero-copy per worker process (cached), no shuffle."""
+    ray.put once, fetched zero-copy per worker process (cached), no shuffle.
+    One stage call receives a whole block and tests ``batch_size``-row
+    slices of it, never rows coalesced from several blocks."""
     ref = ray.put(polygons)
 
     def _pip(batch: pa.Table) -> pa.Table:
@@ -703,7 +735,7 @@ def pip_join(
                          lambda: PIPJoinActor(ref, lon_col, lat_col))
         return worker(batch)
 
-    return ds.map_batches(_pip, batch_format="pyarrow", batch_size=batch_size)
+    return _map_blocks(ds, _pip, batch_size=batch_size)
 
 
 class KnnActor:
@@ -894,7 +926,10 @@ def knn_join_large(
         batch = batch.append_column("home", pa.array([False] * batch.num_rows, pa.bool_()))
         return batch.select(["cell_id", query_id_col, target_id_col, lon_col, lat_col, "home"])
 
-    t_tagged = t_cells.map_batches(tag_targets, batch_format="pyarrow").materialize()
+    # batch_size coalesces small target blocks (from_items, a shuffle's
+    # output): every round's shuffle pays a map task per target block
+    t_tagged = t_cells.map_batches(tag_targets, batch_format="pyarrow",
+                                   batch_size=128 * 1024).materialize()
 
     def make_explode(ring_eff: int):
         def explode(batch: pa.Table) -> pa.Table:

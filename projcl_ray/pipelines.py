@@ -1,9 +1,9 @@
 """Composed pipelines: the flagship warp→tile→cell→join flow and the
 points-derivation helpers shared by `__ray_entry__.py` and `bench.py`.
 
-The flagship pipeline (north_star): georeferenced images → actor-pool
-decode/warp/tile → cell assignment → cell-level aggregation + PIP join
-against a polygon layer, streaming end-to-end.
+The flagship pipeline (north_star): georeferenced images → decode/warp/
+tile → cell assignment → cell-level aggregation + PIP join against a
+polygon layer, streaming end-to-end.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import pyarrow as pa
 import ray.data as rd
 from ray.data.aggregate import Count, Max, Mean, Min
 
-from . import ops
+from . import ops, sources
 from .images import synth_images_table
 from .proj import ProjParams
 from .spatial import make_convex_polygon
@@ -24,7 +24,7 @@ def derive_points(sf_dir: str, *, columns=("l_orderkey", "l_partkey")) -> rd.Dat
     """Deterministic lon/lat derivation from lineitem keys — the same
     arithmetic is reproduced verbatim in the SQL oracles, so every geospatial
     operator can be hash-checked against DuckDB (column-pruned read)."""
-    ds = rd.read_parquet(f"{sf_dir}/lineitem.parquet", columns=list(columns))
+    ds = sources.read_table(f"{sf_dir}/lineitem.parquet", columns=list(columns))
 
     def derive(cols: dict) -> dict:
         ok = np.asarray(cols["l_orderkey"], np.float64)
@@ -93,13 +93,7 @@ def flagship(
         batch_size=batch_size,
     )
     polys = synth_polygons(32)
-    # batch_size=None: pip's 64k default is sized for slim point tables; on
-    # the TILE stream (few thousand rows carrying 16 KB pixel payloads each)
-    # it coalesces every block into one batch, collapsing the fused
-    # warp->pip stage to a single task (measured 9.4 s vs 1.3 s at 2048
-    # images). Per-block batches keep the stage as parallel as the read.
-    joined = ops.pip_join(tiles, polys, lon_col="center_lon", lat_col="center_lat",
-                          batch_size=None)
+    joined = ops.pip_join(tiles, polys, lon_col="center_lon", lat_col="center_lat")
 
     # pixel-free projection before the shuffle (SURVEY §7 'Wide binary rows')
     def strip_pixels(batch: pa.Table) -> pa.Table:

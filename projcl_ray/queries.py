@@ -33,7 +33,7 @@ import pyarrow as pa
 import ray.data as rd
 from ray.data.aggregate import Count, Min, Sum
 
-from . import ops
+from . import ops, sources
 from .datums import concat_shift_matrix, DATUM_SPHEROID
 from .geodesic import SPHERE_RADIUS, haversine, vincenty_inverse
 from .index import DEFAULT_RES_DEG
@@ -391,7 +391,7 @@ SUPP_PT = (
 
 
 def _customer_points(sf_dir: str) -> rd.Dataset:
-    ds = rd.read_parquet(f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"])
+    ds = sources.read_table(f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"])
 
     def derive(cols: dict) -> dict:
         ck = np.asarray(cols["c_custkey"], np.float64)
@@ -1259,7 +1259,7 @@ FROM o
 
 @q("forward_geodesic_fixed_angle", ORACLES["forward_geodesic_fixed_angle"])
 def q_fixed_angle(sf_dir: str):
-    ds = rd.read_parquet(f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_partkey"])
+    ds = sources.read_table(f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_partkey"])
 
     def derive_dist(cols: dict) -> dict:
         ok = np.asarray(cols["l_orderkey"], np.float64)

@@ -21,17 +21,38 @@ import os
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
+import ray
 import ray.data as rd
 
 from .index import DEFAULT_RES_DEG
+
+
+def _data_files(path: str) -> list[str]:
+    """The files a Parquet read of ``path`` (a file or a directory tree)
+    scans, sorted; like Arrow's discovery, it skips names starting with
+    ``.`` or ``_``."""
+    if not os.path.isdir(path):
+        return [path]
+    hidden = (".", "_")
+    files = []
+    for d, subdirs, names in os.walk(path):
+        subdirs[:] = [s for s in subdirs if not s.startswith(hidden)]
+        files += [os.path.join(d, f) for f in names if not f.startswith(hidden)]
+    return sorted(files)
 
 
 def read_table(path: str, *, columns: list[str] | None = None, **kw) -> rd.Dataset:
     """Read a Lance dataset if available/applicable, else Parquet (file or dir).
 
     Column pruning is always pushed down (`columns=`), per the prune-at-the-
-    read rule.
+    read rule. A Parquet read asks for one block per file, or one per CPU
+    when there are fewer files than CPUs: a read that splits its blocks is
+    never fused with the stages after it, so each extra block costs a Ray
+    task. It reads with the first file's schema stripped of its metadata:
+    the ``b'pandas'`` entry pandas-written files carry makes every
+    multi-block schema unify log a "Failed to hash the schemas" warning.
     """
     if path.endswith(".lance") or os.path.isdir(os.path.join(path, "_versions")):
         try:
@@ -41,6 +62,14 @@ def read_table(path: str, *, columns: list[str] | None = None, **kw) -> rd.Datas
                 "lance bindings are not available in this environment; "
                 "store the table as parquet"
             ) from exc
+    files = _data_files(path)
+    cpus = int(ray.cluster_resources().get("CPU", 1)) if ray.is_initialized() else os.cpu_count()
+    kw.setdefault("override_num_blocks", max(len(files), cpus or 1))
+    if files:
+        schema = pq.read_schema(files[0])
+        if columns is not None:
+            schema = pa.schema([schema.field(c) for c in columns])
+        kw.setdefault("schema", schema.remove_metadata())
     return rd.read_parquet(path, columns=columns, **kw)
 
 

@@ -234,16 +234,20 @@ def test_map_columns_empty_batch_is_typed():
     assert got.schema.field("extra").type == pa.float64()
 
 
-def test_point_chain_bit_identical_to_kernels(ray_session, sf_dir):
+# 128k: the stages' default, above the 6000-row sf0.001 block; 1000: six
+# slices per block; 1024: a ragged last slice of 880 rows
+@pytest.mark.parametrize("batch_size", [128 * 1024, 1000, 1024])
+def test_point_chain_bit_identical_to_kernels(ray_session, sf_dir, batch_size):
     import pyarrow.parquet as pq
 
     from projcl_ray import datums, pipelines
 
     ds = pipelines.derive_points(sf_dir)
-    ds = ops.project_points(ds, "transverse_mercator", spheroid="WGS_84")
+    ds = ops.project_points(ds, "transverse_mercator", spheroid="WGS_84", batch_size=batch_size)
     ds = ops.project_points(ds, "transverse_mercator", spheroid="WGS_84", inverse=True,
-                            lon_col="lon2", lat_col="lat2")
-    ds = ops.shift_datum(ds, "WGS_84", "NAD_27", out_lon="lon_n27", out_lat="lat_n27")
+                            lon_col="lon2", lat_col="lat2", batch_size=batch_size)
+    ds = ops.shift_datum(ds, "WGS_84", "NAD_27", out_lon="lon_n27", out_lat="lat_n27",
+                         batch_size=batch_size)
     ds = ds.materialize()
     stats = ds.stats()
     assert "MapBatches(derive)" in stats
@@ -271,16 +275,23 @@ def test_point_chain_bit_identical_to_kernels(ray_session, sf_dir):
         np.testing.assert_array_equal(out[col].to_numpy(), want, err_msg=col)
 
 
-def test_warp_and_tile_tasks(ray_session):
+@pytest.mark.parametrize("n_images", [12, 13])  # 13: a ragged last slice of one image
+def test_warp_and_tile_tasks(ray_session, n_images):
     import ray.data as rd
 
-    tbl = synth_images_table(12, seed=42)
-    ds = rd.from_arrow(tbl)
+    tbl = synth_images_table(n_images, seed=42)
+    ds = rd.from_arrow(tbl)  # one block: the stage slices it into 4-image groups
     tiles = ops.warp_and_tile(
         ds, "mercator", ProjParams(spheroid="WGS_84"),
         tile_size=64, batch_size=4,
     )
-    df = tiles.to_pandas()
+    got = tiles.to_arrow_refs()
+    assert len(got) == 1
+    got = ray_session.get(got[0])
+    actor = ops.WarpTileActor("mercator", ProjParams(spheroid="WGS_84"), tile_size=64)
+    want = pa.concat_tables([actor(tbl.slice(i, 4)) for i in range(0, n_images, 4)])
+    assert got.equals(want)  # same tiles, bytes and cell_id, in the same order
+    df = got.to_pandas()
     assert len(df) >= 12  # at least one tile per image
     assert set(df.columns) >= {"image_id", "caption", "cell_id", "tile_idx", "bytes", "w", "h"}
     # captions survive byte-identical (input_hint invariant)
@@ -293,6 +304,80 @@ def test_warp_and_tile_tasks(ray_session):
     assert img.shape == (64, 64, 4)
     # row-first tile convention
     assert np.all(df["tile_idx"] >= df["tile_col"])
+
+
+def _operators(stats: str) -> list[tuple[str, int]]:
+    """(name, tasks) of every operator in a ``Dataset.stats()`` text."""
+    import re
+
+    return [(m.group(1), int(m.group(2))) for m in
+            re.finditer(r"^Operator \d+ (\S+): (\d+) tasks executed", stats, re.M)]
+
+
+def test_image_read_fuses_into_warp_and_cell_counts(ray_session, tmp_path, monkeypatch):
+    """One Ray task per parquet file: the read, the warp and the cell-count
+    combiner run as one operator (the session has 4 CPUs, so 5 files are
+    not split)."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from projcl_ray import sources
+
+    tbl = synth_images_table(30, seed=7)
+    n_files = 5
+    for k in range(n_files):
+        pq.write_table(tbl.slice(6 * k, 6), str(tmp_path / f"part-{k}.parquet"))
+    executed = []
+    orig = rd.Dataset.iter_batches
+
+    def recording(self, *a, **kw):
+        executed.append(self)
+        return orig(self, *a, **kw)
+
+    monkeypatch.setattr(rd.Dataset, "iter_batches", recording)
+    tiles = ops.warp_and_tile(sources.read_images(str(tmp_path)), "transverse_mercator",
+                              ProjParams(spheroid="WGS_84"), batch_size=4)
+    got = ops.cell_counts(tiles)
+    monkeypatch.undo()
+    (op, tasks), = _operators(executed[-1].stats())
+    assert op.startswith("ReadParquet->MapBatches(_warp)")
+    assert tasks == n_files
+    want = ops.cell_counts(ops.warp_and_tile(rd.from_arrow(tbl), "transverse_mercator",
+                                             ProjParams(spheroid="WGS_84"), batch_size=4))
+    assert got.sort_values("cell_id").reset_index(drop=True).equals(
+        want.sort_values("cell_id").reset_index(drop=True))
+
+
+def test_lineitem_read_fuses_into_point_chain(ray_session, sf_dir, tmp_path):
+    """derive → project → shift → PIP over a 4-file lineitem directory runs
+    as one operator with one task per file, and joins the same rows as the
+    single-file table."""
+    import pyarrow.parquet as pq
+
+    from projcl_ray import pipelines
+
+    keys = pq.read_table(f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_partkey"])
+    li = tmp_path / "lineitem.parquet"
+    li.mkdir()
+    n_files, per = 4, -(-keys.num_rows // 4)
+    for k in range(n_files):
+        pq.write_table(keys.slice(k * per, per), str(li / f"part-{k}.parquet"))
+    polys = pipelines.nation_boxes(sf_dir)
+
+    def chain(root):
+        ds = ops.project_points(pipelines.derive_points(root), "transverse_mercator",
+                                spheroid="WGS_84")
+        ds = ops.shift_datum(ds, "WGS_84", "NAD_27", out_lon="lon_n27", out_lat="lat_n27")
+        return ops.pip_join(ds, polys).materialize()
+
+    ds = chain(str(tmp_path))
+    assert _operators(ds.stats()) == [
+        ("ReadParquet->MapBatches(derive)->MapBatches(_project)->MapBatches(_shift)"
+         "->MapBatches(_pip)", n_files)]
+    key = ["l_orderkey", "l_partkey", "poly_id"]
+    got = ds.to_pandas().sort_values(key).reset_index(drop=True)
+    want = chain(sf_dir).to_pandas().sort_values(key).reset_index(drop=True)
+    assert len(got) > 0 and got.equals(want)
 
 
 def test_pip_join_matches_local_oracle(ray_session, sf_dir):

@@ -12,9 +12,17 @@ from projcl_ray.proj import ProjParams
 
 
 def test_read_table_parquet_fallback(ray_session, sf_dir):
+    import pyarrow.parquet as pq
+    import ray
+
     ds = sources.read_table(f"{sf_dir}/nation.parquet", columns=["n_nationkey"])
     assert ds.count() == 25
     assert [f.name for f in ds.schema().base_schema] == ["n_nationkey"]
+    # the file's pandas schema metadata stops at the read
+    assert b"pandas" in pq.read_schema(f"{sf_dir}/nation.parquet").metadata
+    assert not ds.schema().base_schema.metadata
+    for ref in ds.to_arrow_refs():
+        assert not ray.get(ref).schema.metadata
 
 
 def test_read_images_roundtrip(ray_session, tmp_path):
