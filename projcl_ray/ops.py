@@ -80,22 +80,27 @@ class _NumpyColumns(dict):
         return got
 
 
-def _map_blocks(ds: ray.data.Dataset, fn, *, batch_size: int | None) -> ray.data.Dataset:
+def _map_blocks(ds: ray.data.Dataset, fn, *, batch_size: int | None,
+                stream: bool = False) -> ray.data.Dataset:
     """Run ``fn(table) -> table`` once per block, on ``batch_size``-row
-    slices of it (the whole block when None), and return the slices'
-    outputs as one table.
+    slices of it (the whole block when None). The stage returns the slices'
+    outputs as one table, or with ``stream`` yields each slice's output:
+    Ray's output buffer then cuts the stream into blocks, so a stage whose
+    output outgrows its input does not itself hold a whole block's output.
 
     The slicing happens inside the UDF, not in Ray: ``map_batches`` is
     called with ``batch_size=None``. A ``batch_size=`` there, or a read
     that splits its blocks, stops Ray from fusing the stage with the read
-    before it, and every unfused block costs a Ray task. The stage carries
-    ``fn``'s name, so ``ds.stats()`` reads ``MapBatches(<fn>)``."""
+    before it, and every unfused block costs a Ray task. So ``batch_size``
+    never merges small blocks into one call, as Ray's does. The stage
+    carries ``fn``'s name, so ``ds.stats()`` reads ``MapBatches(<fn>)``."""
 
-    def stage(block: pa.Table) -> pa.Table:
+    def stage(block: pa.Table):
         n = block.num_rows
         if batch_size is None or n <= batch_size:
             return fn(block)
-        return pa.concat_tables([fn(block.slice(i, batch_size)) for i in range(0, n, batch_size)])
+        outs = (fn(block.slice(i, batch_size)) for i in range(0, n, batch_size))
+        return outs if stream else pa.concat_tables(list(outs))
 
     stage.__name__ = stage.__qualname__ = fn.__name__
     return ds.map_batches(stage, batch_format="pyarrow", batch_size=None)
@@ -108,8 +113,9 @@ def map_columns(ds: ray.data.Dataset, fn, *, batch_size: int | None) -> ray.data
     returns a dict of only the columns it adds or replaces. A replaced column
     keeps its position, a new one is appended in ``fn``'s order, and every
     other column passes through as the Arrow array it already was, so Ray
-    never infers a type for it. One stage call receives a whole block and
-    hands ``fn`` ``batch_size``-row slices of it (:func:`_map_blocks`). The
+    never infers a type for it. One stage call receives a whole block,
+    hands ``fn`` ``batch_size``-row slices of it and returns one table
+    (:func:`_map_blocks`); ``batch_size`` does not merge small blocks. The
     stage carries ``fn``'s name, so ``ds.stats()`` reads
     ``MapBatches(<fn>)``."""
 
@@ -317,9 +323,10 @@ class WarpTileActor:
     State built once per worker process (__init__ = pl_context_init +
     pl_compile_code + param precompute): the prepared projection and the
     warp policy. One call takes one slice of images: ``warp_and_tile``
-    receives a whole block per stage call and hands this body
-    ``batch_size``-row slices of it, which keeps the working set small
-    (images are wide rows).
+    receives a whole block per stage call, hands this body
+    ``batch_size``-row slices of it and yields each slice's tiles, so a
+    worker holds one block of input but only one slice of decoded pixels
+    and Ray's output buffer's worth of tiles (images are wide rows).
 
     A batch runs in phases, each once over every image, the way ProjCL runs
     one kernel over one flat coordinate buffer: decode; one forward
@@ -457,7 +464,9 @@ def warp_and_tile(
 
     One stage call receives a whole block, so a read of parquet files runs
     fused with this stage, one task per file; ``batch_size`` is the number
-    of images :class:`WarpTileActor` warps at a time within the block.
+    of images :class:`WarpTileActor` warps at a time within the block, and
+    each slice's tiles are yielded as they are made. ``batch_size`` does not
+    merge small blocks.
     """
     params = params or ProjParams(**param_kw)
     key = ("warp_tile", proj_name, params, tile_size, filter, dst_datum, res_deg)
@@ -472,7 +481,7 @@ def warp_and_tile(
         )
         return worker(batch)
 
-    return _map_blocks(ds, _warp, batch_size=batch_size)
+    return _map_blocks(ds, _warp, batch_size=batch_size, stream=True)
 
 
 def ingest_geotiff(ds: ray.data.Dataset, *, src_datum: str = "WGS_84",
@@ -726,8 +735,9 @@ def pip_join(
 ) -> ray.data.Dataset:
     """Point-in-polygon join against a small polygon layer: broadcast via
     ray.put once, fetched zero-copy per worker process (cached), no shuffle.
-    One stage call receives a whole block and tests ``batch_size``-row
-    slices of it, never rows coalesced from several blocks."""
+    One stage call receives a whole block, tests ``batch_size``-row slices
+    of it and returns one table; ``batch_size`` does not merge small
+    blocks."""
     ref = ray.put(polygons)
 
     def _pip(batch: pa.Table) -> pa.Table:

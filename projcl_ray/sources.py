@@ -21,38 +21,54 @@ import os
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
+import pyarrow.dataset as pads
 
 import ray
 import ray.data as rd
+from ray.data import DataContext
 
 from .index import DEFAULT_RES_DEG
 
 
-def _data_files(path: str) -> list[str]:
-    """The files a Parquet read of ``path`` (a file or a directory tree)
-    scans, sorted; like Arrow's discovery, it skips names starting with
-    ``.`` or ``_``."""
-    if not os.path.isdir(path):
-        return [path]
-    hidden = (".", "_")
-    files = []
-    for d, subdirs, names in os.walk(path):
-        subdirs[:] = [s for s in subdirs if not s.startswith(hidden)]
-        files += [os.path.join(d, f) for f in names if not f.startswith(hidden)]
-    return sorted(files)
+def _one_block_per_file(files: list[pads.ParquetFileFragment], schema: pa.Schema) -> int | None:
+    """``override_num_blocks`` for a Parquet read of ``schema``'s columns
+    from ``files``: one block per file where Ray's default would split
+    them, else None (Ray's default).
+
+    A read that splits its blocks is never fused with the stages after it,
+    so each extra block costs a Ray task. Ray's default asks for
+    ``max(min(read_op_min_num_blocks, size / target_min_block_size),
+    2 * CPUs)`` blocks and splits each file's output when that exceeds the
+    file count. Its ``size`` is the row groups' uncompressed bytes times a
+    decoding ratio of at least 1, sampled from the columns it reads: no
+    smaller than those bytes and, for files of one shape, than what the
+    integer and float columns take in memory. The larger of the two stands
+    in for it here, so one block per file does not ask for more blocks
+    than Ray's default. It is asked for only when there are at least as
+    many files as CPUs: with fewer, the split keeps every CPU busy; with
+    more than the default, Ray groups several files per task and does not
+    split."""
+    n, ctx = len(files), DataContext.get_current()
+    cpus = int(ray.cluster_resources().get("CPU", 1)) if ray.is_initialized() else os.cpu_count() or 1
+    if n < cpus:
+        return None
+    metas = [f.metadata for f in files]
+    row_bytes = sum(t.bit_width for t in schema.types if pa.types.is_integer(t) or pa.types.is_floating(t)) // 8
+    size = max(sum(m.row_group(i).total_byte_size for m in metas for i in range(m.num_row_groups)),
+               sum(m.num_rows for m in metas) * row_bytes)
+    default = max(min(ctx.read_op_min_num_blocks, size // ctx.target_min_block_size), 2 * cpus)
+    return n if n <= default else None
 
 
 def read_table(path: str, *, columns: list[str] | None = None, **kw) -> rd.Dataset:
     """Read a Lance dataset if available/applicable, else Parquet (file or dir).
 
     Column pruning is always pushed down (`columns=`), per the prune-at-the-
-    read rule. A Parquet read asks for one block per file, or one per CPU
-    when there are fewer files than CPUs: a read that splits its blocks is
-    never fused with the stages after it, so each extra block costs a Ray
-    task. It reads with the first file's schema stripped of its metadata:
-    the ``b'pandas'`` entry pandas-written files carry makes every
-    multi-block schema unify log a "Failed to hash the schemas" warning.
+    read rule. A Parquet read asks for one block per file where Ray's
+    default would split them (:func:`_one_block_per_file`). It reads with
+    the files' unified schema stripped of its metadata: the ``b'pandas'``
+    entry pandas-written files carry makes every multi-block schema unify
+    log a "Failed to hash the schemas" warning.
     """
     if path.endswith(".lance") or os.path.isdir(os.path.join(path, "_versions")):
         try:
@@ -62,14 +78,15 @@ def read_table(path: str, *, columns: list[str] | None = None, **kw) -> rd.Datas
                 "lance bindings are not available in this environment; "
                 "store the table as parquet"
             ) from exc
-    files = _data_files(path)
-    cpus = int(ray.cluster_resources().get("CPU", 1)) if ray.is_initialized() else os.cpu_count()
-    kw.setdefault("override_num_blocks", max(len(files), cpus or 1))
+    # the files Ray's read scans: its discovery is Arrow's dataset discovery
+    files = list(pads.dataset(path, format="parquet", filesystem=kw.get("filesystem"))
+                 .get_fragments())
     if files:
-        schema = pq.read_schema(files[0])
-        if columns is not None:
+        schema = pa.unify_schemas([f.physical_schema for f in files], promote_options="permissive")
+        if columns is not None:  # Ray reads each batch into this schema as is
             schema = pa.schema([schema.field(c) for c in columns])
         kw.setdefault("schema", schema.remove_metadata())
+        kw.setdefault("override_num_blocks", _one_block_per_file(files, schema))
     return rd.read_parquet(path, columns=columns, **kw)
 
 

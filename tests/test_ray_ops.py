@@ -306,6 +306,37 @@ def test_warp_and_tile_tasks(ray_session, n_images):
     assert np.all(df["tile_idx"] >= df["tile_col"])
 
 
+def test_sliced_stages_stream_warp_tiles_and_return_point_tables(ray_session, monkeypatch):
+    """Over a block of several slices the warp stage yields each slice's
+    tiles, so a worker never holds a whole block's tiles; a point stage
+    returns one table."""
+    import types
+
+    import ray.data as rd
+
+    stages = []
+    orig = rd.Dataset.map_batches
+
+    def recording(self, fn, **kw):
+        stages.append(fn)
+        return orig(self, fn, **kw)
+
+    monkeypatch.setattr(rd.Dataset, "map_batches", recording)
+    tbl = synth_images_table(13, seed=42)
+    ds = rd.from_arrow(tbl)
+    ops.warp_and_tile(ds, "mercator", ProjParams(spheroid="WGS_84"), tile_size=64, batch_size=4)
+    ops.project_points(ds, "mercator", lon_col="lon0", lat_col="lat0", batch_size=4)
+    warp_stage, point_stage = stages
+    out = warp_stage(tbl)
+    assert isinstance(out, types.GeneratorType)
+    actor = ops.WarpTileActor("mercator", ProjParams(spheroid="WGS_84"), tile_size=64)
+    parts = list(out)
+    assert len(parts) == 4 and pa.concat_tables(parts).equals(
+        pa.concat_tables([actor(tbl.slice(i, 4)) for i in range(0, 13, 4)]))
+    points = point_stage(tbl)
+    assert isinstance(points, pa.Table) and points.num_rows == 13
+
+
 def _operators(stats: str) -> list[tuple[str, int]]:
     """(name, tasks) of every operator in a ``Dataset.stats()`` text."""
     import re

@@ -25,6 +25,46 @@ def test_read_table_parquet_fallback(ray_session, sf_dir):
         assert not ray.get(ref).schema.metadata
 
 
+def test_read_table_one_block_per_file_only_where_ray_would_split(ray_session, tmp_path):
+    """With 4 CPUs Ray's default read asks for at least 8 blocks, and for
+    one per MiB of decoded data: fewer files than CPUs keep that default
+    (the split keeps every CPU busy); up to the default, each file is one
+    block; more small files than the default keep Ray's grouping of
+    several files per task."""
+    import pyarrow as pa
+    import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
+
+    small = pa.table({"k": pa.array(range(40), pa.int64())})
+    big = pa.table({"k": pa.array(range(150_000), pa.int64())})  # 1.14 MiB decoded
+    for n, tbl, want in [(3, small, None), (4, small, 4), (8, small, 8), (9, small, None),
+                         (10, big, 10)]:
+        d = tmp_path / f"{n}-{tbl.num_rows}"
+        d.mkdir()
+        for k in range(n):
+            pq.write_table(tbl, str(d / f"part-{k}.parquet"))
+        files = list(pads.dataset(str(d), format="parquet").get_fragments())
+        assert sources._one_block_per_file(files, tbl.schema) == want, (n, tbl.num_rows)
+        assert sources.read_table(str(d)).count() == n * tbl.num_rows
+
+
+def test_read_table_unifies_file_schemas(ray_session, tmp_path):
+    """Each file is read into the files' unified schema, not the first
+    file's: an all-null column and a narrower integer widen."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    pq.write_table(pa.table({"id": pa.array([1], pa.int32()), "caption": pa.array([None])}),
+                   str(tmp_path / "part-0.parquet"))
+    pq.write_table(pa.table({"id": pa.array([2], pa.int64()), "caption": pa.array(["b"])}),
+                   str(tmp_path / "part-1.parquet"))
+    ds = sources.read_table(str(tmp_path))
+    schema = ds.schema().base_schema
+    assert (schema.field("id").type, schema.field("caption").type) == (pa.int64(), pa.string())
+    assert sorted(ds.take_all(), key=lambda r: r["id"]) == [
+        {"id": 1, "caption": None}, {"id": 2, "caption": "b"}]
+
+
 def test_read_images_roundtrip(ray_session, tmp_path):
     import ray.data as rd
 
