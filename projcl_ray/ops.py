@@ -3,15 +3,18 @@ spatial-join/tiling additions) expressed as a transform over a
 ``ray.data.Dataset``.
 
 Design rules (SURVEY §1.3/§7):
+- every stage is built by one of two builders, Arrow in and Arrow out, the
+  way ProjCL runs every capability as one kernel shape over one flat
+  buffer: :func:`_map_blocks` for per-block work (one ``map_batches`` call,
+  whole blocks sliced inside the UDF) and :func:`_map_groups` for per-group
+  work after one ``groupby`` shuffle (each group's output typed by a
+  declared schema). No stage UDF takes or returns pandas or a NumPy dict,
+  so Ray never infers a column type or unifies differing block schemas;
 - per-record math = stateless ``map_columns``: the UDF reads the columns it
   needs as NumPy (zero-copy for primitive columns) and returns only the
   columns it adds or replaces; every other column stays the Arrow array it
-  was. A ``batch_format="numpy"`` stage returns a dict that Ray converts back
-  to Arrow, inferring each column's type with ``pa.infer_type``, which walks
-  an int64 column element by element. Params are frozen in closures (the
-  host-precompute step of the reference, done once at build time);
-- fan-out stages return an Arrow table too (``take`` of the input rows plus
-  the new columns), never a NumPy dict;
+  was. Params are frozen in closures (the host-precompute step of the
+  reference, done once at build time);
 - image/join stages are stateless tasks with a per-worker-process state
   cache (see _cached below) — one execution mode per stage;
 - small lookup sides (polygon layers, kNN targets) broadcast once via
@@ -27,6 +30,7 @@ from typing import Iterable
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 import ray.data
@@ -104,6 +108,22 @@ def _map_blocks(ds: ray.data.Dataset, fn, *, batch_size: int | None,
 
     stage.__name__ = stage.__qualname__ = fn.__name__
     return ds.map_batches(stage, batch_format="pyarrow", batch_size=None)
+
+
+def _map_groups(ds: ray.data.Dataset, key, fn, schema: pa.Schema) -> ray.data.Dataset:
+    """Run ``fn(group) -> columns | None`` once per group of ``key`` after
+    one ``groupby(key)`` shuffle, the group arriving as one Arrow table.
+    ``fn`` returns a dict of its output columns (arrays of any kind), which
+    becomes a table of ``schema``, or None for a group with no output,
+    which becomes ``schema.empty_table()``. So every block the stage emits
+    carries the one declared schema. The stage carries ``fn``'s name."""
+
+    def stage(group: pa.Table) -> pa.Table:
+        cols = fn(group)
+        return schema.empty_table() if cols is None else pa.table(cols, schema=schema)
+
+    stage.__name__ = stage.__qualname__ = fn.__name__
+    return ds.groupby(key).map_groups(stage, batch_format="pyarrow")
 
 
 def map_columns(ds: ray.data.Dataset, fn, *, batch_size: int | None) -> ray.data.Dataset:
@@ -263,7 +283,7 @@ def forward_geodesic(
         out = out.append_column("lon2", pa.array(lon2.ravel()))
         return out.append_column("lat2", pa.array(lat2.ravel()))
 
-    return ds.map_batches(_fan, batch_format="pyarrow", batch_size=batch_size)
+    return _map_blocks(ds, _fan, batch_size=batch_size, stream=True)
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +336,15 @@ def salt_hot_keys(
 # ---------------------------------------------------------------------------
 
 
+# warp_and_tile's output: one row per tile, raw RGBA bytes
+TILE_SCHEMA = pa.schema([
+    ("image_id", pa.string()), ("caption", pa.string()), ("cell_id", pa.int64()),
+    ("tile_col", pa.int32()), ("tile_row", pa.int32()), ("tile_idx", pa.int32()),
+    ("tile_size", pa.int32()), ("bytes", pa.binary()), ("w", pa.int32()), ("h", pa.int32()),
+    ("fmt", pa.string()), ("center_lon", pa.float64()), ("center_lat", pa.float64()),
+])
+
+
 class WarpTileActor:
     """The warp+tile worker body: decode → warp to the target projection →
     cut tiles → emit one row per tile.
@@ -335,8 +364,7 @@ class WarpTileActor:
     the fill+sample (warp.warp_images_u8); cut tiles; one inverse projection
     for all the tile centres and one cell_id; one Arrow build.
 
-    Output schema: image_id, caption, cell_id, tile_col, tile_row, tile_idx,
-    tile_size, bytes (raw RGBA), w, h, fmt, center_lon, center_lat.
+    Output schema: :data:`TILE_SCHEMA`.
     """
 
     def __init__(self, proj_name: str, params: ProjParams, *, tile_size: int = 64,
@@ -375,23 +403,25 @@ class WarpTileActor:
         with np.errstate(all="ignore"):
             clon, clat = self.prepped.inverse(cx, cy)
         n = len(src_row)
+        tile_px = np.full(n, self.tile_size, np.int32)
         return pa.table(
             {
-                "image_id": batch["image_id"].take(src_row).cast(pa.string()),
-                "caption": batch["caption"].take(src_row).cast(pa.string()),
-                "cell_id": pa.array(index_mod.cell_id(clon, clat, self.res_deg), pa.int64()),
-                "tile_col": pa.array(grid[:, 0], pa.int32()),
-                "tile_row": pa.array(grid[:, 1], pa.int32()),
-                "tile_idx": pa.array(grid[:, 2], pa.int32()),
-                "tile_size": pa.array(np.full(n, self.tile_size, np.int32), pa.int32()),
-                "bytes": pa.array([encode_image(t[3]) for ts in tiles for t in ts], pa.binary()),
+                "image_id": batch["image_id"].take(src_row),
+                "caption": batch["caption"].take(src_row),
+                "cell_id": index_mod.cell_id(clon, clat, self.res_deg),
+                "tile_col": grid[:, 0],
+                "tile_row": grid[:, 1],
+                "tile_idx": grid[:, 2],
+                "tile_size": tile_px,
+                "bytes": [encode_image(t[3]) for ts in tiles for t in ts],
                 # cut_tiles zero-pads edge tiles to the full tile size
-                "w": pa.array(np.full(n, self.tile_size, np.int32), pa.int32()),
-                "h": pa.array(np.full(n, self.tile_size, np.int32), pa.int32()),
-                "fmt": pa.array(["raw"] * n, pa.string()),
-                "center_lon": pa.array(clon, pa.float64()),
-                "center_lat": pa.array(clat, pa.float64()),
-            }
+                "w": tile_px,
+                "h": tile_px,
+                "fmt": ["raw"] * n,
+                "center_lon": clon,
+                "center_lat": clat,
+            },
+            schema=TILE_SCHEMA,
         )
 
 
@@ -407,8 +437,9 @@ def resize_images(
     """Fixed-size image resize — the model-input normalization stage of a
     training-data pipeline: decode → center-aligned sampling with the
     reference's filters (nearest/bilinear/bicubic/quasi_bicubic) → encode.
-    Stateless tasks over small batches (rows are wide); bytes/w/h columns are
-    replaced in place, everything else passes through."""
+    Stateless tasks over ``batch_size``-image slices of each block (rows are
+    wide); bytes/w/h columns are replaced in place, everything else passes
+    through."""
     from .warp import SAMPLERS
 
     sampler = SAMPLERS[filter]
@@ -442,7 +473,7 @@ def resize_images(
                 cols[name] = batch[name]
         return pa.table(cols)
 
-    return ds.map_batches(_resize, batch_format="pyarrow", batch_size=batch_size)
+    return _map_blocks(ds, _resize, batch_size=batch_size, stream=True)
 
 
 def warp_and_tile(
@@ -492,8 +523,9 @@ def ingest_geotiff(ds: ray.data.Dataset, *, src_datum: str = "WGS_84",
     the north-up georeference (lon0/lat0/px_deg) is recovered from the
     embedded GeoTIFF ModelPixelScale/ModelTiepoint tags (tiff.py) — no
     sidecar georeference columns, exactly how georeferenced rasters arrive
-    from the wild. Runs as a stateless vectorized map_batches stage; image
-    rows are wide, so batch_size stays small (same rule as warp)."""
+    from the wild. Image rows are wide, so each block is decoded
+    ``batch_size`` rows at a time and each slice's rows are yielded (same
+    rule as warp)."""
 
     def _ingest(batch: pa.Table) -> pa.Table:
         from .tiff import decode_tiff_geo, georef_from_tags
@@ -526,7 +558,7 @@ def ingest_geotiff(ds: ray.data.Dataset, *, src_datum: str = "WGS_84",
             "src_datum": pa.array([src_datum] * len(ids), pa.string()),
         })
 
-    return ds.map_batches(_ingest, batch_format="pyarrow", batch_size=batch_size)
+    return _map_blocks(ds, _ingest, batch_size=batch_size, stream=True)
 
 
 def zonal_stats(ds: ray.data.Dataset, polygons: list,
@@ -536,12 +568,12 @@ def zonal_stats(ds: ray.data.Dataset, polygons: list,
     CENTER (GeoRef convention: lon0 + px_deg·col, lat0 − px_deg·row) falls
     inside the zone. The classic DEM/band × vector-zones geospatial op.
 
-    Scale shape (SCALE.md combiner rule): pixels NEVER shuffle — each batch
-    of rasters reduces to at most one partial row per zone (count, sum,
-    min, max over a bbox-prefiltered exact ray-crossing test, all
-    vectorized), and a native groupby-aggregate merges the partials; a
-    100 TB raster corpus ships n_zones-sized rows per batch. ``polygons``
-    is the broadcast small side ([(zone_id, (k,2) lon/lat vertices)],
+    Scale shape (SCALE.md combiner rule): pixels NEVER shuffle — each
+    ``batch_size``-raster slice of a block reduces to at most one partial
+    row per zone (count, sum, min, max over a bbox-prefiltered exact
+    ray-crossing test, all vectorized), and a native groupby-aggregate
+    merges the partials; a 100 TB raster corpus ships n_zones-sized rows
+    per slice. ``polygons`` is the broadcast small side ([(zone_id, (k,2) lon/lat vertices)],
     one ray.put). Raster rows are ``(raster_id, bytes)`` GeoTIFF blobs
     with embedded georeference; sample values come from
     tiff.decode_tiff_native, so uint16/int16/float32 DEMs aggregate at
@@ -597,7 +629,7 @@ def zonal_stats(ds: ray.data.Dataset, polygons: list,
     from ray.data.aggregate import Max, Min, Sum
 
     merged = (
-        ds.map_batches(_partial, batch_format="pyarrow", batch_size=batch_size)
+        _map_blocks(ds, _partial, batch_size=batch_size)
         .groupby("zone_id")
         .aggregate(Sum("n", alias_name="n"), Sum("vsum", alias_name="vsum"),
                    Min("vmin", alias_name="vmin"), Max("vmax", alias_name="vmax"))
@@ -614,7 +646,7 @@ def zonal_stats(ds: ray.data.Dataset, polygons: list,
             "vmax": batch["vmax"],
         })
 
-    return merged.map_batches(finish, batch_format="pyarrow")
+    return _map_blocks(merged, finish, batch_size=None)
 
 
 def _horn_terrain(z: np.ndarray, lat: np.ndarray, px_deg: float,
@@ -680,7 +712,7 @@ def dem_terrain_features(ds: ray.data.Dataset, *, z_factor: float = 1.0,
             "elev_roughness": pa.array(rgh, pa.float64()),
         })
 
-    return ds.map_batches(_feat, batch_format="pyarrow", batch_size=batch_size)
+    return _map_blocks(ds, _feat, batch_size=batch_size)
 
 
 # ---------------------------------------------------------------------------
@@ -862,7 +894,7 @@ def knn_join(
                          lambda: KnnActor(ref, k, lon_col, lat_col, prune_res_deg))
         return worker(batch)
 
-    return ds.map_batches(_knn, batch_format="pyarrow", batch_size=batch_size)
+    return _map_blocks(ds, _knn, batch_size=batch_size, stream=True)
 
 
 def knn_join_large(
@@ -896,44 +928,26 @@ def knn_join_large(
     distance_m). Targets are materialized once (object store, spillable) so
     multi-round runs don't re-read the target table.
     """
-    import pandas as pd
-    import pyarrow.compute as pc
-
     max_ring = int(180.0 / res_deg) + 1
     q_slim = queries.select_columns([query_id_col, lon_col, lat_col])
     t_cells = assign_cells(
         targets.select_columns([target_id_col, lon_col, lat_col]),
         lon_col=lon_col, lat_col=lat_col, res_deg=res_deg,
     )
-
-    q_schema = q_slim.schema()
-    qid_type = q_schema.base_schema.field(query_id_col).type
-    t_schema = t_cells.schema()
-    tid_type = t_schema.base_schema.field(target_id_col).type
-    # typed filler for sentinel rows (dist=inf marks them): keeps the tid
-    # column's dtype identical across blocks so unions/materialize stay clean
-    if pa.types.is_integer(tid_type):
-        tid_filler: object = 0
-    elif pa.types.is_floating(tid_type):
-        tid_filler = 0.0
-    else:
-        tid_filler = ""
-
-    def _np_of(t):
-        if pa.types.is_integer(t):
-            return np.int64
-        if pa.types.is_floating(t):
-            return np.float64
-        return object
-
-    # normalize group-output dtypes: the union gives probe rows null tids (the
-    # column arrives as float64/object in pandas groups), so every emitted
-    # frame casts back to the declared id dtypes for block-schema stability
-    qid_np, tid_np = _np_of(qid_type), _np_of(tid_type)
+    qid_type = q_slim.schema().base_schema.field(query_id_col).type
+    tid_type = t_cells.schema().base_schema.field(target_id_col).type
+    # sentinel and re-probe rows carry a null target id (dist=inf marks them)
+    topk_schema = pa.schema([(query_id_col, qid_type), (target_id_col, tid_type),
+                             ("dist", pa.float64()), (lon_col, pa.float64()),
+                             (lat_col, pa.float64())])
+    merge_schema = pa.schema([(query_id_col, qid_type), (target_id_col, tid_type),
+                              ("distance_m", pa.float64()), ("neighbor_rank", pa.int32()),
+                              ("knn_done", pa.bool_()), (lon_col, pa.float64()),
+                              (lat_col, pa.float64())])
 
     def tag_targets(batch: pa.Table) -> pa.Table:
-        batch = batch.append_column(query_id_col, pa.array([None] * batch.num_rows, qid_type))
-        batch = batch.append_column("home", pa.array([False] * batch.num_rows, pa.bool_()))
+        batch = batch.append_column(query_id_col, pa.nulls(batch.num_rows, qid_type))
+        batch = batch.append_column("home", pa.array(np.zeros(batch.num_rows, bool)))
         return batch.select(["cell_id", query_id_col, target_id_col, lon_col, lat_col, "home"])
 
     # batch_size coalesces small target blocks (from_items, a shuffle's
@@ -952,8 +966,8 @@ def knn_join_large(
             return pa.table(
                 {
                     "cell_id": pa.array(probe_cells, pa.int64()),
-                    query_id_col: pa.array(np.asarray(batch[query_id_col])[rows], qid_type),
-                    target_id_col: pa.array([None] * len(rows), tid_type),
+                    query_id_col: batch[query_id_col].take(rows),
+                    target_id_col: pa.nulls(len(rows), tid_type),
                     lon_col: pa.array(lon[rows], pa.float64()),
                     lat_col: pa.array(lat[rows], pa.float64()),
                     # home-cell marker: guarantees every pending query reaches
@@ -964,65 +978,44 @@ def knn_join_large(
 
         return explode
 
-    def cell_topk(group: "pd.DataFrame") -> "pd.DataFrame":
+    def cell_topk(group: pa.Table) -> dict | None:
         # output rows carry the QUERY's coordinates so the per-query merge
         # can emit re-probe markers with coords attached — the round loop
         # never has to rejoin pending ids against q_slim (or worse, collect
         # them on the driver)
-        empty = pd.DataFrame(
-            {
-                query_id_col: pd.Series([], dtype=qid_np),
-                target_id_col: pd.Series([], dtype=tid_np),
-                "dist": pd.Series([], dtype=np.float64),
-                lon_col: pd.Series([], dtype=np.float64),
-                lat_col: pd.Series([], dtype=np.float64),
-            }
-        )
-        tmask = group[target_id_col].notna()
-        tg = group[tmask]
-        qg = group[~tmask]
-        if not len(qg):
-            return empty
-        if not len(tg):
-            home = qg[qg["home"]]
-            if not len(home):
-                return empty
+        is_target = pc.is_valid(group[target_id_col])
+        tg = group.filter(is_target)
+        qg = group.filter(pc.invert(is_target))
+        if not tg.num_rows:
             # sentinel (dist=inf): keeps candidate-less queries visible to the merge
-            return pd.DataFrame(
-                {
-                    query_id_col: home[query_id_col].to_numpy().astype(qid_np),
-                    target_id_col: pd.Series([tid_filler] * len(home), dtype=tid_np),
-                    "dist": np.full(len(home), np.inf),
-                    lon_col: home[lon_col].to_numpy(np.float64),
-                    lat_col: home[lat_col].to_numpy(np.float64),
-                }
-            )
-        tids = tg[target_id_col].to_numpy().astype(tid_np)
+            home = qg.filter(qg["home"])
+            if not home.num_rows:
+                return None
+            return {query_id_col: home[query_id_col],
+                    target_id_col: pa.nulls(home.num_rows, tid_type),
+                    "dist": np.full(home.num_rows, np.inf),
+                    lon_col: home[lon_col], lat_col: home[lat_col]}
+        if not qg.num_rows:
+            return None
+        tids = tg[target_id_col].to_numpy()
         ci, cd = spatial_mod.knn_brute(
-            qg[lon_col].to_numpy(np.float64), qg[lat_col].to_numpy(np.float64),
-            tg[lon_col].to_numpy(np.float64), tg[lat_col].to_numpy(np.float64),
-            k, order_key=tids,
+            qg[lon_col].to_numpy(), qg[lat_col].to_numpy(),
+            tg[lon_col].to_numpy(), tg[lat_col].to_numpy(), k, order_key=tids,
         )
-        kk = ci.shape[1]
-        return pd.DataFrame(
-            {
-                query_id_col: np.repeat(qg[query_id_col].to_numpy().astype(qid_np), kk),
-                target_id_col: tids[ci.ravel()],
-                "dist": cd.ravel(),
-                lon_col: np.repeat(qg[lon_col].to_numpy(np.float64), kk),
-                lat_col: np.repeat(qg[lat_col].to_numpy(np.float64), kk),
-            }
-        )
+        rep = np.repeat(np.arange(qg.num_rows), ci.shape[1])
+        return {query_id_col: qg[query_id_col].take(rep),
+                target_id_col: tg[target_id_col].take(ci.ravel()), "dist": cd.ravel(),
+                lon_col: qg[lon_col].take(rep), lat_col: qg[lat_col].take(rep)}
 
     def make_merge(ring_eff: int):
-        def merge_q(group: "pd.DataFrame") -> "pd.DataFrame":
-            g = group[np.isfinite(group["dist"].to_numpy(np.float64))]
-            g = g.sort_values(["dist", target_id_col], kind="stable").head(k)
+        def merge_q(group: pa.Table) -> dict:
+            g = group.filter(pc.is_finite(group["dist"]))
+            g = g.sort_by([("dist", "ascending"), (target_id_col, "ascending")]).slice(0, k)
             # ball_candidates exclusion guarantee: non-candidates are
             # ≥ ring·res·LAT_DEG_M away (pole-safe); ring−1 for strictness
             bound_m = (ring_eff - 1) * res_deg * index_mod.LAT_DEG_M
             done = ring_eff >= max_ring or (
-                len(g) >= k and float(g["dist"].iloc[-1]) <= bound_m
+                g.num_rows >= k and g["dist"][-1].as_py() <= bound_m
             )
             if not done:
                 # ONE re-probe marker row per unfinished query, coords
@@ -1030,57 +1023,36 @@ def knn_join_large(
                 # filter over this output — no driver-side id collection,
                 # no rejoin against q_slim, and no k-row partial payload
                 # riding the shuffle just to signal "not done"
-                return pd.DataFrame(
-                    {
-                        query_id_col: pd.Series([group[query_id_col].iloc[0]], dtype=qid_np),
-                        target_id_col: pd.Series([tid_filler], dtype=tid_np),
-                        "distance_m": [np.inf],
-                        "neighbor_rank": np.array([-1], np.int32),
-                        "knn_done": [False],
-                        lon_col: [float(group[lon_col].iloc[0])],
-                        lat_col: [float(group[lat_col].iloc[0])],
-                    }
-                )
-            return pd.DataFrame(
-                {
-                    query_id_col: g[query_id_col].to_numpy().astype(qid_np),
-                    target_id_col: g[target_id_col].to_numpy().astype(tid_np),
-                    "distance_m": g["dist"].to_numpy(np.float64),
-                    "neighbor_rank": np.arange(len(g), dtype=np.int32),
-                    "knn_done": np.full(len(g), True),
-                    lon_col: g[lon_col].to_numpy(np.float64),
-                    lat_col: g[lat_col].to_numpy(np.float64),
-                }
-            )
+                first = group.slice(0, 1)
+                return {query_id_col: first[query_id_col], target_id_col: pa.nulls(1, tid_type),
+                        "distance_m": [np.inf], "neighbor_rank": [-1], "knn_done": [False],
+                        lon_col: first[lon_col], lat_col: first[lat_col]}
+            n = g.num_rows
+            return {query_id_col: g[query_id_col], target_id_col: g[target_id_col],
+                    "distance_m": g["dist"], "neighbor_rank": np.arange(n, dtype=np.int32),
+                    "knn_done": np.ones(n, bool), lon_col: g[lon_col], lat_col: g[lat_col]}
 
         return merge_q
+
+    def finished(t: pa.Table) -> pa.Table:
+        return t.filter(t["knn_done"]).drop_columns(["knn_done", lon_col, lat_col])
+
+    def unfinished(t: pa.Table) -> pa.Table:
+        return t.filter(pc.invert(t["knn_done"])).select([query_id_col, lon_col, lat_col])
 
     pending = q_slim
     ring = init_ring
     results: list[ray.data.Dataset] = []
     for _ in range(max_rounds):
         ring_eff = min(ring, max_ring)
-        probes = pending.map_batches(make_explode(ring_eff), batch_format="pyarrow")
-        per_cell = probes.union(t_tagged).groupby("cell_id").map_groups(
-            cell_topk, batch_format="pandas"
-        )
-        merged = per_cell.groupby(query_id_col).map_groups(
-            make_merge(ring_eff), batch_format="pandas"
-        ).materialize()
-        results.append(
-            merged.map_batches(
-                lambda t: t.filter(pc.equal(t["knn_done"], True))
-                .drop_columns(["knn_done", lon_col, lat_col]),
-                batch_format="pyarrow",
-            )
-        )
+        probes = _map_blocks(pending, make_explode(ring_eff), batch_size=None)
+        per_cell = _map_groups(probes.union(t_tagged), "cell_id", cell_topk, topk_schema)
+        merged = _map_groups(per_cell, query_id_col, make_merge(ring_eff),
+                             merge_schema).materialize()
+        results.append(_map_blocks(merged, finished, batch_size=None))
         # pending stays a DATASET end-to-end (ids+coords only, one marker
         # row per unfinished query); the loop syncs on a scalar count
-        pending = merged.map_batches(
-            lambda t: t.filter(pc.equal(t["knn_done"], False))
-            .select([query_id_col, lon_col, lat_col]),
-            batch_format="pyarrow",
-        )
+        pending = _map_blocks(merged, unfinished, batch_size=None)
         if pending.count() == 0:
             break  # every query finished
         ring = min(max(ring + 1, ring * 2), max_ring)
@@ -1167,7 +1139,7 @@ def within_distance_join(
         out = out.append_column("site_id", pa.array(ids[sidx[o]]))
         return out.append_column("site_dist_m", pa.array(dist[o], pa.float64()))
 
-    return ds.map_batches(_join, batch_format="pyarrow", batch_size=batch_size)
+    return _map_blocks(ds, _join, batch_size=batch_size, stream=True)
 
 
 def forward_geodesic_fixed_angle(
@@ -1221,21 +1193,21 @@ def warp_tiled_mosaic(
     params = params or ProjParams(**param_kw)
     prepped_ref = (proj_name, params)
 
-    def assemble_and_warp(group):
-        import pandas as pd
+    schema = pa.schema([("image_id", pa.string()), ("bytes", pa.binary()),
+                        ("w", pa.int32()), ("h", pa.int32()), ("fmt", pa.string())])
 
+    def assemble_and_warp(group: pa.Table) -> dict:
         prepped = _cached(("mosaic_proj",) + prepped_ref, lambda: prepare(proj_name, params))
-        r0 = group.iloc[0]
-        ts = int(r0["tile_size"])
+        r0 = group.slice(0, 1).to_pylist()[0]
+        ts = r0["tile_size"]
+        cols = (group[c].to_pylist() for c in ("tile_col", "tile_row", "bytes"))
         tile_map = {
-            (int(r["tile_col"]), int(r["tile_row"])): decode_image(
-                r["bytes"], ts, ts, r0.get("fmt", "raw")
-            ).astype(np.float32)
-            for _, r in group.iterrows()
+            (tx, ty): decode_image(buf, ts, ts, r0.get("fmt", "raw")).astype(np.float32)
+            for tx, ty, buf in zip(*cols)
         }
         mosaic = TiledMosaic.from_tiles(tile_map, ts)
-        w, h = int(r0["w"]), int(r0["h"])
-        georef = GeoRef(float(r0["lon0"]), float(r0["lat0"]), float(r0["px_deg"]))
+        w, h = r0["w"], r0["h"]
+        georef = GeoRef(r0["lon0"], r0["lat0"], r0["px_deg"])
         ox, oy, sx, sy = default_warp_window(prepped, georef, w, h)
         gx, gy = dest_grid(ox, oy, sx, sy, w, h)
         with np.errstate(all="ignore"):
@@ -1243,17 +1215,10 @@ def warp_tiled_mosaic(
         px, py = georef.to_pixels(lon, lat)
         out = MOSAIC_SAMPLERS[filter](mosaic, px, py)
         out8 = np.clip(out, 0, 255).astype(np.uint8)
-        return pd.DataFrame(
-            {
-                "image_id": [r0["image_id"]],
-                "bytes": [encode_image(out8)],
-                "w": np.array([w], np.int32),
-                "h": np.array([h], np.int32),
-                "fmt": ["raw"],
-            }
-        )
+        return {"image_id": [r0["image_id"]], "bytes": [encode_image(out8)],
+                "w": [w], "h": [h], "fmt": ["raw"]}
 
-    return tiles_ds.groupby("image_id").map_groups(assemble_and_warp, batch_format="pandas")
+    return _map_groups(tiles_ds, "image_id", assemble_and_warp, schema)
 
 
 def build_tile_pyramid(
@@ -1267,63 +1232,58 @@ def build_tile_pyramid(
     children (one groupby per level on (group, parent) — the only stage
     where tile payloads legitimately shuffle) and box-filter 2× down.
     Missing children (image edges) fill as transparent zeros, matching the
-    zero-padded edge-tile convention of cut_tiles. Emits all levels,
-    level 0 = input; columns gain ``level`` (int32).
+    zero-padded edge-tile convention of cut_tiles. ``tiles`` carries
+    :data:`TILE_SCHEMA`'s columns (:func:`warp_and_tile`'s output). Emits
+    all levels, level 0 = input; columns are :data:`TILE_SCHEMA`'s plus
+    ``level`` (int32).
 
     Downsampling is float32 mean-of-4 rounded to uint8 per level (document:
     composing k levels is NOT bit-identical to one 2^k box filter — each
     level re-rounds, the standard pyramid behavior).
     """
-    import pandas as pd
+    schema = TILE_SCHEMA.append(pa.field("level", pa.int32()))
 
     def tag0(batch: pa.Table) -> pa.Table:
-        return batch.append_column("level", pa.array(np.zeros(batch.num_rows, np.int32)))
-
-    out = tiles.map_batches(tag0, batch_format="pyarrow")
-    level_ds = out
+        return batch.select(TILE_SCHEMA.names).append_column(
+            "level", pa.array(np.zeros(batch.num_rows, np.int32)))
 
     def add_parent(batch: pa.Table) -> pa.Table:
-        tx = batch["tile_col"].to_numpy(zero_copy_only=False)
-        ty = batch["tile_row"].to_numpy(zero_copy_only=False)
+        tx = batch["tile_col"].to_numpy()
+        ty = batch["tile_row"].to_numpy()
         return batch.append_column(
             "parent", pa.array((ty // 2).astype(np.int64) * 1_000_000 + (tx // 2))
         )
 
     def make_merge4(lvl: int):  # bind the level NOW (datasets execute lazily)
-        def merge4(group: "pd.DataFrame") -> "pd.DataFrame":
-            r0 = group.iloc[0]
-            ts = int(r0["tile_size"])
+        def merge4(group: pa.Table) -> dict:
+            first = group.slice(0, 1)
+            ts, tx0, ty0 = (first[c][0].as_py() for c in ("tile_size", "tile_col", "tile_row"))
             canvas = np.zeros((2 * ts, 2 * ts, 4), np.float32)
-            for _, r in group.iterrows():
-                img = decode_image(r["bytes"], ts, ts, "raw").astype(np.float32)
-                oy, ox = (int(r["tile_row"]) % 2) * ts, (int(r["tile_col"]) % 2) * ts
-                canvas[oy : oy + ts, ox : ox + ts] = img
+            cols = (group[c].to_pylist() for c in ("bytes", "tile_col", "tile_row"))
+            for buf, tx, ty in zip(*cols):
+                oy, ox = (ty % 2) * ts, (tx % 2) * ts
+                canvas[oy : oy + ts, ox : ox + ts] = decode_image(buf, ts, ts, "raw")
             down = canvas.reshape(ts, 2, ts, 2, 4).mean(axis=(1, 3))
             down8 = np.clip(np.floor(down + 0.5), 0, 255).astype(np.uint8)
-            out_row = {c: [r0[c]] for c in group.columns
-                       if c not in ("bytes", "tile_col", "tile_row", "tile_idx",
-                                    "level", "parent", "w", "h")}
-            out_row["tile_col"] = np.array([int(r0["tile_col"]) // 2], np.int32)
-            out_row["tile_row"] = np.array([int(r0["tile_row"]) // 2], np.int32)
-            out_row["tile_idx"] = np.array([-1], np.int32)  # per-level ids re-derive
-            out_row["bytes"] = [encode_image(down8)]
-            out_row["w"] = np.array([ts], np.int32)
-            out_row["h"] = np.array([ts], np.int32)
-            out_row["level"] = np.array([lvl], np.int32)
-            return pd.DataFrame(out_row)[list(group.columns.drop("parent"))]
+            return {
+                **{c: first[c] for c in schema.names},
+                "tile_col": [tx0 // 2],
+                "tile_row": [ty0 // 2],
+                "tile_idx": [-1],  # per-level ids re-derive
+                "bytes": [encode_image(down8)],
+                "w": [ts],
+                "h": [ts],
+                "level": [lvl],
+            }
 
         return merge4
 
+    out = level_ds = _map_blocks(tiles, tag0, batch_size=None)
     for lvl in range(1, levels + 1):
-        level_ds = (
-            level_ds.map_batches(add_parent, batch_format="pyarrow")
-            .groupby([group_col, "parent"])
-            .map_groups(make_merge4(lvl), batch_format="pandas")
-        )
+        level_ds = _map_groups(_map_blocks(level_ds, add_parent, batch_size=None),
+                               [group_col, "parent"], make_merge4(lvl), schema)
         out = out.union(level_ds)
-    # normalize to arrow blocks: the union mixes pandas (map_groups) and
-    # arrow (level 0) blocks, which downstream aggregates refuse to combine
-    return out.map_batches(lambda t: t, batch_format="pyarrow")
+    return out
 
 
 def rasterize_points(
@@ -1338,58 +1298,41 @@ def rasterize_points(
     """VECTOR→RASTER (north_rule's raster↔vector bullet): bin points into a
     per-cell density tile (``tile_px``² grayscale, counts clipped to 255).
 
-    Combiner shape: each batch pre-aggregates to sparse (cell, pixel, n)
-    rows — a hot cell ships at most tile_px² rows per batch, never its
-    points — then one groupby(cell) merge densifies into tile bytes.
-    Pixel row 0 sits at the cell's lat_min (latitude-up, documented);
-    sub-pixel indices derive from the same v=(lon+180)/res expression as
-    cell ids, so the raster content is SQL-reproducible bit-for-bit.
-    Output rows: (cell_id, bytes raw single-channel uint8, w, h, fmt='rawl').
+    Combiner shape: each ``batch_size``-row slice of a block (the whole
+    block when None) pre-aggregates to sparse (cell, pixel, n) rows — a hot
+    cell ships at most tile_px² rows per slice, never its points — then one
+    groupby(cell) merge densifies them into tile bytes with one
+    ``np.bincount``. Pixel row 0 sits at the cell's lat_min (latitude-up,
+    documented); sub-pixel indices derive from the same v=(lon+180)/res
+    expression as cell ids, so the raster content is SQL-reproducible
+    bit-for-bit. Output rows: (cell_id, bytes raw single-channel uint8, w,
+    h, fmt='rawl').
     """
     nx_, ny_ = index_mod.nx(res_deg), index_mod.ny(res_deg)
+    npix = tile_px * tile_px
+    schema = pa.schema([("cell_id", pa.int64()), ("bytes", pa.binary()),
+                        ("w", pa.int32()), ("h", pa.int32()), ("fmt", pa.string())])
 
-    def partial(batch: dict) -> dict:
+    def partial(batch: pa.Table) -> pa.Table:
         lon = np.asarray(batch[lon_col], np.float64)
         lat = np.asarray(batch[lat_col], np.float64)
         v = (lon + 180.0) / res_deg
         u = (lat + 90.0) / res_deg
         ix = np.clip(np.floor(v).astype(np.int64), 0, nx_ - 1)
         iy = np.clip(np.floor(u).astype(np.int64), 0, ny_ - 1)
-        cell = iy * nx_ + ix
         px = np.clip(np.floor(v * tile_px).astype(np.int64) - ix * tile_px, 0, tile_px - 1)
         py = np.clip(np.floor(u * tile_px).astype(np.int64) - iy * tile_px, 0, tile_px - 1)
-        key = cell * (tile_px * tile_px) + py * tile_px + px
-        uk, counts = np.unique(key, return_counts=True)
-        return {"pix_key": uk, "pn": counts.astype(np.int64)}
+        key, counts = np.unique((iy * nx_ + ix) * npix + py * tile_px + px, return_counts=True)
+        return pa.table({"cell_id": key // npix, "pix": key % npix, "pn": counts.astype(np.int64)})
 
-    parts = ds.map_batches(partial, batch_format="numpy", batch_size=batch_size)
+    def densify(group: pa.Table) -> dict:
+        tile = np.bincount(group["pix"].to_numpy(), weights=group["pn"].to_numpy(),
+                           minlength=npix)
+        return {"cell_id": group["cell_id"][:1],
+                "bytes": [np.minimum(tile, 255).astype(np.uint8).tobytes()],
+                "w": [tile_px], "h": [tile_px], "fmt": ["rawl"]}
 
-    def densify(group):
-        import pandas as pd
-
-        keys = group["pix_key"].to_numpy(np.int64)
-        n = group.groupby(keys % (tile_px * tile_px))["pn"].sum()
-        tile = np.zeros(tile_px * tile_px, np.int64)
-        tile[n.index.to_numpy()] = n.to_numpy()
-        cell = int(keys[0] // (tile_px * tile_px))
-        return pd.DataFrame(
-            {
-                "cell_id": np.array([cell], np.int64),
-                "bytes": [np.clip(tile, 0, 255).astype(np.uint8).tobytes()],
-                "w": np.array([tile_px], np.int32),
-                "h": np.array([tile_px], np.int32),
-                "fmt": ["rawl"],
-            }
-        )
-
-    def add_cell(cols: dict) -> dict:
-        return {"raster_cell": np.asarray(cols["pix_key"], np.int64) // (tile_px * tile_px)}
-
-    return (
-        map_columns(parts, add_cell, batch_size=None)
-        .groupby("raster_cell")
-        .map_groups(densify, batch_format="pandas")
-    )
+    return _map_groups(_map_blocks(ds, partial, batch_size=batch_size), "cell_id", densify, schema)
 
 
 def vectorize_tiles(
@@ -1402,8 +1345,6 @@ def vectorize_tiles(
     values, nonzero coverage, brightness percentiles) — the feature-extract
     direction of the raster↔vector bullet. A stateless map over tile rows;
     emits the input columns minus bytes plus the feature columns."""
-    import pyarrow.compute as pc
-
     def _feats(batch: pa.Table) -> pa.Table:
         bufs = batch[bytes_col].to_pylist()
         ws = batch["w"].to_pylist()
@@ -1425,53 +1366,50 @@ def vectorize_tiles(
         out = out.append_column("coverage", pa.array(cover))
         return out.append_column("p95_value", pa.array(p95))
 
-    return tiles.map_batches(_feats, batch_format="pyarrow", batch_size=batch_size)
+    return _map_blocks(tiles, _feats, batch_size=batch_size)
 
 
 def cell_counts(
     ds: ray.data.Dataset,
     *,
-    batch_size: int | None = None,  # whole blocks: a coalescing batch_size would stall the stream
+    batch_size: int | None = None,
 ):
     """Skew-proof count per ``cell_id``, returned as a pandas DataFrame with
     int64 columns ``cell_id`` and ``n``.
 
-    Partial counts per batch inside map_batches (the combiner): a hot cell
-    contributes ONE row per batch instead of all its rows — pre-aggregation
-    beats salting for algebraic aggregates (SURVEY §7). The partial rows
-    stream to the driver and merge incrementally in pandas — no shuffle, and
-    the driver holds only the merged distinct cells (≤ 2592 at 5°). Ray's
+    Partial counts per ``batch_size``-row slice of each block (the whole
+    block when None; the combiner): a hot cell contributes ONE row per
+    slice instead of all its rows — pre-aggregation beats salting for
+    algebraic aggregates (SURVEY §7). The partial rows stream to the driver
+    as Arrow batches and merge incrementally there — no shuffle, and the
+    driver holds only the merged distinct cells (≤ 2592 at 5°). Ray's
     sort-based aggregate costs seconds of fixed latency regardless of row
     count; for a few thousand output rows the driver merge removes it
     entirely (measured 13.6 s → 7.7 s on the headline pipeline).
     """
-    import pandas as pd
 
-    def partial(batch: dict) -> dict:
+    def partial(batch: pa.Table) -> pa.Table:
         keys, counts = np.unique(np.asarray(batch["cell_id"], np.int64), return_counts=True)
-        return {"cell_id": keys, "partial_n": counts.astype(np.int64)}
+        return pa.table({"cell_id": keys, "n": counts.astype(np.int64)})
 
-    partials = ds.map_batches(partial, batch_format="numpy", batch_size=batch_size)
-    acc: list = []
+    def merge(tables: list[pa.Table]) -> pa.Table:
+        sums = pa.concat_tables(tables).group_by("cell_id").aggregate([("n", "sum")])
+        return pa.table({"cell_id": sums["cell_id"], "n": sums["n_sum"]})
+
+    acc = [pa.table({"cell_id": pa.array([], pa.int64()), "n": pa.array([], pa.int64())})]
     acc_rows = 0
     merged_rows = 0  # distinct cells after the last compaction
-    for b in partials.iter_batches(batch_format="pandas", batch_size=None):
+    partials = _map_blocks(ds, partial, batch_size=batch_size)
+    for b in partials.iter_batches(batch_format="pyarrow", batch_size=None):
         acc.append(b)
-        acc_rows += len(b)
-        # amortized compaction: once the merged frame itself exceeds 1M
+        acc_rows += b.num_rows
+        # amortized compaction: once the merged table itself exceeds 1M
         # rows, wait until the uncompacted stream doubles it — otherwise
-        # every batch would re-groupby the full merged frame
+        # every batch would re-group the full merged table
         if acc_rows > max(1_000_000, 2 * merged_rows):
-            merged = pd.concat(acc).groupby("cell_id", as_index=False)["partial_n"].sum()
-            acc, acc_rows = [merged], len(merged)
-            merged_rows = len(merged)
-    if not acc:
-        return pd.DataFrame({"cell_id": pd.array([], dtype="int64"),
-                             "n": pd.array([], dtype="int64")})
-    return (
-        pd.concat(acc).groupby("cell_id", as_index=False)["partial_n"]
-        .sum().rename(columns={"partial_n": "n"})
-    )
+            acc = [merge(acc)]
+            acc_rows = merged_rows = acc[0].num_rows
+    return merge(acc).sort_by("cell_id").to_pandas()
 
 
 def pip_join_large(
@@ -1493,74 +1431,49 @@ def pip_join_large(
     guarantees. Output: point rows + poly_id (deduped across cells).
     """
 
-    def explode_poly_cells(batch: pa.Table) -> pa.Table:
-        pids, cells, verts = [], [], []
-        for pid, v in zip(batch["poly_id"].to_pylist(), batch["vertices"].to_pylist()):
-            arr = np.asarray(v, np.float64).reshape(-1, 2)
-            for c in index_mod.cells_covering_bbox(
-                arr[:, 0].min(), arr[:, 1].min(), arr[:, 0].max(), arr[:, 1].max(), res_deg
-            ):
-                pids.append(pid)
-                cells.append(int(c))
-                verts.append(list(np.asarray(v, np.float64)))
-        return pa.table(
-            {
-                "cell_id": pa.array(cells, pa.int64()),
-                "poly_id": pa.array(pids, pa.string()),
-                "vertices": pa.array(verts, pa.list_(pa.float64())),
-            }
-        )
-
-    poly_cells = polygons.map_batches(explode_poly_cells, batch_format="pyarrow")
-
     pts = assign_cells(points, lon_col=lon_col, lat_col=lat_col, res_deg=res_deg)
+    # point rows and polygon rows meet in one union of one schema: the
+    # point columns, then poly_id and vertices, each null on the other side
+    out_schema = pts.schema().base_schema.append(pa.field("poly_id", pa.string()))
+    schema = out_schema.append(pa.field("vertices", pa.list_(pa.float64())))
 
     def tag_points(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
-        batch = batch.append_column("poly_id", pa.array([None] * n, pa.string()))
-        return batch.append_column("vertices", pa.array([None] * n, pa.list_(pa.float64())))
+        return pa.table({**{c: batch[c] for c in out_schema.names[:-1]},
+                         "poly_id": pa.nulls(n), "vertices": pa.nulls(n)}, schema=schema)
 
-    def tag_polys(batch: pa.Table) -> pa.Table:
-        # give polygon rows the point columns as nulls so the union aligns
-        n = batch.num_rows
-        for name, typ in zip(point_cols, point_types):
-            if name not in batch.column_names:
-                batch = batch.append_column(name, pa.array([None] * n, typ))
-        return batch.select(sorted(batch.column_names))
+    def explode_poly_cells(batch: pa.Table) -> pa.Table:
+        rows, cells = [], []
+        for i, v in enumerate(batch["vertices"].to_pylist()):
+            arr = np.asarray(v, np.float64).reshape(-1, 2)
+            c = index_mod.cells_covering_bbox(*arr.min(axis=0), *arr.max(axis=0), res_deg)
+            rows.extend([i] * len(c))
+            cells.extend(int(x) for x in c)
+        out = batch.take(pa.array(rows, pa.int64()))
+        n = out.num_rows
+        return pa.table({**{c: pa.nulls(n) for c in out_schema.names[:-1]}, "cell_id": cells,
+                         "poly_id": out["poly_id"], "vertices": out["vertices"]}, schema=schema)
 
-    pts_tagged = pts.map_batches(tag_points, batch_format="pyarrow")
-    point_schema = pts_tagged.schema()
-    point_cols = list(point_schema.names)
-    point_types = [point_schema.base_schema.field(c).type for c in point_cols]
-    both = pts_tagged.map_batches(
-        lambda t: t.select(sorted(t.column_names)), batch_format="pyarrow"
-    ).union(poly_cells.map_batches(tag_polys, batch_format="pyarrow"))
+    def test_cell(group: pa.Table) -> dict | None:
+        is_poly = pc.is_valid(group["vertices"])
+        polys = group.filter(is_poly)
+        pts_g = group.filter(pc.invert(is_poly))
+        if not polys.num_rows or not pts_g.num_rows:
+            return None
+        px = np.asarray(pts_g[lon_col], np.float64)
+        py = np.asarray(pts_g[lat_col], np.float64)
+        rows, pids = [], []
+        for pid, v in zip(polys["poly_id"].to_pylist(), polys["vertices"].to_pylist()):
+            hit = np.flatnonzero(spatial_mod.point_in_polygon(px, py, np.asarray(v).reshape(-1, 2)))
+            rows.append(hit)
+            pids += [pid] * len(hit)
+        if not pids:
+            return None
+        out = pts_g.take(np.concatenate(rows))
+        return {**{c: out[c] for c in out_schema.names[:-1]}, "poly_id": pids}
 
-    out_cols = [c for c in point_cols if c not in ("vertices",)]
-
-    def test_cell(group):
-        import pandas as pd
-
-        is_poly = group["vertices"].notna()
-        polys = group[is_poly]
-        pts_g = group[~is_poly]
-        if not len(polys) or not len(pts_g):
-            return pd.DataFrame({c: [] for c in out_cols})
-        px = pts_g[lon_col].to_numpy(np.float64)
-        py = pts_g[lat_col].to_numpy(np.float64)
-        frames = []
-        for _, prow in polys.iterrows():
-            poly = np.asarray(prow["vertices"], np.float64).reshape(-1, 2)
-            hit = spatial_mod.point_in_polygon(px, py, poly)
-            if hit.any():
-                f = pts_g[hit].copy()
-                f["poly_id"] = prow["poly_id"]
-                frames.append(f[out_cols])
-        if not frames:
-            return pd.DataFrame({c: [] for c in out_cols})
-        return pd.concat(frames, ignore_index=True)
-
-    joined = both.groupby("cell_id").map_groups(test_cell, batch_format="pandas")
+    both = _map_blocks(pts, tag_points, batch_size=None).union(
+        _map_blocks(polygons, explode_poly_cells, batch_size=None))
     # a (point, poly) pair can match in one cell only (the point's cell), so
     # no cross-cell dedup is needed — every point has exactly one cell_id.
-    return joined
+    return _map_groups(both, "cell_id", test_cell, out_schema)

@@ -99,7 +99,7 @@ def flagship(
     def strip_pixels(batch: pa.Table) -> pa.Table:
         return batch.drop_columns(["bytes"])
 
-    slim = joined.map_batches(strip_pixels, batch_format="pyarrow")
+    slim = ops._map_blocks(joined, strip_pixels, batch_size=None)
     return slim.groupby("cell_id").aggregate(
         Count(alias_name="n_tiles"),
         Min("tile_idx", alias_name="min_tile_idx"),

@@ -404,6 +404,15 @@ def _customer_points(sf_dir: str) -> rd.Dataset:
     return ops.map_columns(ds, derive, batch_size=None)
 
 
+def _merged_blocks(ds: rd.Dataset, rows: int = 32 * 1024) -> rd.Dataset:
+    """``ds`` in ``rows``-row batches, Ray's ``batch_size`` merging small
+    blocks: a one-file table read at more CPUs than files splits into two
+    blocks per CPU. Unmerged, the ring-pruned joins' per-cell candidate
+    loops run once per cell in every block, and every block reaches a
+    shuffle as its own map task."""
+    return ds.map_batches(lambda t: t, batch_format="pyarrow", batch_size=rows)
+
+
 def _supplier_points(sf_dir: str):
     import pyarrow.parquet as pq
 
@@ -673,7 +682,8 @@ GROUP BY 1
 """,
 )
 def q_cell_counts(sf_dir: str):
-    ds = ops.assign_cells(derive_points(sf_dir), res_deg=DEFAULT_RES_DEG)
+    pts = _merged_blocks(derive_points(sf_dir), 128 * 1024)
+    ds = ops.assign_cells(pts, res_deg=DEFAULT_RES_DEG)
     return ds.groupby("cell_id").aggregate(Count(alias_name="n"))
 
 
@@ -682,7 +692,8 @@ def q_salted_cell_counts(sf_dir: str):
     """Skew machinery under the gate: count pre-pass → salt hot cells →
     aggregate on the salted key → de-salt and merge — must reproduce the
     plain (unsalted) per-cell counts exactly."""
-    ds = ops.assign_cells(derive_points(sf_dir), res_deg=DEFAULT_RES_DEG)
+    pts = _merged_blocks(derive_points(sf_dir), 128 * 1024)
+    ds = ops.assign_cells(pts, res_deg=DEFAULT_RES_DEG)
     pre = ops.cell_counts(ds)  # combiner pre-pass
     cut = float(pre["n"].quantile(0.95))
     hot = {int(r["cell_id"]): 8 for _, r in pre.iterrows() if r["n"] > cut}
@@ -738,7 +749,7 @@ def q_geofence(sf_dir: str):
     """Within-distance (geofence) join, cell-ring pruned, vs the brute-force
     cross-join filter (identical haversine expression on both sides, so the
     radius boundary cannot flip)."""
-    cust = _customer_points(sf_dir)
+    cust = _merged_blocks(_customer_points(sf_dir))
     s_ids, s_lon, s_lat = _supplier_points(sf_dir)
     out = ops.within_distance_join(cust, s_ids, s_lon, s_lat, 300000.0).to_pandas()
     out["s_suppkey"] = out["site_id"].astype(np.int64)
@@ -831,7 +842,7 @@ FROM r WHERE rk <= 3
 """,
 )
 def q_knn(sf_dir: str):
-    cust = _customer_points(sf_dir)
+    cust = _merged_blocks(_customer_points(sf_dir))
     s_ids, s_lon, s_lat = _supplier_points(sf_dir)
     # exercise the ring-of-cells scale path — provably exact, so the DuckDB
     # oracle (full cross-join + window) still matches
@@ -1072,7 +1083,8 @@ def q_zonal_stats(sf_dir: str):
                + 0.25 * img[..., 1].astype(np.float32))
         geo = GeoTags(r["px_deg"], r["px_deg"], 0.0, 0.0, r["lon0"], r["lat0"])
         blobs.append({"raster_id": r["image_id"], "bytes": encode_tiff(dem, geo=geo)})
-    ds = rd.from_arrow(pa.Table.from_pylist(blobs)).repartition(8)
+    # three blocks of 8 rasters, the stage's slice size
+    ds = rd.from_arrow(pa.Table.from_pylist(blobs)).repartition(3)
     return ops.zonal_stats(ds, synth_polygons(32))
 
 
@@ -1094,8 +1106,9 @@ def q_dem_terrain(sf_dir: str):
                + 0.25 * img[..., 1].astype(np.float32))
         geo = GeoTags(r["px_deg"], r["px_deg"], 0.0, 0.0, r["lon0"], r["lat0"])
         blobs.append({"raster_id": r["image_id"], "bytes": encode_tiff(dem, geo=geo)})
+    # three blocks of 8 rasters, the stage's slice size
     return ops.dem_terrain_features(
-        rd.from_arrow(pa.Table.from_pylist(blobs)).repartition(8))
+        rd.from_arrow(pa.Table.from_pylist(blobs)).repartition(3))
 
 
 @q("gif_bmp_ingest_warp_tile", _ingest_oracle_sql(24, 42))
@@ -1296,8 +1309,19 @@ def q_phash_dedup(sf_dir: str):
     return ds.groupby("phash").aggregate(Min("image_id", alias_name="image_id"))
 
 
-@q("warp_tiled_mosaic")  # pixel op — rows-only (PSNR gate lives in pytest)
+def _mosaic_oracle_sql(n: int, seed: int) -> str:
+    """Mosaic LAYOUT oracle: one warped row per image at its full size,
+    from the synth corpus' inlined (image_id, w, h)."""
+    rows = ",\n  ".join(f"('{iid}', {w}, {h})" for iid, w, h, *_ in _synth_meta(n, seed))
+    return ("SELECT image_id, CAST(w AS BIGINT) AS w, CAST(h AS BIGINT) AS h, 'raw' AS fmt\n"
+            f"FROM (VALUES\n  {rows}) imgs(image_id, w, h)")
+
+
+@q("warp_tiled_mosaic", _mosaic_oracle_sql(8, 42))
 def q_mosaic(sf_dir: str):
+    """Tiled-mosaic warp: one row per image, layout (image_id, w, h, fmt)
+    oracle-checked; pixel content is pinned by
+    tests/test_mosaic.py::test_warp_tiled_mosaic_stage_matches_direct_warp."""
     from .images import synth_images_table, decode_image, encode_image
     from .index import cut_tiles
 
@@ -1314,7 +1338,9 @@ def q_mosaic(sf_dir: str):
                     "px_deg": r["px_deg"],
                 }
             )
-    return ops.warp_tiled_mosaic(rd.from_items(rows), "mercator", ProjParams(spheroid="WGS_84"))
+    out = ops.warp_tiled_mosaic(rd.from_items(rows), "mercator", ProjParams(spheroid="WGS_84"))
+    df = out.select_columns(["image_id", "w", "h", "fmt"]).to_pandas()
+    return df.astype({"w": np.int64, "h": np.int64})
 
 
 # ---------------------------------------------------------------------------
@@ -1399,13 +1425,9 @@ def q_pip_large(sf_dir: str):
         [{"poly_id": pid, "vertices": np.asarray(p, np.float64).ravel().tolist()} for pid, p in polys]
     )
     out = ops.pip_join_large(ds, poly_ds, res_deg=DEFAULT_RES_DEG)
-    agg = out.groupby("poly_id").aggregate(
+    return out.groupby("poly_id").aggregate(
         Count(alias_name="n"), Sum("l_orderkey", alias_name="sum_ok")
-    ).to_pandas()
-    # the union with null-tagged polygon rows upcasts int columns to float
-    agg["n"] = agg["n"].astype(np.int64)
-    agg["sum_ok"] = agg["sum_ok"].astype(np.int64)
-    return agg
+    )
 
 
 @q("flagship_partitioned_resume")  # checkpoint/lineage demo — rows-only

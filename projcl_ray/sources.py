@@ -28,6 +28,7 @@ import ray.data as rd
 from ray.data import DataContext
 
 from .index import DEFAULT_RES_DEG
+from .ops import _map_blocks, ingest_geotiff
 
 
 def _one_block_per_file(files: list[pads.ParquetFileFragment], schema: pa.Schema) -> int | None:
@@ -117,9 +118,7 @@ def write_tiles(
         order = np.argsort(bucket, kind="stable")
         return batch.append_column("bucket", pa.array(bucket)).take(order)
 
-    tiles.map_batches(add_bucket, batch_format="pyarrow", batch_size=None).write_parquet(
-        out_dir, **kw
-    )
+    _map_blocks(tiles, add_bucket, batch_size=None).write_parquet(out_dir, **kw)
 
 
 def read_tile_buckets(out_dir: str, cells: np.ndarray, *, n_buckets: int = 64) -> rd.Dataset:
@@ -138,7 +137,8 @@ def write_geotiffs(ds: rd.Dataset, out_dir: str, *, compression: str = "deflate"
     columns. File-per-image output is resumable: with ``skip_existing`` a
     rerun skips rows whose file already exists. Returns the manifest
     Dataset (image_id, path, n_bytes, skipped) — consume it (write/iterate)
-    to drive the export."""
+    to drive the export. Each block is exported ``batch_size`` rows at a
+    time."""
     os.makedirs(out_dir, exist_ok=True)
 
     def _export(batch: pa.Table) -> pa.Table:
@@ -174,15 +174,15 @@ def write_geotiffs(ds: rd.Dataset, out_dir: str, *, compression: str = "deflate"
             "skipped": pa.array(skipped, pa.bool_()),
         })
 
-    return ds.map_batches(_export, batch_format="pyarrow", batch_size=batch_size)
+    return _map_blocks(ds, _export, batch_size=batch_size)
 
 
 def read_geotiffs(paths: str | list[str], *, batch_size: int | None = 16) -> rd.Dataset:
     """Read a directory (or explicit list) of GeoTIFF files into the images
     schema via ops.ingest_geotiff — georeference comes from the embedded
-    tags. image_id = file stem."""
-    from .ops import ingest_geotiff
-
+    tags. image_id = file stem. The paths go into blocks of
+    ``batch_size`` files (one block when None), so one task reads and
+    decodes each block: a block per file would cost a Ray task per file."""
     if isinstance(paths, str):
         paths = [os.path.join(paths, f) for f in sorted(os.listdir(paths))
                  if f.endswith((".tif", ".tiff"))]
@@ -193,5 +193,6 @@ def read_geotiffs(paths: str | list[str], *, batch_size: int | None = 16) -> rd.
         stem = os.path.splitext(os.path.basename(row["path"]))[0]
         return {"image_id": stem, "bytes": blob}
 
-    files = rd.from_items([{"path": p} for p in paths])
+    n_blocks = 1 if batch_size is None else -(-len(paths) // batch_size)
+    files = rd.from_items([{"path": p} for p in paths], override_num_blocks=max(n_blocks, 1))
     return ingest_geotiff(files.map(load), batch_size=batch_size)

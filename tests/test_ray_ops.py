@@ -772,3 +772,54 @@ def test_value_hash_hashes_binary_columns():
     assert h != value_hash(pd.DataFrame({"k": [2, 1], "b": [b"\xff\x01", b"\x80abc"]}))
     text = pd.DataFrame({"s": ["b", "a", None]})
     assert value_hash(text) == hashlib.sha256("None\x1fa\x1fb".encode()).hexdigest()[:16]
+
+
+def _group_stage(name: str):
+    """One small run of each group stage, with groups that emit no rows:
+    a polygon whose cells hold no points, a kNN cell with no targets."""
+    import ray.data as rd
+
+    from projcl_ray.images import encode_image
+    from projcl_ray.index import cut_tiles
+
+    pts = [{"pid": i, "lon": 10.0 + 0.3 * i, "lat": 20.0 + 0.2 * i} for i in range(20)]
+    if name == "pip_join_large":
+        polys = [(f"p{j}", make_convex_polygon(lon, lat, 2.0, 6, seed=j))
+                 for j, (lon, lat) in enumerate([(12.0, 22.0), (-120.0, -60.0)])]
+        poly_ds = rd.from_items([{"poly_id": p, "vertices": v.ravel().tolist()} for p, v in polys])
+        return ops.pip_join_large(rd.from_items(pts), poly_ds, res_deg=5.0)
+    if name == "knn_join_large":
+        queries = pts + [{"pid": 99, "lon": -150.0, "lat": -70.0}]  # its rings start empty
+        targets = rd.from_items([{"tid": j, "lon": 11.0 + j, "lat": 21.0} for j in range(6)])
+        return ops.knn_join_large(rd.from_items(queries), targets, k=2, query_id_col="pid",
+                                  target_id_col="tid", res_deg=10.0, init_ring=1)
+    if name == "rasterize_points":
+        return ops.rasterize_points(rd.from_items(pts), res_deg=5.0, tile_px=16)
+    images = synth_images_table(2, seed=4, sizes=(64,))
+    if name == "build_tile_pyramid":
+        tiles = ops.warp_and_tile(rd.from_arrow(images), "mercator", ProjParams(spheroid="WGS_84"),
+                                  tile_size=32)
+        return ops.build_tile_pyramid(tiles, levels=1)
+    rows = [
+        {"image_id": r["image_id"], "tile_col": tx, "tile_row": ty, "tile_size": 32,
+         "bytes": encode_image(tile), "fmt": "raw", "w": r["w"], "h": r["h"],
+         "lon0": r["lon0"], "lat0": r["lat0"], "px_deg": r["px_deg"]}
+        for r in images.to_pylist()
+        for tx, ty, _, tile in cut_tiles(decode_image(r["bytes"], r["w"], r["h"], r["fmt"]), 32)
+    ]
+    return ops.warp_tiled_mosaic(rd.from_items(rows), "mercator", ProjParams(spheroid="WGS_84"))
+
+
+@pytest.mark.parametrize("name", ["knn_join_large", "warp_tiled_mosaic", "build_tile_pyramid",
+                                  "rasterize_points", "pip_join_large"])
+def test_group_stages_emit_one_arrow_schema(ray_session, name):
+    """Every batch a group stage emits carries one schema, without the
+    pandas metadata a pandas UDF's output gains on its way back to Arrow
+    (the source of Ray's "Failed to hash the schemas" and "different
+    schema than the previous one" warnings)."""
+    batches = list(_group_stage(name).iter_batches(batch_format="pyarrow", batch_size=None))
+    assert batches and sum(b.num_rows for b in batches) > 0
+    first = batches[0].schema
+    for b in batches:
+        assert b.schema.equals(first, check_metadata=True), (b.schema, first)
+        assert b"pandas" not in (b.schema.metadata or {})

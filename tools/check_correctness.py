@@ -3,6 +3,10 @@ a given sf and compare against oracle_sql() via DuckDB (row count + column
 names + order-insensitive value hash). Usage:
 
     PYTHONPATH=. python tools/check_correctness.py [sf_dir] [query ...]
+
+Every result line, rows-only ones included, ends with the result's columns,
+its ``value_hash`` and the query's wall time, so two runs' outputs compare
+with ``diff`` once the trailing ``(<t>s)`` is stripped.
 """
 
 from __future__ import annotations
@@ -91,8 +95,10 @@ def main():
             n_fail += 1
             continue
         dt = time.time() - t0
+        digest = value_hash(got)
+        result = f"{len(got)} rows, cols={sorted(got.columns)}, hash={digest} ({dt:.1f}s)"
         if name not in oracles:
-            print(f"rows  {name}: {len(got)} rows, cols={sorted(got.columns)} ({dt:.1f}s)")
+            print(f"rows  {name}: {result}")
             n_rows_only += 1
             continue
         try:
@@ -106,7 +112,7 @@ def main():
             problems.append(f"rows {len(got)} != {len(exp)}")
         if sorted(got.columns) != sorted(exp.columns):
             problems.append(f"cols {sorted(got.columns)} != {sorted(exp.columns)}")
-        elif value_hash(got) != value_hash(exp):
+        elif digest != value_hash(exp):
             problems.append("value hash mismatch")
             g, e = canon(got), canon(exp)
             if len(g) == len(e):
@@ -126,7 +132,7 @@ def main():
             print(f"FAIL  {name}: " + "; ".join(problems))
             n_fail += 1
         else:
-            print(f"PASS  {name}: {len(got)} rows ({dt:.1f}s)")
+            print(f"PASS  {name}: {result}")
             n_pass += 1
     print(f"\n{n_pass} pass, {n_fail} fail, {n_rows_only} rows-only")
     ray.shutdown()
