@@ -1,8 +1,9 @@
-/* Optional C twins for the in-repo codecs' sequential hot loops: JPEG
- * baseline/progressive entropy decode and encode (ITU T.81 §F.2/§G.1.2),
- * PNG scanline unfiltering (RFC 2083 §6), and the TIFF (6.0 §13, early
- * change) and GIF LZW variants — plus the bilinear warp sampler, the warp
- * kernel's per-pixel hot loop, alone and fused with the lattice fill.
+/* Optional C twins for the in-repo decoders' sequential hot loops: JPEG
+ * baseline/progressive entropy decode (ITU T.81 §F.2/§G.2), PNG scanline
+ * unfiltering (RFC 2083 §6), and the TIFF (6.0 §13, early change) and GIF
+ * LZW decoders — plus the bilinear warp sampler, the warp kernel's
+ * per-pixel hot loop, alone and fused with the lattice fill. The encoders
+ * have no twin: no measured path runs them.
  *
  * Entropy/prefix decoding is inherently sequential — one code at a time —
  * so it cannot be vectorized with numpy; each function here is the same
@@ -478,387 +479,6 @@ long gif_lzw_decode(const uint8_t *data, long n, int min_code_size,
         if (next == (1 << width) && width < 12) width++;
     }
     return oi < n_pixels ? -3 : 0;
-}
-
-/* ---- Baseline JPEG entropy ENCODE (T.81 F.1.2) — same bit/stuffing/
- * flush semantics as jpeg._BitWriter + _encode_block, bit-exact. ---- */
-typedef struct {
-    uint8_t *o;
-    long n, cap;
-    uint32_t acc;
-    int nbits;
-} BitWriterC;
-
-static inline int bw_put(BitWriterC *w, uint32_t code, int len)
-{
-    w->acc = (w->acc << len) | (code & ((len == 32 ? 0xFFFFFFFFu
-                                                   : (1u << len) - 1u)));
-    w->nbits += len;
-    while (w->nbits >= 8) {
-        uint8_t byte = (uint8_t)((w->acc >> (w->nbits - 8)) & 0xFFu);
-        if (w->n + 2 > w->cap) return -1;
-        w->o[w->n++] = byte;
-        if (byte == 0xFF) w->o[w->n++] = 0x00; /* byte stuffing */
-        w->nbits -= 8;
-    }
-    w->acc &= (1u << w->nbits) - 1u;
-    return 0;
-}
-
-static inline int bitlen_u32(uint32_t v)
-{
-    return v ? 32 - __builtin_clz(v) : 0;
-}
-
-/* Encode one restart-free segment of a baseline scan into out (stuffed,
- * flushed with 1-bit padding). Per-component code tables are 256-entry
- * (code uint16, length uint8; length 0 = symbol absent). DC predictors
- * reset at segment start, matching the RSTn contract. Returns bytes
- * written, -1 on buffer overflow, -2 on an unrepresentable symbol. */
-long jpeg_encode_segment(
-    const int32_t **stores,
-    long m_start, long m_count, long mcus_x, int interleaved, int ncomp,
-    const uint16_t **dcc, const uint8_t **dcl,
-    const uint16_t **acc, const uint8_t **acl,
-    const int32_t *vv, const int32_t *hh,
-    const int32_t *bpr, const int32_t *wib,
-    uint8_t *out, long cap)
-{
-    BitWriterC w = {out, 0, cap, 0, 0};
-    int32_t preds[4] = {0, 0, 0, 0};
-    for (int c = 0; c < ncomp; c++)
-        if (vv[c] < 1 || vv[c] > 4 || hh[c] < 1 || hh[c] > 4) return -2;
-    for (long mi = 0; mi < m_count; mi++) {
-        long m = m_start + mi;
-        for (int c = 0; c < ncomp; c++) {
-            long blist[64];
-            int nb = block_list(m, mcus_x, interleaved, vv[c], hh[c],
-                                bpr[c], wib[c], blist);
-            for (int bi = 0; bi < nb; bi++) {
-                const int32_t *zz = stores[c] + blist[bi] * 64;
-                int32_t dc = zz[0];
-                int32_t diff = dc - preds[c];
-                preds[c] = dc;
-                int size = bitlen_u32((uint32_t)(diff < 0 ? -diff : diff));
-                if (dcl[c][size] == 0) return -2;
-                if (bw_put(&w, dcc[c][size], dcl[c][size])) return -1;
-                if (size) {
-                    uint32_t bitsval = (uint32_t)(diff > 0
-                        ? diff : diff + (1 << size) - 1);
-                    if (bw_put(&w, bitsval, size)) return -1;
-                }
-                int prev = 0;
-                for (int k = 1; k < 64; k++) {
-                    int32_t v = zz[k];
-                    if (v == 0) continue;
-                    int run = k - prev - 1;
-                    while (run >= 16) {
-                        if (acl[c][0xF0] == 0) return -2;
-                        if (bw_put(&w, acc[c][0xF0], acl[c][0xF0])) return -1;
-                        run -= 16;
-                    }
-                    size = bitlen_u32((uint32_t)(v < 0 ? -v : v));
-                    int sym = (run << 4) | size;
-                    if (acl[c][sym] == 0) return -2;
-                    if (bw_put(&w, acc[c][sym], acl[c][sym])) return -1;
-                    if (bw_put(&w, (uint32_t)(v > 0 ? v : v + (1 << size) - 1),
-                               size)) return -1;
-                    prev = k;
-                }
-                if (prev != 63) {
-                    if (acl[c][0x00] == 0) return -2;
-                    if (bw_put(&w, acc[c][0x00], acl[c][0x00])) return -1;
-                }
-            }
-        }
-    }
-    if (w.nbits) {
-        if (bw_put(&w, 0x7F, 8 - w.nbits)) return -1; /* 1-bit pad (flush) */
-    }
-    return w.n;
-}
-
-/* ---- Progressive JPEG entropy ENCODE (T.81 G.1.2) — the three scan
- * emitters of jpeg._emit_progressive, each usable in two modes:
- * write_mode=0 counts Huffman symbol frequencies (the Annex-K stats pass;
- * raw bits don't matter), write_mode=1 writes codes + bits. Bit-exact with
- * _StatSink/_WriteSink driving the pure emitters. ---- */
-
-/* DC scan, first (Ah=0) or refinement. freq/code/clen are PER COMPONENT
- * (components sharing a table pass the same pointer). Returns bytes
- * written (write mode, flushed) / 0 (stats), negative on error. */
-long jpeg_prog_enc_dc(
-    const int32_t **stores, long mcus_x, long mcus_y,
-    int interleaved, int ncomp, int Ah, int Al,
-    const int32_t *vv, const int32_t *hh,
-    const int32_t *bpr, const int32_t *wib, const int32_t *hib,
-    int write_mode, int64_t **freq,
-    const uint16_t **code, const uint8_t **clen,
-    uint8_t *out, long cap)
-{
-    BitWriterC w = {out, 0, cap, 0, 0};
-    int32_t preds[4] = {0, 0, 0, 0};
-    for (int c = 0; c < ncomp; c++)
-        if (vv[c] < 1 || vv[c] > 4 || hh[c] < 1 || hh[c] > 4) return -2;
-    long units = interleaved ? mcus_x * mcus_y : (long)wib[0] * hib[0];
-    for (long m = 0; m < units; m++) {
-        for (int c = 0; c < ncomp; c++) {
-            long blist[64];
-            int nb = block_list(m, mcus_x, interleaved, vv[c], hh[c],
-                                bpr[c], wib[c], blist);
-            for (int bi = 0; bi < nb; bi++) {
-                int32_t dc = stores[c][blist[bi] * 64];
-                if (Ah == 0) {
-                    int32_t v = dc >> Al; /* arithmetic shift, G.1.2.1 */
-                    int32_t diff = v - preds[c];
-                    preds[c] = v;
-                    int size = bitlen_u32((uint32_t)(diff < 0 ? -diff : diff));
-                    if (write_mode) {
-                        if (clen[c][size] == 0) return -2;
-                        if (bw_put(&w, code[c][size], clen[c][size]))
-                            return -1;
-                        if (size && bw_put(&w, (uint32_t)(diff >= 0
-                                ? diff : diff + (1 << size) - 1), size))
-                            return -1;
-                    } else {
-                        freq[c][size]++;
-                    }
-                } else if (write_mode) {
-                    if (bw_put(&w, (uint32_t)((dc >> Al) & 1), 1)) return -1;
-                }
-            }
-        }
-    }
-    if (!write_mode) return 0;
-    if (w.nbits && bw_put(&w, 0x7F, 8 - w.nbits)) return -1;
-    return w.n;
-}
-
-/* First AC scan for one band: run/size with EOB-run accumulation. */
-long jpeg_prog_enc_ac_first(
-    const int32_t *store, long wib, long hib, long bpr,
-    int Ss, int Se, int Al,
-    int write_mode, int64_t *freq,
-    const uint16_t *code, const uint8_t *clen,
-    uint8_t *out, long cap)
-{
-    BitWriterC w = {out, 0, cap, 0, 0};
-    long eobrun = 0;
-#define AC_SYM(s) do { \
-        if (write_mode) { \
-            if (clen[(s)] == 0) return -2; \
-            if (bw_put(&w, code[(s)], clen[(s)])) return -1; \
-        } else freq[(s)]++; \
-    } while (0)
-#define AC_BITS(v, n) do { \
-        if (write_mode && (n) && bw_put(&w, (uint32_t)(v), (n))) return -1; \
-    } while (0)
-#define FLUSH_EOB() do { \
-        if (eobrun > 0) { \
-            int nb_ = bitlen_u32((uint32_t)eobrun) - 1; \
-            AC_SYM(nb_ << 4); \
-            AC_BITS(eobrun & ((1L << nb_) - 1), nb_); \
-            eobrun = 0; \
-        } \
-    } while (0)
-    for (long row = 0; row < hib; row++) {
-        for (long col = 0; col < wib; col++) {
-            const int32_t *zz = store + (row * bpr + col) * 64;
-            int run = 0;
-            for (int k = Ss; k <= Se; k++) {
-                int32_t t = zz[k];
-                t = t >= 0 ? (t >> Al) : -((-t) >> Al);
-                if (t == 0) { run++; continue; }
-                FLUSH_EOB();
-                while (run > 15) { AC_SYM(0xF0); run -= 16; }
-                int size = bitlen_u32((uint32_t)(t < 0 ? -t : t));
-                AC_SYM((run << 4) | size);
-                AC_BITS(t >= 0 ? t : t + (1 << size) - 1, size);
-                run = 0;
-            }
-            if (run > 0) {
-                eobrun++;
-                if (eobrun == 0x7FFF) FLUSH_EOB();
-            }
-        }
-    }
-    FLUSH_EOB();
-    if (!write_mode) return 0;
-    if (w.nbits && bw_put(&w, 0x7F, 8 - w.nbits)) return -1;
-    return w.n;
-}
-
-/* AC refinement scan: correction bits buffered across ZRL/EOB boundaries
- * (G.1.2.3 / encode_mcu_AC_refine). ``be`` is caller scratch for the
- * correction bits riding a pending EOB run (>= wib*hib*64 bytes). */
-long jpeg_prog_enc_ac_refine(
-    const int32_t *store, long wib, long hib, long bpr,
-    int Ss, int Se, int Al,
-    int write_mode, int64_t *freq,
-    const uint16_t *code, const uint8_t *clen,
-    uint8_t *be, long be_cap,
-    uint8_t *out, long cap)
-{
-    BitWriterC w = {out, 0, cap, 0, 0};
-    long eobrun = 0, be_n = 0;
-#define RFLUSH_EOB() do { \
-        if (eobrun > 0) { \
-            int nb_ = bitlen_u32((uint32_t)eobrun) - 1; \
-            AC_SYM(nb_ << 4); \
-            AC_BITS(eobrun & ((1L << nb_) - 1), nb_); \
-            eobrun = 0; \
-        } \
-        for (long bb_ = 0; bb_ < be_n; bb_++) AC_BITS(be[bb_], 1); \
-        be_n = 0; \
-    } while (0)
-    for (long row = 0; row < hib; row++) {
-        for (long col = 0; col < wib; col++) {
-            const int32_t *zz = store + (row * bpr + col) * 64;
-            int32_t absv[64];
-            int eob = 0;
-            for (int k = Ss; k <= Se; k++) {
-                int32_t t = zz[k];
-                t = (t < 0 ? -t : t) >> Al;
-                absv[k] = t;
-                if (t == 1) eob = k;
-            }
-            int r = 0;
-            uint8_t br[64];
-            int br_n = 0;
-            for (int k = Ss; k <= Se; k++) {
-                int32_t t = absv[k];
-                if (t == 0) { r++; continue; }
-                while (r > 15 && k <= eob) {
-                    RFLUSH_EOB();
-                    AC_SYM(0xF0);
-                    r -= 16;
-                    for (int bb = 0; bb < br_n; bb++) AC_BITS(br[bb], 1);
-                    br_n = 0;
-                }
-                if (t > 1) { br[br_n++] = (uint8_t)(t & 1); continue; }
-                RFLUSH_EOB();
-                AC_SYM((r << 4) | 1);
-                AC_BITS(zz[k] >= 0 ? 1 : 0, 1);
-                for (int bb = 0; bb < br_n; bb++) AC_BITS(br[bb], 1);
-                br_n = 0;
-                r = 0;
-            }
-            if (r > 0 || br_n) {
-                eobrun++;
-                if (be_n + br_n > be_cap) return -3;
-                for (int bb = 0; bb < br_n; bb++) be[be_n++] = br[bb];
-                if (eobrun == 0x7FFF) RFLUSH_EOB();
-            }
-        }
-    }
-    RFLUSH_EOB();
-    if (!write_mode) return 0;
-    if (w.nbits && bw_put(&w, 0x7F, 8 - w.nbits)) return -1;
-    return w.n;
-}
-#undef AC_SYM
-#undef AC_BITS
-#undef FLUSH_EOB
-#undef RFLUSH_EOB
-
-/* ---- LZW ENCODE, TIFF and GIF variants — table building is input-
- * sequential. ``table`` is caller scratch (4096*256 int16, keyed
- * prev_code*256+byte). Byte-exact with _lzw_encode_tiff / gif._lzw_encode
- * (which stay the fallbacks and parity oracles). ---- */
-
-long tiff_lzw_encode(const uint8_t *data, long n, int16_t *table,
-                     uint8_t *out, long cap)
-{
-    uint32_t acc = 0;
-    int nbits = 0;
-    long on = 0;
-#define EMIT_MSB(code_, w_) do { \
-        acc = (acc << (w_)) | (uint32_t)(code_); \
-        nbits += (w_); \
-        while (nbits >= 8) { \
-            if (on >= cap) return -1; \
-            out[on++] = (uint8_t)((acc >> (nbits - 8)) & 0xFFu); \
-            nbits -= 8; \
-            acc &= (1u << nbits) - 1u; \
-        } \
-    } while (0)
-    memset(table, 0xFF, 4096 * 256 * sizeof(int16_t));
-    int next = 258, width = 9, prev = -1;
-    EMIT_MSB(256, width); /* clear */
-    for (long i = 0; i < n; i++) {
-        int b = data[i];
-        if (prev < 0) { prev = b; continue; }
-        int16_t hit = table[prev * 256 + b];
-        if (hit >= 0) { prev = hit; continue; }
-        EMIT_MSB(prev, width);
-        table[prev * 256 + b] = (int16_t)next;
-        next++;
-        /* early change: decoder grows at len==2^w-1, we are one ahead */
-        if (next == (1 << width) && width < 12) width++;
-        if (next == 4094) { /* re-clear before the table tops out */
-            EMIT_MSB(256, width);
-            memset(table, 0xFF, 4096 * 256 * sizeof(int16_t));
-            next = 258;
-            width = 9;
-        }
-        prev = b;
-    }
-    if (prev >= 0) EMIT_MSB(prev, width);
-    EMIT_MSB(257, width); /* EOI */
-    if (nbits) {
-        if (on >= cap) return -1;
-        out[on++] = (uint8_t)((acc << (8 - nbits)) & 0xFFu);
-    }
-    return on;
-#undef EMIT_MSB
-}
-
-long gif_lzw_encode(const uint8_t *data, long n, int min_code_size,
-                    int16_t *table, uint8_t *out, long cap)
-{
-    int clear = 1 << min_code_size, end = clear + 1;
-    uint32_t acc = 0;
-    int nbits = 0;
-    long on = 0;
-#define EMIT_LSB(code_, w_) do { \
-        acc |= (uint32_t)(code_) << nbits; \
-        nbits += (w_); \
-        while (nbits >= 8) { \
-            if (on >= cap) return -1; \
-            out[on++] = (uint8_t)(acc & 0xFFu); \
-            acc >>= 8; \
-            nbits -= 8; \
-        } \
-    } while (0)
-    memset(table, 0xFF, 4096 * 256 * sizeof(int16_t));
-    int next = end + 1, width = min_code_size + 1, prev = -1;
-    EMIT_LSB(clear, width);
-    for (long i = 0; i < n; i++) {
-        int b = data[i];
-        if (prev < 0) { prev = b; continue; }
-        int16_t hit = table[prev * 256 + b];
-        if (hit >= 0) { prev = hit; continue; }
-        EMIT_LSB(prev, width);
-        if (next < 4096) {
-            table[prev * 256 + b] = (int16_t)next;
-            if (next == (1 << width) && width < 12) width++;
-            next++;
-        } else { /* table full: re-clear */
-            EMIT_LSB(clear, width);
-            memset(table, 0xFF, 4096 * 256 * sizeof(int16_t));
-            next = end + 1;
-            width = min_code_size + 1;
-        }
-        prev = b;
-    }
-    if (prev >= 0) EMIT_LSB(prev, width);
-    EMIT_LSB(end, width);
-    if (nbits) {
-        if (on >= cap) return -1;
-        out[on++] = (uint8_t)(acc & 0xFFu);
-    }
-    return on;
-#undef EMIT_LSB
 }
 
 /* Bilinear warp sampler for uint8 (h, w, c) images at float32 source-pixel

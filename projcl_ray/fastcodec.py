@@ -1,17 +1,19 @@
-"""Optional C accelerator for the sequential codec hot loops and the warp
+"""Optional C accelerator for the sequential decode hot loops and the warp
 kernel's bilinear sampler.
 
 The in-repo codecs are pure Python by design (always available, the
 determinism oracle) — but entropy decoding is one-Huffman-code-at-a-time
 sequential and can't be vectorized with numpy, so on a compressed image
 corpus the Python loop is the throughput ceiling (~2 MB/s/core). When a
-system C compiler is present, `_fastcodec.c` (the same T.81 algorithm,
+system C compiler is present, `_fastcodec.c` (the same algorithms,
 bit-exact) is compiled ONCE per machine into a cached shared object and
 loaded with ctypes; every failure mode — no compiler, build error, load
 error, `PROJCL_NO_FASTCODEC=1` — falls back to the pure-Python path
-silently. Parity is pinned in tests/test_warp.py (JPEG/PNG/TIFF/GIF and
-the bilinear sampler, the one per-pixel loop numpy runs as 4 gathers plus
-~12 temporaries, alone and fused with the warp lattice fill).
+silently. C twins exist only for loops on a measured path: the JPEG, PNG,
+TIFF-LZW and GIF-LZW decoders and the bilinear sampler (the one per-pixel
+loop numpy runs as 4 gathers plus ~12 temporaries, alone and fused with
+the warp lattice fill). The encoders run in Python only. Parity is pinned
+in tests/test_warp.py.
 
 Concurrency: Ray workers race to build on first use; each builds to a
 pid-suffixed temp file and `os.replace`s it into place (atomic on POSIX),
@@ -121,54 +123,9 @@ def lib():
         L.tiff_lzw_decode.argtypes = [
             ctypes.c_char_p, ctypes.c_long, u8p, ctypes.c_long,
         ]
-        u16p = ctypes.POINTER(ctypes.c_uint16)
-        i64pp = ctypes.POINTER(ctypes.POINTER(ctypes.c_int64))
-        L.jpeg_prog_enc_dc.restype = ctypes.c_long
-        L.jpeg_prog_enc_dc.argtypes = [
-            ctypes.POINTER(i32p), ctypes.c_long, ctypes.c_long,
-            ctypes.c_int, ctypes.c_int, ctypes.c_int, ctypes.c_int,
-            i32p, i32p, i32p, i32p, i32p,                   # v h bpr wib hib
-            ctypes.c_int, i64pp,
-            ctypes.POINTER(u16p), ctypes.POINTER(u8p),
-            u8p, ctypes.c_long,
-        ]
-        L.jpeg_prog_enc_ac_first.restype = ctypes.c_long
-        L.jpeg_prog_enc_ac_first.argtypes = [
-            i32p, ctypes.c_long, ctypes.c_long, ctypes.c_long,
-            ctypes.c_int, ctypes.c_int, ctypes.c_int,
-            ctypes.c_int, ctypes.POINTER(ctypes.c_int64),
-            u16p, u8p, u8p, ctypes.c_long,
-        ]
-        L.jpeg_prog_enc_ac_refine.restype = ctypes.c_long
-        L.jpeg_prog_enc_ac_refine.argtypes = [
-            i32p, ctypes.c_long, ctypes.c_long, ctypes.c_long,
-            ctypes.c_int, ctypes.c_int, ctypes.c_int,
-            ctypes.c_int, ctypes.POINTER(ctypes.c_int64),
-            u16p, u8p, u8p, ctypes.c_long, u8p, ctypes.c_long,
-        ]
-        L.jpeg_encode_segment.restype = ctypes.c_long
-        L.jpeg_encode_segment.argtypes = [
-            ctypes.POINTER(i32p),                           # stores
-            ctypes.c_long, ctypes.c_long, ctypes.c_long,    # m_start/count, mcus_x
-            ctypes.c_int, ctypes.c_int,                     # interleaved, ncomp
-            ctypes.POINTER(u16p), ctypes.POINTER(u8p),      # dc code/len
-            ctypes.POINTER(u16p), ctypes.POINTER(u8p),      # ac code/len
-            i32p, i32p, i32p, i32p,                         # v, h, bpr, wib
-            u8p, ctypes.c_long,                             # out, cap
-        ]
         L.gif_lzw_decode.restype = ctypes.c_long
         L.gif_lzw_decode.argtypes = [
             ctypes.c_char_p, ctypes.c_long, ctypes.c_int, u8p, ctypes.c_long,
-        ]
-        i16p = ctypes.POINTER(ctypes.c_int16)
-        L.tiff_lzw_encode.restype = ctypes.c_long
-        L.tiff_lzw_encode.argtypes = [
-            ctypes.c_char_p, ctypes.c_long, i16p, u8p, ctypes.c_long,
-        ]
-        L.gif_lzw_encode.restype = ctypes.c_long
-        L.gif_lzw_encode.argtypes = [
-            ctypes.c_char_p, ctypes.c_long, ctypes.c_int, i16p, u8p,
-            ctypes.c_long,
         ]
         f32p = ctypes.POINTER(ctypes.c_float)
         L.warp_bilinear_u8.restype = None
@@ -378,206 +335,6 @@ def gif_lzw_decode(data: bytes, min_code_size: int, n_pixels: int):
     if rc < 0:
         raise ValueError("GIF: corrupt LZW code")
     return out
-
-
-def _codes_to_arrays(codes: dict):
-    code = np.zeros(256, np.uint16)
-    ln = np.zeros(256, np.uint8)
-    for s, (c, l) in codes.items():
-        code[s] = c
-        ln[s] = l
-    return code, ln
-
-
-def jpeg_encode_scan(comps, tables, restart_interval, mcus_x, mcus_y,
-                     *, interleaved):
-    """C path for a baseline entropy scan (jpeg.encode_jpeg's writer loop):
-    returns the complete stuffed byte stream including RSTn markers, or
-    None when the compiled path is unavailable. Bit-exact with the pure
-    _BitWriter/_encode_block path (parity pinned in pytest)."""
-    if _disabled():
-        return None
-    L = lib()
-    if L is None:
-        return None
-    ncomp = len(comps)
-    if ncomp > 4:
-        return None
-    units = (mcus_x * mcus_y if interleaved
-             else comps[0]["wib"] * comps[0]["hib"])
-    blocks_per_unit = (sum(c["v"] * c["h"] for c in comps)
-                       if interleaved else 1)
-    i32p = ctypes.POINTER(ctypes.c_int32)
-    u16p = ctypes.POINTER(ctypes.c_uint16)
-    u8p = ctypes.POINTER(ctypes.c_uint8)
-    arrs = []
-    stores = (i32p * ncomp)()
-    for i, c in enumerate(comps):
-        a = np.ascontiguousarray(c["zz"], np.int32)
-        arrs.append(a)
-        stores[i] = a.ctypes.data_as(i32p)
-    tabs = [tuple(_codes_to_arrays(t) for t in tables[i]) for i in range(ncomp)]
-    arrs += [x for pair in tabs for t in pair for x in t]
-    dcc = (u16p * ncomp)(*[t[0][0].ctypes.data_as(u16p) for t in tabs])
-    dcl = (u8p * ncomp)(*[t[0][1].ctypes.data_as(u8p) for t in tabs])
-    acc = (u16p * ncomp)(*[t[1][0].ctypes.data_as(u16p) for t in tabs])
-    acl = (u8p * ncomp)(*[t[1][1].ctypes.data_as(u8p) for t in tabs])
-    vv = (ctypes.c_int32 * ncomp)(*[c["v"] for c in comps])
-    hh = (ctypes.c_int32 * ncomp)(*[c["h"] for c in comps])
-    bpr = (ctypes.c_int32 * ncomp)(*[c["bpr"] for c in comps])
-    wib = (ctypes.c_int32 * ncomp)(*[c["wib"] for c in comps])
-    step = restart_interval or units
-    pieces = []
-    i = 0
-    m_start = 0
-    while m_start < units:
-        m_count = min(step, units - m_start)
-        cap = m_count * blocks_per_unit * 456 + 64
-        buf = np.empty(cap, np.uint8)
-        rc = L.jpeg_encode_segment(stores, m_start, m_count, mcus_x,
-                                   int(interleaved), ncomp, dcc, dcl,
-                                   acc, acl, vv, hh, bpr, wib,
-                                   buf.ctypes.data_as(u8p), cap)
-        if rc < 0:
-            return None  # overflow/absent symbol: let the pure path handle it
-        if i > 0:
-            pieces.append(bytes([0xFF, 0xD0 + ((i - 1) % 8)]))
-        pieces.append(buf[:rc].tobytes())
-        m_start += m_count
-        i += 1
-    return b"".join(pieces)
-
-
-def jpeg_prog_emit(scan_comps, Ss, Se, Ah, Al, mcus_x, mcus_y, codes=None):
-    """C path for one progressive-encode scan emission. With codes=None
-    (stats pass) returns {table_key: freq ndarray} like _StatSink.freq;
-    with codes (write pass) returns the flushed stuffed bytes. None when
-    the compiled path is unavailable."""
-    if _disabled():
-        return None
-    L = lib()
-    if L is None:
-        return None
-    i32p = ctypes.POINTER(ctypes.c_int32)
-    i64p = ctypes.POINTER(ctypes.c_int64)
-    u16p = ctypes.POINTER(ctypes.c_uint16)
-    u8p = ctypes.POINTER(ctypes.c_uint8)
-    write = codes is not None
-    if Ss == 0:  # DC scan (interleaved allowed)
-        ncomp = len(scan_comps)
-        if ncomp > 4:
-            return None
-        interleaved = ncomp > 1
-        arrs = []
-        stores = (i32p * ncomp)()
-        for i, c in enumerate(scan_comps):
-            a = np.ascontiguousarray(c["zz"], np.int32)
-            arrs.append(a)
-            stores[i] = a.ctypes.data_as(i32p)
-        vv = (ctypes.c_int32 * ncomp)(*[c["v"] for c in scan_comps])
-        hh = (ctypes.c_int32 * ncomp)(*[c["h"] for c in scan_comps])
-        bpr = (ctypes.c_int32 * ncomp)(*[c["bpr"] for c in scan_comps])
-        wib = (ctypes.c_int32 * ncomp)(*[c["wib"] for c in scan_comps])
-        hib = (ctypes.c_int32 * ncomp)(*[c["hib"] for c in scan_comps])
-        units = (mcus_x * mcus_y if interleaved
-                 else scan_comps[0]["wib"] * scan_comps[0]["hib"])
-        blocks = units * (sum(c["v"] * c["h"] for c in scan_comps)
-                          if interleaved else 1)
-        if write:
-            if Ah == 0:
-                tabs = {}
-                for c in scan_comps:
-                    key = ("dc", c["td"])
-                    if key not in tabs:
-                        tabs[key] = _codes_to_arrays(codes[key])
-                arrs += [x for t in tabs.values() for x in t]
-                codep = (u16p * ncomp)(*[
-                    tabs[("dc", c["td"])][0].ctypes.data_as(u16p)
-                    for c in scan_comps])
-                clenp = (u8p * ncomp)(*[
-                    tabs[("dc", c["td"])][1].ctypes.data_as(u8p)
-                    for c in scan_comps])
-            else:  # DC refinement: raw bits only, no Huffman tables
-                codep = clenp = None
-            cap = blocks * 8 + 64
-            buf = np.empty(cap, np.uint8)
-            rc = L.jpeg_prog_enc_dc(stores, mcus_x, mcus_y, int(interleaved),
-                                    ncomp, Ah, Al, vv, hh, bpr, wib, hib,
-                                    1, None, codep, clenp,
-                                    buf.ctypes.data_as(u8p), cap)
-            return None if rc < 0 else buf[:rc].tobytes()
-        if Ah != 0:
-            return {}  # DC refinement emits no Huffman symbols
-        freq_map = {}
-        fptrs = (i64p * ncomp)()
-        for i, c in enumerate(scan_comps):
-            key = ("dc", c["td"])
-            if key not in freq_map:
-                freq_map[key] = np.zeros(256, np.int64)
-            fptrs[i] = freq_map[key].ctypes.data_as(i64p)
-        rc = L.jpeg_prog_enc_dc(stores, mcus_x, mcus_y, int(interleaved),
-                                ncomp, Ah, Al, vv, hh, bpr, wib, hib,
-                                0, fptrs, None, None, None, 0)
-        return None if rc < 0 else freq_map
-    # AC scan: single component
-    c = scan_comps[0]
-    a = np.ascontiguousarray(c["zz"], np.int32)
-    key = ("ac", c["ta"])
-    blocks = c["wib"] * c["hib"]
-    if write:
-        codearr, lenarr = _codes_to_arrays(codes[key])
-        cap = blocks * 456 + 64
-        buf = np.empty(cap, np.uint8)
-        freq_arg = None
-        code_arg = codearr.ctypes.data_as(u16p)
-        len_arg = lenarr.ctypes.data_as(u8p)
-        out_arg, cap_arg = buf.ctypes.data_as(u8p), cap
-        mode = 1
-    else:
-        freq = np.zeros(256, np.int64)
-        freq_arg = freq.ctypes.data_as(i64p)
-        code_arg = len_arg = out_arg = None
-        cap_arg = 0
-        mode = 0
-    if Ah == 0:
-        rc = L.jpeg_prog_enc_ac_first(
-            a.ctypes.data_as(i32p), c["wib"], c["hib"], c["bpr"],
-            Ss, Se, Al, mode, freq_arg, code_arg, len_arg, out_arg, cap_arg)
-    else:
-        be = np.empty(blocks * 64 + 64, np.uint8)
-        rc = L.jpeg_prog_enc_ac_refine(
-            a.ctypes.data_as(i32p), c["wib"], c["hib"], c["bpr"],
-            Ss, Se, Al, mode, freq_arg, code_arg, len_arg,
-            be.ctypes.data_as(u8p), len(be), out_arg, cap_arg)
-    if rc < 0:
-        return None
-    return buf[:rc].tobytes() if write else {key: freq}
-
-
-def _lzw_encode_c(fn_name: str, data: bytes, *extra):
-    if _disabled():
-        return None
-    L = lib()
-    if L is None:
-        return None
-    table = np.empty(4096 * 256, np.int16)
-    cap = len(data) * 2 + 64  # worst case ~12 bits per input byte
-    out = np.empty(cap, np.uint8)
-    fn = getattr(L, fn_name)
-    rc = fn(data, len(data), *extra,
-            table.ctypes.data_as(ctypes.POINTER(ctypes.c_int16)),
-            out.ctypes.data_as(ctypes.POINTER(ctypes.c_uint8)), cap)
-    return None if rc < 0 else out[:rc].tobytes()
-
-
-def tiff_lzw_encode(data: bytes):
-    """C path for tiff._lzw_encode_tiff; None when unavailable."""
-    return _lzw_encode_c("tiff_lzw_encode", data)
-
-
-def gif_lzw_encode(data: bytes, min_code_size: int):
-    """C path for gif._lzw_encode; None when unavailable."""
-    return _lzw_encode_c("gif_lzw_encode", data, min_code_size)
 
 
 def warp_bilinear_u8(img, px, py):

@@ -113,15 +113,7 @@ def _lzw_decode(data: bytes, min_code_size: int, n_pixels: int) -> np.ndarray:
 def _lzw_encode(indices: np.ndarray, min_code_size: int) -> bytes:
     """Index array → GIF LZW bytes (always emits a leading clear code and
     re-clears when the table fills — the maximally-compatible strategy).
-    Delegates to the compiled bit-exact twin when available
-    (projcl_ray/fastcodec.py); this body is the fallback and parity
-    oracle."""
-    from . import fastcodec
-
-    got = fastcodec.gif_lzw_encode(
-        indices.astype(np.uint8).tobytes(), min_code_size)
-    if got is not None:
-        return got
+    Pure Python: no measured path encodes GIF, so it has no C twin."""
     clear = 1 << min_code_size
     end = clear + 1
     out = bytearray()

@@ -26,8 +26,8 @@ Scope:
 
 Numerics: FDCT/IDCT are exact orthonormal 8×8 DCT-II matrices applied to all
 blocks at once as two GEMMs (float64) — vectorized where it matters; only
-the entropy coding walks symbols (in C when fastcodec is built, else in
-Python, a few per block).
+the entropy coding walks symbols, a few per block: decoding in C when
+fastcodec is built (else in Python), encoding always in Python.
 """
 
 from __future__ import annotations
@@ -487,18 +487,10 @@ def encode_jpeg(arr: np.ndarray, *, quality: int = 90,
         # raster order (lattice padding blocks are never coded; they only
         # feed cropped pixels, so the decode is bit-identical)
         tables = [(dc_l, ac_l)] + [(dc_c, ac_c)] * (ncomp - 1)
-        from . import fastcodec
-
         for ci, c in enumerate(comps):
             out += b"\xFF\xDA" + struct.pack(">HB", 8, 1)
             out += struct.pack("BB", c["cid"], (c["td"] << 4) | c["ta"])
             out += b"\x00\x3F\x00"
-            fast = fastcodec.jpeg_encode_scan(
-                [c], [tables[ci]], restart_interval, mcus_x, mcus_y,
-                interleaved=False)
-            if fast is not None:
-                out += fast
-                continue
             wtr = _BitWriter()
             pred = 0
             m = 0
@@ -526,15 +518,6 @@ def encode_jpeg(arr: np.ndarray, *, quality: int = 90,
 
     # --- entropy-coded data (interleaved MCUs) ------------------------------
     tables = [(dc_l, ac_l)] + [(dc_c, ac_c)] * (ncomp - 1)
-    from . import fastcodec
-
-    fast = fastcodec.jpeg_encode_scan(comps, tables, restart_interval,
-                                      mcus_x, mcus_y, interleaved=True)
-    if fast is not None:
-        out += fast
-        out += b"\xFF\xD9"  # EOI
-        return bytes(out)
-
     wtr = _BitWriter()
     preds = [0] * ncomp
     m = 0
@@ -744,8 +727,6 @@ def _emit_progressive(out: bytearray, comps: list[dict],
     for c in comps:
         scans += [([c], 1, 5, 1, 0), ([c], 6, 63, 1, 0)]
 
-    from . import fastcodec
-
     for scan_comps, Ss, Se, Ah, Al in scans:
         def run(sink):
             if Ss == 0:
@@ -755,14 +736,10 @@ def _emit_progressive(out: bytearray, comps: list[dict],
             else:
                 _emit_ac_refine(sink, scan_comps[0], Ss, Se, Al)
 
-        stats_freq = fastcodec.jpeg_prog_emit(scan_comps, Ss, Se, Ah, Al,
-                                              mcus_x, mcus_y)
-        if stats_freq is None:
-            stats = _StatSink()
-            run(stats)
-            stats_freq = stats.freq
+        stats = _StatSink()
+        run(stats)
         codes = {}
-        for tbl_key, freq in sorted(stats_freq.items()):
+        for tbl_key, freq in sorted(stats.freq.items()):
             bits, vals = _gen_huffman(freq)
             codes[tbl_key] = _canonical_codes(bits, vals)
             tc = 0 if tbl_key[0] == "dc" else 1
@@ -774,14 +751,10 @@ def _emit_progressive(out: bytearray, comps: list[dict],
         for c in scan_comps:
             out += struct.pack("BB", c["cid"], (c["td"] << 4) | c["ta"])
         out += struct.pack("BBB", Ss, Se, (Ah << 4) | Al)
-        payload = fastcodec.jpeg_prog_emit(scan_comps, Ss, Se, Ah, Al,
-                                           mcus_x, mcus_y, codes=codes)
-        if payload is None:
-            wsink = _WriteSink(codes)
-            run(wsink)
-            wsink.w.flush()
-            payload = bytes(wsink.w.buf)
-        out += payload
+        wsink = _WriteSink(codes)
+        run(wsink)
+        wsink.w.flush()
+        out += wsink.w.buf
 
 
 class _BitReader:

@@ -1180,15 +1180,16 @@ def warp_tiled_mosaic(
     **param_kw,
 ) -> ray.data.Dataset:
     """Warp images stored as TILE rows (the reference's PLImageArrayBuffer
-    path, pl_sample_image_array_*): group tiles by image, assemble the mosaic,
-    inverse-map with per-pixel tile-index arithmetic, emit one warped row per
-    image.
+    path, pl_sample_image_array_*): group tiles by image, assemble them into
+    one image over the tiles' full extent (:func:`warp.mosaic_from_tiles`),
+    inverse-map and sample it with the ordinary sampler, emit one warped row
+    per image.
 
     Expects columns: image_id, tile_col, tile_row, tile_size, bytes, w(full),
     h(full), lon0, lat0, px_deg. Partitioning assumption: all of an image's
     tiles co-locate via the groupby shuffle (tile payloads move once).
     """
-    from .warp import GeoRef, MOSAIC_SAMPLERS, TiledMosaic, default_warp_window, dest_grid
+    from .warp import SAMPLERS, GeoRef, default_warp_window, dest_grid, mosaic_from_tiles
 
     params = params or ProjParams(**param_kw)
     prepped_ref = (proj_name, params)
@@ -1199,13 +1200,10 @@ def warp_tiled_mosaic(
     def assemble_and_warp(group: pa.Table) -> dict:
         prepped = _cached(("mosaic_proj",) + prepped_ref, lambda: prepare(proj_name, params))
         r0 = group.slice(0, 1).to_pylist()[0]
-        ts = r0["tile_size"]
+        ts, fmt = r0["tile_size"], r0.get("fmt", "raw")
         cols = (group[c].to_pylist() for c in ("tile_col", "tile_row", "bytes"))
-        tile_map = {
-            (tx, ty): decode_image(buf, ts, ts, r0.get("fmt", "raw")).astype(np.float32)
-            for tx, ty, buf in zip(*cols)
-        }
-        mosaic = TiledMosaic.from_tiles(tile_map, ts)
+        mosaic = mosaic_from_tiles(((tx, ty, decode_image(buf, ts, ts, fmt))
+                                    for tx, ty, buf in zip(*cols)), ts)
         w, h = r0["w"], r0["h"]
         georef = GeoRef(r0["lon0"], r0["lat0"], r0["px_deg"])
         ox, oy, sx, sy = default_warp_window(prepped, georef, w, h)
@@ -1213,7 +1211,7 @@ def warp_tiled_mosaic(
         with np.errstate(all="ignore"):
             lon, lat = prepped.inverse(gx.astype(np.float32), gy.astype(np.float32))
         px, py = georef.to_pixels(lon, lat)
-        out = MOSAIC_SAMPLERS[filter](mosaic, px, py)
+        out = SAMPLERS[filter](mosaic, px, py)
         out8 = np.clip(out, 0, 255).astype(np.uint8)
         return {"image_id": [r0["image_id"]], "bytes": [encode_image(out8)],
                 "w": [w], "h": [h], "fmt": ["raw"]}

@@ -1338,7 +1338,10 @@ def q_mosaic(sf_dir: str):
                     "px_deg": r["px_deg"],
                 }
             )
-    out = ops.warp_tiled_mosaic(rd.from_items(rows), "mercator", ProjParams(spheroid="WGS_84"))
+    # one block: from_items would make one block, and one sort partition,
+    # per tile row
+    tiles = rd.from_arrow(pa.Table.from_pylist(rows))
+    out = ops.warp_tiled_mosaic(tiles, "mercator", ProjParams(spheroid="WGS_84"))
     df = out.select_columns(["image_id", "w", "h", "fmt"]).to_pandas()
     return df.astype({"w": np.int64, "h": np.int64})
 

@@ -128,14 +128,14 @@ def read_tile_buckets(out_dir: str, cells: np.ndarray, *, n_buckets: int = 64) -
     return rd.read_parquet(out_dir, filter=pc.field("bucket").isin(wanted))
 
 
-def write_geotiffs(ds: rd.Dataset, out_dir: str, *, compression: str = "deflate",
-                   skip_existing: bool = True, batch_size: int | None = 16) -> rd.Dataset:
+def write_geotiffs(ds: rd.Dataset, out_dir: str, *, batch_size: int | None = 16) -> rd.Dataset:
     """GeoTIFF export sink: one ``<image_id>.tif`` per images-schema row
     (raw RGBA pixels + lon0/lat0/px_deg), with the georeference embedded as
     GeoTIFF ModelPixelScale/ModelTiepoint tags (tiff.py) — the inverse of
     ops.ingest_geotiff, so exported rasters re-ingest with no sidecar
-    columns. File-per-image output is resumable: with ``skip_existing`` a
-    rerun skips rows whose file already exists. Returns the manifest
+    columns. Files are deflate-compressed with horizontal differencing
+    (predictor 2, ~40% smaller). File-per-image output is resumable: a rerun
+    skips rows whose file already exists. Returns the manifest
     Dataset (image_id, path, n_bytes, skipped) — consume it (write/iterate)
     to drive the export. Each block is exported ``batch_size`` rows at a
     time."""
@@ -150,7 +150,7 @@ def write_geotiffs(ds: rd.Dataset, out_dir: str, *, compression: str = "deflate"
         for i, iid in enumerate(ids):
             path = os.path.join(out_dir, f"{iid}.tif")
             paths.append(path)
-            if skip_existing and os.path.exists(path):
+            if os.path.exists(path):
                 sizes.append(os.path.getsize(path))
                 skipped.append(True)
                 continue
@@ -159,8 +159,7 @@ def write_geotiffs(ds: rd.Dataset, out_dir: str, *, compression: str = "deflate"
             img = decode_image(row["bytes"], row["w"], row["h"], row["fmt"])
             geo = GeoTags(row["px_deg"], row["px_deg"], 0.0, 0.0,
                           row["lon0"], row["lat0"])
-            blob = encode_tiff(img, geo=geo, compression=compression,
-                               predictor=2)  # horiz differencing: ~40% smaller
+            blob = encode_tiff(img, geo=geo, compression="deflate", predictor=2)
             tmp = path + ".part"
             with open(tmp, "wb") as f:
                 f.write(blob)

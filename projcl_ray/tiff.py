@@ -130,14 +130,9 @@ def _lzw_decode_tiff(data: bytes, expected: int) -> bytes:
 
 
 def _lzw_encode_tiff(data: bytes) -> bytes:
-    """Delegates to the compiled bit-exact twin when available
-    (projcl_ray/fastcodec.py); this body is the fallback and parity
-    oracle."""
-    from . import fastcodec
-
-    got = fastcodec.tiff_lzw_encode(data)
-    if got is not None:
-        return got
+    """Bytes → TIFF LZW (MSB-first codes, early change, a clear code first
+    and again before the table tops out). Pure Python: no measured path
+    encodes LZW TIFF, so it has no C twin."""
     out = bytearray()
     acc = 0
     nbits = 0

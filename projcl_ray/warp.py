@@ -490,80 +490,22 @@ def project_grid(prepped: PreparedProjection, gx: np.ndarray, gy: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Tiled mosaic sampling (PLImageArrayBuffer parity: pl_sample_image_array_*)
+# Tiled mosaics (PLImageArrayBuffer parity: pl_load_image_array)
 # ---------------------------------------------------------------------------
 
 
-class TiledMosaic:
-    """A mosaic stored as equal-size tiles, row-first indexed
-    (tile = col + row·tiles_across, pl_sample_nearest.opencl:37-39) — the
-    logical descendant of PLImageArrayBuffer (projcl_warp.h:22-28,49-53).
-
-    ``tiles`` is a (tiles_down, tiles_across, th, tw, C) array (or a dict
-    {(col,row): tile} assembled via :meth:`from_tiles`).
-    """
-
-    def __init__(self, tiles: np.ndarray):
-        self.tiles = tiles
-        self.tiles_down, self.tiles_across, self.th, self.tw = tiles.shape[:4]
-
-    @classmethod
-    def from_tiles(cls, tile_map: dict, tile_size: int, channels: int = 4,
-                   dtype=np.float32) -> "TiledMosaic":
-        cols = max(c for c, r in tile_map) + 1
-        rows = max(r for c, r in tile_map) + 1
-        arr = np.zeros((rows, cols, tile_size, tile_size, channels), dtype=dtype)
-        for (c, r), tile in tile_map.items():
-            arr[r, c] = tile
-        return cls(arr)
-
-    def gather(self, ix: np.ndarray, iy: np.ndarray, border_zero: bool) -> np.ndarray:
-        """Per-pixel tile-index arithmetic exactly as the array kernels do:
-        tile = (coord // tile_dim), local = coord − tile·tile_dim."""
-        W = self.tw * self.tiles_across
-        H = self.th * self.tiles_down
-        ixc = np.clip(ix, 0, W - 1)
-        iyc = np.clip(iy, 0, H - 1)
-        tc, lx = ixc // self.tw, ixc % self.tw
-        tr, ly = iyc // self.th, iyc % self.th
-        out = self.tiles[tr, tc, ly, lx]
-        if border_zero:
-            inside = (ix >= 0) & (ix < W) & (iy >= 0) & (iy < H)
-            out = np.where(inside[..., None], out, 0.0)
-        return out
-
-
-def _mosaic_sampler(filter_name: str):
-    def sample(mosaic: TiledMosaic, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-        g_zero = lambda ix, iy: mosaic.gather(ix, iy, True)
-        g_edge = lambda ix, iy: mosaic.gather(ix, iy, False)
-        if filter_name == "nearest":
-            return g_zero(np.floor(px + 0.5).astype(np.int64), np.floor(py + 0.5).astype(np.int64))
-        x0 = np.floor(px).astype(np.int64)
-        y0 = np.floor(py).astype(np.int64)
-        fx = (px - x0)[..., None].astype(mosaic.tiles.dtype)
-        fy = (py - y0)[..., None].astype(mosaic.tiles.dtype)
-        if filter_name == "bilinear":
-            p00, p01 = g_zero(x0, y0), g_zero(x0 + 1, y0)
-            p10, p11 = g_zero(x0, y0 + 1), g_zero(x0 + 1, y0 + 1)
-            top = p00 + (p01 - p00) * fx
-            bot = p10 + (p11 - p10) * fx
-            return top + (bot - top) * fy
-        if filter_name == "bicubic":
-            rows = [
-                _cubic4(fx, *[g_edge(x0 + dx, y0 + dy) for dx in (-1, 0, 1, 2)])
-                for dy in (-1, 0, 1, 2)
-            ]
-            return np.clip(_cubic4(fy, *rows), 0.0, 255.0)
-        if filter_name == "quasi_bicubic":
-            rowA = (1 - fx) * g_edge(x0, y0 - 1) + fx * g_edge(x0 + 1, y0 - 1)
-            rowD = (1 - fx) * g_edge(x0, y0 + 2) + fx * g_edge(x0 + 1, y0 + 2)
-            rowB = _cubic4(fx, *[g_edge(x0 + dx, y0) for dx in (-1, 0, 1, 2)])
-            rowC = _cubic4(fx, *[g_edge(x0 + dx, y0 + 1) for dx in (-1, 0, 1, 2)])
-            return np.clip(_cubic4(fy, rowA, rowB, rowC, rowD), 0.0, 255.0)
-        raise KeyError(filter_name)
-
-    return sample
-
-
-MOSAIC_SAMPLERS = {name: _mosaic_sampler(name) for name in SAMPLERS}
+def mosaic_from_tiles(tiles, tile_size: int) -> np.ndarray:
+    """One uint8 (H, W, C) image from ``(col, row, pixels)`` tiles of
+    a row-first tile grid (pl_sample_nearest.opencl:37-39): it covers the
+    tiles' full extent, not cropped to the source image's size, and a
+    missing tile reads 0. The ordinary :data:`SAMPLERS` then read it exactly
+    as the reference's array kernels read a PLImageArrayBuffer
+    (projcl_warp.h:22-28, 49-53), whose per-tile gather exists only because
+    a GPU caps one image's size."""
+    tiles = list(tiles)
+    cols = max(c for c, _, _ in tiles) + 1
+    rows = max(r for _, r, _ in tiles) + 1
+    out = np.zeros((rows * tile_size, cols * tile_size) + tiles[0][2].shape[2:], np.uint8)
+    for c, r, px in tiles:
+        out[r * tile_size:(r + 1) * tile_size, c * tile_size:(c + 1) * tile_size] = px
+    return out

@@ -3,11 +3,13 @@ configuration, all through the ``images.encode_image`` /
 ``images.decode_image`` dispatch the stages use.
 
 Each format has exactly one in-repo codec, so the contracts are: the
-round-trip is exact (lossless formats) or PSNR-bounded (JPEG); the bytes
-and pixels do not depend on whether the C twins of
-:mod:`projcl_ray.fastcodec` are loaded; and truncated or foreign input
-raises ``ValueError``, never another exception type.
+round-trip is exact (lossless formats) or PSNR-bounded (JPEG); the encoded
+bytes are pinned by digest, and the decoded pixels do not depend on whether
+the C decode twins of :mod:`projcl_ray.fastcodec` are loaded; and truncated
+or foreign input raises ``ValueError``, never another exception type.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -36,6 +38,24 @@ CASES = [
      True),
 ]
 IDS = [c[0] for c in CASES]
+# SHA-256 prefix of each case's encoded bytes. The encoders are pure Python
+# and deterministic; these are also the bytes of the C encode twins they
+# once had. PNG and deflate TIFF go through zlib, so a zlib whose output
+# differs moves those three.
+ENCODED_SHA256 = {
+    "png": "a72b3ff180d3ef81",
+    "png_paeth_adam7": "da12bbfa7caefc2a",
+    "jpeg": "849537185059a188",
+    "jpeg_420_restart": "7a7e03b94030a440",
+    "jpeg_multiscan": "0f03190c186ca1ad",
+    "jpeg_progressive": "2a8f6d84c4635787",
+    "gif": "74f0a7b308d407f9",
+    "gif_interlaced": "b46e4bfa03ca1eef",
+    "bmp": "4b1ecdcb4c960728",
+    "tiff_deflate": "9f9b0452e1eff23d",
+    "tiff_lzw_tiled": "7ac75fe2212dacff",
+    "tiff_lzw_predictor": "3f19457d40f2fcad",
+}
 
 
 def _source(fmt):
@@ -69,16 +89,17 @@ def test_roundtrip_through_dispatch(case, fmt, kw, lossless):
 @pytest.mark.parametrize("case,fmt,kw,lossless", CASES, ids=IDS)
 def test_bytes_and_pixels_independent_of_c_twins(case, fmt, kw, lossless,
                                                  monkeypatch):
-    """The C twins are accelerators only: encoding and decoding with them
-    disabled gives the same bytes and the same pixels."""
+    """The encoded bytes match their pinned digest, and the C decode twins
+    are accelerators only: decoding with them disabled gives the same
+    pixels."""
+    buf = _encode(fmt, kw)
+    assert hashlib.sha256(buf).hexdigest()[:16] == ENCODED_SHA256[case]
     monkeypatch.setenv("PROJCL_NO_FASTCODEC", "")
     if fastcodec.lib() is None:
         pytest.skip("no C compiler in this environment")
-    fast = _encode(fmt, kw)
-    fast_px = decode_image(fast, W, H, fmt)
+    fast_px = decode_image(buf, W, H, fmt)
     monkeypatch.setenv("PROJCL_NO_FASTCODEC", "1")
-    assert _encode(fmt, kw) == fast
-    np.testing.assert_array_equal(decode_image(fast, W, H, fmt), fast_px)
+    np.testing.assert_array_equal(decode_image(buf, W, H, fmt), fast_px)
 
 
 @pytest.mark.parametrize("case,fmt,kw,lossless", CASES, ids=IDS)

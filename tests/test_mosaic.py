@@ -8,12 +8,11 @@ from projcl_ray.images import decode_image, encode_image, synth_pixels
 from projcl_ray.index import cut_tiles
 from projcl_ray.proj import ProjParams, prepare
 from projcl_ray.warp import (
-    MOSAIC_SAMPLERS,
     SAMPLERS,
-    TiledMosaic,
     GeoRef,
     WarpSpec,
     default_warp_window,
+    mosaic_from_tiles,
     project_grid,
     transform_grid,
     warp_image,
@@ -21,16 +20,31 @@ from projcl_ray.warp import (
 
 
 def test_mosaic_sampling_matches_whole_image():
-    """Cross-tile gathers must agree exactly with whole-image sampling —
-    the array kernels' per-pixel tile arithmetic (pl_sample_*_array)."""
-    img = synth_pixels(7, 96, 64).astype(np.float32)
-    tiles = {(tx, ty): t.astype(np.float32) for tx, ty, _, t in cut_tiles(img, 32)}
-    m = TiledMosaic.from_tiles(tiles, 32)
+    """A 100×70 image cut into 32-px tiles, tile (1, 1) missing, assembles
+    to the tiles' full 128×96 extent (not cropped to the image) with the
+    missing tile and the padding zero. Across the tile seams that avoid the
+    missing tile, every sampler reads it bit-equal to the whole image, and
+    anywhere it reads the uint8 mosaic bit-equal to its float32 cast — the
+    per-pixel tile arithmetic of the array kernels (pl_sample_*_array)."""
+    img = synth_pixels(7, 100, 70)
+    m = mosaic_from_tiles(((tx, ty, t) for tx, ty, _, t in cut_tiles(img, 32)
+                           if (tx, ty) != (1, 1)), 32)
+    assert m.shape == (96, 128, 4) and m.dtype == np.uint8
+    want = np.zeros_like(m)
+    want[:70, :100] = img
+    want[32:64, 32:64] = 0
+    np.testing.assert_array_equal(m, want)
     rng = np.random.default_rng(0)
-    px = rng.uniform(1.5, 94.0, 200)
-    py = rng.uniform(1.5, 62.0, 200)
+    # rows 0-31 hold no missing tile; x crosses the seams at 32, 64 and 96
+    px = rng.uniform(1.5, 96.5, 400).astype(np.float32)
+    py = rng.uniform(1.5, 28.5, 400).astype(np.float32)
+    # anywhere, edges and outside included
+    ax = rng.uniform(-5.0, 133.0, 2000).astype(np.float32)
+    ay = rng.uniform(-5.0, 101.0, 2000).astype(np.float32)
     for f in SAMPLERS:
-        np.testing.assert_array_equal(MOSAIC_SAMPLERS[f](m, px, py), SAMPLERS[f](img, px, py))
+        np.testing.assert_array_equal(SAMPLERS[f](m, px, py), SAMPLERS[f](img, px, py))
+        np.testing.assert_array_equal(SAMPLERS[f](m, ax, ay),
+                                      SAMPLERS[f](m.astype(np.float32), ax, ay))
 
 
 def test_transform_and_project_grid():

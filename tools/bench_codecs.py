@@ -48,7 +48,12 @@ def main(out_path: str) -> None:
     img = _image(256)
     raw_mb = img.nbytes / 1e6
 
-    def record(name, enc_fn, dec_fn, payload_mb):
+    def record(name, enc_fn, dec_fn, payload_mb, cfast=False):
+        """Time encode and decode with the pure-Python loops (the determinism
+        oracles, under PROJCL_NO_FASTCODEC=1); with ``cfast``, add a
+        ``<name>_cfast`` row that re-times the decode with the compiled twins
+        (projcl_ray/fastcodec.py), when a compiler exists. The encoders have
+        no twin."""
         buf, te = _best(enc_fn)
         _, td = _best(dec_fn, buf)
         res[name] = {
@@ -59,51 +64,37 @@ def main(out_path: str) -> None:
         print(f"{name:22s} enc {res[name]['enc_MBps']:8.2f} MB/s   "
               f"dec {res[name]['dec_MBps']:8.2f} MB/s   "
               f"({len(buf)} bytes)")
-
-    def record_cfast(name, enc_fn, dec_fn, payload_mb):
-        """Re-measure with the compiled fastcodec paths enabled (base rows
-        measure the pure-Python oracle loops under PROJCL_NO_FASTCODEC=1)."""
-        if fastcodec.lib() is None:
+        if not cfast or fastcodec.lib() is None:
             return
         os.environ["PROJCL_NO_FASTCODEC"] = ""
         try:
-            record(name, enc_fn, dec_fn, payload_mb)
+            _, tc = _best(dec_fn, buf)
         finally:
             os.environ["PROJCL_NO_FASTCODEC"] = "1"
+        res[name + "_cfast"] = {"dec_MBps": round(payload_mb / tc, 2),
+                                "encoded_bytes": len(buf)}
+        print(f"{name + '_cfast':22s} {'':18s}   "
+              f"dec {res[name + '_cfast']['dec_MBps']:8.2f} MB/s")
 
-    # base rows measure the PURE-python loops (the determinism oracle);
-    # _cfast rows re-measure decode with the compiled entropy/LZW paths
-    # (projcl_ray/fastcodec.py) when a compiler exists
     os.environ["PROJCL_NO_FASTCODEC"] = "1"
     record("png_f4", lambda: png.encode_png(img, filter_type=4),
-           png.decode_png, raw_mb)
-    record_cfast("png_f4_cfast", lambda: png.encode_png(img, filter_type=4),
-                 png.decode_png, raw_mb)
+           png.decode_png, raw_mb, cfast=True)
     record("jpeg_q90", lambda: jpeg.encode_jpeg(img, quality=90),
-           jpeg.decode_jpeg, raw_mb)
+           jpeg.decode_jpeg, raw_mb, cfast=True)
     record("jpeg_progressive",
            lambda: jpeg.encode_jpeg(img, quality=90, progressive=True),
-           jpeg.decode_jpeg, raw_mb)
-    record_cfast("jpeg_q90_cfast", lambda: jpeg.encode_jpeg(img, quality=90),
-                 jpeg.decode_jpeg, raw_mb)
-    record_cfast("jpeg_progressive_cfast",
-                 lambda: jpeg.encode_jpeg(img, quality=90, progressive=True),
-                 jpeg.decode_jpeg, raw_mb)
+           jpeg.decode_jpeg, raw_mb, cfast=True)
     # GIF is palette-based: quantize to 4 levels/channel (64 colors), RGBA.
     img64 = ((img >> 6) << 6) + 32
     rgba = np.dstack([img64, np.full(img.shape[:2], 255, np.uint8)])
-    record("gif_64col", lambda: gif.encode_gif(rgba), gif.decode_gif, raw_mb)
-    record_cfast("gif_64col_cfast", lambda: gif.encode_gif(rgba),
-                 gif.decode_gif, raw_mb)
+    record("gif_64col", lambda: gif.encode_gif(rgba), gif.decode_gif, raw_mb,
+           cfast=True)
     record("bmp", lambda: bmp.encode_bmp(img), bmp.decode_bmp, raw_mb)
     record("tiff_deflate_pred2",
            lambda: tiff.encode_tiff(img, compression="deflate", predictor=2),
            tiff.decode_tiff, raw_mb)
     record("tiff_lzw", lambda: tiff.encode_tiff(img, compression="lzw"),
-           tiff.decode_tiff, raw_mb)
-    record_cfast("tiff_lzw_cfast",
-                 lambda: tiff.encode_tiff(img, compression="lzw"),
-                 tiff.decode_tiff, raw_mb)
+           tiff.decode_tiff, raw_mb, cfast=True)
 
     os.environ.pop("PROJCL_NO_FASTCODEC", None)
 
