@@ -1,16 +1,19 @@
 /* Optional C twins for the in-repo decoders' sequential hot loops: JPEG
- * baseline/progressive entropy decode (ITU T.81 §F.2/§G.2), PNG scanline
- * unfiltering (RFC 2083 §6), and the TIFF (6.0 §13, early change) and GIF
- * LZW decoders — plus the bilinear warp sampler, the warp kernel's
- * per-pixel hot loop, alone and fused with the lattice fill. The encoders
- * have no twin: no measured path runs them.
+ * baseline/progressive entropy decode (ITU T.81 §F.2/§G.2) and the 8-bit
+ * JPEG decode tail (libjpeg's islow IDCT, clamp, replicating upsampling,
+ * fixed-point YCbCr -> RGB), PNG scanline unfiltering (RFC 2083 §6), and
+ * the TIFF (6.0 §13, early change) and GIF LZW decoders — plus the
+ * bilinear warp sampler, the warp kernel's per-pixel hot loop, alone and
+ * fused with the lattice fill. The encoders have no twin: no measured path
+ * runs them.
  *
  * Entropy/prefix decoding is inherently sequential — one code at a time —
- * so it cannot be vectorized with numpy; each function here is the same
- * algorithm as its pure-Python counterpart, bit-exact, compiled on first
- * use by projcl_ray/fastcodec.py with the system C compiler. The Python
- * loops remain the always-available fallbacks and parity oracles (tests
- * pin bit-equality).
+ * so it cannot be vectorized with numpy; the JPEG decode tail can, but as
+ * some fifty whole-plane int64 temporaries that C keeps in registers. Each
+ * function here is the same algorithm as its pure-Python counterpart,
+ * bit-exact, compiled on first use by projcl_ray/fastcodec.py with the
+ * system C compiler. The Python loops remain the always-available
+ * fallbacks and parity oracles (tests pin bit-equality).
  *
  * Plain C ABI only (ctypes-loaded): no Python.h, no allocation; the caller
  * owns every buffer. Entropy segments arrive unstuffed (0xFF00 removed) and
@@ -276,6 +279,142 @@ long jpeg_prog_ac_segment(
         }
     }
     return 0;
+}
+
+/* ---- JPEG decode tail at 8-bit precision: libjpeg's jidctint.c "islow"
+ * IDCT and jdcolor.c's fixed-point YCbCr -> RGB, the C twins of
+ * jpeg._idct_islow and jpeg._ycc_tables. Every intermediate is int64, so
+ * a corrupt 16-bit DQT times a 15-bit coefficient cannot overflow, and
+ * samples are clamped (T.81 A.3.1) where libjpeg wraps. ---- */
+static const uint8_t ZIGZAG[64] = {
+    0, 1, 8, 16, 9, 2, 3, 10, 17, 24, 32, 25, 18, 11, 4, 5,
+    12, 19, 26, 33, 40, 48, 41, 34, 27, 20, 13, 6, 7, 14, 21, 28,
+    35, 42, 49, 56, 57, 50, 43, 36, 29, 22, 15, 23, 30, 37, 44, 51,
+    58, 59, 52, 45, 38, 31, 39, 46, 53, 60, 61, 54, 47, 55, 62, 63,
+};
+
+#define ISLOW_CONST_BITS 13
+#define ISLOW_PASS1_BITS 2
+
+/* One 8-point islow pass over x[0], x[step], ..., x[7 * step], written to
+ * o[0], o[ostep], ... descaled by `shift` bits with rounding (jpeg._islow_1d).
+ * Forced inline: as a call, its two sites run 30% slower. */
+static inline __attribute__((always_inline)) void islow_1d(const int64_t *x, int step, int64_t *o, int ostep,
+                            int shift)
+{
+    int64_t x0 = x[0], x1 = x[step], x2 = x[2 * step], x3 = x[3 * step];
+    int64_t x4 = x[4 * step], x5 = x[5 * step], x6 = x[6 * step], x7 = x[7 * step];
+    int64_t z1 = (x2 + x6) * 4433; /* even part */
+    int64_t t2 = z1 - x6 * 15137, t3 = z1 + x2 * 6270;
+    int64_t t0 = (x0 + x4) * ((int64_t)1 << ISLOW_CONST_BITS);
+    int64_t t1 = (x0 - x4) * ((int64_t)1 << ISLOW_CONST_BITS);
+    int64_t e10 = t0 + t3, e13 = t0 - t3, e11 = t1 + t2, e12 = t1 - t2;
+    int64_t z5 = (x7 + x5 + x3 + x1) * 9633; /* odd part */
+    int64_t y1 = (x7 + x1) * -7373, y2 = (x5 + x3) * -20995;
+    int64_t y3 = (x7 + x3) * -16069 + z5, y4 = (x5 + x1) * -3196 + z5;
+    int64_t o0 = x7 * 2446 + y1 + y3, o1 = x5 * 16819 + y2 + y4;
+    int64_t o2 = x3 * 25172 + y2 + y3, o3 = x1 * 12299 + y1 + y4;
+    int64_t r = (int64_t)1 << (shift - 1);
+    o[0] = (e10 + o3 + r) >> shift;
+    o[ostep] = (e11 + o2 + r) >> shift;
+    o[2 * ostep] = (e12 + o1 + r) >> shift;
+    o[3 * ostep] = (e13 + o0 + r) >> shift;
+    o[4 * ostep] = (e13 - o0 + r) >> shift;
+    o[5 * ostep] = (e12 - o1 + r) >> shift;
+    o[6 * ostep] = (e11 - o2 + r) >> shift;
+    o[7 * ostep] = (e10 - o3 + r) >> shift;
+}
+
+static inline uint8_t clamp_u8(int64_t v)
+{
+    return v < 0 ? 0 : v > 255 ? 255 : (uint8_t)v;
+}
+
+/* One component: coef is its (bpc * bpr) x 64 zigzag-order coefficient
+ * store, qt its natural-order quantization table; writes the
+ * (bpc * 8) x (bpr * 8) uint8 sample plane (unzigzag, dequantize, islow,
+ * level shift, clamp). The all-zero-AC shortcuts equal the full passes. */
+void jpeg_idct_plane(const int32_t *coef, const int32_t *qt, long bpr,
+                     long bpc, uint8_t *out)
+{
+    long stride = bpr * 8;
+    for (long b = 0; b < bpr * bpc; b++) {
+        int64_t blk[64], ws[64], px[8];
+        const int32_t *zz = coef + b * 64;
+        for (int i = 0; i < 64; i++)
+            blk[ZIGZAG[i]] = (int64_t)zz[i] * qt[ZIGZAG[i]];
+        for (int c = 0; c < 8; c++) { /* pass 1: columns */
+            const int64_t *x = blk + c;
+            if (!(x[8] | x[16] | x[24] | x[32] | x[40] | x[48] | x[56])) {
+                for (int k = 0; k < 8; k++)
+                    ws[k * 8 + c] = x[0] * (1 << ISLOW_PASS1_BITS);
+                continue;
+            }
+            islow_1d(x, 8, ws + c, 8, ISLOW_CONST_BITS - ISLOW_PASS1_BITS);
+        }
+        uint8_t *o = out + (b / bpr) * 8 * stride + (b % bpr) * 8;
+        for (int r = 0; r < 8; r++, o += stride) { /* pass 2: rows */
+            const int64_t *x = ws + r * 8;
+            if (!(x[1] | x[2] | x[3] | x[4] | x[5] | x[6] | x[7])) {
+                uint8_t v = clamp_u8(((x[0] + 16) >> (ISLOW_PASS1_BITS + 3)) + 128);
+                memset(o, v, 8);
+                continue;
+            }
+            islow_1d(x, 1, px, 1, ISLOW_CONST_BITS + ISLOW_PASS1_BITS + 3);
+            for (int k = 0; k < 8; k++)
+                o[k] = clamp_u8(px[k] + 128);
+        }
+    }
+}
+
+/* Column of a plane upsampled by f: a shift when f is a power of two. */
+static inline long upsampled_col(long x, int f, int shift)
+{
+    return shift >= 0 ? x >> shift : x / f;
+}
+
+/* Sample planes -> (h, w, 4) RGBA: ncomp 1 (gray) or 3 (YCbCr), plane c
+ * with row stride stride[c], upsampled by replication by (fx[c], fy[c])
+ * (libjpeg's non-fancy upsampling), converted with jdcolor.c's
+ * SCALEBITS-16 tables. The caller checks that every plane covers h x w. */
+void jpeg_ycc_rgba(const uint8_t **planes, const int32_t *stride,
+                   const int32_t *fx, const int32_t *fy, int ncomp,
+                   long h, long w, uint8_t *out)
+{
+    int32_t cr_r[256], cb_b[256];
+    int64_t cr_g[256], cb_g[256];
+    int shift[3];
+    for (int i = 0; i < 256; i++) {
+        int64_t x = i - 128;
+        cr_r[i] = (int32_t)((91881 * x + 32768) >> 16);
+        cr_g[i] = -46802 * x;
+        cb_g[i] = -22554 * x + 32768;
+        cb_b[i] = (int32_t)((116130 * x + 32768) >> 16);
+    }
+    for (int c = 0; c < ncomp; c++)
+        shift[c] = fx[c] == 1 ? 0 : fx[c] == 2 ? 1 : fx[c] == 4 ? 2 : -1;
+    for (long y = 0; y < h; y++) {
+        const uint8_t *p0 = planes[0] + (y / fy[0]) * stride[0];
+        uint8_t *o = out + y * w * 4;
+        if (ncomp == 1) {
+            for (long x = 0; x < w; x++, o += 4) {
+                o[0] = o[1] = o[2] = p0[upsampled_col(x, fx[0], shift[0])];
+                o[3] = 255;
+            }
+            continue;
+        }
+        const uint8_t *p1 = planes[1] + (y / fy[1]) * stride[1];
+        const uint8_t *p2 = planes[2] + (y / fy[2]) * stride[2];
+        for (long x = 0; x < w; x++, o += 4) {
+            int yy = p0[upsampled_col(x, fx[0], shift[0])];
+            int cb = p1[upsampled_col(x, fx[1], shift[1])];
+            int cr = p2[upsampled_col(x, fx[2], shift[2])];
+            o[0] = clamp_u8(yy + cr_r[cr]);
+            o[1] = clamp_u8(yy + ((cb_g[cb] + cr_g[cr]) >> 16));
+            o[2] = clamp_u8(yy + cb_b[cb]);
+            o[3] = 255;
+        }
+    }
 }
 
 /* ---- PNG scanline unfiltering (RFC 2083 §6) — row-sequential with

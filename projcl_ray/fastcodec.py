@@ -10,10 +10,12 @@ bit-exact) is compiled ONCE per machine into a cached shared object and
 loaded with ctypes; every failure mode — no compiler, build error, load
 error, `PROJCL_NO_FASTCODEC=1` — falls back to the pure-Python path
 silently. C twins exist only for loops on a measured path: the JPEG, PNG,
-TIFF-LZW and GIF-LZW decoders and the bilinear sampler (the one per-pixel
-loop numpy runs as 4 gathers plus ~12 temporaries, alone and fused with
-the warp lattice fill). The encoders run in Python only. Parity is pinned
-in tests/test_warp.py.
+TIFF-LZW and GIF-LZW decoders, the 8-bit JPEG decode tail (libjpeg's islow
+IDCT with clamp, one call per component, then upsampling and fixed-point
+YCbCr → RGBA, one call per image), and the bilinear sampler (the one
+per-pixel loop numpy runs as 4 gathers plus ~12 temporaries, alone and
+fused with the warp lattice fill). The encoders run in Python only. Parity
+is pinned in tests/test_warp.py and tests/test_image_codecs.py.
 
 Concurrency: Ray workers race to build on first use; each builds to a
 pid-suffixed temp file and `os.replace`s it into place (atomic on POSIX),
@@ -115,6 +117,17 @@ def lib():
             i32p,
         ]
         u8p = ctypes.POINTER(ctypes.c_uint8)
+        # the decode tail runs per component: raw addresses, no casts
+        vp = ctypes.c_void_p
+        L.jpeg_idct_plane.restype = None
+        L.jpeg_idct_plane.argtypes = [
+            vp, vp, ctypes.c_long, ctypes.c_long, vp,       # coef, qt, bpr, bpc, out
+        ]
+        L.jpeg_ycc_rgba.restype = None
+        L.jpeg_ycc_rgba.argtypes = [
+            vp, vp, vp, vp, ctypes.c_int,                   # planes, strides, fx, fy, ncomp
+            ctypes.c_long, ctypes.c_long, vp,               # h, w, out
+        ]
         L.png_unfilter.restype = ctypes.c_long
         L.png_unfilter.argtypes = [
             u8p, ctypes.c_long, ctypes.c_long, ctypes.c_int, u8p,
@@ -274,6 +287,49 @@ def jpeg_progressive_scan(store, scan, huff, Ss, Se, Ah, Al,
         if rc != 0:
             raise ValueError(f"corrupt JPEG: entropy decode failed ({rc})")
     return True
+
+
+def jpeg_idct_plane(coef, q, bpr: int, bpc: int):
+    """C path for jpeg._component_plane at 8-bit precision: the (bpc·8,
+    bpr·8) uint8 sample plane of one component's (bpc·bpr, 64) zigzag-order
+    int32 coefficient store and its natural-order quantization table, or
+    None when unavailable."""
+    if _disabled():
+        return None
+    L = lib()
+    if L is None:
+        return None
+    coef = np.ascontiguousarray(coef, np.int32)
+    q = np.ascontiguousarray(q, np.int32)
+    if coef.shape != (bpr * bpc, 64) or q.shape != (64,):
+        raise ValueError("corrupt JPEG: coefficient store does not match the frame")
+    out = np.empty((bpc * 8, bpr * 8), np.uint8)
+    L.jpeg_idct_plane(coef.ctypes.data, q.ctypes.data, bpr, bpc, out.ctypes.data)
+    return out
+
+
+def jpeg_ycc_rgba(planes, factors, h: int, w: int):
+    """C path for the upsampling and colour conversion of jpeg._decode_tail
+    at 8-bit precision: one (gray) or three (YCbCr) uint8 sample planes,
+    each replicated by its ``(fx, fy)`` factor, → (h, w, 4) uint8 RGBA, or
+    None when unavailable."""
+    if _disabled():
+        return None
+    L = lib()
+    if L is None or len(planes) not in (1, 3) or len(factors) != len(planes):
+        return None
+    planes = [np.ascontiguousarray(p, np.uint8) for p in planes]
+    for p, (fx, fy) in zip(planes, factors):
+        # the kernel reads row (h - 1) // fy and column (w - 1) // fx unchecked
+        if (p.ndim != 2 or fx < 1 or fy < 1 or p.shape[0] * fy < h
+                or p.shape[1] * fx < w):
+            raise ValueError("corrupt JPEG: sample plane smaller than the frame")
+    ptrs = np.array([p.ctypes.data for p in planes], np.uintp)
+    geom = np.array([[p.shape[1] for p in planes], *zip(*factors)], np.int32)
+    out = np.empty((h, w, 4), np.uint8)
+    L.jpeg_ycc_rgba(ptrs.ctypes.data, geom[0].ctypes.data, geom[1].ctypes.data,
+                    geom[2].ctypes.data, len(planes), h, w, out.ctypes.data)
+    return out
 
 
 def png_unfilter(stream, h: int, stride: int, bpp: int):

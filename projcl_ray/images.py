@@ -9,7 +9,7 @@ caption: string, phash: int64)`` plus our georeferencing sidecar columns
 Codec policy: ``fmt="raw"`` (uncompressed RGBA bytes, h·w·4 uint8, C-order)
 plus png, jpeg, gif, bmp and tiff, each decoded and encoded by exactly one
 in-repo codec (:mod:`projcl_ray.png`: zlib+numpy, lossless;
-:mod:`projcl_ray.jpeg`: baseline+progressive JFIF, vectorized DCT; hot loops
+:mod:`projcl_ray.jpeg`: baseline+progressive JFIF, libjpeg's integer IDCT; hot loops
 in the C accelerator of :mod:`projcl_ray.fastcodec`). No PIL/cv2 anywhere, so
 output bytes are the same in every environment and every decoder sits behind
 the ``_corrupt.corrupt_guard`` error contract.

@@ -24,10 +24,17 @@ Scope:
   Al=1, then DC/AC refinement scans) with per-scan optimized Huffman
   tables generated by the Annex K.2/K.3 flowcharts. Deterministic bytes.
 
-Numerics: FDCT/IDCT are exact orthonormal 8×8 DCT-II matrices applied to all
-blocks at once as two GEMMs (float64) — vectorized where it matters; only
-the entropy coding walks symbols, a few per block: decoding in C when
-fastcodec is built (else in Python), encoding always in Python.
+Numerics: decode is libjpeg's integer arithmetic. The IDCT is jidctint.c's
+"islow" (CONST_BITS 13, PASS1_BITS 2 at 8-bit and 1 at 12-bit) in int64,
+vectorized over all blocks of a component; each sample is then clamped to
+[0, 2^P − 1] (T.81 A.3.1), and YCbCr → RGB uses jdcolor.c's SCALEBITS-16
+fixed-point tables. 8-bit pixels therefore equal libjpeg's islow decode
+without fancy upsampling, sample for sample (tests/test_image_codecs.py
+checks against the installed libjpeg). The encoder's FDCT is the exact
+orthonormal 8×8 DCT-II applied to all blocks as two float64 GEMMs. At
+8-bit the entropy decode and the decode tail (one call per component, one
+for the colour conversion) run in C when fastcodec is built, else in
+Python; encoding is always Python.
 """
 
 from __future__ import annotations
@@ -102,7 +109,7 @@ AC_CHROMA_VALS = [
     0xF5, 0xF6, 0xF7, 0xF8, 0xF9, 0xFA,
 ]
 
-# orthonormal 8×8 DCT-II matrix
+# orthonormal 8×8 DCT-II matrix (the encoder's FDCT)
 _k = np.arange(8)[:, None]
 _n = np.arange(8)[None, :]
 _C = np.cos((2 * _n + 1) * _k * np.pi / 16.0) * np.sqrt(2.0 / 8.0)
@@ -240,8 +247,8 @@ def _plane_blocks(plane: np.ndarray, bx: int | None = None,
 
 def _fdct_quant(blocks: np.ndarray, qtbl: np.ndarray,
                 level: float = 128.0) -> np.ndarray:
-    # two whole-image GEMMs instead of einsum's per-block loop (same trick
-    # as _idct): f = C @ (blocks-level) @ C.T for all blocks at once
+    # two whole-image GEMMs instead of einsum's per-block loop:
+    # f = C @ (blocks-level) @ C.T for all blocks at once
     n = blocks.shape[0]
     b = blocks - level
     t = (_C @ b.transpose(1, 0, 2).reshape(8, n * 8)).reshape(8, n, 8)
@@ -249,15 +256,88 @@ def _fdct_quant(blocks: np.ndarray, qtbl: np.ndarray,
     return np.round(f / qtbl).astype(np.int32)
 
 
-def _idct(coeffs: np.ndarray, level: float = 128.0) -> np.ndarray:
-    # two big GEMMs instead of einsum's per-block loop: contract rows for
-    # ALL blocks at once, then columns (3-5x on full-image decode).
-    # ``level`` = 2^(P-1): the T.81 A.3.1 level shift (128 at 8-bit
-    # precision, 2048 at 12-bit).
-    n = coeffs.shape[0]
-    t = (_C.T @ coeffs.transpose(1, 0, 2).reshape(8, n * 8)).reshape(8, n, 8)
-    out = t.transpose(1, 0, 2).reshape(n * 8, 8) @ _C
-    return out.reshape(n, 8, 8) + level
+# jidctint.c's "islow" IDCT (Loeffler, Ligtenberg & Moschytz 1989): FIX(x)
+# = round(x · 2^13) for each rotator constant, CONST_BITS 13, PASS1_BITS 2
+# at 8-bit precision and 1 at 12-bit
+_CONST_BITS = 13
+
+
+def _fix(v: float, bits: int) -> int:
+    """libjpeg's FIX(v): v in fixed point with ``bits`` fraction bits."""
+    return int(v * (1 << bits) + 0.5)
+
+
+(_F0_298, _F0_390, _F0_541, _F0_765, _F0_899, _F1_175, _F1_501, _F1_847,
+ _F1_961, _F2_053, _F2_562, _F3_072) = (
+    _fix(v, _CONST_BITS) for v in (
+        0.298631336, 0.390180644, 0.541196100, 0.765366865, 0.899976223,
+        1.175875602, 1.501321110, 1.847759065, 1.961570560, 2.053119869,
+        2.562915447, 3.072711026))
+
+
+def _islow_1d(x, shift: int) -> list:
+    """One 8-point pass of islow over ``x[0..7]`` (int64 arrays of one
+    shape), each output descaled by ``shift`` bits with rounding."""
+    z1 = (x[2] + x[6]) * _F0_541  # even part
+    t2 = z1 - x[6] * _F1_847
+    t3 = z1 + x[2] * _F0_765
+    t0 = (x[0] + x[4]) << _CONST_BITS
+    t1 = (x[0] - x[4]) << _CONST_BITS
+    e10, e13, e11, e12 = t0 + t3, t0 - t3, t1 + t2, t1 - t2
+    z5 = (x[7] + x[5] + x[3] + x[1]) * _F1_175  # odd part
+    z1 = (x[7] + x[1]) * -_F0_899
+    z2 = (x[5] + x[3]) * -_F2_562
+    z3 = (x[7] + x[3]) * -_F1_961 + z5
+    z4 = (x[5] + x[1]) * -_F0_390 + z5
+    o0 = x[7] * _F0_298 + z1 + z3
+    o1 = x[5] * _F2_053 + z2 + z4
+    o2 = x[3] * _F3_072 + z2 + z3
+    o3 = x[1] * _F1_501 + z1 + z4
+    r = 1 << (shift - 1)
+    return [(v + r) >> shift for v in (e10 + o3, e11 + o2, e12 + o1, e13 + o0,
+                                       e13 - o0, e12 - o1, e11 - o2, e10 - o3)]
+
+
+def _idct_islow(coef: np.ndarray, q: np.ndarray, prec: int) -> np.ndarray:
+    """(n, 64) zigzag-order coefficients and a natural-order quantization
+    table → (n, 8, 8) int64 samples of P-bit precision, level-shifted and
+    clamped to [0, 2^P − 1] (T.81 A.3.1). libjpeg wraps with ``&
+    RANGE_MASK`` instead; the two agree whenever the IDCT output lies within
+    ±512 of the level, as in every conformant file. Vectorized over all
+    blocks in int64, so no dequantized coefficient can overflow."""
+    pass1 = 2 if prec == 8 else 1
+    d = (coef[:, UNZIGZAG].astype(np.int64) * q).reshape(-1, 8, 8)
+    # pass 1 runs down every column (ws[r]: row r of all blocks), pass 2
+    # along every row (px[c]: column c of all blocks)
+    ws = _islow_1d(d.transpose(1, 0, 2), _CONST_BITS - pass1)
+    px = _islow_1d(np.stack(ws, axis=1).transpose(2, 0, 1),
+                   _CONST_BITS + pass1 + 3)
+    return np.clip(np.stack(px, axis=2) + (1 << (prec - 1)), 0, (1 << prec) - 1)
+
+
+@functools.lru_cache(maxsize=2)
+def _ycc_tables(prec: int) -> tuple[np.ndarray, ...]:
+    """jdcolor.c's YCbCr → RGB tables at P-bit precision (SCALEBITS 16),
+    indexed by the Cb or Cr sample: Cr→R and Cb→B rounded to integers,
+    Cr→G and Cb→G (carrying the rounding half) still scaled by 2^16."""
+    x = np.arange(1 << prec, dtype=np.int64) - (1 << (prec - 1))
+    half = 1 << 15
+    return ((_fix(1.40200, 16) * x + half) >> 16, -_fix(0.71414, 16) * x,
+            -_fix(0.34414, 16) * x + half, (_fix(1.77200, 16) * x + half) >> 16)
+
+
+def _component_plane(coef: np.ndarray, q: np.ndarray, bpr: int, bpc: int,
+                     prec: int) -> np.ndarray:
+    """One component's coefficient store → its (bpc·8, bpr·8) sample plane:
+    uint8 at 8-bit precision, uint16 at 12-bit."""
+    if prec == 8:
+        from . import fastcodec
+
+        plane = fastcodec.jpeg_idct_plane(coef, q, bpr, bpc)
+        if plane is not None:
+            return plane
+    px = _idct_islow(coef, q, prec).astype(np.uint8 if prec == 8 else np.uint16)
+    return px.reshape(bpc, bpr, 8, 8).transpose(0, 2, 1, 3).reshape(bpc * 8, bpr * 8)
 
 
 class _BitWriter:
@@ -1064,10 +1144,16 @@ def decode_jpeg(buf: bytes) -> np.ndarray:
     variant; 16-bit DQT supported) return native-range uint16 instead —
     (h, w) for grayscale, (h, w, 3) for color — the same deep-sample
     convention as tiff.decode_tiff_native."""
+    return _decode_tail(*_decode_coefficients(buf))
+
+
+def _decode_coefficients(buf: bytes) -> tuple:
+    """Markers and scans of a JPEG file → (frame, coefficient store,
+    quantization tables, sample precision), the input of _decode_tail."""
     if buf[:2] != b"\xFF\xD8":
         raise ValueError("not a JPEG (no SOI)")
     pos = 2
-    qtbl: dict[int, np.ndarray] = {}
+    qtbl: dict[int, np.ndarray] = {}  # natural order, int32
     huff: dict[tuple[int, int], tuple[bytes, bytes]] = {}
     restart_interval = 0
     frame = None
@@ -1099,14 +1185,14 @@ def decode_jpeg(buf: bytes) -> np.ndarray:
                 prec, tid = seg[p] >> 4, seg[p] & 15
                 if prec not in (0, 1):
                     raise ValueError("corrupt JPEG: bad DQT precision")
-                q = np.zeros(64, np.float64)
+                q = np.zeros(64, np.int32)  # natural order
                 if prec == 0:
                     q[ZIGZAG] = np.frombuffer(seg[p + 1 : p + 65], np.uint8)
                     p += 65
                 else:
                     q[ZIGZAG] = np.frombuffer(seg[p + 1 : p + 129], ">u2")
                     p += 129
-                qtbl[tid] = q.reshape(8, 8)
+                qtbl[tid] = q
         elif marker == 0xC4:  # DHT
             p = 0
             while p < len(seg):
@@ -1211,49 +1297,44 @@ def decode_jpeg(buf: bytes) -> np.ndarray:
         # APPn/COM/others: skipped
     if frame is None or store is None:
         raise ValueError("corrupt JPEG: missing SOF/SOS")
+    return frame, store, qtbl, sample_prec
+
+
+def _decode_tail(frame: tuple, store: dict, qtbl: dict, prec: int) -> np.ndarray:
+    """Dequantize, IDCT and clamp each component (_component_plane), upsample
+    each plane by replication to the largest sampling factor (libjpeg's
+    non-fancy upsampling) and convert: (h, w, 4) uint8 RGBA at 8-bit
+    precision; native-range uint16, (h, w) gray or (h, w, 3) RGB, at 12-bit."""
     fh, fw, comps = frame
+    hmax = max(c["h"] for c in comps)
+    vmax = max(c["v"] for c in comps)
+    if any(hmax % c["h"] or vmax % c["v"] for c in comps):
+        raise NotImplementedError("JPEG: non-integral sampling ratios unsupported")
+    comps = comps[:3]  # gray, or YCbCr from the first three components
+    planes = [_component_plane(store[c["id"]], qtbl[c["tq"]], c["bpr"], c["bpc"],
+                               prec) for c in comps]
+    factors = [(hmax // c["h"], vmax // c["v"]) for c in comps]
+    if prec == 8:
+        from . import fastcodec
 
-    # dequantize + IDCT per component (vectorized), assemble planes
-    level = float(1 << (sample_prec - 1))
-    maxv = (1 << sample_prec) - 1
-    planes = {}
-    for c in comps:
-        bpr = mcus_x * c["h"]
-        bpc = mcus_y * c["v"]
-        coeff = store[c["id"]][:, UNZIGZAG].reshape(-1, 8, 8) * qtbl[c["tq"]]
-        px = _idct(coeff, level)
-        plane = px.reshape(bpc, bpr, 8, 8).transpose(0, 2, 1, 3).reshape(bpc * 8, bpr * 8)
-        # upsample to full resolution (nearest), crop
-        fy, fx = vmax // c["v"], hmax // c["h"]
-        if fy > 1 or fx > 1:
-            plane = np.repeat(np.repeat(plane, fy, axis=0), fx, axis=1)
-        planes[c["id"]] = plane[:fh, :fw]
-
-    if sample_prec == 12:
-        # deep samples keep their native range: (h, w) uint16 for gray,
-        # (h, w, 3) uint16 for color — the archival/DEM layout, same
-        # convention as tiff.decode_tiff_native
-        if len(comps) == 1:
-            return np.clip(np.round(planes[comps[0]["id"]]), 0, maxv).astype(np.uint16)
-        y = planes[comps[0]["id"]]
-        cb = planes[comps[1]["id"]] - level
-        cr = planes[comps[2]["id"]] - level
-        out12 = np.empty((fh, fw, 3), np.uint16)
-        out12[..., 0] = np.clip(np.round(y + 1.402 * cr), 0, maxv).astype(np.uint16)
-        out12[..., 1] = np.clip(np.round(y - 0.344136 * cb - 0.714136 * cr), 0, maxv).astype(np.uint16)
-        out12[..., 2] = np.clip(np.round(y + 1.772 * cb), 0, maxv).astype(np.uint16)
-        return out12
-
-    out = np.empty((fh, fw, 4), np.uint8)
-    if len(comps) == 1:
-        g = np.clip(np.round(planes[comps[0]["id"]]), 0, 255).astype(np.uint8)
-        out[..., 0] = out[..., 1] = out[..., 2] = g
+        out = fastcodec.jpeg_ycc_rgba(planes, factors, fh, fw)
+        if out is not None:
+            return out
+    full = [np.repeat(np.repeat(p, fy, axis=0), fx, axis=1)[:fh, :fw]
+            for p, (fx, fy) in zip(planes, factors)]
+    if len(full) == 1:
+        rgb = full[0]
     else:
-        y = planes[comps[0]["id"]]
-        cb = planes[comps[1]["id"]] - 128.0
-        cr = planes[comps[2]["id"]] - 128.0
-        out[..., 0] = np.clip(np.round(y + 1.402 * cr), 0, 255).astype(np.uint8)
-        out[..., 1] = np.clip(np.round(y - 0.344136 * cb - 0.714136 * cr), 0, 255).astype(np.uint8)
-        out[..., 2] = np.clip(np.round(y + 1.772 * cb), 0, 255).astype(np.uint8)
+        y, cb, cr = full
+        crr, crg, cbg, cbb = _ycc_tables(prec)
+        y = y.astype(np.int64)
+        rgb = np.clip(np.stack([y + crr[cr], y + ((cbg[cb] + crg[cr]) >> 16),
+                                y + cbb[cb]], axis=-1), 0, (1 << prec) - 1)
+    if prec == 12:
+        # deep samples keep their native range: the archival/DEM layout,
+        # same convention as tiff.decode_tiff_native
+        return rgb.astype(np.uint16)
+    out = np.empty((fh, fw, 4), np.uint8)
+    out[..., :3] = rgb[..., None] if rgb.ndim == 2 else rgb
     out[..., 3] = 255
     return out

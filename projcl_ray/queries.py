@@ -1309,15 +1309,16 @@ def q_phash_dedup(sf_dir: str):
     return ds.groupby("phash").aggregate(Min("image_id", alias_name="image_id"))
 
 
-def _mosaic_oracle_sql(n: int, seed: int) -> str:
-    """Mosaic LAYOUT oracle: one warped row per image at its full size,
-    from the synth corpus' inlined (image_id, w, h)."""
-    rows = ",\n  ".join(f"('{iid}', {w}, {h})" for iid, w, h, *_ in _synth_meta(n, seed))
+def _warp_layout_oracle_sql(images) -> str:
+    """Warp LAYOUT oracle: one raw warped row per (image_id, w, h), inlined
+    as a VALUES list."""
+    rows = ",\n  ".join(f"('{iid}', {w}, {h})" for iid, w, h in images)
     return ("SELECT image_id, CAST(w AS BIGINT) AS w, CAST(h AS BIGINT) AS h, 'raw' AS fmt\n"
             f"FROM (VALUES\n  {rows}) imgs(image_id, w, h)")
 
 
-@q("warp_tiled_mosaic", _mosaic_oracle_sql(8, 42))
+@q("warp_tiled_mosaic", _warp_layout_oracle_sql(
+    (iid, w, h) for iid, w, h, *_ in _synth_meta(8, 42)))
 def q_mosaic(sf_dir: str):
     """Tiled-mosaic warp: one row per image, layout (image_id, w, h, fmt)
     oracle-checked; pixel content is pinned by
@@ -1456,11 +1457,11 @@ def q_flagship_partitioned(sf_dir: str):
         shutil.rmtree(out, ignore_errors=True)
 
 
-@q("warp_projected_source")  # pixel op — rows-only; exactness gate in pytest
-def q_warp_projected_source(sf_dir: str):
-    """Warp Mercator-STORED source images into Albers (the reference's full
-    8-step recipe incl. the forward-projection leg)."""
-    from .images import synth_pixels, encode_image, decode_image
+def _projected_source_rows() -> list[dict]:
+    """Eight 64×64 Mercator-STORED source images warped into Albers (the
+    reference's full 8-step recipe incl. the forward-projection leg), one
+    row per image with its warped raw RGBA bytes."""
+    from .images import synth_pixels, encode_image
     from .warp import ProjectedGeoRef, WarpSpec, warp_image
     from .proj import prepare
 
@@ -1480,9 +1481,18 @@ def q_warp_projected_source(sf_dir: str):
                         float(ex.max() - ex.min()), float(ey.max() - ey.min()), 64, 64)
         out = np.clip(warp_image(img, pref, spec), 0, 255).astype(np.uint8)
         rows.append({"image_id": f"psrc{i}", "bytes": encode_image(out),
-                     "w": 64, "h": 64, "fmt": "raw",
-                     "coverage": float((out[..., 3] > 0).mean())})
-    return pd.DataFrame(rows)
+                     "w": 64, "h": 64, "fmt": "raw"})
+    return rows
+
+
+@q("warp_projected_source", _warp_layout_oracle_sql(
+    (f"psrc{i}", 64, 64) for i in range(8)))
+def q_warp_projected_source(sf_dir: str):
+    """Projected-source warp: one row per image, layout (image_id, w, h,
+    fmt) oracle-checked; pixel content is pinned by
+    tests/test_warp.py::test_warp_projected_source_pixels."""
+    df = pd.DataFrame(_projected_source_rows())[["image_id", "w", "h", "fmt"]]
+    return df.astype({"w": np.int64, "h": np.int64})
 
 
 # ---------------------------------------------------------------------------

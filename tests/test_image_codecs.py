@@ -9,13 +9,18 @@ the C decode twins of :mod:`projcl_ray.fastcodec` are loaded; and truncated
 or foreign input raises ``ValueError``, never another exception type.
 """
 
+import ctypes
 import hashlib
+import shutil
+import struct
+import subprocess
 
 import numpy as np
 import pytest
 
 from projcl_ray import fastcodec, jpeg
-from projcl_ray.images import decode_image, encode_image, synth_pixels
+from projcl_ray.images import (decode_image, encode_image, synth_images_table,
+                               synth_pixels)
 
 W, H = 37, 29
 
@@ -209,3 +214,203 @@ def test_decode_lut_memo_does_not_change_pixels(env, monkeypatch):
     for i in (0, 2, 4, 1, 3, 5, 2, 0, 4, 3, 1, 5):
         np.testing.assert_array_equal(jpeg.decode_jpeg(files[i]), cold[i])
     assert jpeg._decode_lut.cache_info().hits > 0
+
+
+# --- libjpeg as the JPEG decode oracle ---------------------------------------
+
+_LIBJPEG_SHIM = r"""
+#include <setjmp.h>
+#include <stdio.h>
+#include <jpeglib.h>
+
+struct err { struct jpeg_error_mgr pub; jmp_buf jb; };
+static void on_error(j_common_ptr c) { longjmp(((struct err *)c->err)->jb, 1); }
+
+/* JPEG bytes -> h x w x 3 RGB: islow IDCT, no fancy upsampling, no block
+ * smoothing. Returns 0, -1 on a libjpeg error, -2 on other dimensions. */
+int decode_rgb(const unsigned char *buf, unsigned long n, int h, int w,
+               unsigned char *out)
+{
+    struct jpeg_decompress_struct d;
+    struct err e;
+    d.err = jpeg_std_error(&e.pub);
+    e.pub.error_exit = on_error;
+    if (setjmp(e.jb)) { jpeg_destroy_decompress(&d); return -1; }
+    jpeg_create_decompress(&d);
+    jpeg_mem_src(&d, (unsigned char *)buf, n);
+    jpeg_read_header(&d, TRUE);
+    d.dct_method = JDCT_ISLOW;
+    d.do_fancy_upsampling = FALSE;
+    d.do_block_smoothing = FALSE;
+    d.out_color_space = JCS_RGB;
+    jpeg_start_decompress(&d);
+    if ((int)d.output_height != h || (int)d.output_width != w) {
+        jpeg_destroy_decompress(&d);
+        return -2;
+    }
+    while (d.output_scanline < d.output_height) {
+        JSAMPROW row = out + (size_t)d.output_scanline * w * 3;
+        jpeg_read_scanlines(&d, &row, 1);
+    }
+    jpeg_finish_decompress(&d);
+    jpeg_destroy_decompress(&d);
+    return 0;
+}
+"""
+
+
+@pytest.fixture(scope="module")
+def libjpeg_rgb(tmp_path_factory):
+    """decode(buf, h, w) → (h, w, 3) uint8 RGB through the system libjpeg,
+    compiled into a ctypes shim. A test oracle only: the decode path is the
+    in-repo codec. Skips where no C compiler or no libjpeg headers exist."""
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler in this environment")
+    d = tmp_path_factory.mktemp("libjpeg")
+    src, so = d / "shim.c", d / "shim.so"
+    src.write_text(_LIBJPEG_SHIM)
+    r = subprocess.run([cc, "-O1", "-shared", "-fPIC", "-o", str(so), str(src),
+                        "-ljpeg"], capture_output=True, text=True)
+    if r.returncode:
+        if "jpeglib.h" in r.stderr or "-ljpeg" in r.stderr:
+            pytest.skip("libjpeg headers or library not installed")
+        raise AssertionError(r.stderr)
+    lib = ctypes.CDLL(str(so))
+    lib.decode_rgb.argtypes = [ctypes.c_char_p, ctypes.c_ulong, ctypes.c_int,
+                               ctypes.c_int, ctypes.c_void_p]
+
+    def decode(buf, h, w):
+        out = np.empty((h, w, 3), np.uint8)
+        assert lib.decode_rgb(buf, len(buf), h, w, out.ctypes.data) == 0
+        return out
+
+    return decode
+
+
+def _oracle_files():
+    """(name, JPEG bytes, h, w): every scan layout at 4:4:4 and 4:2:0, odd
+    sizes, grayscale, saturated content, this module's JPEG cases and a
+    32-image q90 corpus of the synthetic images table."""
+    img = synth_pixels(5, 45, 33)
+    checker = np.kron(np.indices((4, 5)).sum(0) % 2 * 255, np.ones((8, 8)))
+    checker = np.dstack([checker, 255 - checker, checker]).astype(np.uint8)
+    layouts = {"baseline": {}, "multiscan": {"multiscan": True},
+               "progressive": {"progressive": True},
+               "restart": {"restart_interval": 3},
+               "multiscan_restart": {"multiscan": True, "restart_interval": 2}}
+    files = []
+    for sub in (False, True):
+        tag = "420" if sub else "444"
+        for name, kw in layouts.items():
+            files.append((f"{name}_{tag}", jpeg.encode_jpeg(
+                img, quality=90, subsample=sub, **kw)))
+        for h, w in ((1, 1), (7, 9), (17, 31), (40, 3)):
+            files.append((f"odd{h}x{w}_{tag}", jpeg.encode_jpeg(
+                synth_pixels(h + w, w, h), quality=85, subsample=sub)))
+        files.append((f"checker_q50_{tag}", jpeg.encode_jpeg(
+            checker, quality=50, subsample=sub)))
+        for i, r in enumerate(synth_images_table(32, seed=1801).to_pylist()):
+            px = decode_image(r["bytes"], r["w"], r["h"], r["fmt"])
+            files.append((f"corpus{i}_{tag}", jpeg.encode_jpeg(
+                px, quality=90, subsample=sub)))
+    files += [("gray", jpeg.encode_jpeg(img[..., 0].copy(), quality=90)),
+              ("gray_progressive", jpeg.encode_jpeg(
+                  img[..., 1].copy(), quality=75, progressive=True))]
+    files += [(case, _encode(fmt, kw)) for case, fmt, kw, _ in CASES
+              if fmt == "jpeg"]
+    return [(name, buf, *struct.unpack_from(">HH", buf, buf.index(sof) + 5))
+            for name, buf in files
+            for sof in [b"\xFF\xC2" if b"\xFF\xC2" in buf else b"\xFF\xC0"]]
+
+
+@pytest.mark.parametrize("env", ["", "1"], ids=["c", "pure"])
+def test_jpeg_decode_equals_libjpeg_islow(env, libjpeg_rgb, monkeypatch):
+    """8-bit decode is libjpeg's: islow IDCT, fixed-point YCbCr → RGB and
+    replicating (non-fancy) upsampling give every sample of every file
+    exactly, with and without the C twins."""
+    monkeypatch.setenv("PROJCL_NO_FASTCODEC", env)
+    if not env and fastcodec.lib() is None:
+        pytest.skip("no C compiler in this environment")
+    differing = {}
+    for name, buf, h, w in _oracle_files():
+        ours = jpeg.decode_jpeg(buf)
+        assert ours.shape == (h, w, 4)
+        n = int((ours[..., :3] != libjpeg_rgb(buf, h, w)).sum())
+        if n:
+            differing[name] = n
+    assert differing == {}
+
+
+def _extreme_jpeg(prec, layout):
+    """A 16×16 sequential JPEG at ``prec`` bits whose quantization table is
+    all 65535s (16-bit DQT) and whose every coefficient is a size-15 value
+    of ±32767: DC alternating 32767 and 0, AC signs seeded. ``layout`` is
+    "gray", "444" or "420". Returns the bytes and each coded block's
+    zigzag-order coefficients, in coding order."""
+    samp = {"gray": [0x11], "444": [0x11] * 3, "420": [0x22, 0x11, 0x11]}[layout]
+    mcus = 1 if layout == "420" else 4
+    out = bytearray(b"\xFF\xD8")
+    out += b"\xFF\xDB" + struct.pack(">HB", 3 + 128, 0x10) + b"\xFF" * 128
+    out += bytes([0xFF, 0xC0 if prec == 8 else 0xC1]) + struct.pack(
+        ">HBHHB", 8 + 3 * len(samp), prec, 16, 16, len(samp))
+    for ci, hv in enumerate(samp):
+        out += bytes([ci + 1, hv, 0])
+    bits = bytes([0, 2] + [0] * 14)  # two 2-bit codes: 00 and 01
+    out += b"\xFF\xC4" + struct.pack(">HB", 21, 0x00) + bits + bytes([0, 15])
+    out += b"\xFF\xC4" + struct.pack(">HB", 21, 0x10) + bits + bytes([0, 0x0F])
+    out += b"\xFF\xDA" + struct.pack(">HB", 6 + 2 * len(samp), len(samp))
+    for ci in range(len(samp)):
+        out += bytes([ci + 1, 0x00])
+    out += b"\x00\x3F\x00"
+    rng = np.random.default_rng(prec)
+    w = jpeg._BitWriter()
+    preds = [0] * len(samp)
+    blocks = []
+    for _ in range(mcus):
+        for ci, hv in enumerate(samp):
+            for _ in range((hv >> 4) * (hv & 15)):
+                diff = -32767 if preds[ci] else 32767
+                preds[ci] += diff
+                ac = np.where(rng.integers(0, 2, 63) == 1, 32767, -32767)
+                blocks.append([preds[ci], *ac.tolist()])
+                for v in [diff, *blocks[-1][1:]]:
+                    w.write(1, 2)  # DC size 15 / AC run 0, size 15
+                    w.write(v if v > 0 else 0, 15)
+    w.flush()
+    return bytes(out + w.buf + b"\xFF\xD9"), blocks
+
+
+@pytest.mark.parametrize("prec", [8, 12])
+@pytest.mark.parametrize("layout", ["gray", "444", "420"])
+def test_jpeg_extreme_coefficients_stay_in_range(prec, layout, monkeypatch):
+    """A 65535 quantizer times 15-bit coefficients cannot overflow the
+    integer IDCT: C twin and NumPy path give identical pixels inside
+    [0, 2^P − 1], and a gray file equals islow evaluated in Python's
+    unbounded integers."""
+    buf, blocks = _extreme_jpeg(prec, layout)
+    monkeypatch.setenv("PROJCL_NO_FASTCODEC", "1")
+    pure = jpeg.decode_jpeg(buf)
+    maxv = (1 << prec) - 1
+    assert pure.dtype == (np.uint8 if prec == 8 else np.uint16)
+    assert int(pure.max()) <= maxv
+    monkeypatch.setenv("PROJCL_NO_FASTCODEC", "")
+    np.testing.assert_array_equal(jpeg.decode_jpeg(buf), pure)
+    if layout != "gray":
+        return
+    # both islow passes over Python ints, one block at a time: no fixed
+    # width anywhere
+    pass1 = 2 if prec == 8 else 1
+    exact = np.zeros((16, 16), np.int64)
+    for b, zz in enumerate(blocks):
+        d = [0] * 64
+        for i, v in enumerate(zz):
+            d[jpeg.ZIGZAG[i]] = v * 65535
+        cols = [jpeg._islow_1d(d[c::8], 13 - pass1) for c in range(8)]
+        for r in range(8):
+            row = jpeg._islow_1d([col[r] for col in cols], 16 + pass1)
+            exact[b // 2 * 8 + r, b % 2 * 8:b % 2 * 8 + 8] = [
+                min(max(v + (1 << (prec - 1)), 0), maxv) for v in row]
+    got = pure[..., 0] if prec == 8 else pure
+    np.testing.assert_array_equal(got, exact)
+    assert (got == 0).any() and (got == maxv).any()  # both clamps reached

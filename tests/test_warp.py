@@ -449,6 +449,33 @@ def test_projected_source_identity_warp():
     assert np.all(np.isfinite(out2)) and (out2[..., 3] > 0).mean() > 0.7
 
 
+def test_warp_projected_source_pixels():
+    """The warp_projected_source gate query checks its layout only; here its
+    8 warped images equal a direct warp_image call of each Mercator-stored
+    source into its Albers window, bit for bit, and cover 65–92% of it."""
+    from projcl_ray.queries import _projected_source_rows
+    from projcl_ray.warp import ProjectedGeoRef
+
+    merc = ProjParams(spheroid="WGS_84")
+    src = prepare("mercator", merc)
+    params = ProjParams(spheroid="WGS_84", rlat1=30, rlat2=60)
+    dst = prepare("albers_equal_area", params)
+    rows = _projected_source_rows()
+    assert [r["image_id"] for r in rows] == [f"psrc{i}" for i in range(8)]
+    for i, r in enumerate(rows):
+        x0, y0 = (float(v[0]) for v in src.forward(np.array([5.0 + 3 * i]),
+                                                   np.array([45.0 + i])))
+        gx, gy = np.meshgrid([0.0, 63.0], [0.0, 63.0])
+        ex, ey = dst.forward(*src.inverse(x0 + gx * 800.0, y0 - gy * 800.0))
+        spec = WarpSpec("albers_equal_area", params, float(ex.min()), float(ey.min()),
+                        float(np.ptp(ex)), float(np.ptp(ey)), 64, 64)
+        direct = warp_image(synth_pixels(100 + i, 64, 64),
+                            ProjectedGeoRef("mercator", merc, x0, y0, 800.0), spec)
+        got = decode_image(r["bytes"], r["w"], r["h"], r["fmt"])
+        np.testing.assert_array_equal(got, np.clip(direct, 0, 255).astype(np.uint8))
+        assert (got[..., 3] > 0).mean() > 0.6
+
+
 def test_png_codec_roundtrip_all_filters_and_color_types():
     """fmt="png" is first-class via the in-repo pure-Python codec (no
     PIL/cv2): encode→decode must round-trip bit-exactly for every scanline

@@ -53,28 +53,29 @@ def main(out_path: str) -> None:
         oracles, under PROJCL_NO_FASTCODEC=1); with ``cfast``, add a
         ``<name>_cfast`` row that re-times the decode with the compiled twins
         (projcl_ray/fastcodec.py), when a compiler exists. The encoders have
-        no twin."""
+        no twin. JPEG rows also time the decode tail alone (``tail_MBps``:
+        dequantize, IDCT, clamp, upsampling and colour conversion, on the
+        coefficients of one decode)."""
         buf, te = _best(enc_fn)
-        _, td = _best(dec_fn, buf)
-        res[name] = {
-            "enc_MBps": round(payload_mb / te, 2),
-            "dec_MBps": round(payload_mb / td, 2),
-            "encoded_bytes": len(buf),
-        }
-        print(f"{name:22s} enc {res[name]['enc_MBps']:8.2f} MB/s   "
-              f"dec {res[name]['dec_MBps']:8.2f} MB/s   "
-              f"({len(buf)} bytes)")
+        coefs = jpeg._decode_coefficients(buf) if dec_fn is jpeg.decode_jpeg else None
+
+        def decode_row():
+            row = {"dec_MBps": round(payload_mb / _best(dec_fn, buf)[1], 2)}
+            if coefs is not None:
+                row["tail_MBps"] = round(payload_mb / _best(jpeg._decode_tail, *coefs)[1], 2)
+            return row
+
+        res[name] = {"enc_MBps": round(payload_mb / te, 2), **decode_row(),
+                     "encoded_bytes": len(buf)}
+        print(f"{name:22s} {res[name]}")
         if not cfast or fastcodec.lib() is None:
             return
         os.environ["PROJCL_NO_FASTCODEC"] = ""
         try:
-            _, tc = _best(dec_fn, buf)
+            res[name + "_cfast"] = {**decode_row(), "encoded_bytes": len(buf)}
         finally:
             os.environ["PROJCL_NO_FASTCODEC"] = "1"
-        res[name + "_cfast"] = {"dec_MBps": round(payload_mb / tc, 2),
-                                "encoded_bytes": len(buf)}
-        print(f"{name + '_cfast':22s} {'':18s}   "
-              f"dec {res[name + '_cfast']['dec_MBps']:8.2f} MB/s")
+        print(f"{name + '_cfast':22s} {res[name + '_cfast']}")
 
     os.environ["PROJCL_NO_FASTCODEC"] = "1"
     record("png_f4", lambda: png.encode_png(img, filter_type=4),
