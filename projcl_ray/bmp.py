@@ -7,8 +7,8 @@ Scope:
   bit depths 8 (palette), 24 and 32, BI_RGB or BI_BITFIELDS with the
   standard BGRA masks, bottom-up and top-down rows, 4-byte row padding.
   RLE compression is rejected with a clear error (rare in the wild).
-- encode: (h, w, 4)|(h, w, 3)|(h, w) uint8 → 24-bit BI_RGB (alpha dropped,
-  gray replicated), deterministic bytes.
+- no encoder: no system path writes BMP. The 24-bit writer that makes
+  test and fixture files lives in tests/codec_writers.py.
 """
 
 from __future__ import annotations
@@ -18,23 +18,6 @@ import struct
 import numpy as np
 
 from ._corrupt import corrupt_guard
-
-
-def encode_bmp(arr: np.ndarray) -> bytes:
-    arr = np.ascontiguousarray(arr, np.uint8)
-    if arr.ndim == 2:
-        arr = arr[..., None].repeat(3, axis=-1)
-    h, w = arr.shape[:2]
-    bgr = arr[..., 2::-1] if arr.shape[2] >= 3 else arr
-    stride = (w * 3 + 3) & ~3
-    rows = np.zeros((h, stride), np.uint8)
-    rows[:, : w * 3] = bgr.reshape(h, w * 3)
-    pixels = rows[::-1].tobytes()  # bottom-up
-    info = struct.pack("<IiiHHIIiiII", 40, w, h, 1, 24, 0, len(pixels),
-                       2835, 2835, 0, 0)
-    off = 14 + len(info)
-    header = struct.pack("<2sIHHI", b"BM", off + len(pixels), 0, 0, off)
-    return header + info + pixels
 
 
 @corrupt_guard("BMP")

@@ -14,8 +14,9 @@ TIFF-LZW and GIF-LZW decoders, the 8-bit JPEG decode tail (libjpeg's islow
 IDCT with clamp, one call per component, then upsampling and fixed-point
 YCbCr → RGBA, one call per image), and the bilinear sampler (the one
 per-pixel loop numpy runs as 4 gathers plus ~12 temporaries, alone and
-fused with the warp lattice fill). The encoders run in Python only. Parity
-is pinned in tests/test_warp.py and tests/test_image_codecs.py.
+fused with the warp lattice fill). The encoders the package keeps (baseline
+JPEG, TIFF) run in Python only, and no other encoder is in the package.
+Parity is pinned in tests/test_warp.py and tests/test_image_codecs.py.
 
 Concurrency: Ray workers race to build on first use; each builds to a
 pid-suffixed temp file and `os.replace`s it into place (atomic on POSIX),
@@ -35,15 +36,16 @@ _LIB = None
 _TRIED = False
 
 
-def _disabled() -> bool:
-    return os.environ.get("PROJCL_NO_FASTCODEC", "").lower() in (
-        "1", "true", "yes", "on")
-
-
 def lib():
     """The loaded shared object, building it first if needed; None when
-    unavailable for any reason (the caller uses the pure-Python path)."""
+    ``PROJCL_NO_FASTCODEC`` is set (read on every call, so it can be
+    toggled between calls) or the object is unavailable for any reason.
+    Every wrapper below returns its "use the pure-Python path" value when
+    this is None."""
     global _LIB, _TRIED
+    if os.environ.get("PROJCL_NO_FASTCODEC", "").lower() in (
+            "1", "true", "yes", "on"):
+        return None
     if _TRIED:
         return _LIB
     _TRIED = True
@@ -162,40 +164,32 @@ def lib():
     return _LIB
 
 
-def jpeg_baseline_scan(store, scan, huff, restart_interval, segments,
-                       mcus_x, mcus_y) -> bool:
-    """C path for jpeg._decode_baseline_scan. Returns True when it decoded
-    the scan (store mutated in place), False when the caller must run the
-    pure-Python loop. Raises the same ValueError the pure loop raises on
-    corrupt entropy data. ``huff`` maps (class, id) to the (symbol, length)
-    lookup tables as 65536-byte ``bytes``, built once per table content by
-    jpeg._decode_lut; ctypes passes them to C without a copy."""
-    if _disabled():
-        return False
-    L = lib()
-    if L is None:
-        return False
-    ncomp = len(scan)
-    if ncomp > 4:
-        return False
-    interleaved = ncomp > 1
-    units = mcus_x * mcus_y if interleaved else scan[0]["wib"] * scan[0]["hib"]
-    dsym = (ctypes.c_char_p * ncomp)(*[huff[(0, s["dc"])][0] for s in scan])
-    dlen = (ctypes.c_char_p * ncomp)(*[huff[(0, s["dc"])][1] for s in scan])
-    asym = (ctypes.c_char_p * ncomp)(*[huff[(1, s["ac"])][0] for s in scan])
-    alen = (ctypes.c_char_p * ncomp)(*[huff[(1, s["ac"])][1] for s in scan])
-    vv = (ctypes.c_int32 * ncomp)(*[s["v"] for s in scan])
-    hh = (ctypes.c_int32 * ncomp)(*[s["h"] for s in scan])
-    bpr = (ctypes.c_int32 * ncomp)(*[s["bpr"] for s in scan])
-    wib = (ctypes.c_int32 * ncomp)(*[s["wib"] for s in scan])
-    arrs = []
-    ptrs = (ctypes.POINTER(ctypes.c_int32) * ncomp)()
+def _scan_args(store, scan, *tables):
+    """The per-component ctypes arguments of one scan: for each of
+    ``tables`` (one (symbol, length) LUT pair per component) a symbol and
+    a length array, then v, h, bpr, wib and the coefficient store
+    pointers. None when a store is not a C-contiguous int32 array: the
+    pure path handles it; never hand ctypes a bad view."""
+    n = len(scan)
+    luts = [(ctypes.c_char_p * n)(*[t[i] for t in tabs])
+            for tabs in tables for i in (0, 1)]
+    geom = [(ctypes.c_int32 * n)(*[s[k] for s in scan])
+            for k in ("v", "h", "bpr", "wib")]
+    ptrs = (ctypes.POINTER(ctypes.c_int32) * n)()
     for i, s in enumerate(scan):
         a = store[s["id"]]
         if a.dtype != np.int32 or not a.flags.c_contiguous:
-            return False  # pure path handles it; never hand ctypes a bad view
-        arrs.append(a)
+            return None
         ptrs[i] = a.ctypes.data_as(ctypes.POINTER(ctypes.c_int32))
+    return (*luts, *geom, ptrs)
+
+
+def _decode_segments(segments, restart_interval: int, units: int,
+                     decode) -> bool:
+    """Run ``decode(data, nbytes, m_start, m_count)`` on each restart
+    segment of a scan over ``units`` MCUs or data units, the data padded
+    with the 64 zero bytes the C bit reader expects. Raises the pure
+    loop's ValueError on missing segments or a nonzero return."""
     step = restart_interval or units
     if len(segments) * step < units:
         raise ValueError("corrupt JPEG: missing restart segments")
@@ -204,13 +198,34 @@ def jpeg_baseline_scan(store, scan, huff, restart_interval, segments,
         m_count = min(step, units - m_start)
         if m_count <= 0:
             break
-        rc = L.jpeg_baseline_segment(
-            seg + b"\x00" * 64, len(seg), m_start, m_count, mcus_x,
-            int(interleaved), ncomp, dsym, dlen, asym, alen,
-            vv, hh, bpr, wib, ptrs)
+        rc = decode(seg + b"\x00" * 64, len(seg), m_start, m_count)
         if rc != 0:
             raise ValueError(f"corrupt JPEG: entropy decode failed ({rc})")
     return True
+
+
+def jpeg_baseline_scan(store, scan, huff, restart_interval, segments,
+                       mcus_x, mcus_y) -> bool:
+    """C path for jpeg._decode_baseline_scan. Returns True when it decoded
+    the scan (store mutated in place), False when the caller must run the
+    pure-Python loop. Raises the same ValueError the pure loop raises on
+    corrupt entropy data. ``huff`` maps (class, id) to the (symbol, length)
+    lookup tables as 65536-byte ``bytes``, built once per table content by
+    jpeg._decode_lut; ctypes passes them to C without a copy."""
+    L = lib()
+    if L is None or len(scan) > 4:
+        return False
+    ncomp = len(scan)
+    interleaved = ncomp > 1
+    units = mcus_x * mcus_y if interleaved else scan[0]["wib"] * scan[0]["hib"]
+    args = _scan_args(store, scan, [huff[(0, s["dc"])] for s in scan],
+                      [huff[(1, s["ac"])] for s in scan])
+    if args is None:
+        return False
+    return _decode_segments(
+        segments, restart_interval, units,
+        lambda seg, n, m_start, m_count: L.jpeg_baseline_segment(
+            seg, n, m_start, m_count, mcus_x, int(interleaved), ncomp, *args))
 
 
 def jpeg_progressive_scan(store, scan, huff, Ss, Se, Ah, Al,
@@ -219,8 +234,6 @@ def jpeg_progressive_scan(store, scan, huff, Ss, Se, Ah, Al,
     allowed) or AC first/refine with EOB runs. Same return/raise contract
     as jpeg_baseline_scan; invalid scan headers return False so the pure
     loop raises its specific error."""
-    if _disabled():
-        return False
     L = lib()
     if L is None:
         return False
@@ -232,61 +245,28 @@ def jpeg_progressive_scan(store, scan, huff, Ss, Se, Ah, Al,
         units = (mcus_x * mcus_y if interleaved
                  else scan[0]["wib"] * scan[0]["hib"])
         # refinement reads raw bits only: no tables
-        tabs = ([huff[(0, s["dc"])] for s in scan] if Ah == 0
-                else [(b"", b"")] * ncomp)
-        dsym = (ctypes.c_char_p * ncomp)(*[t[0] for t in tabs])
-        dlen = (ctypes.c_char_p * ncomp)(*[t[1] for t in tabs])
-        vv = (ctypes.c_int32 * ncomp)(*[s["v"] for s in scan])
-        hh = (ctypes.c_int32 * ncomp)(*[s["h"] for s in scan])
-        bpr = (ctypes.c_int32 * ncomp)(*[s["bpr"] for s in scan])
-        wib = (ctypes.c_int32 * ncomp)(*[s["wib"] for s in scan])
-        ptrs = (ctypes.POINTER(ctypes.c_int32) * ncomp)()
-        arrs = []
-        for i, s in enumerate(scan):
-            a = store[s["id"]]
-            if a.dtype != np.int32 or not a.flags.c_contiguous:
-                return False  # pure path handles it; never hand ctypes a bad view
-            arrs.append(a)
-            ptrs[i] = a.ctypes.data_as(ctypes.POINTER(ctypes.c_int32))
-        step = restart_interval or units
-        if len(segments) * step < units:
-            raise ValueError("corrupt JPEG: missing restart segments")
-        for i, seg in enumerate(segments):
-            m_start = i * step
-            m_count = min(step, units - m_start)
-            if m_count <= 0:
-                break
-            rc = L.jpeg_prog_dc_segment(
-                seg + b"\x00" * 64, len(seg), m_start, m_count, mcus_x,
-                int(interleaved), ncomp, Ah, Al, dsym, dlen,
-                vv, hh, bpr, wib, ptrs)
-            if rc != 0:
-                raise ValueError(f"corrupt JPEG: entropy decode failed ({rc})")
-        return True
+        args = _scan_args(store, scan, [huff[(0, s["dc"])] for s in scan]
+                          if Ah == 0 else [(b"", b"")] * ncomp)
+        if args is None:
+            return False
+        return _decode_segments(
+            segments, restart_interval, units,
+            lambda seg, n, m_start, m_count: L.jpeg_prog_dc_segment(
+                seg, n, m_start, m_count, mcus_x, int(interleaved), ncomp,
+                Ah, Al, *args))
     # AC scan: single component, non-interleaved
     if len(scan) != 1:
         return False
+    args = _scan_args(store, scan)
+    if args is None:
+        return False
     s = scan[0]
-    a = store[s["id"]]
-    if a.dtype != np.int32 or not a.flags.c_contiguous:
-        return False  # pure path handles it; never hand ctypes a bad view
     sym_b, len_b = huff[(1, s["ac"])]
-    units = s["wib"] * s["hib"]
-    step = restart_interval or units
-    if len(segments) * step < units:
-        raise ValueError("corrupt JPEG: missing restart segments")
-    for i, seg in enumerate(segments):
-        m_start = i * step
-        m_count = min(step, units - m_start)
-        if m_count <= 0:
-            break
-        rc = L.jpeg_prog_ac_segment(
-            seg + b"\x00" * 64, len(seg), m_start, m_count, Ss, Se, Ah, Al,
-            sym_b, len_b, s["bpr"], s["wib"],
-            a.ctypes.data_as(ctypes.POINTER(ctypes.c_int32)))
-        if rc != 0:
-            raise ValueError(f"corrupt JPEG: entropy decode failed ({rc})")
-    return True
+    return _decode_segments(
+        segments, restart_interval, s["wib"] * s["hib"],
+        lambda seg, n, m_start, m_count: L.jpeg_prog_ac_segment(
+            seg, n, m_start, m_count, Ss, Se, Ah, Al, sym_b, len_b,
+            s["bpr"], s["wib"], args[-1][0]))
 
 
 def jpeg_idct_plane(coef, q, bpr: int, bpc: int):
@@ -294,8 +274,6 @@ def jpeg_idct_plane(coef, q, bpr: int, bpc: int):
     bpr·8) uint8 sample plane of one component's (bpc·bpr, 64) zigzag-order
     int32 coefficient store and its natural-order quantization table, or
     None when unavailable."""
-    if _disabled():
-        return None
     L = lib()
     if L is None:
         return None
@@ -313,8 +291,6 @@ def jpeg_ycc_rgba(planes, factors, h: int, w: int):
     at 8-bit precision: one (gray) or three (YCbCr) uint8 sample planes,
     each replicated by its ``(fx, fy)`` factor, → (h, w, 4) uint8 RGBA, or
     None when unavailable."""
-    if _disabled():
-        return None
     L = lib()
     if L is None or len(planes) not in (1, 3) or len(factors) != len(planes):
         return None
@@ -336,8 +312,6 @@ def png_unfilter(stream, h: int, stride: int, bpp: int):
     """C path for png._unfilter: returns the (h, stride) uint8 array or
     None when unavailable. Raises ValueError on a bad filter type like the
     pure path."""
-    if _disabled():
-        return None
     L = lib()
     if L is None:
         return None
@@ -355,8 +329,6 @@ def tiff_lzw_decode(data: bytes, expected: int):
     """C path for tiff._lzw_decode_tiff: returns the decoded bytes (short
     if EOI ends the stream early, like the pure path) or None when
     unavailable. Raises ValueError on truncation/corrupt codes."""
-    if _disabled():
-        return None
     L = lib()
     if L is None:
         return None
@@ -375,8 +347,6 @@ def gif_lzw_decode(data: bytes, min_code_size: int, n_pixels: int):
     """C path for gif._lzw_decode: returns the (n_pixels,) uint8 index
     array or None when unavailable. Raises the pure path's errors on
     truncated/corrupt streams."""
-    if _disabled():
-        return None
     L = lib()
     if L is None:
         return None
@@ -401,8 +371,6 @@ def warp_bilinear_u8(img, px, py):
             or py.dtype != np.float32 or px.shape != py.shape):
         raise ValueError("warp_bilinear_u8 needs a uint8 (h, w, c) image and "
                          "float32 coordinate arrays of one shape")
-    if _disabled():
-        return None
     L = lib()
     if L is None:
         return None
@@ -428,8 +396,6 @@ def warp_lattice_bilinear_u8(img, nodes_x, nodes_y, x_axis, y_axis, u8: bool):
     sampler and cast — or None when unavailable."""
     if img.dtype != np.uint8 or img.ndim != 3:
         raise ValueError("warp_lattice_bilinear_u8 needs a uint8 (h, w, c) image")
-    if _disabled():
-        return None
     L = lib()
     if L is None:
         return None

@@ -11,10 +11,8 @@ Scope:
   animation frame composition onto the logical screen, NETSCAPE/comment/
   plain-text extensions skipped per the sub-block grammar. LZW is the GIF
   variant (variable 3-12 bit codes, clear/end codes, deferred clear).
-- encode: single frame or animation from (h, w, 4) uint8 RGBA; exact
-  (lossless) for frames with <=255 distinct RGB colors (one slot is
-  reserved for transparency when any alpha < 128) — raise otherwise; the
-  caller quantizes. Optional interlacing. Deterministic bytes.
+- no encoder: no system path writes GIF. The writer that makes test and
+  fixture streams lives in tests/codec_writers.py.
 
 Pixel work (palette lookup, interlace reorder, frame composition) is
 vectorized NumPy; only the LZW code loop is sequential, which is inherent
@@ -108,70 +106,6 @@ def _lzw_decode(data: bytes, min_code_size: int, n_pixels: int) -> np.ndarray:
     if oi < n_pixels:
         raise ValueError("GIF: LZW stream ended early")
     return out
-
-
-def _lzw_encode(indices: np.ndarray, min_code_size: int) -> bytes:
-    """Index array → GIF LZW bytes (always emits a leading clear code and
-    re-clears when the table fills — the maximally-compatible strategy).
-    Pure Python: no measured path encodes GIF, so it has no C twin."""
-    clear = 1 << min_code_size
-    end = clear + 1
-    out = bytearray()
-    acc = 0
-    nbits = 0
-
-    def emit(code: int, width: int):
-        nonlocal acc, nbits
-        acc |= code << nbits
-        nbits += width
-        while nbits >= 8:
-            out.append(acc & 0xFF)
-            acc >>= 8
-            nbits -= 8
-
-    # (prefix_code, next_byte) → code keys: O(1) per pixel, no byte-string
-    # building (root codes are implicit: code == index value)
-    table: dict[tuple[int, int], int] = {}
-    next_code = end + 1
-    width = min_code_size + 1
-    emit(clear, width)
-    prev_code = -1
-    for b in indices.astype(np.uint8).tobytes():
-        if prev_code < 0:
-            prev_code = b
-            continue
-        hit = table.get((prev_code, b))
-        if hit is not None:
-            prev_code = hit
-            continue
-        emit(prev_code, width)
-        if next_code < 4096:
-            table[(prev_code, b)] = next_code
-            if next_code == (1 << width) and width < 12:
-                width += 1
-            next_code += 1
-        else:
-            emit(clear, width)
-            table = {}
-            next_code = end + 1
-            width = min_code_size + 1
-        prev_code = b
-    if prev_code >= 0:
-        emit(prev_code, width)
-    emit(end, width)
-    if nbits:
-        out.append(acc & 0xFF)
-    return bytes(out)
-
-
-def _sub_blocks(payload: bytes) -> bytes:
-    out = bytearray()
-    for i in range(0, len(payload), 255):
-        chunk = payload[i:i + 255]
-        out.append(len(chunk))
-        out += chunk
-    out.append(0)
-    return bytes(out)
 
 
 # ---------------------------------------------------------------------------
@@ -284,96 +218,3 @@ def decode_gif_frames(buf: bytes) -> tuple[np.ndarray, list[int]]:
 def decode_gif(buf: bytes) -> np.ndarray:
     """GIF bytes → (h, w, 4) uint8 RGBA (first composed frame)."""
     return decode_gif_frames(buf)[0][0]
-
-
-# ---------------------------------------------------------------------------
-# Encode
-# ---------------------------------------------------------------------------
-
-
-def _build_palette(frames: np.ndarray) -> tuple[np.ndarray, int]:
-    """Shared palette over all frames; returns (palette (n,3), transparent
-    index or -1). Raises when >255 distinct colors (GIF is palette-based —
-    quantize upstream)."""
-    any_alpha = bool((frames[..., 3] < 128).any())
-    rgb = frames[..., :3].reshape(-1, 3)
-    opaque = rgb[frames[..., 3].reshape(-1) >= 128] if any_alpha else rgb
-    if len(opaque):
-        # unique over PACKED uint32 keys, not rows: np.unique(axis=0) sorts
-        # structured rows and was ~97% of encode wall time (the r4
-        # "palette-mapping-bound" ceiling); the 1-D sort is ~50x faster and
-        # yields the same colors in the same lexicographic order
-        packed = ((opaque[:, 0].astype(np.uint32) << 16)
-                  | (opaque[:, 1].astype(np.uint32) << 8)
-                  | opaque[:, 2].astype(np.uint32))
-        upk = np.unique(packed)
-        colors = np.stack([(upk >> 16) & 0xFF, (upk >> 8) & 0xFF,
-                           upk & 0xFF], axis=1).astype(np.uint8)
-    else:
-        colors = np.zeros((1, 3), np.uint8)
-    limit = 255 if any_alpha else 256
-    if len(colors) > limit:
-        raise ValueError(
-            f"GIF encode needs <= {limit} distinct colors, got {len(colors)}; "
-            "quantize before encoding (GIF is a palette format)")
-    if any_alpha:
-        # reserve slot 0 for transparency, colored with an RGB no opaque
-        # pixel uses so the color→index map can never alias it
-        used = set((colors[:, 0].astype(int) << 16 | colors[:, 1].astype(int) << 8
-                    | colors[:, 2]).tolist())
-        cand = next(c for c in range(1 << 24) if c not in used)
-        slot = np.array([[cand >> 16, (cand >> 8) & 0xFF, cand & 0xFF]], np.uint8)
-        palette = np.vstack([slot, colors])
-        return palette, 0
-    return colors, -1
-
-
-def _map_indices(frame: np.ndarray, palette: np.ndarray, transparent: int) -> np.ndarray:
-    """RGBA frame → palette indices (vectorized via packed-int searchsorted)."""
-    key = (palette[:, 0].astype(np.int64) << 16) | (palette[:, 1].astype(np.int64) << 8) | palette[:, 2]
-    order = np.argsort(key)
-    pk = key[order]
-    rgb = frame[..., :3].astype(np.int64)
-    fk = (rgb[..., 0] << 16) | (rgb[..., 1] << 8) | rgb[..., 2]
-    loc = np.searchsorted(pk, fk.ravel())
-    idx = order[np.minimum(loc, len(pk) - 1)].astype(np.uint8).reshape(frame.shape[:2])
-    if transparent >= 0:
-        idx[frame[..., 3] < 128] = transparent
-    return idx
-
-
-def encode_gif(frames: np.ndarray, *, delays_ms: int | list[int] = 100,
-               interlace: bool = False, loop: bool = True) -> bytes:
-    """(h, w, 4) or (n, h, w, 4) uint8 RGBA → GIF89a bytes. Lossless for
-    <=255 distinct colors; alpha < 128 becomes GIF binary transparency."""
-    frames = np.ascontiguousarray(frames, np.uint8)
-    if frames.ndim == 3:
-        frames = frames[None]
-    n, h, w = frames.shape[:3]
-    if isinstance(delays_ms, int):
-        delays_ms = [delays_ms] * n
-    palette, transparent = _build_palette(frames)
-    # color table size: power of two >= len(palette), min 2
-    ct_bits = max(1, int(np.ceil(np.log2(max(len(palette), 2)))))
-    ct = np.zeros((1 << ct_bits, 3), np.uint8)
-    ct[:len(palette)] = palette
-
-    out = bytearray(b"GIF89a")
-    out += struct.pack("<HHBBB", w, h, 0x80 | ((ct_bits - 1) & 7), 0, 0)
-    out += ct.tobytes()
-    if n > 1 and loop:  # NETSCAPE2.0 infinite-loop extension
-        out += b"\x21\xFF\x0BNETSCAPE2.0\x03\x01\x00\x00\x00"
-    for i in range(n):
-        if n > 1 or transparent >= 0:
-            gflags = (1 if transparent >= 0 else 0)
-            out += b"\x21\xF9\x04" + struct.pack(
-                "<BHB", gflags, delays_ms[i] // 10, max(transparent, 0)) + b"\x00"
-        out += b"\x2C" + struct.pack("<HHHHB", 0, 0, w, h, 0x40 if interlace else 0)
-        idx = _map_indices(frames[i], palette, transparent)
-        if interlace:
-            idx = idx[_interlace_order(h)]
-        mcs = max(2, ct_bits)
-        out.append(mcs)
-        out += _sub_blocks(_lzw_encode(idx.ravel(), mcs))
-    out += b"\x3B"
-    return bytes(out)

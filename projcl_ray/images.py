@@ -7,15 +7,18 @@ caption: string, phash: int64)`` plus our georeferencing sidecar columns
 (FIXTURES.md §1) needed to warp/tile.
 
 Codec policy: ``fmt="raw"`` (uncompressed RGBA bytes, h·w·4 uint8, C-order)
-plus png, jpeg, gif, bmp and tiff, each decoded and encoded by exactly one
-in-repo codec (:mod:`projcl_ray.png`: zlib+numpy, lossless;
-:mod:`projcl_ray.jpeg`: baseline+progressive JFIF, libjpeg's integer IDCT; hot loops
-in the C accelerator of :mod:`projcl_ray.fastcodec`). No PIL/cv2 anywhere, so
-output bytes are the same in every environment and every decoder sits behind
-the ``_corrupt.corrupt_guard`` error contract.
+plus png, jpeg, gif, bmp and tiff, each decoded by exactly one in-repo codec
+(:mod:`projcl_ray.png`: zlib+numpy, lossless; :mod:`projcl_ray.jpeg`:
+baseline+progressive JFIF, libjpeg's integer IDCT; hot loops in the C
+accelerator of :mod:`projcl_ray.fastcodec`). The package encodes only what
+the system writes: raw tiles, baseline JPEG and deflate GeoTIFF. No PIL/cv2
+anywhere, so output bytes are the same in every environment and every
+decoder sits behind the ``_corrupt.corrupt_guard`` error contract.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pyarrow as pa
@@ -64,35 +67,26 @@ def decode_image(buf: bytes, w: int, h: int, fmt: str) -> np.ndarray:
     raise ValueError(f"unknown image format {fmt!r}")
 
 
-def encode_image(arr: np.ndarray, fmt: str = "raw", **png_kw) -> bytes:
-    """(h, w, 4) uint8 → bytes. ``raw``, ``png``, ``jpeg``, ``gif`` and
-    ``bmp`` (and ``tiff``) via the in-repo codecs (png: pass
-    ``filter_type=4`` for ~2× smaller files; jpeg: ``quality=``,
-    ``subsample=`` — lossy, alpha dropped; gif: palette format, lossless
-    only for <=255 distinct colors — quantize first)."""
+def encode_image(arr: np.ndarray, fmt: str = "raw", **jpeg_kw) -> bytes:
+    """(h, w, 4) uint8 → bytes in a format the system writes: ``raw``
+    (tiles) or ``jpeg`` (:func:`projcl_ray.jpeg.encode_jpeg`; ``quality=``,
+    ``subsample=`` — lossy, alpha dropped). GeoTIFF export calls
+    :func:`projcl_ray.tiff.encode_tiff` itself. Nothing here writes png,
+    gif or bmp: those are ingest formats (decode only)."""
     if fmt == "raw":
         return np.ascontiguousarray(arr, dtype=np.uint8).tobytes()
-    if fmt == "png":
-        from . import png as _png
-
-        return _png.encode_png(np.ascontiguousarray(arr, dtype=np.uint8), **png_kw)
     if fmt == "jpeg":
         from . import jpeg as _jpeg
 
-        return _jpeg.encode_jpeg(np.ascontiguousarray(arr, dtype=np.uint8), **png_kw)
-    if fmt == "gif":
-        from . import gif as _gif
-
-        return _gif.encode_gif(np.ascontiguousarray(arr, dtype=np.uint8), **png_kw)
-    if fmt == "bmp":
-        from . import bmp as _bmp
-
-        return _bmp.encode_bmp(np.ascontiguousarray(arr, dtype=np.uint8))
-    if fmt == "tiff":
-        from . import tiff as _tiff
-
-        return _tiff.encode_tiff(np.ascontiguousarray(arr, dtype=np.uint8), **png_kw)
+        return _jpeg.encode_jpeg(np.ascontiguousarray(arr, dtype=np.uint8), **jpeg_kw)
     raise NotImplementedError(f"no encoder for image format {fmt!r}")
+
+
+def read_fixture(name: str) -> pa.Table:
+    """The checked-in coded corpus ``fixtures/<name>.parquet`` (FIXTURES.md §8)."""
+    import pyarrow.parquet as pq
+
+    return pq.read_table(os.path.join(os.path.dirname(__file__), "fixtures", f"{name}.parquet"))
 
 
 def phash64(arr: np.ndarray) -> int:

@@ -19,10 +19,11 @@ Scope:
   coding and hierarchical modes are rejected with a clear error.
 - encode: gray/RGB/RGBA → baseline JFIF with the Annex-K standard
   quantization (libjpeg quality scaling) and Huffman tables; 4:4:4 by
-  default, optional 4:2:0 (``subsample=True``). ``progressive=True``
-  emits an SOF2 multi-scan file (DC-first + per-component AC bands at
-  Al=1, then DC/AC refinement scans) with per-scan optimized Huffman
+  default, optional 4:2:0 (``subsample=True``), one scan per component
+  (``multiscan=True``), restart markers, and 12-bit SOF1 with Huffman
   tables generated by the Annex K.2/K.3 flowcharts. Deterministic bytes.
+  No system path writes progressive JPEG, so its writer lives with the
+  tests (tests/codec_writers.py) and builds on :func:`_frame`.
 
 Numerics: decode is libjpeg's integer arithmetic. The IDCT is jidctint.c's
 "islow" (CONST_BITS 13, PASS1_BITS 2 at 8-bit and 1 at 12-bit) in int64,
@@ -422,54 +423,18 @@ def _count_scan_symbols(c: dict, restart_interval: int,
             m += 1
 
 
-def encode_jpeg(arr: np.ndarray, *, quality: int = 90,
-                subsample: bool = False, progressive: bool = False,
-                multiscan: bool = False, restart_interval: int = 0,
-                precision: int | None = None) -> bytes:
-    """(h, w) gray / (h, w, 3) RGB / (h, w, 4) RGBA uint8 → JFIF bytes.
-    RGBA alpha is dropped (JPEG has no alpha). ``subsample=True`` emits
-    4:2:0 chroma (smaller files, exercises the decoder's interleaved MCU
-    path); default is 4:4:4. ``progressive=True`` emits SOF2 multi-scan
-    (spectral selection + successive approximation, per-scan optimized
-    Huffman tables) — same coefficients, so a full-precision progressive
-    decode is bit-identical to decoding the baseline encode.
-    ``multiscan=True`` emits BASELINE with one non-interleaved scan per
-    component (the T.81 §A.2 layout libjpeg scan scripts produce) — same
-    coefficients again, so its decode is bit-identical to the interleaved
-    decode. ``restart_interval=N`` (baseline layouts only) emits a DRI
-    marker and RSTn markers every N MCUs/data-units with DC-predictor
-    resets — same coefficients once more, so decode is bit-identical to
-    the restart-free encode.
-
-    ``precision=12`` (auto-selected for uint16 input) emits the T.81
-    extended-sequential 12-bit form — SOF1, 16-bit DQT, level shift 2048
-    — as one non-interleaved scan per component with OPTIMAL per-table
-    Huffman codes (the Annex-K example tables stop at DC category 11 /
-    AC size 10, below what 12-bit magnitudes need). Gray and RGB; the
-    archival/DEM layout decode_jpeg returns as uint16."""
-    if precision is None:
-        precision = 12 if np.asarray(arr).dtype == np.uint16 else 8
-    if precision == 12:
-        if progressive:
-            raise NotImplementedError("12-bit progressive encode unsupported")
-        arr = np.ascontiguousarray(arr, np.uint16)
-        if arr.max(initial=0) > 4095:
-            raise ValueError("12-bit JPEG samples must be in 0..4095")
-        multiscan = True  # per-component scans + optimal tables (see above)
-    elif precision == 8:
-        arr = np.ascontiguousarray(arr, np.uint8)
-    else:
-        raise ValueError("precision must be 8 or 12")
+def _frame(arr: np.ndarray, quality: int, subsample: bool, precision: int,
+           sof: int, restart_interval: int = 0):
+    """What every JFIF writer shares: per component the quantized zigzag
+    coefficients over the MCU lattice plus scan geometry, and the headers
+    through the ``sof`` segment (DRI first when ``restart_interval``).
+    Returns (header bytes, components, mcus_x, mcus_y)."""
     level = float(1 << (precision - 1))
     gray = arr.ndim == 2
     h, w = arr.shape[:2]
     qy, qc = _quality_tables(quality)
     if precision == 12:
         qy, qc = qy * 16.0, qc * 16.0  # scale the example tables to 12-bit
-    dc_l = _canonical_codes(DC_LUMA_BITS, DC_LUMA_VALS)
-    ac_l = _canonical_codes(AC_LUMA_BITS, AC_LUMA_VALS)
-    dc_c = _canonical_codes(DC_CHROMA_BITS, DC_CHROMA_VALS)
-    ac_c = _canonical_codes(AC_CHROMA_BITS, AC_CHROMA_VALS)
 
     if gray:
         planes = [arr.astype(np.float64)]
@@ -513,7 +478,6 @@ def encode_jpeg(arr: np.ndarray, *, quality: int = 90,
             "hib": -(-(-(-h * vi // vmax)) // 8),
         })
 
-    # --- headers -----------------------------------------------------------
     out = bytearray(b"\xFF\xD8")  # SOI
     out += b"\xFF\xE0" + struct.pack(">H", 16) + b"JFIF\x00\x01\x01\x00\x00\x01\x00\x01\x00\x00"
     for tid, q in enumerate([qy] if gray else [qy, qc]):
@@ -523,20 +487,58 @@ def encode_jpeg(arr: np.ndarray, *, quality: int = 90,
         else:
             zzq = q.reshape(-1)[ZIGZAG].astype(np.uint8).tobytes()
             out += b"\xFF\xDB" + struct.pack(">HB", 3 + 64, tid) + zzq
-    if restart_interval and not progressive:
+    if restart_interval:
         out += b"\xFF\xDD" + struct.pack(">HH", 4, restart_interval)
-    # SOF0 baseline (8-bit), SOF1 extended sequential (12-bit), SOF2 progressive
-    sof = 0xC2 if progressive else (0xC1 if precision == 12 else 0xC0)
     out += bytes([0xFF, sof]) + struct.pack(">HBHHB", 8 + 3 * ncomp, precision,
                                             h, w, ncomp)
     for c in comps:
         out += struct.pack("BBB", c["cid"], (c["h"] << 4) | c["v"],
                            0 if c["cid"] == 1 else 1)
+    return out, comps, mcus_x, mcus_y
 
-    if progressive:
-        _emit_progressive(out, comps, mcus_x, mcus_y)
-        out += b"\xFF\xD9"
-        return bytes(out)
+
+def encode_jpeg(arr: np.ndarray, *, quality: int = 90,
+                subsample: bool = False, multiscan: bool = False,
+                restart_interval: int = 0,
+                precision: int | None = None) -> bytes:
+    """(h, w) gray / (h, w, 3) RGB / (h, w, 4) RGBA uint8 → JFIF bytes.
+    RGBA alpha is dropped (JPEG has no alpha). ``subsample=True`` emits
+    4:2:0 chroma (smaller files, exercises the decoder's interleaved MCU
+    path); default is 4:4:4. ``multiscan=True`` emits BASELINE with one
+    non-interleaved scan per component (the T.81 §A.2 layout libjpeg scan
+    scripts produce) — same coefficients, so its decode is bit-identical
+    to the interleaved decode. ``restart_interval=N`` emits a DRI marker
+    and RSTn markers every N MCUs/data-units with DC-predictor resets —
+    same coefficients once more, so decode is bit-identical to the
+    restart-free encode.
+
+    ``precision=12`` (auto-selected for uint16 input) emits the T.81
+    extended-sequential 12-bit form — SOF1, 16-bit DQT, level shift 2048
+    — as one non-interleaved scan per component with OPTIMAL per-table
+    Huffman codes (the Annex-K example tables stop at DC category 11 /
+    AC size 10, below what 12-bit magnitudes need). Gray and RGB; the
+    archival/DEM layout decode_jpeg returns as uint16."""
+    if precision is None:
+        precision = 12 if np.asarray(arr).dtype == np.uint16 else 8
+    if precision == 12:
+        arr = np.ascontiguousarray(arr, np.uint16)
+        if arr.max(initial=0) > 4095:
+            raise ValueError("12-bit JPEG samples must be in 0..4095")
+        multiscan = True  # per-component scans + optimal tables (see above)
+    elif precision == 8:
+        arr = np.ascontiguousarray(arr, np.uint8)
+    else:
+        raise ValueError("precision must be 8 or 12")
+    # SOF0 baseline (8-bit), SOF1 extended sequential (12-bit)
+    out, comps, mcus_x, mcus_y = _frame(
+        arr, quality, subsample, precision,
+        0xC1 if precision == 12 else 0xC0, restart_interval)
+    ncomp = len(comps)
+    gray = ncomp == 1
+    dc_l = _canonical_codes(DC_LUMA_BITS, DC_LUMA_VALS)
+    ac_l = _canonical_codes(AC_LUMA_BITS, AC_LUMA_VALS)
+    dc_c = _canonical_codes(DC_CHROMA_BITS, DC_CHROMA_VALS)
+    ac_c = _canonical_codes(AC_CHROMA_BITS, AC_CHROMA_VALS)
 
     if precision == 12:
         # optimal per-class tables from this image's symbol statistics —
@@ -622,219 +624,6 @@ def encode_jpeg(arr: np.ndarray, *, quality: int = 90,
     out += wtr.buf
     out += b"\xFF\xD9"  # EOI
     return bytes(out)
-
-
-class _StatSink:
-    """Pass-1 emission target: counts Huffman symbol frequencies per table."""
-
-    def __init__(self):
-        self.freq: dict[tuple, np.ndarray] = {}
-
-    def symbol(self, tbl: tuple, s: int):
-        if tbl not in self.freq:
-            self.freq[tbl] = np.zeros(256, np.int64)
-        self.freq[tbl][s] += 1
-
-    def bits(self, v: int, n: int):
-        pass
-
-
-class _WriteSink:
-    """Pass-2 emission target: writes Huffman codes + raw bits."""
-
-    def __init__(self, codes: dict):
-        self.w = _BitWriter()
-        self.codes = codes
-
-    def symbol(self, tbl: tuple, s: int):
-        c, ln = self.codes[tbl][s]
-        self.w.write(c, ln)
-
-    def bits(self, v: int, n: int):
-        if n:
-            self.w.write(v, n)
-
-
-def _emit_dc_scan(sink, scan_comps: list[dict], mcus_x: int, mcus_y: int,
-                  Ah: int, Al: int):
-    """DC first (Ah=0: diff-coded at precision Al) or DC refinement (one
-    appended bit per block); interleaved when the scan has >1 component."""
-    preds = [0] * len(scan_comps)
-
-    def one(ci: int, c: dict, bidx: int):
-        dc = int(c["zz"][bidx, 0])
-        if Ah == 0:
-            v = dc >> Al  # arithmetic shift (T.81 G.1.2.1)
-            diff = v - preds[ci]
-            preds[ci] = v
-            size = abs(diff).bit_length()
-            sink.symbol(("dc", c["td"]), size)
-            sink.bits(diff if diff >= 0 else diff + (1 << size) - 1, size)
-        else:
-            sink.bits((dc >> Al) & 1, 1)
-
-    if len(scan_comps) > 1:
-        for my in range(mcus_y):
-            for mx in range(mcus_x):
-                for ci, c in enumerate(scan_comps):
-                    for by in range(c["v"]):
-                        for bx in range(c["h"]):
-                            one(ci, c, (my * c["v"] + by) * c["bpr"]
-                                + (mx * c["h"] + bx))
-    else:
-        c = scan_comps[0]
-        for row in range(c["hib"]):
-            for col in range(c["wib"]):
-                one(0, c, row * c["bpr"] + col)
-
-
-def _emit_ac_first(sink, c: dict, Ss: int, Se: int, Al: int):
-    """First AC scan for a band: run/size coding with EOB-run accumulation
-    (T.81 G.1.2.2); point transform is a magnitude shift."""
-    tbl = ("ac", c["ta"])
-    eobrun = 0
-
-    def flush_eob():
-        nonlocal eobrun
-        if eobrun > 0:
-            nbits = eobrun.bit_length() - 1
-            sink.symbol(tbl, nbits << 4)
-            sink.bits(eobrun & ((1 << nbits) - 1), nbits)
-            eobrun = 0
-
-    for row in range(c["hib"]):
-        for col in range(c["wib"]):
-            zz = c["zz"][row * c["bpr"] + col]
-            run = 0
-            for k in range(Ss, Se + 1):
-                t = int(zz[k])
-                t = (t >> Al) if t >= 0 else -((-t) >> Al)
-                if t == 0:
-                    run += 1
-                    continue
-                flush_eob()
-                while run > 15:
-                    sink.symbol(tbl, 0xF0)  # ZRL
-                    run -= 16
-                size = abs(t).bit_length()
-                sink.symbol(tbl, (run << 4) | size)
-                sink.bits(t if t >= 0 else t + (1 << size) - 1, size)
-                run = 0
-            if run > 0:
-                eobrun += 1
-                if eobrun == 0x7FFF:
-                    flush_eob()
-    flush_eob()
-
-
-def _emit_ac_refine(sink, c: dict, Ss: int, Se: int, Al: int):
-    """AC refinement scan: one correction bit per already-nonzero
-    coefficient, run/1 codes for newly-nonzero ones, correction bits
-    buffered across ZRL/EOB boundaries (T.81 G.1.2.3, the
-    encode_mcu_AC_refine discipline)."""
-    tbl = ("ac", c["ta"])
-    p1 = 1 << Al
-    eobrun = 0
-    be_bits: list[int] = []  # correction bits riding the pending EOB run
-
-    def flush_eob():
-        nonlocal eobrun, be_bits
-        if eobrun > 0:
-            nbits = eobrun.bit_length() - 1
-            sink.symbol(tbl, nbits << 4)
-            sink.bits(eobrun & ((1 << nbits) - 1), nbits)
-            eobrun = 0
-        for b in be_bits:
-            sink.bits(b, 1)
-        be_bits = []
-
-    for row in range(c["hib"]):
-        for col in range(c["wib"]):
-            zz = c["zz"][row * c["bpr"] + col]
-            absv = {}
-            eob = 0  # position AFTER which no newly-nonzero coef remains
-            for k in range(Ss, Se + 1):
-                t = int(zz[k])
-                t = (-t if t < 0 else t) >> Al
-                absv[k] = t
-                if t == 1:
-                    eob = k
-            r = 0
-            br: list[int] = []  # this block's pending correction bits
-            for k in range(Ss, Se + 1):
-                t = absv[k]
-                if t == 0:
-                    r += 1
-                    continue
-                # ZRLs only when a newly-nonzero coef still follows; zeros
-                # at the band tail fold into the EOB run instead
-                while r > 15 and k <= eob:
-                    flush_eob()
-                    sink.symbol(tbl, 0xF0)
-                    r -= 16
-                    for b in br:
-                        sink.bits(b, 1)
-                    br = []
-                if t > 1:  # history coefficient: buffer its correction bit
-                    br.append(t & 1)
-                    continue
-                flush_eob()
-                sink.symbol(tbl, (r << 4) | 1)
-                sink.bits(1 if int(zz[k]) >= 0 else 0, 1)
-                for b in br:
-                    sink.bits(b, 1)
-                br = []
-                r = 0
-            if r > 0 or br:
-                eobrun += 1
-                be_bits.extend(br)
-                if eobrun == 0x7FFF:
-                    flush_eob()
-    flush_eob()
-
-
-def _emit_progressive(out: bytearray, comps: list[dict],
-                      mcus_x: int, mcus_y: int):
-    """SOF2 scan script: interleaved DC first (Al=1), per-component AC
-    bands 1–5 and 6–63 (Al=1), interleaved DC refinement, per-component AC
-    refinements — libjpeg's simple script shape. Each Huffman-coded scan
-    runs twice: a stats pass feeding Annex-K optimal table generation,
-    then the write pass; DHT precedes each SOS it serves."""
-    scans: list[tuple[list[dict], int, int, int, int]] = [(comps, 0, 0, 0, 1)]
-    for c in comps:
-        scans += [([c], 1, 5, 0, 1), ([c], 6, 63, 0, 1)]
-    scans.append((comps, 0, 0, 1, 0))
-    for c in comps:
-        scans += [([c], 1, 5, 1, 0), ([c], 6, 63, 1, 0)]
-
-    for scan_comps, Ss, Se, Ah, Al in scans:
-        def run(sink):
-            if Ss == 0:
-                _emit_dc_scan(sink, scan_comps, mcus_x, mcus_y, Ah, Al)
-            elif Ah == 0:
-                _emit_ac_first(sink, scan_comps[0], Ss, Se, Al)
-            else:
-                _emit_ac_refine(sink, scan_comps[0], Ss, Se, Al)
-
-        stats = _StatSink()
-        run(stats)
-        codes = {}
-        for tbl_key, freq in sorted(stats.freq.items()):
-            bits, vals = _gen_huffman(freq)
-            codes[tbl_key] = _canonical_codes(bits, vals)
-            tc = 0 if tbl_key[0] == "dc" else 1
-            out += b"\xFF\xC4" + struct.pack(
-                ">HB", 3 + 16 + len(vals), (tc << 4) | tbl_key[1])
-            out += bytes(bits) + bytes(vals)
-        ns = len(scan_comps)
-        out += b"\xFF\xDA" + struct.pack(">HB", 6 + 2 * ns, ns)
-        for c in scan_comps:
-            out += struct.pack("BB", c["cid"], (c["td"] << 4) | c["ta"])
-        out += struct.pack("BBB", Ss, Se, (Ah << 4) | Al)
-        wsink = _WriteSink(codes)
-        run(wsink)
-        wsink.w.flush()
-        out += wsink.w.buf
 
 
 class _BitReader:

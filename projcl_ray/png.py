@@ -4,7 +4,7 @@ The reference ingests arbitrary images through OpenCL image buffers
 (/root/reference/src/projcl_warp.c:68-107); this container ships no image
 libraries, so PNG support is implemented from the PNG specification (RFC
 2083 / W3C PNG) directly — no PIL/cv2 required. This makes ``fmt="png"`` a
-first-class ingest/egress format for the warp/tile pipelines.
+first-class ingest format for the warp/tile pipelines.
 
 Scope (any real-world PNG):
 - decode: bit depths 1/2/4 (gray + palette), 8 and 16 (all color types the
@@ -15,15 +15,9 @@ Scope (any real-world PNG):
   (each pass unfiltered independently per the spec). Output is always
   (h, w, 4) uint8 RGBA — the engine's pixel model; 16-bit samples reduce by
   round(v/257) (exact for the 257·x replicated values 8-bit encoders emit).
-- encode: RGBA/RGB/gray from a numpy array (uint8 → depth 8, uint16 →
-  depth 16), selectable scanline filter (default 0 = None: deterministic
-  bytes, fastest; Sub/Up/Average/Paeth are implemented vectorized —
-  filtering on encode has no sequential dependency) and optional
-  ``interlace=True`` Adam7 output, so every decode branch is round-trip
-  testable in-repo.
-
-Determinism: encoding the same array with the same arguments yields the
-same bytes on any platform (zlib with a fixed level, fixed filter choice).
+- no encoder: no system path writes PNG. The writer that makes test and
+  fixture files (every filter, Adam7, depth 8 and 16) lives in
+  tests/codec_writers.py.
 """
 
 from __future__ import annotations
@@ -44,88 +38,6 @@ _DEPTHS = {0: (1, 2, 4, 8, 16), 2: (8, 16), 3: (1, 2, 4, 8),
 # Adam7 pass layout: (x_start, y_start, x_step, y_step)
 _ADAM7 = ((0, 0, 8, 8), (4, 0, 8, 8), (0, 4, 4, 8), (2, 0, 4, 4),
           (0, 2, 2, 4), (1, 0, 2, 2), (0, 1, 1, 2))
-
-
-def _chunk(tag: bytes, payload: bytes) -> bytes:
-    return (
-        struct.pack(">I", len(payload))
-        + tag
-        + payload
-        + struct.pack(">I", zlib.crc32(tag + payload) & 0xFFFFFFFF)
-    )
-
-
-def _filtered_stream(raw: np.ndarray, bpp: int, filter_type: int) -> bytes:
-    """raw: (h, stride) uint8 original scanlines → filtered stream."""
-    h, stride = raw.shape
-    r16 = raw.astype(np.int16)
-    left = np.zeros_like(r16)
-    left[:, bpp:] = r16[:, :-bpp]
-    up = np.zeros_like(r16)
-    up[1:] = r16[:-1]
-    ul = np.zeros_like(r16)
-    ul[1:, bpp:] = r16[:-1, :-bpp]
-    if filter_type == 0:
-        filt = raw
-    elif filter_type == 1:  # Sub
-        filt = ((r16 - left) & 0xFF).astype(np.uint8)
-    elif filter_type == 2:  # Up
-        filt = ((r16 - up) & 0xFF).astype(np.uint8)
-    elif filter_type == 3:  # Average
-        filt = ((r16 - (left + up) // 2) & 0xFF).astype(np.uint8)
-    elif filter_type == 4:  # Paeth
-        pred = _paeth(left, up, ul)
-        filt = ((r16 - pred) & 0xFF).astype(np.uint8)
-    else:
-        raise ValueError(f"unknown PNG filter {filter_type}")
-    out = np.empty((h, stride + 1), np.uint8)
-    out[:, 0] = filter_type
-    out[:, 1:] = filt
-    return out.tobytes()
-
-
-def _paeth(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Paeth predictor (spec pseudocode, vectorized; int16-safe)."""
-    p = a + b - c
-    pa = np.abs(p - a)
-    pb = np.abs(p - b)
-    pc = np.abs(p - c)
-    return np.where((pa <= pb) & (pa <= pc), a, np.where(pb <= pc, b, c))
-
-
-def encode_png(arr: np.ndarray, *, level: int = 6, filter_type: int = 0,
-               interlace: bool = False) -> bytes:
-    """(h, w) gray / (h, w, 3) RGB / (h, w, 4) RGBA → PNG bytes.
-    uint8 input emits depth 8; uint16 input emits depth 16 (big-endian
-    samples). ``interlace=True`` emits an Adam7 stream (each pass filtered
-    independently, per the spec)."""
-    depth = 16 if np.asarray(arr).dtype == np.uint16 else 8
-    arr = np.ascontiguousarray(arr, np.uint16 if depth == 16 else np.uint8)
-    if arr.ndim == 2:
-        color, ch = 0, 1
-    elif arr.ndim == 3 and arr.shape[2] == 3:
-        color, ch = 2, 3
-    elif arr.ndim == 3 and arr.shape[2] == 4:
-        color, ch = 6, 4
-    else:
-        raise ValueError(f"unsupported array shape {arr.shape} for PNG encode")
-    h, w = arr.shape[:2]
-    arr = arr.reshape(h, w, ch)
-    bpp = ch * depth // 8
-    ihdr = struct.pack(">IIBBBBB", w, h, depth, color, 0, 0, int(interlace))
-    stream = bytearray()
-    for xs, ys, xst, yst in (_ADAM7 if interlace else ((0, 0, 1, 1),)):
-        sub = arr[ys::yst, xs::xst]
-        ph, pw = sub.shape[:2]
-        if ph == 0 or pw == 0:
-            continue
-        if depth == 16:
-            raw = np.ascontiguousarray(sub.astype(">u2")).view(np.uint8)
-        else:
-            raw = sub
-        stream += _filtered_stream(raw.reshape(ph, pw * bpp), bpp, filter_type)
-    idat = zlib.compress(bytes(stream), level)
-    return _SIG + _chunk(b"IHDR", ihdr) + _chunk(b"IDAT", idat) + _chunk(b"IEND", b"")
 
 
 def _unfilter(stream: np.ndarray, h: int, stride: int, bpp: int) -> np.ndarray:

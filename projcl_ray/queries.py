@@ -882,6 +882,14 @@ ORACLES["knn_join_large_customers_suppliers"] = ORACLES["knn_customers_suppliers
 # ---------------------------------------------------------------------------
 
 
+def _ingest_tiles(ds: rd.Dataset) -> rd.Dataset:
+    """Mercator warp → 64-px tiles of one images Dataset: the shared
+    builder of the ingest queries AND of the pytest pixel gates that pin
+    their tiles against the raw path and against each other."""
+    return ops.warp_and_tile(ds, "mercator", ProjParams(spheroid="WGS_84"),
+                             tile_size=64, batch_size=8)
+
+
 def _ingest_layout(tiles: rd.Dataset) -> pd.DataFrame:
     """Oracle-comparable tail of the ingest/warp queries: the tile LAYOUT —
     (image_id, tile_col/row/idx, cell_id, quantized tile-center lon/lat) —
@@ -981,10 +989,8 @@ FROM geo
 def q_warp_tiles(sf_dir: str):
     from .images import synth_images_table
 
-    ds = rd.from_arrow(synth_images_table(32, seed=42))
-    tiles = ops.warp_and_tile(ds, "mercator", ProjParams(spheroid="WGS_84"),
-                              tile_size=64, batch_size=8)
-    return _ingest_layout(tiles)
+    return _ingest_layout(_ingest_tiles(rd.from_arrow(
+        synth_images_table(32, seed=42))))
 
 
 @q("geotiff_export_resume")  # rows-only (filesystem sink; parity in pytest)
@@ -1026,11 +1032,8 @@ def q_geotiff_ingest(sf_dir: str):
         geo = GeoTags(r["px_deg"], r["px_deg"], 0.0, 0.0, r["lon0"], r["lat0"])
         blobs.append({"image_id": r["image_id"], "caption": r["caption"],
                       "bytes": encode_tiff(img, geo=geo)})
-    ds = ops.ingest_geotiff(rd.from_arrow(pa.Table.from_pylist(blobs)))
-    tiles = ops.warp_and_tile(ds, "mercator", ProjParams(spheroid="WGS_84"),
-                              tile_size=64, batch_size=8)
-
-    return _ingest_layout(tiles)
+    return _ingest_layout(_ingest_tiles(
+        ops.ingest_geotiff(rd.from_arrow(pa.Table.from_pylist(blobs)))))
 
 
 @q("geotiff_dem_ingest_warp_tile", _ingest_oracle_sql(24, 43))
@@ -1055,11 +1058,8 @@ def q_geotiff_dem_ingest(sf_dir: str):
         geo = GeoTags(r["px_deg"], r["px_deg"], 0.0, 0.0, r["lon0"], r["lat0"])
         blobs.append({"image_id": r["image_id"], "caption": r["caption"],
                       "bytes": encode_tiff(dem, geo=geo)})
-    ds = ops.ingest_geotiff(rd.from_arrow(pa.Table.from_pylist(blobs)))
-    tiles = ops.warp_and_tile(ds, "mercator", ProjParams(spheroid="WGS_84"),
-                              tile_size=64, batch_size=8)
-
-    return _ingest_layout(tiles)
+    return _ingest_layout(_ingest_tiles(
+        ops.ingest_geotiff(rd.from_arrow(pa.Table.from_pylist(blobs)))))
 
 
 @q("zonal_stats_dem")  # pixel-derived values — exact brute-force oracle in pytest
@@ -1111,75 +1111,46 @@ def q_dem_terrain(sf_dir: str):
         rd.from_arrow(pa.Table.from_pylist(blobs)).repartition(3))
 
 
+def _fixture_layout(name: str) -> pd.DataFrame:
+    """The tile layout of one checked-in coded corpus (FIXTURES.md §8)."""
+    from .images import read_fixture
+
+    return _ingest_layout(_ingest_tiles(rd.from_arrow(read_fixture(name))))
+
+
 @q("gif_bmp_ingest_warp_tile", _ingest_oracle_sql(24, 42))
 def q_gif_bmp_ingest(sf_dir: str):
     """Mixed palette/DIB ingest: the images table stored alternately as GIF
     (64-color-quantized — GIF is a palette format; alternate files are
     interlaced) and BMP (24-bit DIB), decoded by the in-repo codecs
-    (gif.py, bmp.py) → warp → tile → oracle-checked tile layout. Both
-    formats are lossless here, so tests pin PIXEL bit-equality against the
-    raw path on the same quantized pixels."""
-    from .images import decode_image, encode_image, synth_images_table
-
-    rows = synth_images_table(24, seed=42).to_pylist()
-    for i, r in enumerate(rows):
-        img = decode_image(r["bytes"], r["w"], r["h"], "raw")
-        if i % 2 == 0:
-            quant = ((img >> 6) << 6).astype("uint8")  # <=64 colors for GIF
-            quant[..., 3] = 255
-            r["bytes"] = encode_image(quant, "gif", interlace=bool(i % 4))
-            r["fmt"] = "gif"
-        else:
-            r["bytes"] = encode_image(img, "bmp")
-            r["fmt"] = "bmp"
-    ds = rd.from_arrow(pa.Table.from_pylist(rows))
-    tiles = ops.warp_and_tile(ds, "mercator", ProjParams(spheroid="WGS_84"),
-                              tile_size=64, batch_size=8)
-
-    return _ingest_layout(tiles)
+    (gif.py, bmp.py) → warp → tile → oracle-checked tile layout. The coded
+    table is the checked-in ``gif_bmp_ingest`` corpus (FIXTURES.md §8).
+    Both formats are lossless here, so tests pin PIXEL bit-equality
+    against the raw path on the same quantized pixels."""
+    return _fixture_layout("gif_bmp_ingest")
 
 
 @q("png_ingest_warp_tile", _ingest_oracle_sql(24, 42))
 def q_png_ingest(sf_dir: str):
-    """Compressed-ingest pipeline: the images table stored as PNG (in-repo
-    pure-Python codec, projcl_ray/png.py) → decode → warp → tile. Returns
+    """Compressed-ingest pipeline: the images table stored as PNG (Paeth
+    filter, Adam7 on odd rows; the checked-in ``png_ingest`` corpus,
+    FIXTURES.md §8) → decode (projcl_ray/png.py) → warp → tile. Returns
     the oracle-checked tile layout; tests/test_warp.py proves pixel
     bit-equality with the raw path (the reference ingests arbitrary
     images, projcl_warp.c:68-107)."""
-    from . import png as png_mod
-    from .images import decode_image, synth_images_table
-
-    rows = synth_images_table(24, seed=42).to_pylist()
-    for i, r in enumerate(rows):
-        img = decode_image(r["bytes"], r["w"], r["h"], "raw")
-        # alternate sequential / Adam7-interlaced files: decode is lossless
-        # either way, so the tile phashes are independent of the container
-        r["bytes"] = png_mod.encode_png(img, filter_type=4, interlace=bool(i % 2))
-        r["fmt"] = "png"
-    ds = rd.from_arrow(pa.Table.from_pylist(rows))
-    tiles = ops.warp_and_tile(ds, "mercator", ProjParams(spheroid="WGS_84"),
-                              tile_size=64, batch_size=8)
-
-    return _ingest_layout(tiles)
+    return _fixture_layout("png_ingest")
 
 
-def _jpeg_ingest_tiles(progressive: bool) -> rd.Dataset:
-    """Shared tile builder of the two JPEG ingest queries AND the pytest
-    pixel gate (test_jpeg_progressive_query_matches_baseline_query compares
-    the two paths' tile BYTES bit-exactly — a progressive re-encode at the
-    same quality/subsampling carries identical quantized coefficients)."""
-    from . import jpeg as jpeg_mod
-    from .images import decode_image, synth_images_table
+def _jpeg_ingest_table() -> pa.Table:
+    """The images table re-encoded as baseline JFIF, q92 4:2:0."""
+    from .images import decode_image, encode_image, synth_images_table
 
     rows = synth_images_table(24, seed=42).to_pylist()
     for r in rows:
         img = decode_image(r["bytes"], r["w"], r["h"], "raw")
-        r["bytes"] = jpeg_mod.encode_jpeg(img, quality=92, subsample=True,
-                                          progressive=progressive)
+        r["bytes"] = encode_image(img, "jpeg", quality=92, subsample=True)
         r["fmt"] = "jpeg"
-    ds = rd.from_arrow(pa.Table.from_pylist(rows))
-    return ops.warp_and_tile(ds, "mercator", ProjParams(spheroid="WGS_84"),
-                             tile_size=64, batch_size=8)
+    return pa.Table.from_pylist(rows)
 
 
 @q("jpeg_ingest_warp_tile", _ingest_oracle_sql(24, 42))
@@ -1188,18 +1159,19 @@ def q_jpeg_ingest(sf_dir: str):
     (in-repo pure-Python codec, projcl_ray/jpeg.py, q=92 4:2:0) → decode →
     warp → tile. Layout is lossy-independent, so it hash-compares against
     the DuckDB oracle; pixel content is pinned by the codec pytests."""
-    return _ingest_layout(_jpeg_ingest_tiles(progressive=False))
+    return _ingest_layout(_ingest_tiles(rd.from_arrow(_jpeg_ingest_table())))
 
 
 @q("jpeg_progressive_ingest_warp_tile", _ingest_oracle_sql(24, 42))
 def q_jpeg_progressive_ingest(sf_dir: str):
-    """Progressive-JPEG ingest: the images table re-encoded as SOF2
-    multi-scan JFIF (spectral selection + successive approximation,
-    projcl_ray/jpeg.py) → decode → warp → tile. Same quality/subsampling as
-    jpeg_ingest_warp_tile, and the progressive decode is coefficient-exact
-    vs baseline, so tests/test_warp.py pins this query's tile bytes equal
-    to the baseline-JPEG query's; the layout hash-compares vs DuckDB."""
-    return _ingest_layout(_jpeg_ingest_tiles(progressive=True))
+    """Progressive-JPEG ingest: the images table as SOF2 multi-scan JFIF
+    (spectral selection + successive approximation; the checked-in
+    ``jpeg_progressive_ingest`` corpus, FIXTURES.md §8) → decode → warp →
+    tile. Same quality/subsampling as jpeg_ingest_warp_tile, and the
+    progressive decode is coefficient-exact vs baseline, so
+    tests/test_warp.py pins this query's tile bytes equal to the
+    baseline-JPEG query's; the layout hash-compares vs DuckDB."""
+    return _fixture_layout("jpeg_progressive_ingest")
 
 
 @q("flagship_cells")

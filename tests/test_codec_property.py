@@ -4,9 +4,12 @@ streams must raise the documented corrupt-input error. Complements the
 hand-built-file tests in test_warp.py."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from projcl_ray import bmp, gif, tiff
+from codec_writers import encode_bmp, encode_gif
+from projcl_ray import bmp, gif, jpeg, tiff
+from tools.fuzz_codecs import FORMATS, mutants, seeds
 
 
 @st.composite
@@ -30,7 +33,7 @@ def test_gif_roundtrip_property(img, interlace, transparent):
     if transparent:
         img = img.copy()
         img[:: max(1, img.shape[0] // 3), :, 3] = 0
-    buf = gif.encode_gif(img, interlace=interlace)
+    buf = encode_gif(img, interlace=interlace)
     dec = gif.decode_gif(buf)
     opq = img[..., 3] >= 128
     np.testing.assert_array_equal(dec[..., 3] > 0, opq)
@@ -41,7 +44,7 @@ def test_gif_roundtrip_property(img, interlace, transparent):
 @settings(max_examples=25, deadline=None)
 def test_bmp_roundtrip_property(h, w, seed):
     img = np.random.default_rng(seed).integers(0, 256, (h, w, 4), dtype=np.uint8)
-    dec = bmp.decode_bmp(bmp.encode_bmp(img))
+    dec = bmp.decode_bmp(encode_bmp(img))
     np.testing.assert_array_equal(dec[..., :3], img[..., :3])
     assert (dec[..., 3] == 255).all()
 
@@ -75,57 +78,22 @@ def test_tiff_roundtrip_property(h, w, seed, comp, tiled, predictor, channels):
 # ---------------------------------------------------------------------------
 
 
-import pytest
-
-
-def _fuzz_samples():
-    from projcl_ray import bmp, gif, jpeg, png, tiff
-    from projcl_ray.images import synth_pixels
-
-    img = synth_pixels(3, 48, 32)
-    img64 = ((img >> 6) << 6) + 32  # <=64 colors for the palette format
-    return {
-        "jpeg": (jpeg.encode_jpeg(img), jpeg.decode_jpeg),
-        "jpeg_prog": (jpeg.encode_jpeg(img, progressive=True),
-                      jpeg.decode_jpeg),
-        "png": (png.encode_png(img), png.decode_png),
-        "gif": (gif.encode_gif(img64), gif.decode_gif),
-        "bmp": (bmp.encode_bmp(img[..., :3]), bmp.decode_bmp),
-        "tiff": (tiff.encode_tiff(img[..., :3], compression="lzw"),
-                 tiff.decode_tiff),
-    }
-
-
 def _fuzz_decoder(name, buf, dec, trials, seed=0):
     """Truncate / byte-flip / garbage-inject a valid stream `trials` times:
     the decoder must either succeed or raise the documented ValueError /
     NotImplementedError — never a foreign exception type, never a crash
     (the round-5 fuzz found heap corruption in two C decode paths from
     unvalidated header fields; this pins the fix)."""
-    rng = np.random.default_rng(seed)
-    for trial in range(trials):
-        b = bytearray(buf)
-        mode = trial % 3
-        if mode == 0 and len(b) > 8:
-            b = b[: rng.integers(1, len(b))]
-        elif mode == 1:
-            for _ in range(rng.integers(1, 6)):
-                b[rng.integers(0, len(b))] = rng.integers(0, 256)
-        else:
-            pos = rng.integers(0, len(b))
-            b = (b[:pos]
-                 + bytes(rng.integers(0, 256, 16, dtype=np.uint8).tobytes())
-                 + b[pos:])
+    for b in mutants(buf, trials, seed):
         try:
-            dec(bytes(b))
+            dec(b)
         except (ValueError, NotImplementedError):
             pass  # the documented corrupt-input contract
 
 
-@pytest.mark.parametrize("name", ["jpeg", "jpeg_prog", "png", "gif", "bmp",
-                                  "tiff"])
+@pytest.mark.parametrize("name", FORMATS)
 def test_corrupt_input_fuzz_contract(name):
-    buf, dec = _fuzz_samples()[name]
+    buf, dec = seeds()[name]
     _fuzz_decoder(name, buf, dec, trials=60)
 
 
@@ -156,27 +124,14 @@ def test_gif_logical_screen_bomb_rejected():
         gif.decode_gif(bomb)
 
 
-def test_corrupt_input_fuzz_pure_paths():
+def test_corrupt_input_fuzz_pure_paths(monkeypatch):
     """Same contract with the C twins disabled (the pure-Python loops are
     the parity oracles and must hold the contract on their own)."""
-    import os
-
-    old = os.environ.get("PROJCL_NO_FASTCODEC")
-    try:
-        os.environ["PROJCL_NO_FASTCODEC"] = "1"
-        samples = _fuzz_samples()
-        for name in ("jpeg_prog", "gif", "png"):
-            buf, dec = samples[name]
-            _fuzz_decoder(name, buf, dec, trials=30, seed=7)
-    finally:
-        if old is None:
-            os.environ.pop("PROJCL_NO_FASTCODEC", None)
-        else:
-            os.environ["PROJCL_NO_FASTCODEC"] = old
-
-import pytest
-
-from projcl_ray import jpeg
+    monkeypatch.setenv("PROJCL_NO_FASTCODEC", "1")
+    samples = seeds()
+    for name in ("jpeg_prog", "gif", "png"):
+        buf, dec = samples[name]
+        _fuzz_decoder(name, buf, dec, trials=30, seed=7)
 
 
 def _sample_rgba(h=24, w=17, seed=7):

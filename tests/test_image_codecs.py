@@ -1,6 +1,7 @@
 """Per-format contracts of the image codec layer, one case per encoder
-configuration, all through the ``images.encode_image`` /
-``images.decode_image`` dispatch the stages use.
+configuration (the package's writers, or tests/codec_writers.py's for the
+formats it only reads), each decoded through the ``images.decode_image``
+dispatch the stages use.
 
 Each format has exactly one in-repo codec, so the contracts are: the
 round-trip is exact (lossless formats) or PSNR-bounded (JPEG); the encoded
@@ -18,35 +19,37 @@ import subprocess
 import numpy as np
 import pytest
 
-from projcl_ray import fastcodec, jpeg
+from codec_writers import (encode_bmp, encode_gif, encode_jpeg_progressive,
+                           encode_png)
+from projcl_ray import fastcodec, jpeg, tiff
 from projcl_ray.images import (decode_image, encode_image, synth_images_table,
                                synth_pixels)
 
 W, H = 37, 29
 
-# (case id, format, encoder kwargs, lossless)
+# (case id, format, encoder, encoder kwargs, lossless)
 CASES = [
-    ("png", "png", {}, True),
-    ("png_paeth_adam7", "png", {"filter_type": 4, "interlace": True}, True),
-    ("jpeg", "jpeg", {"quality": 90}, False),
-    ("jpeg_420_restart", "jpeg",
+    ("png", "png", encode_png, {}, True),
+    ("png_paeth_adam7", "png", encode_png, {"filter_type": 4, "interlace": True}, True),
+    ("jpeg", "jpeg", jpeg.encode_jpeg, {"quality": 90}, False),
+    ("jpeg_420_restart", "jpeg", jpeg.encode_jpeg,
      {"quality": 85, "subsample": True, "restart_interval": 2}, False),
-    ("jpeg_multiscan", "jpeg", {"quality": 90, "multiscan": True}, False),
-    ("jpeg_progressive", "jpeg", {"quality": 90, "progressive": True}, False),
-    ("gif", "gif", {}, True),
-    ("gif_interlaced", "gif", {"interlace": True}, True),
-    ("bmp", "bmp", {}, True),
-    ("tiff_deflate", "tiff", {}, True),
-    ("tiff_lzw_tiled", "tiff", {"compression": "lzw", "tiled": True,
-                                "tile_size": 16}, True),
-    ("tiff_lzw_predictor", "tiff", {"compression": "lzw", "predictor": 2},
-     True),
+    ("jpeg_multiscan", "jpeg", jpeg.encode_jpeg, {"quality": 90, "multiscan": True}, False),
+    ("jpeg_progressive", "jpeg", encode_jpeg_progressive, {"quality": 90}, False),
+    ("gif", "gif", encode_gif, {}, True),
+    ("gif_interlaced", "gif", encode_gif, {"interlace": True}, True),
+    ("bmp", "bmp", encode_bmp, {}, True),
+    ("tiff_deflate", "tiff", tiff.encode_tiff, {}, True),
+    ("tiff_lzw_tiled", "tiff", tiff.encode_tiff,
+     {"compression": "lzw", "tiled": True, "tile_size": 16}, True),
+    ("tiff_lzw_predictor", "tiff", tiff.encode_tiff, {"compression": "lzw", "predictor": 2}, True),
 ]
 IDS = [c[0] for c in CASES]
 # SHA-256 prefix of each case's encoded bytes. The encoders are pure Python
 # and deterministic; these are also the bytes of the C encode twins they
-# once had. PNG and deflate TIFF go through zlib, so a zlib whose output
-# differs moves those three.
+# once had, and of the test-side writers when they were in the package.
+# PNG and deflate TIFF go through zlib, so a zlib whose output differs
+# moves those three.
 ENCODED_SHA256 = {
     "png": "a72b3ff180d3ef81",
     "png_paeth_adam7": "da12bbfa7caefc2a",
@@ -71,14 +74,14 @@ def _source(fmt):
     return img
 
 
-def _encode(fmt, kw):
-    return encode_image(_source(fmt), fmt, **kw)
+def _encode(fmt, enc, kw):
+    return enc(_source(fmt), **kw)
 
 
-@pytest.mark.parametrize("case,fmt,kw,lossless", CASES, ids=IDS)
-def test_roundtrip_through_dispatch(case, fmt, kw, lossless):
+@pytest.mark.parametrize("case,fmt,enc,kw,lossless", CASES, ids=IDS)
+def test_roundtrip_through_dispatch(case, fmt, enc, kw, lossless):
     src = _source(fmt)
-    out = decode_image(encode_image(src, fmt, **kw), W, H, fmt)
+    out = decode_image(enc(src, **kw), W, H, fmt)
     assert out.shape == (H, W, 4) and out.dtype == np.uint8
     if lossless:
         np.testing.assert_array_equal(out, src)
@@ -91,13 +94,13 @@ def test_roundtrip_through_dispatch(case, fmt, kw, lossless):
     assert 10 * np.log10(255.0 ** 2 / max(mse, 1e-12)) > 35.0
 
 
-@pytest.mark.parametrize("case,fmt,kw,lossless", CASES, ids=IDS)
-def test_bytes_and_pixels_independent_of_c_twins(case, fmt, kw, lossless,
+@pytest.mark.parametrize("case,fmt,enc,kw,lossless", CASES, ids=IDS)
+def test_bytes_and_pixels_independent_of_c_twins(case, fmt, enc, kw, lossless,
                                                  monkeypatch):
     """The encoded bytes match their pinned digest, and the C decode twins
     are accelerators only: decoding with them disabled gives the same
     pixels."""
-    buf = _encode(fmt, kw)
+    buf = _encode(fmt, enc, kw)
     assert hashlib.sha256(buf).hexdigest()[:16] == ENCODED_SHA256[case]
     monkeypatch.setenv("PROJCL_NO_FASTCODEC", "")
     if fastcodec.lib() is None:
@@ -107,15 +110,15 @@ def test_bytes_and_pixels_independent_of_c_twins(case, fmt, kw, lossless,
     np.testing.assert_array_equal(decode_image(buf, W, H, fmt), fast_px)
 
 
-@pytest.mark.parametrize("case,fmt,kw,lossless", CASES, ids=IDS)
-def test_truncated_or_foreign_input_raises_valueerror(case, fmt, kw,
+@pytest.mark.parametrize("case,fmt,enc,kw,lossless", CASES, ids=IDS)
+def test_truncated_or_foreign_input_raises_valueerror(case, fmt, enc, kw,
                                                       lossless):
-    buf = _encode(fmt, kw)
+    buf = _encode(fmt, enc, kw)
     for frac in (0.0, 0.1, 0.25, 0.5, 0.75, 0.9):
         with pytest.raises(ValueError):
             decode_image(buf[:int(len(buf) * frac)], W, H, fmt)
     # another format's stream is rejected by the signature check
-    other = encode_image(_source("bmp"), "bmp" if fmt != "bmp" else "png")
+    other = (encode_bmp if fmt != "bmp" else encode_png)(_source("bmp"))
     with pytest.raises(ValueError, match="^not a"):
         decode_image(other, W, H, fmt)
 
@@ -123,8 +126,10 @@ def test_truncated_or_foreign_input_raises_valueerror(case, fmt, kw,
 def test_unknown_format_raises():
     with pytest.raises(ValueError, match="unknown image format"):
         decode_image(b"\x00" * 16, 2, 2, "webp")
-    with pytest.raises(NotImplementedError, match="no encoder"):
-        encode_image(_source("png"), "webp")
+    # the package writes raw tiles and baseline JPEG only
+    for fmt in ("webp", "png", "gif", "bmp", "tiff"):
+        with pytest.raises(NotImplementedError, match="no encoder"):
+            encode_image(_source("png"), fmt)
 
 
 # --- JPEG Huffman decode tables ----------------------------------------------
@@ -186,7 +191,7 @@ def test_decode_lut_memo_stays_bounded():
     rng = np.random.default_rng(7)
     for _ in range(12):  # per-scan optimized tables: several new per file
         img = rng.integers(0, 256, (24, 24, 3), dtype=np.uint8)
-        jpeg.decode_jpeg(jpeg.encode_jpeg(img, progressive=True))
+        jpeg.decode_jpeg(encode_jpeg_progressive(img))
     info = jpeg._decode_lut.cache_info()
     assert info.misses > 32 and info.currsize <= 32
 
@@ -202,8 +207,8 @@ def test_decode_lut_memo_does_not_change_pixels(env, monkeypatch):
     dem = synth_pixels(5, W, H)[..., 0].astype(np.uint16) * 16 + 7  # 12-bit
     files = [jpeg.encode_jpeg(img),
              jpeg.encode_jpeg(img, subsample=True, restart_interval=3),
-             jpeg.encode_jpeg(img, progressive=True),
-             jpeg.encode_jpeg(synth_pixels(9, W, H), progressive=True),
+             encode_jpeg_progressive(img),
+             encode_jpeg_progressive(synth_pixels(9, W, H)),
              jpeg.encode_jpeg(dem),
              jpeg.encode_jpeg(img, quality=60, multiscan=True)]
     cold = []
@@ -296,7 +301,6 @@ def _oracle_files():
     checker = np.kron(np.indices((4, 5)).sum(0) % 2 * 255, np.ones((8, 8)))
     checker = np.dstack([checker, 255 - checker, checker]).astype(np.uint8)
     layouts = {"baseline": {}, "multiscan": {"multiscan": True},
-               "progressive": {"progressive": True},
                "restart": {"restart_interval": 3},
                "multiscan_restart": {"multiscan": True, "restart_interval": 2}}
     files = []
@@ -305,6 +309,8 @@ def _oracle_files():
         for name, kw in layouts.items():
             files.append((f"{name}_{tag}", jpeg.encode_jpeg(
                 img, quality=90, subsample=sub, **kw)))
+        files.append((f"progressive_{tag}", encode_jpeg_progressive(
+            img, quality=90, subsample=sub)))
         for h, w in ((1, 1), (7, 9), (17, 31), (40, 3)):
             files.append((f"odd{h}x{w}_{tag}", jpeg.encode_jpeg(
                 synth_pixels(h + w, w, h), quality=85, subsample=sub)))
@@ -315,9 +321,9 @@ def _oracle_files():
             files.append((f"corpus{i}_{tag}", jpeg.encode_jpeg(
                 px, quality=90, subsample=sub)))
     files += [("gray", jpeg.encode_jpeg(img[..., 0].copy(), quality=90)),
-              ("gray_progressive", jpeg.encode_jpeg(
-                  img[..., 1].copy(), quality=75, progressive=True))]
-    files += [(case, _encode(fmt, kw)) for case, fmt, kw, _ in CASES
+              ("gray_progressive", encode_jpeg_progressive(
+                  img[..., 1].copy(), quality=75))]
+    files += [(case, _encode(fmt, enc, kw)) for case, fmt, enc, kw, _ in CASES
               if fmt == "jpeg"]
     return [(name, buf, *struct.unpack_from(">HH", buf, buf.index(sof) + 5))
             for name, buf in files

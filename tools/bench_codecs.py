@@ -1,9 +1,9 @@
 """Single-core throughput of the in-repo pure-Python codecs.
 
-Regenerates BENCH/codec_throughput_r{N}.json. Deterministic synthetic
-payloads (seeded numpy), best-of-REPS wall time per codec direction,
-throughput reported as MB/s of RAW (decoded) payload so encode and decode
-are comparable across codecs.
+Regenerates BENCH/codec_throughput_r{N}.json: best-of-REPS wall time per
+codec direction as MB/s of RAW (decoded RGB) payload. The package's writers
+(baseline JPEG, TIFF) encode and decode a seeded raster; PNG, GIF, BMP and
+progressive JPEG decode the gate's checked-in corpora (FIXTURES.md §8).
 
 Usage: PYTHONPATH=. python tools/bench_codecs.py [out.json]
 """
@@ -17,6 +17,7 @@ import time
 import numpy as np
 
 from projcl_ray import bmp, fastcodec, gif, jpeg, png, tiff
+from projcl_ray.images import read_fixture
 
 REPS = 3
 
@@ -43,59 +44,64 @@ def _image(px: int, seed: int = 7) -> np.ndarray:
     return np.stack([r, g, b], axis=-1).astype(np.uint8)
 
 
+def _corpus(name: str, fmt: str | None = None):
+    """A checked-in corpus's streams (``fmt`` rows only) and RGB payload MB."""
+    rows = [r for r in read_fixture(name).to_pylist()
+            if fmt is None or r["fmt"] == fmt]
+    return [r["bytes"] for r in rows], sum(r["w"] * r["h"] * 3 for r in rows) / 1e6
+
+
 def main(out_path: str) -> None:
     res: dict[str, dict] = {}
     img = _image(256)
     raw_mb = img.nbytes / 1e6
 
-    def record(name, enc_fn, dec_fn, payload_mb, cfast=False):
-        """Time encode and decode with the pure-Python loops (the determinism
-        oracles, under PROJCL_NO_FASTCODEC=1); with ``cfast``, add a
-        ``<name>_cfast`` row that re-times the decode with the compiled twins
-        (projcl_ray/fastcodec.py), when a compiler exists. The encoders have
-        no twin. JPEG rows also time the decode tail alone (``tail_MBps``:
-        dequantize, IDCT, clamp, upsampling and colour conversion, on the
-        coefficients of one decode)."""
-        buf, te = _best(enc_fn)
-        coefs = jpeg._decode_coefficients(buf) if dec_fn is jpeg.decode_jpeg else None
+    def record(name, dec_fn, bufs, payload_mb, enc_s=None, cfast=False):
+        """Time the decode of ``bufs`` with the pure-Python loops (under
+        PROJCL_NO_FASTCODEC=1); ``enc_s`` is the encode time of a writer
+        the package keeps. ``cfast`` adds a ``<name>_cfast`` row timed
+        with the C twins (the encoders have none) when a compiler exists.
+        JPEG rows also time the decode tail alone (``tail_MBps``)."""
+        coefs = ([jpeg._decode_coefficients(b) for b in bufs]
+                 if dec_fn is jpeg.decode_jpeg else None)
 
         def decode_row():
-            row = {"dec_MBps": round(payload_mb / _best(dec_fn, buf)[1], 2)}
+            t = _best(lambda: [dec_fn(b) for b in bufs])[1]
+            row = {"dec_MBps": round(payload_mb / t, 2)}
             if coefs is not None:
-                row["tail_MBps"] = round(payload_mb / _best(jpeg._decode_tail, *coefs)[1], 2)
+                t = _best(lambda: [jpeg._decode_tail(*c) for c in coefs])[1]
+                row["tail_MBps"] = round(payload_mb / t, 2)
             return row
 
-        res[name] = {"enc_MBps": round(payload_mb / te, 2), **decode_row(),
-                     "encoded_bytes": len(buf)}
-        print(f"{name:22s} {res[name]}")
-        if not cfast or fastcodec.lib() is None:
-            return
+        size = {"encoded_bytes": sum(len(b) for b in bufs)}
+        enc = {} if enc_s is None else {"enc_MBps": round(payload_mb / enc_s, 2)}
+        res[name] = {**enc, **decode_row(), **size}
+        print(f"{name:26s} {res[name]}")
         os.environ["PROJCL_NO_FASTCODEC"] = ""
-        try:
-            res[name + "_cfast"] = {**decode_row(), "encoded_bytes": len(buf)}
-        finally:
-            os.environ["PROJCL_NO_FASTCODEC"] = "1"
-        print(f"{name + '_cfast':22s} {res[name + '_cfast']}")
+        if cfast and fastcodec.lib() is not None:
+            res[name + "_cfast"] = {**decode_row(), **size}
+            print(f"{name + '_cfast':26s} {res[name + '_cfast']}")
+        os.environ["PROJCL_NO_FASTCODEC"] = "1"
 
     os.environ["PROJCL_NO_FASTCODEC"] = "1"
-    record("png_f4", lambda: png.encode_png(img, filter_type=4),
-           png.decode_png, raw_mb, cfast=True)
-    record("jpeg_q90", lambda: jpeg.encode_jpeg(img, quality=90),
-           jpeg.decode_jpeg, raw_mb, cfast=True)
-    record("jpeg_progressive",
-           lambda: jpeg.encode_jpeg(img, quality=90, progressive=True),
-           jpeg.decode_jpeg, raw_mb, cfast=True)
-    # GIF is palette-based: quantize to 4 levels/channel (64 colors), RGBA.
-    img64 = ((img >> 6) << 6) + 32
-    rgba = np.dstack([img64, np.full(img.shape[:2], 255, np.uint8)])
-    record("gif_64col", lambda: gif.encode_gif(rgba), gif.decode_gif, raw_mb,
+    # the writers the package keeps: encode, then decode, the 256px raster
+    for name, enc_fn, dec_fn, cfast in (
+            ("jpeg_q90", lambda: jpeg.encode_jpeg(img, quality=90),
+             jpeg.decode_jpeg, True),
+            ("tiff_deflate_pred2",
+             lambda: tiff.encode_tiff(img, compression="deflate", predictor=2),
+             tiff.decode_tiff, False),
+            ("tiff_lzw", lambda: tiff.encode_tiff(img, compression="lzw"),
+             tiff.decode_tiff, True)):
+        buf, te = _best(enc_fn)
+        record(name, dec_fn, [buf], raw_mb, te, cfast)
+    # the formats the package only reads: decode the gate's coded corpora
+    record("png_ingest", png.decode_png, *_corpus("png_ingest"), cfast=True)
+    record("jpeg_progressive_ingest", jpeg.decode_jpeg,
+           *_corpus("jpeg_progressive_ingest"), cfast=True)
+    record("gif_ingest", gif.decode_gif, *_corpus("gif_bmp_ingest", "gif"),
            cfast=True)
-    record("bmp", lambda: bmp.encode_bmp(img), bmp.decode_bmp, raw_mb)
-    record("tiff_deflate_pred2",
-           lambda: tiff.encode_tiff(img, compression="deflate", predictor=2),
-           tiff.decode_tiff, raw_mb)
-    record("tiff_lzw", lambda: tiff.encode_tiff(img, compression="lzw"),
-           tiff.decode_tiff, raw_mb, cfast=True)
+    record("bmp_ingest", bmp.decode_bmp, *_corpus("gif_bmp_ingest", "bmp"))
 
     os.environ.pop("PROJCL_NO_FASTCODEC", None)
 
@@ -104,7 +110,8 @@ def main(out_path: str) -> None:
                    "codecs, MB/s of raw payload)"),
         "codecs": res,
         "note": ("regenerated by tools/bench_codecs.py; best-of-%d per "
-                 "direction on a 256px synthetic raster" % REPS),
+                 "direction on a 256px synthetic raster (jpeg_q90, tiff_*) "
+                 "or a checked-in 24-image corpus (*_ingest)" % REPS),
     }
     with open(out_path, "w") as f:
         json.dump(out, f, indent=1)
