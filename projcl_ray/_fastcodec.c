@@ -4,8 +4,13 @@
  * fixed-point YCbCr -> RGB), PNG scanline unfiltering (RFC 2083 §6), and
  * the TIFF (6.0 §13, early change) and GIF LZW decoders — plus the
  * bilinear warp sampler, the warp kernel's per-pixel hot loop, alone and
- * fused with the lattice fill. The encoders have no twin: no measured path
- * runs them.
+ * fused with the lattice fill. The fused sampler fills the lattice rows
+ * once per lattice row, writes 0 for pixels whose taps all lie outside,
+ * lerps 4-channel interior pixels in one SSE2 register (the same float32
+ * operations in the same order; other pixels, and every pixel without
+ * SSE2, take the generic per-tap path) and writes at a caller-given row
+ * stride, so the warp lands straight in a tile-padded array. The encoders
+ * have no twin: no measured path runs them.
  *
  * Entropy/prefix decoding is inherently sequential — one code at a time —
  * so it cannot be vectorized with numpy; the JPEG decode tail can, but as
@@ -21,9 +26,13 @@
  * bit position against the segment length so corrupt data errors instead
  * of reading out of bounds.
  */
+#include <math.h>
 #include <stddef.h>
 #include <stdint.h>
 #include <string.h>
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 typedef struct {
     const uint8_t *d;
@@ -695,30 +704,104 @@ static inline uint8_t clip_u8(float v)
  * row-major, and (xj, xt) / (yj, yt) the per-axis cell and position
  * tables of warp._lattice_axis. The fill is the numpy separable fill's
  * float64 operation order, rounded to float32, so the samples are
- * bit-identical to filling the full px/py grids and sampling them. Writes
- * float32 samples to outf, or, when outf is NULL, the clipped and
- * truncated uint8 samples to outb; the output is (out_h, out_w, c). */
+ * bit-identical to filling the full px/py grids and sampling them: the
+ * lattice rows (node[k, j]·(1−xt) + node[k, j+1]·xt) are computed into
+ * ``rows`` (5 · out_w doubles, caller-owned) once per lattice row, as
+ * numpy computes them once; each output row's float32 px and py go into
+ * the last out_w doubles' worth, in a loop of their own ahead of the
+ * sampling loop (faster than computing them inline). Writes float32
+ * samples to outf, or, when outf is NULL, the clipped and truncated uint8
+ * samples to outb; output pixel (r, q) starts at element
+ * r · out_stride + q · c, so a caller can warp into a larger
+ * (tile-padded) array.
+ *
+ * Two pixel classes skip the generic per-tap path. A pixel whose taps all
+ * lie outside the image samples 0 (NaN coordinates fail the test too; at
+ * float32 output a non-finite coordinate keeps the generic path, whose
+ * weights turn it into NaN). A 4-channel pixel whose taps all lie inside
+ * lerps its four channels in one SSE2 register with the generic path's
+ * float32 operations in the same order; without SSE2 it takes the
+ * generic path. */
 void warp_lattice_bilinear_u8(const uint8_t *img, long h, long w, long c,
                               const double *nodes_x, const double *nodes_y, long nx,
                               const int64_t *xj, const double *xt, long out_w,
                               const int64_t *yj, const double *yt, long out_h,
-                              float *outf, uint8_t *outb)
+                              double *rows, long out_stride, float *outf, uint8_t *outb)
 {
+    double *rax = rows, *rbx = rows + out_w, *ray = rows + 2 * out_w, *rby = rows + 3 * out_w;
+    float *fxs = (float *)(rows + 4 * out_w), *fys = fxs + out_w;
+    const double wd = (double)w, hd = (double)h;
+    int64_t cached = -1;
+#if defined(__SSE2__)
+    const __m128i zero = _mm_setzero_si128();
+    const __m128 lo = _mm_setzero_ps(), hi = _mm_set1_ps(255.0f);
+#endif
     for (long r = 0; r < out_h; r++) {
+        if (yj[r] != cached) {
+            cached = yj[r];
+            const double *ax = nodes_x + cached * nx, *bx = ax + nx;
+            const double *ay = nodes_y + cached * nx, *by = ay + nx;
+            for (long q = 0; q < out_w; q++) {
+                const int64_t j = xj[q];
+                const double tx = xt[q], sx = 1.0 - tx;
+                rax[q] = ax[j] * sx + ax[j + 1] * tx;
+                rbx[q] = bx[j] * sx + bx[j + 1] * tx;
+                ray[q] = ay[j] * sx + ay[j + 1] * tx;
+                rby[q] = by[j] * sx + by[j + 1] * tx;
+            }
+        }
         const double ty = yt[r], sy = 1.0 - ty;
-        const double *ax = nodes_x + yj[r] * nx, *bx = ax + nx;
-        const double *ay = nodes_y + yj[r] * nx, *by = ay + nx;
         for (long q = 0; q < out_w; q++) {
-            const int64_t j = xj[q];
-            const double tx = xt[q], sx = 1.0 - tx;
-            /* rows[k] = node[k, j]·(1−xt) + node[k, j+1]·xt, then
-             * rows[yj]·(1−yt) + rows[yj+1]·yt */
-            float px = (float)((ax[j] * sx + ax[j + 1] * tx) * sy
-                               + (bx[j] * sx + bx[j + 1] * tx) * ty);
-            float py = (float)((ay[j] * sx + ay[j + 1] * tx) * sy
-                               + (by[j] * sx + by[j + 1] * tx) * ty);
+            /* rows[yj]·(1−yt) + rows[yj+1]·yt */
+            fxs[q] = (float)(rax[q] * sy + rbx[q] * ty);
+            fys[q] = (float)(ray[q] * sy + rby[q] * ty);
+        }
+        for (long q = 0; q < out_w; q++) {
+            const float px = fxs[q], py = fys[q];
+            const long o = r * out_stride + q * c;
+            if (!(px >= -1.0f && py >= -1.0f && (double)px < wd && (double)py < hd)) {
+                if (!outf) {
+                    if (c == 4) {
+                        const uint32_t z = 0;
+                        memcpy(outb + o, &z, 4);
+                    } else
+                        memset(outb + o, 0, (size_t)c);
+                    continue;
+                }
+                if (isfinite(px) && isfinite(py)) {
+                    memset(outf + o, 0, (size_t)c * sizeof(float));
+                    continue;
+                }
+            }
+#if defined(__SSE2__)
+            else if (c == 4 && px >= 0.0f && py >= 0.0f
+                     && (double)px < wd - 1.0 && (double)py < hd - 1.0) {
+                const long x0 = (long)px, y0 = (long)py; /* floor: px, py >= 0 */
+                const __m128 fx = _mm_set1_ps((float)((double)px - (double)x0));
+                const __m128 fy = _mm_set1_ps((float)((double)py - (double)y0));
+                const uint8_t *t0 = img + (y0 * w + x0) * 4, *t1 = t0 + w * 4;
+                /* taps (x0, y) and (x0 + 1, y) are 8 adjacent bytes */
+                const __m128i r0 = _mm_unpacklo_epi8(_mm_loadl_epi64((const __m128i *)t0), zero);
+                const __m128i r1 = _mm_unpacklo_epi8(_mm_loadl_epi64((const __m128i *)t1), zero);
+                const __m128 p[4] = {_mm_cvtepi32_ps(_mm_unpacklo_epi16(r0, zero)),
+                                     _mm_cvtepi32_ps(_mm_unpackhi_epi16(r0, zero)),
+                                     _mm_cvtepi32_ps(_mm_unpacklo_epi16(r1, zero)),
+                                     _mm_cvtepi32_ps(_mm_unpackhi_epi16(r1, zero))};
+                const __m128 top = _mm_add_ps(p[0], _mm_mul_ps(_mm_sub_ps(p[1], p[0]), fx));
+                const __m128 bot = _mm_add_ps(p[2], _mm_mul_ps(_mm_sub_ps(p[3], p[2]), fx));
+                const __m128 s = _mm_add_ps(top, _mm_mul_ps(_mm_sub_ps(bot, top), fy));
+                if (outf) {
+                    _mm_storeu_ps(outf + o, s);
+                } else {
+                    const __m128i i32 = _mm_cvttps_epi32(_mm_min_ps(_mm_max_ps(s, lo), hi));
+                    const int32_t b = _mm_cvtsi128_si32(
+                        _mm_packus_epi16(_mm_packs_epi32(i32, zero), zero));
+                    memcpy(outb + o, &b, 4);
+                }
+                continue;
+            }
+#endif
             Taps t = bilinear_taps(img, h, w, c, px, py);
-            long o = (r * out_w + q) * c;
             if (outf)
                 for (long k = 0; k < c; k++)
                     outf[o + k] = bilinear_at(&t, k);

@@ -14,7 +14,9 @@ TIFF-LZW and GIF-LZW decoders, the 8-bit JPEG decode tail (libjpeg's islow
 IDCT with clamp, one call per component, then upsampling and fixed-point
 YCbCr → RGBA, one call per image), and the bilinear sampler (the one
 per-pixel loop numpy runs as 4 gathers plus ~12 temporaries, alone and
-fused with the warp lattice fill). The encoders the package keeps (baseline
+fused with the warp lattice fill; the fused one lerps 4-channel interior
+pixels in SSE2 and writes at a row stride, so the warp+tile stage warps
+straight into its tile-padded arrays). The encoders the package keeps (baseline
 JPEG, TIFF) run in Python only, and no other encoder is in the package.
 Parity is pinned in tests/test_warp.py and tests/test_image_codecs.py.
 
@@ -148,15 +150,13 @@ def lib():
             u8p, ctypes.c_long, ctypes.c_long, ctypes.c_long,  # img, h, w, c
             f32p, f32p, ctypes.c_long, f32p,                # px, py, n, out
         ]
-        f64p = ctypes.POINTER(ctypes.c_double)
-        i64p = ctypes.POINTER(ctypes.c_int64)
         L.warp_lattice_bilinear_u8.restype = None
         L.warp_lattice_bilinear_u8.argtypes = [
-            u8p, ctypes.c_long, ctypes.c_long, ctypes.c_long,  # img, h, w, c
-            f64p, f64p, ctypes.c_long,                      # node maps, nx
-            i64p, f64p, ctypes.c_long,                      # xj, xt, out_w
-            i64p, f64p, ctypes.c_long,                      # yj, yt, out_h
-            f32p, u8p,                                      # outf | outb
+            vp, ctypes.c_long, ctypes.c_long, ctypes.c_long,  # img, h, w, c
+            vp, vp, ctypes.c_long,                          # node maps, nx
+            vp, vp, ctypes.c_long,                          # xj, xt, out_w
+            vp, vp, ctypes.c_long,                          # yj, yt, out_h
+            vp, ctypes.c_long, vp, vp,                      # rows, out_stride, outf | outb
         ]
         _LIB = L
     except OSError:
@@ -386,40 +386,50 @@ def warp_bilinear_u8(img, px, py):
     return out
 
 
-def warp_lattice_bilinear_u8(img, nodes_x, nodes_y, x_axis, y_axis, u8: bool):
+def warp_lattice_bilinear_u8(img, nodes_x, nodes_y, w: int, h: int, u8: bool,
+                             out=None):
     """C path for the warp lattice fill (warp._lattice_fill) followed by
-    warp.sample_bilinear on a uint8 (h, w, c) image: ``nodes_x``/``nodes_y``
-    are the float64 source-pixel maps at the lattice nodes, ``x_axis`` and
-    ``y_axis`` the ``(j, t)`` tables of warp._lattice_axis. Returns the
-    (out_h, out_w, c) float32 samples, or with ``u8`` the samples clipped
-    to [0, 255] and truncated to uint8 — bit-identical to the numpy fill,
-    sampler and cast — or None when unavailable."""
+    warp.sample_bilinear on a uint8 (h_src, w_src, c) image, for a (h, w)
+    destination: ``nodes_x``/``nodes_y`` are the float64 source-pixel maps
+    at the lattice nodes of warp._lattice_axis(w) and (h). Returns the
+    (h, w, c) float32 samples, or with ``u8`` the samples clipped to
+    [0, 255] and truncated to uint8 — bit-identical to the numpy fill,
+    sampler and cast — or None when unavailable. With ``out`` (an array of
+    that dtype and channel count, at least h rows and w columns, pixels
+    contiguous within a row) the samples go into its top-left corner and
+    the rest of ``out`` is left as it is; ``out`` is returned."""
     if img.dtype != np.uint8 or img.ndim != 3:
         raise ValueError("warp_lattice_bilinear_u8 needs a uint8 (h, w, c) image")
     L = lib()
     if L is None:
         return None
+    from .warp import _lattice_axis  # warp imports this module
+
+    xn, xj, xt = _lattice_axis(w)
+    yn, yj, yt = _lattice_axis(h)
+    # the kernel reads nodes[j] and nodes[j + 1] of every table unchecked;
+    # _lattice_axis keeps j in [0, len(nodes) - 2] when the axis has 2 nodes
+    if (w < 2 or h < 2 or nodes_x.shape != (len(yn), len(xn))
+            or nodes_y.shape != nodes_x.shape):
+        raise ValueError("lattice node maps do not match the destination size")
     img = np.ascontiguousarray(img)
     nodes_x = np.ascontiguousarray(nodes_x, np.float64)
     nodes_y = np.ascontiguousarray(nodes_y, np.float64)
-    (xj, xt), (yj, yt) = x_axis, y_axis
-    # the kernel reads nodes[j] and nodes[j + 1] unchecked
-    if (nodes_x.shape != nodes_y.shape or nodes_x.ndim != 2 or len(xj) != len(xt)
-            or len(yj) != len(yt) or not 0 <= xj.min(initial=0) <= xj.max(initial=0) < nodes_x.shape[1] - 1
-            or not 0 <= yj.min(initial=0) <= yj.max(initial=0) < nodes_x.shape[0] - 1):
-        raise ValueError("lattice tables do not match the node maps")
-    xj, yj = (np.ascontiguousarray(a, np.int64) for a in (xj, yj))
-    xt, yt = (np.ascontiguousarray(a, np.float64) for a in (xt, yt))
-    h, w, c = img.shape
-    out = np.empty((len(yj), len(xj), c), np.uint8 if u8 else np.float32)
-    f64p = ctypes.POINTER(ctypes.c_double)
-    i64p = ctypes.POINTER(ctypes.c_int64)
-    f32p = ctypes.POINTER(ctypes.c_float)
-    u8p = ctypes.POINTER(ctypes.c_uint8)
+    c = img.shape[2]
+    dtype = np.dtype(np.uint8 if u8 else np.float32)
+    if out is None:
+        out = np.empty((h, w, c), dtype)
+    elif (out.dtype != dtype or not out.flags.writeable or out.ndim != 3
+          or out.shape[0] < h or out.shape[1] < w or out.shape[2] != c
+          or out.strides[1:] != (c * dtype.itemsize, dtype.itemsize)
+          or out.strides[0] % dtype.itemsize or out.strides[0] < out.strides[1] * w):
+        raise ValueError("out cannot hold the warped image")
+    rows = np.empty(5 * w, np.float64)
+    p = out.ctypes.data
     L.warp_lattice_bilinear_u8(
-        img.ctypes.data_as(u8p), h, w, c,
-        nodes_x.ctypes.data_as(f64p), nodes_y.ctypes.data_as(f64p), nodes_x.shape[1],
-        xj.ctypes.data_as(i64p), xt.ctypes.data_as(f64p), len(xj),
-        yj.ctypes.data_as(i64p), yt.ctypes.data_as(f64p), len(yj),
-        None if u8 else out.ctypes.data_as(f32p), out.ctypes.data_as(u8p) if u8 else None)
+        img.ctypes.data, img.shape[0], img.shape[1], c,
+        nodes_x.ctypes.data, nodes_y.ctypes.data, len(xn),
+        xj.ctypes.data, xt.ctypes.data, w, yj.ctypes.data, yt.ctypes.data, h,
+        rows.ctypes.data, out.strides[0] // dtype.itemsize,
+        None if u8 else p, p if u8 else None)
     return out

@@ -47,7 +47,7 @@ from .geodesic import (
     vincenty_direct,
     vincenty_inverse,
 )
-from .images import decode_image, encode_image
+from .images import CHANNELS, decode_image, encode_image
 from .proj import ProjParams, prepare
 from .warp import GeoRef, WarpSpec, warp_images_u8, warp_windows
 from .warp import warp_image  # noqa: F401  ops.warp_image, the per-image warp (perfbench traces it)
@@ -345,6 +345,29 @@ TILE_SCHEMA = pa.schema([
 ])
 
 
+def _binary_values(col: pa.ChunkedArray) -> list:
+    """Zero-copy ``pa.Buffer`` views of the values of a binary column."""
+    arr = col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()  # the latter copies
+    width = 8 if pa.types.is_large_binary(arr.type) else 4
+    _, offsets, data = arr.buffers()
+    offs = np.frombuffer(offsets, f"<i{width}", len(arr) + 1, arr.offset * width).tolist()
+    return [data.slice(a, b - a) for a, b in zip(offs, offs[1:])]
+
+
+def _fixed_binary(values: np.ndarray) -> pa.ChunkedArray:
+    """A binary column over the rows of a C-contiguous uint8 array, one
+    value per row, without copying: fixed offsets into its buffer, in
+    chunks that keep int32 offsets in range."""
+    n = len(values)
+    size = values[0].nbytes if n else 1
+    per = max(1, (2**31 - 1) // size)
+    offsets = pa.py_buffer(np.arange(min(n, per) + 1, dtype=np.int32) * size)
+    data = pa.py_buffer(values)
+    return pa.chunked_array(
+        [pa.Array.from_buffers(pa.binary(), min(per, n - s), [None, offsets, data.slice(s * size)])
+         for s in range(0, n, per)], pa.binary())
+
+
 class WarpTileActor:
     """The warp+tile worker body: decode → warp to the target projection →
     cut tiles → emit one row per tile.
@@ -358,11 +381,16 @@ class WarpTileActor:
     and Ray's output buffer's worth of tiles (images are wide rows).
 
     A batch runs in phases, each once over every image, the way ProjCL runs
-    one kernel over one flat coordinate buffer: decode; one forward
-    projection for all the warp windows (warp.warp_windows); one inverse
-    projection for all the lattices, then per image the lattice check and
-    the fill+sample (warp.warp_images_u8); cut tiles; one inverse projection
-    for all the tile centres and one cell_id; one Arrow build.
+    one kernel over one flat coordinate buffer: decode (raw pixels are
+    read in place from the Arrow value buffer); one forward projection for
+    all the warp windows (warp.warp_windows); one inverse projection for
+    all the lattices, then per image the lattice check and the fill+sample
+    (warp.warp_images_u8), written straight into a zeroed array padded to
+    whole tiles (the C sampler takes the padded row stride; its 4-channel
+    interior runs in SSE2); one reshape/transpose per image into the
+    batch's single tile buffer, which the ``bytes`` column wraps with fixed
+    offsets; one inverse projection for all the tile centres and one
+    cell_id; one Arrow build.
 
     Output schema: :data:`TILE_SCHEMA`.
     """
@@ -381,9 +409,12 @@ class WarpTileActor:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         cols = {name: batch[name].to_pylist() for name in
-                ("bytes", "w", "h", "fmt", "lon0", "lat0", "px_deg", "src_datum")}
-        ws, hs = cols["w"], cols["h"]
-        imgs = [decode_image(*row) for row in zip(cols["bytes"], ws, hs, cols["fmt"])]
+                ("w", "h", "fmt", "lon0", "lat0", "px_deg", "src_datum")}
+        ws, hs, fmts = cols["w"], cols["h"], cols["fmt"]
+        # raw pixels decode in place; the codecs get one bytes object each
+        bufs = [v if f == "raw" else v.to_pybytes()
+                for v, f in zip(_binary_values(batch["bytes"]), fmts)]
+        imgs = [decode_image(*row) for row in zip(bufs, ws, hs, fmts)]
         win = warp_windows(self.prepped, cols["lon0"], cols["lat0"], cols["px_deg"], ws, hs)
         georefs = [GeoRef(*g) for g in zip(cols["lon0"], cols["lat0"], cols["px_deg"])]
         specs = [
@@ -391,32 +422,41 @@ class WarpTileActor:
                      src_datum=src, dst_datum=self.dst_datum)
             for w4, w, h, src in zip(zip(*(v.tolist() for v in win)), ws, hs, cols["src_datum"])
         ]
-        tiles = [list(index_mod.cut_tiles(img, self.tile_size))
-                 for img in warp_images_u8(imgs, georefs, specs, self.prepped)]
-        src_row = np.repeat(np.arange(batch.num_rows), [len(t) for t in tiles])
-        grid = np.array([t[:3] for ts in tiles for t in ts], np.int32).reshape(-1, 3)
+        ts = self.tile_size
+        padded = warp_images_u8(imgs, georefs, specs, self.prepped, tile_size=ts)
+        grids = [(p.shape[0] // ts, p.shape[1] // ts) for p in padded]  # (down, across)
+        counts = np.array([d * a for d, a in grids], np.int64)
+        n, starts = int(counts.sum()), np.cumsum(counts) - counts
+        tile_px = np.empty((n, ts, ts, CHANNELS), np.uint8)
+        for p, (d, a), k in zip(padded, grids, starts):
+            tile_px[k:k + d * a].reshape(d, a, ts, ts, CHANNELS)[...] = (
+                p.reshape(d, ts, a, ts, CHANNELS).transpose(0, 2, 1, 3, 4))
+        src_row = np.repeat(np.arange(batch.num_rows), counts)
+        # row-first tile ids within each image: col + row·tiles_across
+        across = np.repeat(np.array([a for _, a in grids], np.int32), counts)
+        idx = (np.arange(n) - np.repeat(starts, counts)).astype(np.int32)
+        ty, tx = np.divmod(idx, across)
         # geographic centre of every tile in ONE inverse call per batch
         ox, oy, sx, sy = (v[src_row] for v in win)
         w_1, h_1 = (np.maximum(np.asarray(v, np.int64)[src_row] - 1, 1) for v in (ws, hs))
-        cx = ox + sx * np.minimum((grid[:, 0] + 0.5) * self.tile_size / w_1, 1.0)
-        cy = oy + sy * np.minimum((grid[:, 1] + 0.5) * self.tile_size / h_1, 1.0)
+        cx = ox + sx * np.minimum((tx + 0.5) * ts / w_1, 1.0)
+        cy = oy + sy * np.minimum((ty + 0.5) * ts / h_1, 1.0)
         with np.errstate(all="ignore"):
             clon, clat = self.prepped.inverse(cx, cy)
-        n = len(src_row)
-        tile_px = np.full(n, self.tile_size, np.int32)
+        size = np.full(n, ts, np.int32)
         return pa.table(
             {
                 "image_id": batch["image_id"].take(src_row),
                 "caption": batch["caption"].take(src_row),
                 "cell_id": index_mod.cell_id(clon, clat, self.res_deg),
-                "tile_col": grid[:, 0],
-                "tile_row": grid[:, 1],
-                "tile_idx": grid[:, 2],
-                "tile_size": tile_px,
-                "bytes": [encode_image(t[3]) for ts in tiles for t in ts],
-                # cut_tiles zero-pads edge tiles to the full tile size
-                "w": tile_px,
-                "h": tile_px,
+                "tile_col": tx,
+                "tile_row": ty,
+                "tile_idx": idx,
+                "tile_size": size,
+                "bytes": _fixed_binary(tile_px),
+                # edge tiles are zero-padded to the full tile size
+                "w": size,
+                "h": size,
                 "fmt": ["raw"] * n,
                 "center_lon": clon,
                 "center_lat": clat,

@@ -21,12 +21,15 @@ Reference semantics (`include/projcl/projcl_warp.h:30-82`, `src/projcl_warp.c`,
 
 Everything is vectorized NumPy over the whole dest grid; the bilinear sampler
 also has a bit-identical C twin, alone and fused with the lattice fill
-(fastcodec.py). ``warp_image`` warps one image. The warp+tile stage
-(ops.WarpTileActor) warps a batch: ``warp_windows`` runs one forward
-projection for every image's window and ``warp_images_u8`` one inverse
-projection for every image's lattice, the way the reference runs one kernel
-over one flat coordinate buffer; both give the numbers of the per-image
-calls.
+(fastcodec.py; the fused one lerps 4-channel interior pixels in SSE2).
+``warp_image`` warps one image. The warp+tile stage (ops.WarpTileActor)
+warps a batch: ``warp_windows`` runs one forward projection for every
+image's window and ``warp_images_u8`` one inverse projection for every
+image's lattice, the way the reference runs one kernel over one flat
+coordinate buffer; both give the numbers of the per-image calls. Given a
+tile size, ``warp_images_u8`` writes each image into a zeroed array padded
+to whole tiles (the C sampler at that array's row stride), from which the
+stage cuts its tiles with one reshape.
 """
 
 from __future__ import annotations
@@ -323,16 +326,22 @@ def _lattice_pixels(georef, spec: WarpSpec, prepped: PreparedProjection):
 
 
 def _sample(img: np.ndarray, georef, spec: WarpSpec, prepped: PreparedProjection,
-            nodes, u8: bool) -> np.ndarray:
+            nodes, u8: bool, tile: int | None = None) -> np.ndarray:
     """Sample ``img`` at the warp's source-pixel map: the lattice fill of
     ``nodes`` (see :func:`_lattice_check`) when given, else the exact map at
     every pixel. Returns float32 (Hd, Wd, C), or with ``u8`` the samples
-    clipped to [0, 255] and truncated to uint8. Bilinear warps of uint8
-    images on the lattice run the fill and the sampler fused in C."""
+    clipped to [0, 255] and truncated to uint8. With ``tile`` the samples
+    sit in the top-left corner of a zeroed array whose height and width
+    are rounded up to whole tiles. Bilinear warps of uint8 images on the
+    lattice run the fill and the sampler fused in C, straight into that
+    array."""
     w, h = spec.width, spec.height
+    dst = None
+    if tile:
+        dst = np.zeros((-(-h // tile) * tile, -(-w // tile) * tile, img.shape[2]),
+                       np.uint8 if u8 else np.float32)
     if nodes is not None and spec.filter == "bilinear" and img.dtype == np.uint8:
-        out = fastcodec.warp_lattice_bilinear_u8(
-            img, *nodes, _lattice_axis(w)[1:], _lattice_axis(h)[1:], u8)
+        out = fastcodec.warp_lattice_bilinear_u8(img, *nodes, w, h, u8, out=dst)
         if out is not None:
             return out
     # keep uint8 sources uint8 (gathers cast per tap — see _gather); float
@@ -364,7 +373,12 @@ def _sample(img: np.ndarray, georef, spec: WarpSpec, prepped: PreparedProjection
         else:
             px, py = approx[0][r0:r1], approx[1][r0:r1]
         out[r0:r1] = sampler(img32, px, py)
-    return np.clip(out, 0, 255).astype(np.uint8) if u8 else out
+    if u8:
+        out = np.clip(out, 0, 255).astype(np.uint8)
+    if dst is None:
+        return out
+    dst[:h, :w] = out
+    return dst
 
 
 def warp_image(img: np.ndarray, georef: GeoRef, spec: WarpSpec,
@@ -382,7 +396,8 @@ def warp_image(img: np.ndarray, georef: GeoRef, spec: WarpSpec,
     return _sample(img, georef, spec, prepped, _lattice_nodes(georef, spec, prepped), u8=False)
 
 
-def warp_images_u8(imgs, georefs, specs, prepped: PreparedProjection) -> list[np.ndarray]:
+def warp_images_u8(imgs, georefs, specs, prepped: PreparedProjection,
+                   tile_size: int | None = None) -> list[np.ndarray]:
     """:func:`warp_image` over a batch of images with north-up
     :class:`GeoRef` georeferences that share one destination projection,
     filter and ``dst_datum``, each clipped and truncated to
@@ -390,7 +405,9 @@ def warp_images_u8(imgs, georefs, specs, prepped: PreparedProjection) -> list[np
     projection over every image's lattice nodes and cell centres, one datum
     shift per distinct source datum and one affine to source pixels. The
     lattice check, and the exact path for an image that fails it, stay per
-    image."""
+    image. With ``tile_size`` each warped image comes in the top-left
+    corner of a zeroed array padded to whole tiles, the layout
+    ``index.cut_tiles`` pads its edge tiles to."""
     pts = [_lattice_points(spec) for spec in specs]
     counts = np.array([0 if p is None else len(p[0]) for p in pts], np.int64)
     offs = np.concatenate([[0], np.cumsum(counts)])
@@ -415,7 +432,7 @@ def warp_images_u8(imgs, georefs, specs, prepped: PreparedProjection) -> list[np
             part = slice(offs[i], offs[i + 1])
             nodes = None if pts[i] is None else _lattice_check(px[part], py[part], spec.width, spec.height)
             # a NaN sample (a 1-px-wide image's 0/0 grid) casts to 0
-            out.append(_sample(img, georef, spec, prepped, nodes, u8=True))
+            out.append(_sample(img, georef, spec, prepped, nodes, u8=True, tile=tile_size))
     return out
 
 

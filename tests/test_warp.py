@@ -291,19 +291,45 @@ def _near_float32_ties(rng, shape, n):
     return tie + rng.integers(-3, 4, shape) * np.spacing(tie)
 
 
+def _bits(a: np.ndarray) -> np.ndarray:
+    """The float32 bit patterns of ``a`` with every NaN made one NaN: which
+    of two NaN operands an addition propagates (and so the NaN's sign) is
+    up to the compiled loop's operand order, in numpy's SIMD loops too."""
+    return np.where(np.isnan(a), np.float32(np.nan), a).view(np.uint32)
+
+
+def _boundary_values(n: int) -> np.ndarray:
+    """Float32 source coordinates on every boundary of the fused sampler's
+    fast paths along an n-px axis: n−1 (last interior tap) and n (first
+    all-outside coordinate) with one float32 ulp either side, −1 exactly
+    and one ulp either side, points in (−1, 0), ±0, far outside (past
+    int64), NaN and ±inf."""
+    up, down = (lambda v: np.nextafter(np.float32(v), np.float32(s)) for s in (np.inf, -np.inf))
+    vals = [n - 1, up(n - 1), down(n - 1), n, up(n), down(n), -1, up(-1), down(-1),
+            -0.5, down(0), 0, -0.0, up(0), 1.25, n - 1.5, 3e38, -1e20,
+            np.nan, np.inf, -np.inf]
+    return np.array(vals, np.float32).astype(np.float64)
+
+
 def test_lattice_sampler_c_bit_identical(monkeypatch):
     """The C lattice fill fused into the bilinear sampler equals the numpy
-    lattice fill → sample_bilinear → clip/uint8 cast bit for bit, on the
-    production lattices, on random node maps that reach past the image
-    border and on maps that sit on float32 rounding ties, and equals the
-    pure-numpy (PROJCL_NO_FASTCODEC=1) warp."""
+    lattice fill → sample_bilinear → clip/uint8 cast bit for bit (the
+    numpy sampler, not its C twin): on the production lattices, on random
+    node maps that reach past the image border, on maps that sit on
+    float32 rounding ties, and on node maps that put samples exactly on
+    every boundary of the kernel's all-outside and 4-channel interior
+    paths, with NaN and ±inf nodes, for 1-, 3- and 4-channel images, at
+    float32 and uint8 output (every NaN counted as one value, see
+    :func:`_bits`). The warp equals the pure-numpy (PROJCL_NO_FASTCODEC=1)
+    warp."""
     from projcl_ray import fastcodec
-    from projcl_ray.warp import _lattice_axis, _lattice_fill, _lattice_nodes, warp_images_u8
+    from projcl_ray.warp import LATTICE_STEP, _lattice_fill, _lattice_nodes, warp_images_u8
 
     if fastcodec.lib() is None:
         pytest.skip("no C compiler in this environment")
     rng = np.random.default_rng(12)
     cases = list(_lattice_cases())
+    checks = []  # (img, nodes, w, h)
     with np.errstate(all="ignore"):
         for img, georef, spec, prepped in cases:
             w, h = spec.width, spec.height
@@ -314,20 +340,87 @@ def test_lattice_sampler_c_bit_identical(monkeypatch):
             # maps a few float64 ulps off float32 rounding ties: any change
             # to the fill's float64 operation order flips some of them
             node_sets.append([_near_float32_ties(rng, shape, n) for n in (w, h)])
-            for nodes in node_sets:
-                px, py = (_lattice_fill(v, w, h) for v in nodes)
-                ref = sample_bilinear(img, px, py)
-                axes = (_lattice_axis(w)[1:], _lattice_axis(h)[1:])
-                got_f = fastcodec.warp_lattice_bilinear_u8(img, *nodes, *axes, False)
-                got_u8 = fastcodec.warp_lattice_bilinear_u8(img, *nodes, *axes, True)
-                np.testing.assert_array_equal(got_f.view(np.uint32), ref.view(np.uint32))
-                np.testing.assert_array_equal(got_u8, np.clip(ref, 0, 255).astype(np.uint8))
+            checks += [(img, nodes, w, h) for nodes in node_sets]
+        # every (x, y) pair of boundary values sits on one lattice node, so
+        # that pixel samples exactly there; the pixels between nodes mix them
+        for c in (1, 3, 4):
+            sh, sw = 5, 7
+            img = rng.integers(0, 256, (sh, sw, c), dtype=np.uint8)
+            img[0, 0], img[-1, -1] = 255, 0
+            bx, by = _boundary_values(sw), _boundary_values(sh)
+            w, h = LATTICE_STEP * (len(bx) - 1) + 1, LATTICE_STEP * (len(by) - 1) + 1
+            nodes = np.meshgrid(bx, by)
+            perm = rng.permutation(nodes[0].size)  # the same pairs, other neighbours
+            checks.append((img, nodes, w, h))
+            checks.append((img, [v.ravel()[perm].reshape(v.shape) for v in nodes], w, h))
+        got = [[fastcodec.warp_lattice_bilinear_u8(img, *nodes, w, h, u8) for u8 in (False, True)]
+               for img, nodes, w, h in checks]
         fused = warp_images_u8(*zip(*[c[:3] for c in cases]), cases[0][3])
         monkeypatch.setenv("PROJCL_NO_FASTCODEC", "1")
+        refs = [sample_bilinear(img, *(_lattice_fill(v, w, h) for v in nodes))
+                for img, nodes, w, h in checks]
         numpy_u8 = warp_images_u8(*zip(*[c[:3] for c in cases]), cases[0][3])
+        for (got_f, got_u8), ref in zip(got, refs):
+            assert got_f.shape == ref.shape and got_u8.dtype == np.uint8
+            np.testing.assert_array_equal(_bits(got_f), _bits(ref))
+            np.testing.assert_array_equal(got_u8, np.clip(ref, 0, 255).astype(np.uint8))
     for f, n in zip(fused, numpy_u8):
         assert f.dtype == n.dtype == np.uint8
         np.testing.assert_array_equal(f, n)
+
+
+def test_warp_into_tile_padded_buffer(monkeypatch):
+    """warp_images_u8 with a tile size writes each image into the top-left
+    corner of a zeroed array padded to whole tiles: the padding stays 0 and
+    the tiles equal index.cut_tiles of the plain warp, for a 65×33 image
+    (fused C kernel at a padded row stride) and a 1×40 one (exact path), C
+    and pure numpy. The kernel writes nothing outside its corner of
+    ``out``."""
+    from projcl_ray import fastcodec, index
+    from projcl_ray.warp import _lattice_nodes, warp_images_u8
+
+    params = ProjParams(spheroid="WGS_84")
+    prepped = prepare("transverse_mercator", params)
+    imgs, georefs, specs = [], [], []
+    for k, (w, h) in enumerate([(65, 33), (1, 40)]):
+        georef = GeoRef(lon0=-20.0 + 7 * k, lat0=40.0, px_deg=0.02)
+        ox, oy, sx, sy = default_warp_window(prepped, georef, w, h)
+        imgs.append(synth_pixels(k, w, h))
+        georefs.append(georef)
+        specs.append(WarpSpec("transverse_mercator", params, ox, oy, sx, sy, w, h))
+    for no_c in ("", "1"):
+        monkeypatch.setenv("PROJCL_NO_FASTCODEC", no_c)
+        with np.errstate(all="ignore"):
+            plain = warp_images_u8(imgs, georefs, specs, prepped)
+            padded = warp_images_u8(imgs, georefs, specs, prepped, tile_size=32)
+        for img, pl, pad in zip(imgs, plain, padded):
+            h, w = img.shape[:2]
+            assert pad.shape == (-(-h // 32) * 32, -(-w // 32) * 32, 4)
+            np.testing.assert_array_equal(pad[:h, :w], pl)
+            assert not pad[h:].any() and not pad[:, w:].any()
+            d, a = pad.shape[0] // 32, pad.shape[1] // 32
+            cut = pad.reshape(d, 32, a, 32, 4).transpose(0, 2, 1, 3, 4).reshape(-1, 32, 32, 4)
+            want = list(index.cut_tiles(pl, 32))
+            assert len(want) == len(cut)
+            for (tx, ty, idx, tile), got in zip(want, cut):
+                assert idx == ty * a + tx
+                np.testing.assert_array_equal(got, tile)
+    monkeypatch.delenv("PROJCL_NO_FASTCODEC")
+    if fastcodec.lib() is None:
+        return
+    w, h = 65, 33
+    with np.errstate(all="ignore"):
+        nodes = _lattice_nodes(georefs[0], specs[0], prepped)
+    for u8 in (False, True):
+        out = np.full((64, 96, 4), 0xAB, np.uint8 if u8 else np.float32)
+        assert fastcodec.warp_lattice_bilinear_u8(imgs[0], *nodes, w, h, u8, out=out) is out
+        want = fastcodec.warp_lattice_bilinear_u8(imgs[0], *nodes, w, h, u8)
+        np.testing.assert_array_equal(out[:h, :w], want)
+        assert (out[h:] == 0xAB).all() and (out[:, w:] == 0xAB).all()
+    with pytest.raises(ValueError):
+        fastcodec.warp_lattice_bilinear_u8(imgs[0], *nodes, w, h, True, out=np.zeros((64, 64, 4), np.uint8))
+    with pytest.raises(ValueError):
+        fastcodec.warp_lattice_bilinear_u8(imgs[0], *nodes, w + 8, h, True)
 
 
 def _mixed_image_rows() -> "pa.Table":
@@ -416,6 +509,39 @@ def test_warp_tile_batch_equals_per_image():
         assert split.equals(got), size
     empty = actor(tbl.slice(0, 0))
     assert empty.num_rows == 0 and empty.schema.equals(got.schema)
+
+
+def test_warp_tile_reads_raw_pixels_in_place(monkeypatch):
+    """WarpTileActor decodes raw rows from views of the Arrow value buffer,
+    without copying the bytes column into Python bytes, and gives the
+    codec of any other format one bytes object per row; its tiles equal
+    those of the same rows decoded from Python bytes."""
+    import pyarrow as pa
+
+    from projcl_ray import ops
+
+    tbl = _mixed_image_rows().slice(0, 4)
+    jpeg = encode_image(synth_pixels(9, 64, 48), "jpeg", quality=90)
+    tbl = pa.concat_tables([tbl, pa.Table.from_pylist([{
+        **tbl.slice(0, 1).to_pylist()[0], "image_id": "jpg", "bytes": jpeg,
+        "w": 64, "h": 48, "fmt": "jpeg"}], schema=tbl.schema)]).combine_chunks()
+    data = tbl["bytes"].chunks[0].buffers()[2]
+    seen = []
+    decode = ops.decode_image
+    monkeypatch.setattr(ops, "decode_image",
+                        lambda buf, w, h, fmt: seen.append((buf, fmt)) or decode(buf, w, h, fmt))
+    actor = ops.WarpTileActor("transverse_mercator", ProjParams(spheroid="WGS_84"), tile_size=32)
+    got = actor(tbl)
+    assert [f for _, f in seen] == ["raw"] * 4 + ["jpeg"]
+    for buf, fmt in seen:
+        if fmt == "raw":
+            assert isinstance(buf, pa.Buffer)
+            assert data.address <= buf.address and buf.address + buf.size <= data.address + data.size
+        else:
+            assert isinstance(buf, bytes) and buf == jpeg
+    monkeypatch.setattr(ops, "decode_image",
+                        lambda buf, w, h, fmt: decode(bytes(buf), w, h, fmt))
+    assert actor(tbl).equals(got)
 
 
 def test_projected_source_identity_warp():
