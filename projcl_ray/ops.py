@@ -8,7 +8,9 @@ Design rules (SURVEY §1.3/§7):
   buffer: :func:`_map_blocks` for per-block work (one ``map_batches`` call,
   whole blocks sliced inside the UDF) and :func:`_map_groups` for per-group
   work after one ``groupby`` shuffle (each group's output typed by a
-  declared schema). No stage UDF takes or returns pandas or a NumPy dict,
+  declared schema; the partitioned joins' :func:`_cell_join` sorts on
+  range boundaries of its own and splits groups in a ``_map_blocks``
+  stage). No stage UDF takes or returns pandas or a NumPy dict,
   so Ray never infers a column type or unifies differing block schemas;
 - per-record math = stateless ``map_columns``: the UDF reads the columns it
   needs as NumPy (zero-copy for primitive columns) and returns only the
@@ -17,9 +19,12 @@ Design rules (SURVEY §1.3/§7):
   reference, done once at build time);
 - image/join stages are stateless tasks with a per-worker-process state
   cache (see _cached below) — one execution mode per stage;
-- small lookup sides (polygon layers, kNN targets) broadcast once via
-  ``ray.put`` and fetched zero-copy per worker — never re-shipped per batch;
-- wide ops keyed on ``cell_id`` with optional salting for hot cells.
+- a join's build side (polygon layer, kNN targets) is broadcast once via
+  ``ray.put`` and fetched zero-copy per worker when it is at most
+  ``BROADCAST_MAX_BYTES``, else both sides are partitioned on their cell
+  through one shuffle; one function per predicate picks the plan;
+- wide ops keyed on ``cell_id``; the partitioned join splits every cell
+  holding more than ``GROUP_MAX_ROWS`` probe rows over salted sub-groups.
 
 No function here calls ``ray.init()``.
 """
@@ -287,7 +292,7 @@ def forward_geodesic(
 
 
 # ---------------------------------------------------------------------------
-# Cell assignment, salting
+# Cell assignment
 # ---------------------------------------------------------------------------
 
 
@@ -304,31 +309,6 @@ def assign_cells(
         return {out: index_mod.cell_id(cols[lon_col], cols[lat_col], res_deg)}
 
     return map_columns(ds, _cells, batch_size=batch_size)
-
-
-def salt_hot_keys(
-    ds: ray.data.Dataset,
-    key_col: str,
-    hot_keys: dict[int, int],
-    *,
-    hash_col: str,
-    out: str = "salted_key",
-    batch_size: int | None = 128 * 1024,
-) -> ray.data.Dataset:
-    """Skew mitigation: append ``key*K + (hash % fanout)`` for keys listed in
-    ``hot_keys`` (key → fanout), identity salt otherwise. ``hot_keys`` comes
-    from a cheap count pre-pass; it is tiny and closure-captured."""
-    max_fanout = max(hot_keys.values(), default=1)
-
-    def _salt(cols: dict) -> dict:
-        keys = np.asarray(cols[key_col], np.int64)
-        hashes = cols[hash_col]
-        fanouts = np.ones(len(keys), np.int64)
-        for k, f in hot_keys.items():
-            fanouts[keys == k] = f
-        return {out: keys * max_fanout + (hashes % fanouts)}
-
-    return map_columns(ds, _salt, batch_size=batch_size)
 
 
 # ---------------------------------------------------------------------------
@@ -574,8 +554,8 @@ def ingest_geotiff(ds: ray.data.Dataset, *, src_datum: str = "WGS_84",
         caps = (batch["caption"].to_pylist() if "caption" in batch.column_names
                 else [""] * len(ids))
         bufs, ws, hs, lon0s, lat0s, pxds = [], [], [], [], [], []
-        for iid, blob in zip(ids, batch["bytes"].to_pylist()):
-            rgba, geo = decode_tiff_geo(blob)
+        for iid, blob in zip(ids, _binary_values(batch["bytes"])):
+            rgba, geo = decode_tiff_geo(memoryview(blob))
             if geo is None:
                 raise ValueError(f"{iid}: GeoTIFF georeference tags missing")
             gr = georef_from_tags(geo)
@@ -756,41 +736,168 @@ def dem_terrain_features(ds: ray.data.Dataset, *, z_factor: float = 1.0,
 
 
 # ---------------------------------------------------------------------------
-# PIP join & kNN (broadcast small side; shuffle path keyed on cell_id)
+# Spatial joins: one function per predicate, two plans. A build side (polygon
+# layer, kNN targets) of at most BROADCAST_MAX_BYTES is broadcast: ray.put
+# once, fetched zero-copy per worker process, no shuffle. A larger one is
+# joined cell-partitioned: both sides keyed on their cell through one range-
+# partitioned sort (:func:`_cell_join`), hot cells salted. Both plans run one
+# kernel.
 # ---------------------------------------------------------------------------
 
+# Largest build side (Arrow bytes of the polygon layer or kNN targets) that
+# is broadcast rather than joined cell-partitioned. On one core here the
+# broadcast plan was the faster at every size timed (60k points against
+# 50–3,200 polygons: 0.06–0.68 s against 0.49–2.4 s; 15k queries against
+# 4k–64k targets: 0.57–5.9 s against 1.6–7.6 s), so the bound is memory:
+# each worker process holds the side plus its kernel state, about 3.4× the
+# side, and 4 workers at 64 MiB hold under 1 GiB of this 10.7 GiB box.
+BROADCAST_MAX_BYTES = 64 << 20
+# Most probe rows (points, kNN queries) one group of the partitioned plan
+# holds: 48 MiB of 48-byte point rows, within Ray's 128 MiB target block.
+# A cell holding more is split over sub-groups (:func:`_cell_join`).
+GROUP_MAX_ROWS = 1 << 20
 
-class PIPJoinActor:
-    """Broadcast PIP join: polygon layer fetched once per worker process from
-    the object store; per batch, candidate-filter by bbox then exact
-    ray-crossing test. Emits one output row per (point, containing polygon)
-    pair."""
 
-    def __init__(self, polys_ref, lon_col: str, lat_col: str):
-        polys = ray.get(polys_ref) if isinstance(polys_ref, ray.ObjectRef) else polys_ref
+def _count_cells(ds: ray.data.Dataset, col: str, batch_size: int | None = None) -> pa.Table:
+    """Rows per cell of ``col`` (``n``) and the number of slices holding the
+    cell (``slices``), merged on the driver from per-slice partials.
+
+    Partial counts per ``batch_size``-row slice of each block (the whole
+    block when None; the combiner): a hot cell contributes ONE row per
+    slice instead of all its rows. The partial rows stream to the driver as
+    Arrow batches and merge incrementally there: no shuffle, and the driver
+    holds only the merged distinct cells."""
+
+    def partial(batch: pa.Table) -> pa.Table:
+        keys, counts = np.unique(np.asarray(batch[col], np.int64), return_counts=True)
+        return pa.table({"cell_id": keys, "n": counts.astype(np.int64),
+                         "slices": np.ones(len(keys), np.int64)})
+
+    def merge(tables: list[pa.Table]) -> pa.Table:
+        sums = pa.concat_tables(tables).group_by("cell_id").aggregate(
+            [("n", "sum"), ("slices", "sum")])
+        return pa.table({"cell_id": sums["cell_id"], "n": sums["n_sum"],
+                         "slices": sums["slices_sum"]})
+
+    acc = [partial(pa.table({col: pa.array([], pa.int64())}))]
+    acc_rows = 0
+    merged_rows = 0  # distinct cells after the last compaction
+    partials = _map_blocks(ds, partial, batch_size=batch_size)
+    for b in partials.iter_batches(batch_format="pyarrow", batch_size=None):
+        acc.append(b)
+        acc_rows += b.num_rows
+        # amortized compaction: once the merged table itself exceeds 1M
+        # rows, wait until the uncompacted stream doubles it — otherwise
+        # every batch would re-group the full merged table
+        if acc_rows > max(1_000_000, 2 * merged_rows):
+            acc = [merge(acc)]
+            acc_rows = merged_rows = acc[0].num_rows
+    return merge(acc)
+
+
+def _runs(reps: np.ndarray) -> np.ndarray:
+    """0, 1, …, r − 1 for each r of ``reps``, concatenated."""
+    return np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+
+
+def _cell_join(probe: ray.data.Dataset, tag_probe, build: ray.data.Dataset, tag_build,
+               counts: pa.Table, fn, schema: pa.Schema) -> ray.data.Dataset:
+    """The partitioned plan's one shuffle: run ``fn`` (see
+    :func:`_map_groups`) once per group of probe and build rows sharing a
+    ``_cell``. ``tag_probe`` and ``tag_build`` turn blocks of each side
+    into rows of one schema with that ``_cell``; ``counts`` is the count
+    pre-pass, ``_count_cells`` over the tagged probe rows.
+
+    Hot cells are salted (the heavy-hitter treatment of skewed hash joins):
+    a cell holding ``n`` > GROUP_MAX_ROWS probe rows in ``s`` slices spreads
+    them over K sub-groups by their position among its rows in their slice,
+    and its build rows are replicated into all K. A slice gives each
+    sub-group at most ⌈b/K⌉ of its b rows, so K = ⌈(n − s)/(GROUP_MAX_ROWS −
+    s)⌉ keeps every group within GROUP_MAX_ROWS probe rows (given the
+    pre-pass's slices). A row's group is ``_cell · W + sub``, W the largest
+    K. The sort's range boundaries are group keys that hold probe rows,
+    spaced by probe rows, so no sort partition is empty (Ray's sampled
+    boundaries can leave empty partitions, blocks with no schema)."""
+    cap = GROUP_MAX_ROWS
+    cells, n, s = (counts[c].to_numpy() for c in ("cell_id", "n", "slices"))
+    order = np.argsort(cells)
+    cells, n, s = cells[order], n[order], s[order]
+    fan = np.where(n > cap, -(-(n - s) // np.maximum(cap - s, 1)), 1)
+    width = int(fan.max(initial=1))
+
+    def fanout(c: np.ndarray) -> np.ndarray:
+        i = np.minimum(np.searchsorted(cells, c), max(len(cells) - 1, 0))
+        return np.where(cells[i] == c, fan[i], 1) if len(cells) else np.ones_like(c)
+
+    def salt_probe(batch: pa.Table) -> pa.Table:
+        batch = tag_probe(batch)
+        c = np.asarray(batch["_cell"], np.int64)
+        order = np.argsort(c, kind="stable")
+        starts = np.flatnonzero(np.r_[True, c[order][1:] != c[order][:-1]])
+        rank = np.empty(len(c), np.int64)  # position among its cell's rows
+        rank[order] = _runs(np.diff(np.r_[starts, len(c)]))
+        return batch.append_column("_group", pa.array(c * width + rank % fanout(c)))
+
+    def salt_build(batch: pa.Table) -> pa.Table:
+        batch = tag_build(batch)
+        c = np.asarray(batch["_cell"], np.int64)
+        reps = fanout(c)
+        rows = np.repeat(np.arange(len(c)), reps)
+        return batch.take(pa.array(rows)).append_column(
+            "_group", pa.array(c[rows] * width + _runs(reps)))
+
+    # probe rows per group key, then p partitions of about equal probe rows
+    # (p from the CPUs and the probe slices, as Ray's one per input block)
+    keys = np.repeat(cells * width, fan) + _runs(fan)
+    weight = np.cumsum(np.repeat(n / fan, fan))
+    cpus = int(ray.cluster_resources().get("CPU", 1))
+    p = min(len(keys), max(2, cpus, int(s.max(initial=1))))
+    cut = np.searchsorted(weight, weight[-1] * np.arange(1, p) / p) + 1
+    bounds = np.unique(keys[np.minimum(cut, len(keys) - 1)]).tolist()
+
+    def groups(block: pa.Table) -> pa.Table:
+        key = np.asarray(block["_group"])
+        edges = np.r_[0, np.flatnonzero(key[1:] != key[:-1]) + 1, len(key)]
+        outs = (fn(block.slice(a, b - a)) for a, b in zip(edges, edges[1:]) if b > a)
+        return pa.concat_tables([schema.empty_table()] + [
+            pa.table(o, schema=schema) for o in outs if o is not None])
+
+    groups.__name__ = groups.__qualname__ = fn.__name__
+    # batch_size coalesces small build blocks (from_items, a shuffle's
+    # output): each costs the shuffle a map task
+    keyed = _map_blocks(probe, salt_probe, batch_size=None).union(
+        build.map_batches(salt_build, batch_format="pyarrow", batch_size=128 * 1024))
+    # one key (p = 1) sorts as one block: Ray's sampled boundaries would cut
+    # one partition per input block, most of them empty
+    keyed = keyed.sort("_group", boundaries=bounds) if p > 1 else \
+        keyed.repartition(1).sort("_group")
+    return _map_blocks(keyed, groups, batch_size=None)
+
+
+class _Polygons:
+    """A polygon layer, ready for the PIP kernel: ids, vertex arrays, bboxes."""
+
+    def __init__(self, polys):
+        polys = list(polys)
         self.names = pa.array([str(p[0]) for p in polys], pa.string())
-        self.polys: list[np.ndarray] = [np.asarray(p[1], np.float64) for p in polys]
-        self.bboxes = np.array([spatial_mod.polygon_bbox(p) for p in self.polys])
-        self.lon_col, self.lat_col = lon_col, lat_col
+        self.polys = [np.asarray(p[1], np.float64).reshape(-1, 2) for p in polys]
+        self.bboxes = [spatial_mod.polygon_bbox(p) for p in self.polys]
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        lon = batch[self.lon_col].to_numpy(zero_copy_only=False)
-        lat = batch[self.lat_col].to_numpy(zero_copy_only=False)
-        row_idx: list[np.ndarray] = []
-        poly_idx: list[np.ndarray] = []
+    def join(self, batch: pa.Table, lon_col: str, lat_col: str) -> pa.Table:
+        """The PIP kernel both plans run: ``batch``'s rows plus ``poly_id``,
+        one row per (point, containing polygon), by row then polygon. A
+        bbox filter picks each polygon's candidates, then the exact
+        ray-crossing test."""
+        lon = batch[lon_col].to_numpy(zero_copy_only=False)
+        lat = batch[lat_col].to_numpy(zero_copy_only=False)
+        row_idx, poly_idx = [np.empty(0, np.int64)], [np.empty(0, np.int32)]
         for pi, (poly, (x0, y0, x1, y1)) in enumerate(zip(self.polys, self.bboxes)):
-            cand = (lon >= x0) & (lon <= x1) & (lat >= y0) & (lat <= y1)
-            if not cand.any():
+            ci = np.flatnonzero((lon >= x0) & (lon <= x1) & (lat >= y0) & (lat <= y1))
+            if not len(ci):
                 continue
-            ci = np.nonzero(cand)[0]
-            hit = spatial_mod.point_in_polygon(lon[ci], lat[ci], poly)
-            hits = ci[hit]
-            if len(hits):
-                row_idx.append(hits)
-                poly_idx.append(np.full(len(hits), pi, np.int32))
-        if not row_idx:
-            t = batch.slice(0, 0)
-            return t.append_column("poly_id", pa.array([], pa.string()))
+            hits = ci[spatial_mod.point_in_polygon(lon[ci], lat[ci], poly)]
+            row_idx.append(hits)
+            poly_idx.append(np.full(len(hits), pi, np.int32))
         rows = np.concatenate(row_idx)
         order = np.argsort(rows, kind="stable")
         taken = batch.take(pa.array(rows[order]))
@@ -798,309 +905,323 @@ class PIPJoinActor:
 
 
 def pip_join(
-    ds: ray.data.Dataset,
-    polygons: list[tuple[str, np.ndarray]],
+    points: ray.data.Dataset,
+    polygons,
     *,
     lon_col="lon",
     lat_col="lat",
-    batch_size: int | None = 64 * 1024,
 ) -> ray.data.Dataset:
-    """Point-in-polygon join against a small polygon layer: broadcast via
-    ray.put once, fetched zero-copy per worker process (cached), no shuffle.
-    One stage call receives a whole block, tests ``batch_size``-row slices
-    of it and returns one table; ``batch_size`` does not merge small
-    blocks."""
+    """Point-in-polygon join: every point row plus the ``poly_id`` of each
+    polygon containing it. ``polygons`` is a list of ``(poly_id, (n, 2)
+    lon/lat vertices)`` or a Dataset of ``(poly_id: string, vertices:
+    list<double>)`` rows, the vertices flattened lon/lat pairs.
+
+    A layer of at most BROADCAST_MAX_BYTES is broadcast, and each block of
+    points is tested in 64k-row slices in one stage, with no shuffle and
+    without executing ``points`` here. A larger one is joined partitioned:
+    each polygon goes to every cell its bbox covers, each point to its
+    cell, and a (point, polygon) pair can meet only in the point's one
+    cell, so no pair repeats."""
+    if isinstance(polygons, ray.data.Dataset):
+        polygons = polygons.materialize()
+        if polygons.size_bytes() <= BROADCAST_MAX_BYTES:
+            polygons = [(r["poly_id"], r["vertices"]) for r in polygons.take_all()]
+    elif sum(np.asarray(v).nbytes + len(str(p)) for p, v in polygons) > BROADCAST_MAX_BYTES:
+        polygons = ray.data.from_items(
+            [{"poly_id": str(p), "vertices": np.asarray(v, np.float64).ravel().tolist()}
+             for p, v in polygons])
+    if isinstance(polygons, ray.data.Dataset):
+        return _pip_partitioned(points, polygons, lon_col, lat_col)
     ref = ray.put(polygons)
 
     def _pip(batch: pa.Table) -> pa.Table:
-        worker = _cached(("pip", ref.hex(), lon_col, lat_col),
-                         lambda: PIPJoinActor(ref, lon_col, lat_col))
-        return worker(batch)
+        layer = _cached(("pip", ref.hex()), lambda: _Polygons(ray.get(ref)))
+        return layer.join(batch, lon_col, lat_col)
 
-    return _map_blocks(ds, _pip, batch_size=batch_size)
+    return _map_blocks(points, _pip, batch_size=64 * 1024)
 
 
-class KnnActor:
-    """Geodesic kNN against a broadcast point set.
+def _pip_partitioned(points, polygons, lon_col, lat_col) -> ray.data.Dataset:
+    res = index_mod.DEFAULT_RES_DEG
+    out_schema = points.schema().base_schema.append(pa.field("poly_id", pa.string()))
+    point_cols = out_schema.names[:-1]
+    # point rows and polygon rows meet in one schema: the point columns,
+    # then poly_id and vertices, each null on the other side, then the cell
+    schema = out_schema.append(pa.field("vertices", pa.list_(pa.float64()))).append(
+        pa.field("_cell", pa.int64()))
 
-    Exact mode (prune_res_deg=None): brute-force haversine per batch.
+    def tag_points(batch: pa.Table) -> pa.Table:
+        n = batch.num_rows
+        cells = index_mod.cell_id(np.asarray(batch[lon_col], np.float64),
+                                  np.asarray(batch[lat_col], np.float64), res)
+        return pa.table({**{c: batch[c] for c in point_cols}, "poly_id": pa.nulls(n),
+                         "vertices": pa.nulls(n), "_cell": cells}, schema=schema)
 
-    Scale mode (prune_res_deg set): targets pre-bucketed by cell once per
-    worker; each query scores only targets in its ring-of-cells neighborhood,
-    expanding the ring until ≥k candidates exist. Partitioning assumption
-    (documented per SURVEY §7): the true k nearest lie within the final ring —
-    guaranteed here because rings expand until the k-th candidate distance is
-    closed, cell by cell, but pathological target distributions cost extra
-    ring expansions rather than wrong answers only while candidates-in-ring
-    remain a superset of true top-k within (ring−1) cell widths."""
+    def explode_poly_cells(batch: pa.Table) -> pa.Table:
+        rows, cells = [], []
+        for i, v in enumerate(batch["vertices"].to_pylist()):
+            arr = np.asarray(v, np.float64).reshape(-1, 2)
+            c = index_mod.cells_covering_bbox(*arr.min(axis=0), *arr.max(axis=0), res)
+            rows.extend([i] * len(c))
+            cells.extend(int(x) for x in c)
+        out = batch.take(pa.array(rows, pa.int64()))
+        n = out.num_rows
+        return pa.table({**{c: pa.nulls(n) for c in point_cols}, "poly_id": out["poly_id"],
+                         "vertices": out["vertices"], "_cell": cells}, schema=schema)
 
-    def __init__(self, targets_ref, k: int, lon_col: str, lat_col: str,
-                 prune_res_deg: float | None = None):
-        tgt = ray.get(targets_ref) if isinstance(targets_ref, ray.ObjectRef) else targets_ref
-        self.tgt_ids = np.asarray(tgt[0])
-        self.tgt_lon = np.asarray(tgt[1], np.float64)
-        self.tgt_lat = np.asarray(tgt[2], np.float64)
-        self.k = k
-        self.lon_col, self.lat_col = lon_col, lat_col
-        self.res = prune_res_deg
-        if self.res is not None:
-            cells = index_mod.cell_id(self.tgt_lon, self.tgt_lat, self.res)
-            order = np.argsort(cells, kind="stable")
-            self._sorted_cells = cells[order]
-            self._order = order
+    def test_cell(group: pa.Table) -> dict | None:
+        is_poly = pc.is_valid(group["vertices"])
+        polys = group.filter(is_poly)
+        if not polys.num_rows:
+            return None
+        layer = _Polygons(zip(polys["poly_id"].to_pylist(), polys["vertices"].to_pylist()))
+        out = layer.join(group.filter(pc.invert(is_poly)).select(point_cols), lon_col, lat_col)
+        return dict(zip(out.column_names, out.columns))
 
-    def _candidates(self, cell: int, ring: int) -> np.ndarray:
+    counts = _count_cells(_map_blocks(points, tag_points, batch_size=None), "_cell")
+    return _cell_join(points, tag_points, polygons, explode_poly_cells, counts, test_cell,
+                      out_schema)
+
+
+def _id_rank(ids: pa.Array) -> np.ndarray:
+    """Each id's position in sorted order: the kNN tie-break key, so equal
+    distances rank by id (SQL's ``ORDER BY dist, id``) for any id type."""
+    rank = np.empty(len(ids), np.int64)
+    rank[pc.sort_indices(ids).to_numpy()] = np.arange(len(ids))
+    return rank
+
+
+def _knn_cell(qlon, qlat, tlon, tlat, key, k):
+    """The kNN kernel both plans run on one cell's queries and candidate
+    targets: :func:`spatial.knn_brute` over slices of the queries, so the
+    distance matrix stays within 4M entries."""
+    step = max(1, (1 << 22) // max(len(tlon), 1))
+    parts = [spatial_mod.knn_brute(qlon[i:i + step], qlat[i:i + step], tlon, tlat, k,
+                                   order_key=key) for i in range(0, len(qlon), step)]
+    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+
+
+def _ring_closed(kth_m, ring: int, res_deg: float):
+    """Whether k-th distances ``kth_m`` found in the ring-``ring`` ball of
+    cells around the query's cell are final: the ball is the whole sphere,
+    or every point outside it is farther. ``index.ball_candidates``
+    guarantees every point of every non-candidate cell is ≥
+    ring·res·LAT_DEG_M away (pole-safe); ring − 1 for strictness, so an
+    excluded point cannot tie the k-th either."""
+    bound_m = (ring - 1) * res_deg * index_mod.LAT_DEG_M
+    return (ring >= _max_ring(res_deg)) | (np.asarray(kth_m) <= bound_m)
+
+
+def _max_ring(res_deg: float) -> int:
+    return int(180.0 / res_deg) + 1
+
+
+class _Targets:
+    """Broadcast points (kNN targets, geofence sites) held by each worker,
+    bucketed by cell."""
+
+    def __init__(self, tbl: pa.Table, res_deg: float):
+        self.ids = tbl["id"].combine_chunks()
+        self.key = _id_rank(self.ids)
+        self.lon = tbl["lon"].to_numpy().astype(np.float64)
+        self.lat = tbl["lat"].to_numpy().astype(np.float64)
+        self.res = res_deg
+        cells = index_mod.cell_id(self.lon, self.lat, res_deg)
+        self._order = np.argsort(cells, kind="stable")
+        self._sorted_cells = cells[self._order]
+
+    def candidates(self, cell: int, ring: int) -> np.ndarray:
         # pole-safe geodesic ball (duplicate-free): per-row longitude widths
         # widen by (π/2)/cos φ and polar rows include every longitude, so the
         # exclusion guarantee ring·res·LAT_DEG_M holds across the pole too
-        # (the old square ring dropped far-longitude candidates near poles)
         nbrs = index_mod.ball_candidates(int(cell), ring, self.res)
         lo = np.searchsorted(self._sorted_cells, nbrs, side="left")
         hi = np.searchsorted(self._sorted_cells, nbrs, side="right")
         return np.concatenate([self._order[a:b] for a, b in zip(lo, hi) if b > a]) \
             if np.any(hi > lo) else np.empty(0, np.int64)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        lon = batch[self.lon_col].to_numpy(zero_copy_only=False)
-        lat = batch[self.lat_col].to_numpy(zero_copy_only=False)
-        if self.res is None:
-            idx, dist = spatial_mod.knn_brute(lon, lat, self.tgt_lon, self.tgt_lat, self.k,
-                                              order_key=self.tgt_ids)
-        else:
-            n = len(lon)
-            idx = np.empty((n, min(self.k, len(self.tgt_ids))), np.int64)
-            dist = np.empty_like(idx, dtype=np.float64)
-            cells = index_mod.cell_id(lon, lat, self.res)
-            # group queries by cell so each cell's candidate set is built once
-            order = np.argsort(cells, kind="stable")
-            kk = min(self.k, len(self.tgt_ids))
-            max_ring = int(180.0 / self.res) + 1
-            warm_ring = 1  # adjacent cells need similar rings — warm start
-            for cell in np.unique(cells):
-                qi = order[np.searchsorted(cells[order], cell, "left"):
-                           np.searchsorted(cells[order], cell, "right")]
-                ring = max(1, warm_ring - 1)
-                while True:
-                    cand = self._candidates(int(cell), ring)
-                    if len(cand) < kk and ring < max_ring:
-                        ring = min(max(ring + 1, int(ring * 1.7)), max_ring)
-                        continue
-                    ci, cd = spatial_mod.knn_brute(
-                        lon[qi], lat[qi], self.tgt_lon[cand], self.tgt_lat[cand], kk,
-                        order_key=self.tgt_ids[cand],
-                    )
-                    if ring >= max_ring:
-                        break
-                    # termination bound: ball_candidates guarantees every
-                    # point of every non-candidate cell is ≥ ring·res·LAT_DEG_M
-                    # away (pole-safe — see index.ball_candidates_many); use
-                    # ring−1 for strictness so excluded points can't tie the
-                    # k-th candidate either
-                    bound_m = (ring - 1) * self.res * index_mod.LAT_DEG_M
-                    if float(cd[:, -1].max()) <= bound_m:
-                        break
-                    ring = min(max(ring + 1, int(ring * 1.4)), max_ring)
-                warm_ring = ring
-                idx[qi] = cand[ci]
-                dist[qi] = cd
-        n, k = idx.shape
-        rep = np.repeat(np.arange(n), k)
-        out = batch.take(pa.array(rep))
-        out = out.append_column("neighbor_id", pa.array(self.tgt_ids[idx.ravel()]))
-        out = out.append_column("neighbor_rank", pa.array(np.tile(np.arange(k), n), pa.int32()))
-        out = out.append_column("distance_m", pa.array(dist.ravel(), pa.float64()))
-        return out
+    def knn(self, lon: np.ndarray, lat: np.ndarray, k: int):
+        """(target index, distance) of each query's k nearest targets. Per
+        cell of queries, the ring of candidate cells grows until the k-th
+        distance is closed (:func:`_ring_closed`)."""
+        kk = min(k, len(self.lon))
+        idx = np.empty((len(lon), kk), np.int64)
+        dist = np.empty((len(lon), kk), np.float64)
+        cells = index_mod.cell_id(lon, lat, self.res)
+        order = np.argsort(cells, kind="stable")
+        sorted_q = cells[order]
+        max_ring = _max_ring(self.res)
+        warm_ring = 1  # adjacent cells need similar rings — warm start
+        for cell in np.unique(cells):
+            qi = order[np.searchsorted(sorted_q, cell, "left"):
+                       np.searchsorted(sorted_q, cell, "right")]
+            ring = max(1, warm_ring - 1)
+            while True:
+                cand = self.candidates(int(cell), ring)
+                if len(cand) < kk and ring < max_ring:
+                    ring = min(max(ring + 1, int(ring * 1.7)), max_ring)
+                    continue
+                ci, cd = _knn_cell(lon[qi], lat[qi], self.lon[cand], self.lat[cand],
+                                   self.key[cand], kk)
+                if _ring_closed(float(cd[:, -1].max()), ring, self.res):
+                    break
+                ring = min(max(ring + 1, int(ring * 1.4)), max_ring)
+            warm_ring = ring
+            idx[qi] = cand[ci]
+            dist[qi] = cd
+        return idx, dist
 
 
 def knn_join(
-    ds: ray.data.Dataset,
-    target_ids,
-    target_lon,
-    target_lat,
-    k: int,
-    *,
-    lon_col="lon",
-    lat_col="lat",
-    batch_size: int | None = 32 * 1024,
-    prune_res_deg: float | None = None,
-) -> ray.data.Dataset:
-    """Geodesic kNN join. ``prune_res_deg`` switches on the ring-of-cells
-    candidate pruning (the 100 TB path: per-query cost scales with local
-    target density, not total target count)."""
-    ref = ray.put((np.asarray(target_ids), np.asarray(target_lon), np.asarray(target_lat)))
-
-    def _knn(batch: pa.Table) -> pa.Table:
-        worker = _cached(("knn", ref.hex(), k, lon_col, lat_col, prune_res_deg),
-                         lambda: KnnActor(ref, k, lon_col, lat_col, prune_res_deg))
-        return worker(batch)
-
-    return _map_blocks(ds, _knn, batch_size=batch_size, stream=True)
-
-
-def knn_join_large(
     queries: ray.data.Dataset,
-    targets: ray.data.Dataset,
+    targets,
     k: int,
     *,
-    query_id_col: str = "qid",
-    target_id_col: str = "tid",
+    id_col: str,
     lon_col: str = "lon",
     lat_col: str = "lat",
     res_deg: float = index_mod.DEFAULT_RES_DEG,
-    init_ring: int = 2,
-    max_rounds: int = 12,
 ) -> ray.data.Dataset:
-    """Geodesic kNN when BOTH sides are large Datasets (nothing broadcasts) —
-    the dataset×dataset mirror of :class:`KnnActor`, built like
-    :func:`pip_join_large` around one ``groupby(cell_id)`` shuffle per round.
+    """Geodesic kNN join, exact: per query (``id_col``, ``lon_col``,
+    ``lat_col``), its k nearest targets by haversine as ``neighbor_id``,
+    ``neighbor_rank`` (0 = nearest) and ``distance_m``; equal distances rank
+    by target id. ``targets`` is an ``(ids, lon, lat)`` tuple of arrays or a
+    Dataset of ``(id, lon, lat)`` rows.
 
-    Round r: every pending query probes its ring-r cell neighborhood (a
-    controlled fan-out of (qid, lon, lat) rows — ids+coords only, never a
-    payload); the shuffle co-locates probes with each cell's targets; a
-    per-cell partial top-k then a small per-query merge follow. A query
-    FINISHES when its k-th distance is closed by the ball's guaranteed
-    coverage (index.ball_candidates_many exclusion bound — pole-safe, so
-    results are provably exact); unfinished queries re-probe, ring doubled.
-    Partitioning assumption: per-cell target count fits a worker (salt
-    res_deg down for pathological hot cells).
+    Both plans score the queries of each ``res_deg`` cell against the
+    targets in a ring of cells around it, grown until it provably holds
+    their k nearest (:func:`_ring_closed`). Targets of at most
+    BROADCAST_MAX_BYTES are broadcast. Larger ones are joined partitioned,
+    in rounds: one shuffle (:func:`_cell_join`) meets the pending queries,
+    keyed on their cell, with every target in the cell's ring; unfinished
+    queries go again with the ring doubled, and the whole sphere closes."""
+    if isinstance(targets, ray.data.Dataset):
+        targets = targets.materialize()
+        if targets.size_bytes() <= BROADCAST_MAX_BYTES:
+            targets = pa.concat_tables(ray.get(targets.to_arrow_refs()))
+    else:
+        ids, lon, lat = targets
+        targets = pa.table({"id": np.asarray(ids), "lon": np.asarray(lon, np.float64),
+                            "lat": np.asarray(lat, np.float64)})
+        if targets.nbytes > BROADCAST_MAX_BYTES:
+            targets = ray.data.from_arrow(targets)
+    cols = (id_col, lon_col, lat_col)
+    if isinstance(targets, ray.data.Dataset):
+        return _knn_partitioned(queries, targets, k, cols, res_deg)
+    ref = ray.put(targets)
 
-    Returns a Dataset of (query columns' id, target id, neighbor_rank,
-    distance_m). Targets are materialized once (object store, spillable) so
-    multi-round runs don't re-read the target table.
-    """
-    max_ring = int(180.0 / res_deg) + 1
-    q_slim = queries.select_columns([query_id_col, lon_col, lat_col])
-    t_cells = assign_cells(
-        targets.select_columns([target_id_col, lon_col, lat_col]),
-        lon_col=lon_col, lat_col=lat_col, res_deg=res_deg,
-    )
-    qid_type = q_slim.schema().base_schema.field(query_id_col).type
-    tid_type = t_cells.schema().base_schema.field(target_id_col).type
-    # sentinel and re-probe rows carry a null target id (dist=inf marks them)
-    topk_schema = pa.schema([(query_id_col, qid_type), (target_id_col, tid_type),
-                             ("dist", pa.float64()), (lon_col, pa.float64()),
-                             (lat_col, pa.float64())])
-    merge_schema = pa.schema([(query_id_col, qid_type), (target_id_col, tid_type),
-                              ("distance_m", pa.float64()), ("neighbor_rank", pa.int32()),
-                              ("knn_done", pa.bool_()), (lon_col, pa.float64()),
-                              (lat_col, pa.float64())])
+    def _knn(batch: pa.Table) -> pa.Table:
+        tg = _cached(("knn", ref.hex(), res_deg), lambda: _Targets(ray.get(ref), res_deg))
+        idx, dist = tg.knn(batch[lon_col].to_numpy(zero_copy_only=False),
+                           batch[lat_col].to_numpy(zero_copy_only=False), k)
+        n, kk = idx.shape
+        rep = pa.array(np.repeat(np.arange(n), kk))
+        return pa.table({**{c: batch[c].take(rep) for c in cols},
+                         "neighbor_id": tg.ids.take(idx.ravel()),
+                         "neighbor_rank": pa.array(np.tile(np.arange(kk), n), pa.int32()),
+                         "distance_m": pa.array(dist.ravel(), pa.float64())})
+
+    return _map_blocks(queries, _knn, batch_size=32 * 1024, stream=True)
+
+
+def _knn_partitioned(queries, targets, k, cols, res_deg) -> ray.data.Dataset:
+    id_col, lon_col, lat_col = cols
+    max_ring = _max_ring(res_deg)
+    q_slim = queries.select_columns(list(cols))
+    qid_type = q_slim.schema().base_schema.field(id_col).type
+    tid_type = targets.schema().base_schema.field("id").type
+    f64 = pa.float64()
+    # queries and targets meet in one schema, keyed on the query's home
+    # cell: a null neighbor_id marks a query, a null query id a target
+    schema = pa.schema([(id_col, qid_type), ("neighbor_id", tid_type), (lon_col, f64),
+                        (lat_col, f64), ("_cell", pa.int64())])
+    out_schema = pa.schema([(id_col, qid_type), (lon_col, f64), (lat_col, f64),
+                            ("neighbor_id", tid_type), ("neighbor_rank", pa.int32()),
+                            ("distance_m", f64), ("knn_done", pa.bool_())])
+
+    def tag_queries(batch: pa.Table) -> pa.Table:
+        lon, lat = np.asarray(batch[lon_col], np.float64), np.asarray(batch[lat_col], np.float64)
+        return pa.table({id_col: batch[id_col], "neighbor_id": pa.nulls(batch.num_rows),
+                         lon_col: lon, lat_col: lat,
+                         "_cell": index_mod.cell_id(lon, lat, res_deg)}, schema=schema)
 
     def tag_targets(batch: pa.Table) -> pa.Table:
-        batch = batch.append_column(query_id_col, pa.nulls(batch.num_rows, qid_type))
-        batch = batch.append_column("home", pa.array(np.zeros(batch.num_rows, bool)))
-        return batch.select(["cell_id", query_id_col, target_id_col, lon_col, lat_col, "home"])
+        lon, lat = np.asarray(batch["lon"], np.float64), np.asarray(batch["lat"], np.float64)
+        return pa.table({id_col: pa.nulls(batch.num_rows), "neighbor_id": batch["id"],
+                         lon_col: lon, lat_col: lat,
+                         "_cell": index_mod.cell_id(lon, lat, res_deg)}, schema=schema)
 
-    # batch_size coalesces small target blocks (from_items, a shuffle's
-    # output): every round's shuffle pays a map task per target block
-    t_tagged = t_cells.map_batches(tag_targets, batch_format="pyarrow",
-                                   batch_size=128 * 1024).materialize()
+    t_tagged = _map_blocks(targets, tag_targets, batch_size=None).materialize()
 
-    def make_explode(ring_eff: int):
+    def make_explode(homes: np.ndarray, ring: int):
+        # (ball cell, home cell) of every pending home cell's pole-safe
+        # geodesic ball (index.ball_candidates_many), sorted by ball cell
+        src, ball = index_mod.ball_candidates_many(homes, ring, res_deg)
+        order = np.argsort(ball, kind="stable")
+        ball, home = ball[order], homes[src[order]]
+
         def explode(batch: pa.Table) -> pa.Table:
-            lon = np.asarray(batch[lon_col], np.float64)
-            lat = np.asarray(batch[lat_col], np.float64)
-            cells = index_mod.cell_id(lon, lat, res_deg)
-            # pole-safe geodesic ball, ragged + duplicate-free (see
-            # index.ball_candidates_many for the exclusion guarantee)
-            rows, probe_cells = index_mod.ball_candidates_many(cells, ring_eff, res_deg)
-            return pa.table(
-                {
-                    "cell_id": pa.array(probe_cells, pa.int64()),
-                    query_id_col: batch[query_id_col].take(rows),
-                    target_id_col: pa.nulls(len(rows), tid_type),
-                    lon_col: pa.array(lon[rows], pa.float64()),
-                    lat_col: pa.array(lat[rows], pa.float64()),
-                    # home-cell marker: guarantees every pending query reaches
-                    # the merge even when its whole ring holds zero targets
-                    "home": pa.array(probe_cells == cells[rows], pa.bool_()),
-                }
-            )
+            # each target to every pending home cell whose ball holds it
+            c = np.asarray(batch["_cell"], np.int64)
+            lo, hi = np.searchsorted(ball, c, "left"), np.searchsorted(ball, c, "right")
+            reps = hi - lo
+            rows = np.repeat(np.arange(len(c)), reps)
+            at = _runs(reps) + np.repeat(lo, reps)
+            return batch.take(pa.array(rows)).set_column(
+                schema.get_field_index("_cell"), "_cell", pa.array(home[at], pa.int64()))
 
         return explode
 
-    def cell_topk(group: pa.Table) -> dict | None:
-        # output rows carry the QUERY's coordinates so the per-query merge
-        # can emit re-probe markers with coords attached — the round loop
-        # never has to rejoin pending ids against q_slim (or worse, collect
-        # them on the driver)
-        is_target = pc.is_valid(group[target_id_col])
-        tg = group.filter(is_target)
-        qg = group.filter(pc.invert(is_target))
-        if not tg.num_rows:
-            # sentinel (dist=inf): keeps candidate-less queries visible to the merge
-            home = qg.filter(qg["home"])
-            if not home.num_rows:
+    def make_topk(ring: int):
+        def home_topk(group: pa.Table) -> dict | None:
+            is_target = pc.is_valid(group["neighbor_id"])
+            tg, qg = group.filter(is_target), group.filter(pc.invert(is_target))
+            nq = qg.num_rows
+            if not nq:
                 return None
-            return {query_id_col: home[query_id_col],
-                    target_id_col: pa.nulls(home.num_rows, tid_type),
-                    "dist": np.full(home.num_rows, np.inf),
-                    lon_col: home[lon_col], lat_col: home[lat_col]}
-        if not qg.num_rows:
-            return None
-        tids = tg[target_id_col].to_numpy()
-        ci, cd = spatial_mod.knn_brute(
-            qg[lon_col].to_numpy(), qg[lat_col].to_numpy(),
-            tg[lon_col].to_numpy(), tg[lat_col].to_numpy(), k, order_key=tids,
-        )
-        rep = np.repeat(np.arange(qg.num_rows), ci.shape[1])
-        return {query_id_col: qg[query_id_col].take(rep),
-                target_id_col: tg[target_id_col].take(ci.ravel()), "dist": cd.ravel(),
-                lon_col: qg[lon_col].take(rep), lat_col: qg[lat_col].take(rep)}
+            ci, cd = (np.empty((nq, 0), np.int64), np.empty((nq, 0))) if not tg.num_rows else \
+                _knn_cell(qg[lon_col].to_numpy(), qg[lat_col].to_numpy(), tg[lon_col].to_numpy(),
+                          tg[lat_col].to_numpy(), _id_rank(tg["neighbor_id"]), k)
+            m = ci.shape[1]
+            kth = cd[:, -1] if m == k else np.full(nq, np.inf)
+            done = np.broadcast_to(_ring_closed(kth, ring, res_deg), nq)
+            # a finished query's m rows, then ONE re-probe row per
+            # unfinished query: the next round's queries are a filter of
+            # this output
+            fin, again = np.flatnonzero(done), np.flatnonzero(~done)
+            rows = np.r_[np.repeat(fin, m), again]
+            n_fin, n_again = len(fin) * m, len(again)
+            nbr = pa.array(np.r_[ci[fin].ravel(), np.zeros(n_again, np.int64)],
+                           mask=np.r_[np.zeros(n_fin, bool), np.ones(n_again, bool)])
+            return {id_col: qg[id_col].take(rows), lon_col: qg[lon_col].take(rows),
+                    lat_col: qg[lat_col].take(rows), "neighbor_id": tg["neighbor_id"].take(nbr),
+                    "neighbor_rank": np.r_[np.tile(np.arange(m), len(fin)),
+                                           np.full(n_again, -1)].astype(np.int32),
+                    "distance_m": np.r_[cd[fin].ravel(), np.full(n_again, np.inf)],
+                    "knn_done": np.arange(len(rows)) < n_fin}
 
-    def make_merge(ring_eff: int):
-        def merge_q(group: pa.Table) -> dict:
-            g = group.filter(pc.is_finite(group["dist"]))
-            g = g.sort_by([("dist", "ascending"), (target_id_col, "ascending")]).slice(0, k)
-            # ball_candidates exclusion guarantee: non-candidates are
-            # ≥ ring·res·LAT_DEG_M away (pole-safe); ring−1 for strictness
-            bound_m = (ring_eff - 1) * res_deg * index_mod.LAT_DEG_M
-            done = ring_eff >= max_ring or (
-                g.num_rows >= k and g["dist"][-1].as_py() <= bound_m
-            )
-            if not done:
-                # ONE re-probe marker row per unfinished query, coords
-                # attached: the next round's probe set is a pure Dataset
-                # filter over this output — no driver-side id collection,
-                # no rejoin against q_slim, and no k-row partial payload
-                # riding the shuffle just to signal "not done"
-                first = group.slice(0, 1)
-                return {query_id_col: first[query_id_col], target_id_col: pa.nulls(1, tid_type),
-                        "distance_m": [np.inf], "neighbor_rank": [-1], "knn_done": [False],
-                        lon_col: first[lon_col], lat_col: first[lat_col]}
-            n = g.num_rows
-            return {query_id_col: g[query_id_col], target_id_col: g[target_id_col],
-                    "distance_m": g["dist"], "neighbor_rank": np.arange(n, dtype=np.int32),
-                    "knn_done": np.ones(n, bool), lon_col: g[lon_col], lat_col: g[lat_col]}
-
-        return merge_q
+        return home_topk
 
     def finished(t: pa.Table) -> pa.Table:
-        return t.filter(t["knn_done"]).drop_columns(["knn_done", lon_col, lat_col])
+        return t.filter(t["knn_done"]).drop_columns(["knn_done"])
 
     def unfinished(t: pa.Table) -> pa.Table:
-        return t.filter(pc.invert(t["knn_done"])).select([query_id_col, lon_col, lat_col])
+        return t.filter(pc.invert(t["knn_done"])).select(list(cols))
 
-    pending = q_slim
-    ring = init_ring
-    results: list[ray.data.Dataset] = []
-    for _ in range(max_rounds):
-        ring_eff = min(ring, max_ring)
-        probes = _map_blocks(pending, make_explode(ring_eff), batch_size=None)
-        per_cell = _map_groups(probes.union(t_tagged), "cell_id", cell_topk, topk_schema)
-        merged = _map_groups(per_cell, query_id_col, make_merge(ring_eff),
-                             merge_schema).materialize()
-        results.append(_map_blocks(merged, finished, batch_size=None))
-        # pending stays a DATASET end-to-end (ids+coords only, one marker
-        # row per unfinished query); the loop syncs on a scalar count
-        pending = _map_blocks(merged, unfinished, batch_size=None)
-        if pending.count() == 0:
-            break  # every query finished
-        ring = min(max(ring + 1, ring * 2), max_ring)
-
-    out = results[0]
-    for r in results[1:]:
-        out = out.union(r)
-    return out
+    pending, ring, results = q_slim, min(2, max_ring), []
+    while pending is not None:
+        counts = _count_cells(_map_blocks(pending, tag_queries, batch_size=None), "_cell")
+        joined = _cell_join(pending, tag_queries, t_tagged,
+                            make_explode(counts["cell_id"].to_numpy(), ring), counts,
+                            make_topk(ring), out_schema).materialize()
+        results.append(_map_blocks(joined, finished, batch_size=None))
+        # without 0-row blocks: Ray hands one to the next stage as a block
+        # with no schema, which every later operator logs as a schema change
+        left = [ref for bundle in _map_blocks(joined, unfinished, batch_size=None)
+                .iter_internal_ref_bundles() for ref, meta in bundle.blocks if meta.num_rows]
+        pending = ray.data.from_arrow_refs(left) if left else None
+        ring = min(ring * 2, max_ring)
+    return results[0].union(*results[1:]) if len(results) > 1 else results[0]
 
 
 def within_distance_join(
@@ -1117,66 +1238,46 @@ def within_distance_join(
     """Geofence join: every (point, site) pair within ``radius_m`` meters
     (haversine) — the relational extension of the reference's fixed-distance
     "blast radius" op (src/projcl_run.c:694-745). Sites broadcast once,
-    bucketed by cell like KnnActor; each point scores ONLY the sites in the
-    geodesic ball of cells that can possibly be within range
+    bucketed by cell as knn_join's targets are (:class:`_Targets`); each
+    point scores ONLY the sites in the geodesic ball of cells that can
+    possibly be within range
     (index.ball_candidates — a provable superset INCLUDING across the pole,
     where per-row widening keeps far-longitude polar sites in play — exact).
     Emits input rows × matching sites with ``site_id``/``site_dist_m``."""
     res_deg = max(0.5, radius_m / 111194.9 * 2.0)  # ball stays small
     # coverage guarantee ring·res·LAT_DEG_M ≥ radius, +1 ring of slack
     ring = int(np.ceil(radius_m / (index_mod.LAT_DEG_M * res_deg))) + 1
-    ref = ray.put((np.asarray(site_ids), np.asarray(site_lon, np.float64),
-                   np.asarray(site_lat, np.float64)))
-
-    def _builder():
-        ids, slon, slat = ray.get(ref)
-        cells = index_mod.cell_id(slon, slat, res_deg)
-        order = np.argsort(cells, kind="stable")
-        return ids, slon, slat, cells[order], order
+    ref = ray.put(pa.table({"id": np.asarray(site_ids), "lon": np.asarray(site_lon, np.float64),
+                            "lat": np.asarray(site_lat, np.float64)}))
 
     from .geodesic import haversine_matrix
 
     def _join(batch: pa.Table) -> pa.Table:
-        ids, slon, slat, sorted_cells, order = _cached(
-            ("geofence", ref.hex(), radius_m), _builder
-        )
+        sites = _cached(("geofence", ref.hex(), radius_m), lambda: _Targets(ray.get(ref), res_deg))
         lon = batch[lon_col].to_numpy(zero_copy_only=False)
         lat = batch[lat_col].to_numpy(zero_copy_only=False)
         cells = index_mod.cell_id(lon, lat, res_deg)
         order_p = np.argsort(cells, kind="stable")
         sorted_p = cells[order_p]
-        rows_out: list[np.ndarray] = []
-        sites_out: list[np.ndarray] = []
-        dists_out: list[np.ndarray] = []
+        rows_out, sites_out = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+        dists_out = [np.empty(0)]
         # per-CELL, not per-point: the candidate set builds once per cell and
         # the distance test is one vectorized matrix per cell group
         for cell in np.unique(cells):
             qi = order_p[np.searchsorted(sorted_p, cell, "left"):
                          np.searchsorted(sorted_p, cell, "right")]
-            nb = index_mod.ball_candidates(int(cell), ring, res_deg)
-            lo = np.searchsorted(sorted_cells, nb, side="left")
-            hi = np.searchsorted(sorted_cells, nb, side="right")
-            cand = np.concatenate([order[a:b] for a, b in zip(lo, hi) if b > a]) \
-                if np.any(hi > lo) else np.empty(0, np.int64)
+            cand = sites.candidates(int(cell), ring)
             if not len(cand):
                 continue
-            d = haversine_matrix(lon[qi], lat[qi], slon[cand], slat[cand])
+            d = haversine_matrix(lon[qi], lat[qi], sites.lon[cand], sites.lat[cand])
             pi_idx, si_idx = np.nonzero(d <= radius_m)
-            if len(pi_idx):
-                rows_out.append(qi[pi_idx])
-                sites_out.append(cand[si_idx])
-                dists_out.append(d[pi_idx, si_idx])
-        if not rows_out:
-            t = batch.slice(0, 0)
-            t = t.append_column("site_id", pa.array([], pa.from_numpy_dtype(ids.dtype)
-                                                    if ids.dtype.kind != "O" else pa.string()))
-            return t.append_column("site_dist_m", pa.array([], pa.float64()))
-        rows = np.concatenate(rows_out)
-        sidx = np.concatenate(sites_out)
-        dist = np.concatenate(dists_out)
+            rows_out.append(qi[pi_idx])
+            sites_out.append(cand[si_idx])
+            dists_out.append(d[pi_idx, si_idx])
+        rows, sidx, dist = (np.concatenate(v) for v in (rows_out, sites_out, dists_out))
         o = np.argsort(rows, kind="stable")
         out = batch.take(pa.array(rows[o]))
-        out = out.append_column("site_id", pa.array(ids[sidx[o]]))
+        out = out.append_column("site_id", sites.ids.take(sidx[o]))
         return out.append_column("site_dist_m", pa.array(dist[o], pa.float64()))
 
     return _map_blocks(ds, _join, batch_size=batch_size, stream=True)
@@ -1412,106 +1513,11 @@ def cell_counts(
     *,
     batch_size: int | None = None,
 ):
-    """Skew-proof count per ``cell_id``, returned as a pandas DataFrame with
-    int64 columns ``cell_id`` and ``n``.
-
-    Partial counts per ``batch_size``-row slice of each block (the whole
-    block when None; the combiner): a hot cell contributes ONE row per
-    slice instead of all its rows — pre-aggregation beats salting for
-    algebraic aggregates (SURVEY §7). The partial rows stream to the driver
-    as Arrow batches and merge incrementally there — no shuffle, and the
-    driver holds only the merged distinct cells (≤ 2592 at 5°). Ray's
-    sort-based aggregate costs seconds of fixed latency regardless of row
-    count; for a few thousand output rows the driver merge removes it
-    entirely (measured 13.6 s → 7.7 s on the headline pipeline).
-    """
-
-    def partial(batch: pa.Table) -> pa.Table:
-        keys, counts = np.unique(np.asarray(batch["cell_id"], np.int64), return_counts=True)
-        return pa.table({"cell_id": keys, "n": counts.astype(np.int64)})
-
-    def merge(tables: list[pa.Table]) -> pa.Table:
-        sums = pa.concat_tables(tables).group_by("cell_id").aggregate([("n", "sum")])
-        return pa.table({"cell_id": sums["cell_id"], "n": sums["n_sum"]})
-
-    acc = [pa.table({"cell_id": pa.array([], pa.int64()), "n": pa.array([], pa.int64())})]
-    acc_rows = 0
-    merged_rows = 0  # distinct cells after the last compaction
-    partials = _map_blocks(ds, partial, batch_size=batch_size)
-    for b in partials.iter_batches(batch_format="pyarrow", batch_size=None):
-        acc.append(b)
-        acc_rows += b.num_rows
-        # amortized compaction: once the merged table itself exceeds 1M
-        # rows, wait until the uncompacted stream doubles it — otherwise
-        # every batch would re-group the full merged table
-        if acc_rows > max(1_000_000, 2 * merged_rows):
-            acc = [merge(acc)]
-            acc_rows = merged_rows = acc[0].num_rows
-    return merge(acc).sort_by("cell_id").to_pandas()
-
-
-def pip_join_large(
-    points: ray.data.Dataset,
-    polygons: ray.data.Dataset,
-    *,
-    lon_col: str = "lon",
-    lat_col: str = "lat",
-    res_deg: float = index_mod.DEFAULT_RES_DEG,
-) -> ray.data.Dataset:
-    """PIP join for polygon layers too large to broadcast: the cell equi-join
-    path (SURVEY §7 / SCALE.md).
-
-    ``polygons`` rows: (poly_id: string, vertices: list<double> — flattened
-    lon/lat pairs). Plan: explode polygons to one row per covered cell
-    (bbox-based, bounded fan-out) → union with cell-tagged points → ONE
-    groupby(cell_id) shuffle → exact ray-crossing test per cell group.
-    A point and polygon meet iff they share a cell, which bbox coverage
-    guarantees. Output: point rows + poly_id (deduped across cells).
-    """
-
-    pts = assign_cells(points, lon_col=lon_col, lat_col=lat_col, res_deg=res_deg)
-    # point rows and polygon rows meet in one union of one schema: the
-    # point columns, then poly_id and vertices, each null on the other side
-    out_schema = pts.schema().base_schema.append(pa.field("poly_id", pa.string()))
-    schema = out_schema.append(pa.field("vertices", pa.list_(pa.float64())))
-
-    def tag_points(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table({**{c: batch[c] for c in out_schema.names[:-1]},
-                         "poly_id": pa.nulls(n), "vertices": pa.nulls(n)}, schema=schema)
-
-    def explode_poly_cells(batch: pa.Table) -> pa.Table:
-        rows, cells = [], []
-        for i, v in enumerate(batch["vertices"].to_pylist()):
-            arr = np.asarray(v, np.float64).reshape(-1, 2)
-            c = index_mod.cells_covering_bbox(*arr.min(axis=0), *arr.max(axis=0), res_deg)
-            rows.extend([i] * len(c))
-            cells.extend(int(x) for x in c)
-        out = batch.take(pa.array(rows, pa.int64()))
-        n = out.num_rows
-        return pa.table({**{c: pa.nulls(n) for c in out_schema.names[:-1]}, "cell_id": cells,
-                         "poly_id": out["poly_id"], "vertices": out["vertices"]}, schema=schema)
-
-    def test_cell(group: pa.Table) -> dict | None:
-        is_poly = pc.is_valid(group["vertices"])
-        polys = group.filter(is_poly)
-        pts_g = group.filter(pc.invert(is_poly))
-        if not polys.num_rows or not pts_g.num_rows:
-            return None
-        px = np.asarray(pts_g[lon_col], np.float64)
-        py = np.asarray(pts_g[lat_col], np.float64)
-        rows, pids = [], []
-        for pid, v in zip(polys["poly_id"].to_pylist(), polys["vertices"].to_pylist()):
-            hit = np.flatnonzero(spatial_mod.point_in_polygon(px, py, np.asarray(v).reshape(-1, 2)))
-            rows.append(hit)
-            pids += [pid] * len(hit)
-        if not pids:
-            return None
-        out = pts_g.take(np.concatenate(rows))
-        return {**{c: out[c] for c in out_schema.names[:-1]}, "poly_id": pids}
-
-    both = _map_blocks(pts, tag_points, batch_size=None).union(
-        _map_blocks(polygons, explode_poly_cells, batch_size=None))
-    # a (point, poly) pair can match in one cell only (the point's cell), so
-    # no cross-cell dedup is needed — every point has exactly one cell_id.
-    return _map_groups(both, "cell_id", test_cell, out_schema)
+    """Skew-proof count per ``cell_id`` as a pandas DataFrame with int64
+    columns ``cell_id`` and ``n``: :func:`_count_cells`' per-slice partials
+    merged on the driver. A hot cell adds one row per slice, and Ray's
+    sort-based aggregate would add seconds of fixed latency for a few
+    thousand output rows (measured 13.6 s → 7.7 s on the headline
+    pipeline)."""
+    counts = _count_cells(ds, "cell_id", batch_size)
+    return counts.select(["cell_id", "n"]).sort_by("cell_id").to_pandas()

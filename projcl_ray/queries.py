@@ -25,13 +25,14 @@ from __future__ import annotations
 
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 
 import ray.data as rd
-from ray.data.aggregate import Count, Min, Sum
+from ray.data.aggregate import Count, Min
 
 from . import ops, sources
 from .datums import concat_shift_matrix, DATUM_SPHEROID
@@ -687,37 +688,30 @@ def q_cell_counts(sf_dir: str):
     return ds.groupby("cell_id").aggregate(Count(alias_name="n"))
 
 
-@q("salted_cell_counts")
-def q_salted_cell_counts(sf_dir: str):
-    """Skew machinery under the gate: count pre-pass → salt hot cells →
-    aggregate on the salted key → de-salt and merge — must reproduce the
-    plain (unsalted) per-cell counts exactly."""
-    pts = _merged_blocks(derive_points(sf_dir), 128 * 1024)
-    ds = ops.assign_cells(pts, res_deg=DEFAULT_RES_DEG)
-    pre = ops.cell_counts(ds)  # combiner pre-pass
-    cut = float(pre["n"].quantile(0.95))
-    hot = {int(r["cell_id"]): 8 for _, r in pre.iterrows() if r["n"] > cut}
-    if not hot:  # degenerate tiny inputs: salt the max cell anyway
-        hot = {int(pre.loc[pre["n"].idxmax(), "cell_id"]): 8}
-    salted = ops.salt_hot_keys(ds, "cell_id", hot, hash_col="l_orderkey")
-    agg = salted.groupby("salted_key").aggregate(Count(alias_name="pn")).to_pandas()
-    max_fanout = max(hot.values())
-    agg["cell_id"] = agg["salted_key"].to_numpy() // max_fanout
-    out = agg.groupby("cell_id", as_index=False)["pn"].sum().rename(columns={"pn": "n"})
-    return out
+def _poly_counts(joined: rd.Dataset) -> pd.DataFrame:
+    """Per-polygon ``n`` and ``sum_ok`` (of ``l_orderkey``) of a PIP join:
+    per-block Arrow partials merged in the driver, as ``ops.cell_counts``
+    does; with 25 polygons a shuffle only adds latency. (A stage after the
+    join would see its 0-row blocks with no schema.)"""
+    parts = [t.group_by("poly_id").aggregate([("l_orderkey", "count"), ("l_orderkey", "sum")])
+             for t in joined.iter_batches(batch_format="pyarrow", batch_size=None)]
+    g = pa.concat_tables(parts).group_by("poly_id").aggregate(
+        [("l_orderkey_count", "sum"), ("l_orderkey_sum", "sum")])
+    return g.select(["poly_id", "l_orderkey_count_sum", "l_orderkey_sum_sum"]).rename_columns(
+        ["poly_id", "n", "sum_ok"]).to_pandas()
 
 
-ORACLES["salted_cell_counts"] = ORACLES["cell_assign_counts"]  # same answer, salted path
+def _partitioned_join(group_max_rows: int):
+    """Force the joins' partitioned plan, salting cells above
+    ``group_max_rows`` probe rows."""
+    return mock.patch.multiple(ops, BROADCAST_MAX_BYTES=0, GROUP_MAX_ROWS=group_max_rows)
 
 
 @q("pip_join_boxes", None)  # oracle attached below (built from the same box math)
 def q_pip_boxes(sf_dir: str):
     ds = derive_points(sf_dir)
     polys = nation_boxes(sf_dir)
-    out = ops.pip_join(ds, polys).select_columns(["l_orderkey", "l_partkey", "poly_id"])
-    return out.groupby("poly_id").aggregate(
-        Count(alias_name="n"), Sum("l_orderkey", alias_name="sum_ok")
-    )
+    return _poly_counts(ops.pip_join(ds, polys))
 
 
 ORACLES["pip_join_boxes"] = f"""
@@ -846,7 +840,8 @@ def q_knn(sf_dir: str):
     s_ids, s_lon, s_lat = _supplier_points(sf_dir)
     # exercise the ring-of-cells scale path — provably exact, so the DuckDB
     # oracle (full cross-join + window) still matches
-    out = ops.knn_join(cust, s_ids, s_lon, s_lat, k=3, prune_res_deg=10.0).to_pandas()
+    out = ops.knn_join(cust, (s_ids, s_lon, s_lat), 3, id_col="c_custkey",
+                       res_deg=10.0).to_pandas()
     out["s_suppkey"] = out["neighbor_id"].astype(np.int64)
     out["neighbor_rank"] = out["neighbor_rank"].astype(np.int64)
     out["dist_m"] = np.floor(out["distance_m"].to_numpy()).astype(np.int64)
@@ -855,19 +850,18 @@ def q_knn(sf_dir: str):
 
 @q("knn_join_large_customers_suppliers")
 def q_knn_large(sf_dir: str):
-    """Both-sides-large kNN (dataset×dataset, nothing broadcast) against the
-    SAME cross-join SQL oracle as the broadcast path — both must agree."""
+    """kNN with the targets a Dataset, forced onto the partitioned plan with
+    hot cells salted (10° cells hold up to 17 customers at sf0.01), against
+    the SAME cross-join SQL oracle as the broadcast plan."""
     cust = _customer_points(sf_dir)
     s_ids, s_lon, s_lat = _supplier_points(sf_dir)
     supp_ds = rd.from_arrow(
-        pa.table({"s_suppkey": pa.array(np.asarray(s_ids, np.int64)),
+        pa.table({"id": pa.array(np.asarray(s_ids, np.int64)),
                   "lon": pa.array(s_lon), "lat": pa.array(s_lat)})
     )
-    out = ops.knn_join_large(
-        cust, supp_ds, k=3, query_id_col="c_custkey", target_id_col="s_suppkey",
-        res_deg=10.0, init_ring=5,
-    ).to_pandas()
-    out["s_suppkey"] = out["s_suppkey"].astype(np.int64)
+    with _partitioned_join(16):
+        out = ops.knn_join(cust, supp_ds, 3, id_col="c_custkey", res_deg=10.0).to_pandas()
+    out["s_suppkey"] = out["neighbor_id"].astype(np.int64)
     out["neighbor_rank"] = out["neighbor_rank"].astype(np.int64)
     out["dist_m"] = np.floor(out["distance_m"].to_numpy()).astype(np.int64)
     return out[["c_custkey", "s_suppkey", "neighbor_rank", "dist_m"]]
@@ -1391,19 +1385,18 @@ FROM r
 # ---------------------------------------------------------------------------
 
 
-@q("pip_join_large_boxes", ORACLES["pip_join_boxes"])  # same oracle: paths must agree
+@q("pip_join_large_boxes", ORACLES["pip_join_boxes"])  # same oracle: plans must agree
 def q_pip_large(sf_dir: str):
-    """The cell-equi-join PIP path (large-layer fallback) against the SAME SQL
-    oracle as the broadcast path — both must produce identical joins."""
+    """PIP with the polygon layer a Dataset, forced onto the partitioned
+    plan with hot cells salted (5° cells hold up to 133 points at sf0.01),
+    against the SAME SQL oracle as the broadcast plan."""
     ds = derive_points(sf_dir)
     polys = nation_boxes(sf_dir)
     poly_ds = rd.from_items(
         [{"poly_id": pid, "vertices": np.asarray(p, np.float64).ravel().tolist()} for pid, p in polys]
     )
-    out = ops.pip_join_large(ds, poly_ds, res_deg=DEFAULT_RES_DEG)
-    return out.groupby("poly_id").aggregate(
-        Count(alias_name="n"), Sum("l_orderkey", alias_name="sum_ok")
-    )
+    with _partitioned_join(120):
+        return _poly_counts(ops.pip_join(ds, poly_ds))
 
 
 @q("flagship_partitioned_resume")  # checkpoint/lineage demo — rows-only

@@ -1,10 +1,9 @@
 """Sources & sinks (SURVEY §2.2): the reference has none (host-memory only);
 here the canonical storage is columnar files read/written by Ray Data.
 
-Lance is the north-rule's nominal table format; this container ships no lance
-bindings, so the readers try `ray.data.read_lance` first and fall back to
-Parquet transparently — the engine is format-agnostic (everything downstream
-is Arrow batches).
+Tables are Parquet (a file or a directory of files); everything downstream
+is Arrow batches, so the engine is format-agnostic. Lance, the nominal table
+format, is not read: its bindings are not installed.
 
 The tile sink writes one Parquet file per write task, each row carrying a
 stored ``bucket`` column (``cell_id % n_buckets``) and each block's rows
@@ -62,7 +61,7 @@ def _one_block_per_file(files: list[pads.ParquetFileFragment], schema: pa.Schema
 
 
 def read_table(path: str, *, columns: list[str] | None = None, **kw) -> rd.Dataset:
-    """Read a Lance dataset if available/applicable, else Parquet (file or dir).
+    """Read a Parquet table (a file or a directory of files).
 
     Column pruning is always pushed down (`columns=`), per the prune-at-the-
     read rule. A Parquet read asks for one block per file where Ray's
@@ -71,14 +70,6 @@ def read_table(path: str, *, columns: list[str] | None = None, **kw) -> rd.Datas
     entry pandas-written files carry makes every multi-block schema unify
     log a "Failed to hash the schemas" warning.
     """
-    if path.endswith(".lance") or os.path.isdir(os.path.join(path, "_versions")):
-        try:
-            return rd.read_lance(path, columns=columns, **kw)
-        except (AttributeError, ImportError) as exc:  # no lance bindings here
-            raise NotImplementedError(
-                "lance bindings are not available in this environment; "
-                "store the table as parquet"
-            ) from exc
     # the files Ray's read scans: its discovery is Arrow's dataset discovery
     files = list(pads.dataset(path, format="parquet", filesystem=kw.get("filesystem"))
                  .get_fragments())

@@ -95,35 +95,3 @@ def test_fixed_angle_trace_stage(ray_session):
     out = ops.forward_geodesic_fixed_angle(dists, 10.0, 20.0, 45.0).to_pandas()
     d = haversine(10.0, 20.0, out["lon2"], out["lat2"])
     np.testing.assert_allclose(d, out["distance_m"], atol=1e-6)
-
-
-def test_salting_on_skewed_cells(ray_session):
-    """Real skew: Zipf-clustered image centers → hot cells; the pre-pass count
-    finds them and salting fans exactly those out."""
-    import ray.data as rd
-
-    from projcl_ray.images import synth_images_table
-
-    tbl = synth_images_table(400, seed=42)
-    ds = rd.from_arrow(tbl.select(["image_id", "lon0", "lat0"]))
-    ds = ops.assign_cells(ds, lon_col="lon0", lat_col="lat0", res_deg=10.0)
-
-    counts = ds.groupby("cell_id").count().to_pandas()
-    assert counts["count()"].max() > 4 * counts["count()"].median()  # skew exists
-    hot = {int(r["cell_id"]): 8 for _, r in counts.iterrows() if r["count()"] >= 40}
-    assert hot, "expected at least one hot cell from Zipf clustering"
-
-    def add_hash(batch):
-        batch["row_hash"] = np.array([hash(s) & 0x7FFFFFFF for s in batch["image_id"]], np.int64)
-        return batch
-
-    hashed = ds.map_batches(add_hash, batch_format="numpy")
-    salted = ops.salt_hot_keys(hashed, "cell_id", hot, hash_col="row_hash").to_pandas()
-    fan = salted.groupby("cell_id")["salted_key"].nunique()
-    for cid, n in fan.items():
-        if cid in hot:
-            assert n > 1  # hot cell split across sub-keys
-        else:
-            assert n == 1
-    # salted keys partition the original key space: cell recoverable
-    assert (salted["salted_key"] // 8 == salted["cell_id"]).all()

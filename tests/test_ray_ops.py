@@ -433,7 +433,7 @@ def test_knn_join_matches_brute(ray_session, sf_dir):
     t_ids = np.array([f"t{i}" for i in range(40)])
     t_lon = rng.uniform(-60, 60, 40)
     t_lat = rng.uniform(-40, 80, 40)
-    out = ops.knn_join(ds, t_ids, t_lon, t_lat, k=3).to_pandas()
+    out = ops.knn_join(ds, (t_ids, t_lon, t_lat), 3, id_col="point_id").to_pandas()
     assert len(out) == n_in * 3
     from projcl_ray.spatial import knn_brute
 
@@ -450,22 +450,10 @@ def test_knn_join_matches_brute(ray_session, sf_dir):
     np.testing.assert_allclose(got["distance_m"].to_numpy().reshape(-1, 3), dist, rtol=1e-12)
 
 
-def test_salt_hot_keys(ray_session, sf_dir):
-    ds = ops.assign_cells(lineitem_points(ray_session, sf_dir, limit=3000), res_deg=30.0)
-    counts = ds.groupby("cell_id").count().to_pandas()
-    hot = {int(r["cell_id"]): 4 for _, r in counts.iterrows() if r["count()"] > 500}
-    if not hot:
-        pytest.skip("no hot cells at this scale")
-    salted = ops.salt_hot_keys(ds, "cell_id", hot, hash_col="point_id").to_pandas()
-    fan = salted.groupby("cell_id")["salted_key"].nunique()
-    for cid, n in fan.items():
-        assert n == (4 if cid in hot else 1)
-
-
 def test_knn_pruned_matches_brute_dense_and_sparse(ray_session, sf_dir):
-    """Ring-of-cells pruning (the 100 TB path) must be EXACT vs brute force —
-    dense targets (pruning wins big) and sparse targets (rings must keep
-    expanding until the distance bound closes)."""
+    """Ring-of-cells pruning must be EXACT vs brute force — dense targets
+    (pruning wins big) and sparse targets (rings must keep expanding until
+    the distance bound closes)."""
     from projcl_ray.spatial import knn_brute
 
     ds = lineitem_points(ray_session, sf_dir, limit=300)
@@ -478,7 +466,8 @@ def test_knn_pruned_matches_brute_dense_and_sparse(ray_session, sf_dir):
         t_ids = np.arange(m)
         t_lon = rng.uniform(-60, 60, m)
         t_lat = rng.uniform(-40, 80, m)
-        out = ops.knn_join(ds, t_ids, t_lon, t_lat, k=4, prune_res_deg=res).to_pandas()
+        out = ops.knn_join(ds, (t_ids, t_lon, t_lat), 4, id_col="point_id",
+                           res_deg=res).to_pandas()
         got = (
             out.drop_duplicates(["lon", "lat", "neighbor_rank"])
             .sort_values(["lon", "lat", "neighbor_rank"]).reset_index(drop=True)
@@ -490,9 +479,10 @@ def test_knn_pruned_matches_brute_dense_and_sparse(ray_session, sf_dir):
         )
 
 
-def test_pip_join_large_matches_broadcast(ray_session, sf_dir):
-    """The cell-equi-join path (large polygon layers) must produce exactly the
-    broadcast path's (point, polygon) pairs."""
+def test_pip_join_partitioned_matches_broadcast(ray_session, sf_dir, monkeypatch):
+    """A polygon Dataset over BROADCAST_MAX_BYTES takes the cell-partitioned
+    plan, which must produce exactly the broadcast plan's (point, polygon)
+    pairs and columns."""
     import ray.data as rd
 
     ds = lineitem_points(ray_session, sf_dir, limit=2500)
@@ -504,10 +494,73 @@ def test_pip_join_large_matches_broadcast(ray_session, sf_dir):
     poly_ds = rd.from_items(
         [{"poly_id": pid, "vertices": poly.ravel().tolist()} for pid, poly in polys]
     )
-    lg = ops.pip_join_large(ds, poly_ds, res_deg=5.0).to_pandas()
+    monkeypatch.setattr(ops, "BROADCAST_MAX_BYTES", 0)
+    lg = ops.pip_join(ds, poly_ds).to_pandas()
+    assert list(lg.columns) == list(bc.columns)
     key = lambda df: set(zip(df["lon"].round(9), df["lat"].round(9), df["poly_id"]))
     assert key(lg) == key(bc)
     assert len(lg) == len(bc)
+
+
+def test_skewed_join_salts_hot_cell_and_plans_agree(ray_session, monkeypatch):
+    """One 5° cell holds over half the points (synth_images_table's Zipf
+    clustering around a single hot spot). The partitioned plan's shuffle
+    splits each cell over GROUP_MAX_ROWS probe rows, and only those, into
+    groups within the cap, replicating the cell's build rows into each, and
+    the broadcast and partitioned plans return the same rows for PIP and
+    for kNN."""
+    import ray.data as rd
+
+    from projcl_ray.index import cell_id
+
+    images = synth_images_table(600, seed=2, sizes=(8,), hot_centers=1)
+    lon, lat = images["lon0"].to_numpy(), images["lat0"].to_numpy()
+    cells = cell_id(lon, lat, 5.0)
+    assert np.unique(cells, return_counts=True)[1].max() > len(cells) // 2
+    pts = pa.table({"pid": np.arange(len(cells)), "lon": lon, "lat": lat})
+    ds = rd.from_arrow([pts.slice(i, 200) for i in range(0, pts.num_rows, 200)])
+    cap = 64
+    monkeypatch.setattr(ops, "GROUP_MAX_ROWS", cap)
+
+    # the shuffle: each point a probe row, one build row (pid −1) per cell
+    def tag(batch: pa.Table) -> pa.Table:
+        c = cell_id(batch["lon"].to_numpy(), batch["lat"].to_numpy(), 5.0)
+        return batch.append_column("_cell", pa.array(c))
+
+    def sizes(group: pa.Table) -> dict:
+        pid = group["pid"].to_numpy()
+        return {"cell": [int(group["_cell"][0].as_py())], "probes": [int((pid >= 0).sum())],
+                "builds": [int((pid < 0).sum())]}
+
+    build = rd.from_arrow(pa.table({"pid": np.full(len(np.unique(cells)), -1),
+                                    "lon": [lon[cells == c][0] for c in np.unique(cells)],
+                                    "lat": [lat[cells == c][0] for c in np.unique(cells)]}))
+    counts = ops._count_cells(ops._map_blocks(ds, tag, batch_size=None), "_cell")
+    schema = pa.schema([("cell", pa.int64()), ("probes", pa.int64()), ("builds", pa.int64())])
+    groups = ops._cell_join(ds, tag, build, tag, counts, sizes, schema).to_pandas()
+    assert groups["probes"].max() <= cap
+    assert groups["probes"].sum() == len(cells) and (groups["builds"] == 1).all()
+    per_cell = groups.groupby("cell").size()
+    for c, n in zip(*np.unique(cells, return_counts=True)):
+        assert per_cell[c] >= -(-n // cap) if n > cap else per_cell[c] == 1, (c, n)
+
+    polys = [(f"p{j}", make_convex_polygon(float(lon[j]), float(lat[j]), 3.0, 8, seed=j))
+             for j in range(0, 600, 150)]
+    rng = np.random.default_rng(4)
+    t_lon = np.r_[rng.uniform(-60, 60, 40), lon[:: 50] + 0.3]
+    t_lat = np.r_[rng.uniform(-40, 80, 40), lat[:: 50] - 0.2]
+    targets = (np.arange(len(t_lon)), t_lon, t_lat)
+    got = {}
+    for plan, max_bytes in (("broadcast", ops.BROADCAST_MAX_BYTES), ("partitioned", 0)):
+        monkeypatch.setattr(ops, "BROADCAST_MAX_BYTES", max_bytes)
+        pip = ops.pip_join(ds, polys).to_pandas().sort_values(["pid", "poly_id"])
+        knn = ops.knn_join(ds, targets, 3, id_col="pid").to_pandas()
+        got[plan] = pip.reset_index(drop=True), knn.sort_values(
+            ["pid", "neighbor_rank"]).reset_index(drop=True)
+    assert len(got["broadcast"][0]) > 0
+    for a, b in zip(got["broadcast"], got["partitioned"]):
+        assert list(a.columns) == list(b.columns)
+        assert a.equals(b)
 
 
 def test_knn_pruned_polar_rows_no_duplicates(ray_session):
@@ -527,7 +580,7 @@ def test_knn_pruned_polar_rows_no_duplicates(ray_session):
     ds = rd.from_items(
         [{"qid": i, "lon": float(qlon[i]), "lat": float(qlat[i])} for i in range(40)]
     )
-    out = ops.knn_join(ds, t_ids, t_lon, t_lat, k=3, prune_res_deg=10.0).to_pandas()
+    out = ops.knn_join(ds, (t_ids, t_lon, t_lat), 3, id_col="qid", res_deg=10.0).to_pandas()
     assert int(out.groupby("qid")["neighbor_id"].nunique().min()) == 3  # no dup ranks
     got = out.sort_values(["qid", "neighbor_rank"]).reset_index(drop=True)
     idx, exp = knn_brute(qlon, qlat, t_lon, t_lat, 3, order_key=t_ids)
@@ -535,26 +588,28 @@ def test_knn_pruned_polar_rows_no_duplicates(ray_session):
     np.testing.assert_array_equal(got["neighbor_id"].to_numpy().reshape(-1, 3), t_ids[idx])
 
 
-def test_knn_tie_breaks_by_target_id(ray_session):
+def test_knn_tie_breaks_by_target_id(ray_session, monkeypatch):
     """Duplicate target locations must rank by id (SQL ORDER BY dist, id) in
-    both the brute and pruned paths — derived supplier coords repeat with
-    period 1200, so exact ties are real at larger scale factors."""
+    both plans — derived supplier coords repeat with period 1200, so exact
+    ties are real at larger scale factors."""
     import ray.data as rd
 
     t_lon = np.array([10.0, 10.0, 10.0, 50.0])
     t_lat = np.array([20.0, 20.0, 20.0, 60.0])
     t_ids = np.array([7, 3, 5, 1])
     ds = rd.from_items([{"qid": 0, "lon": 10.5, "lat": 20.5}])
-    for res in (None, 10.0):
-        out = ops.knn_join(ds, t_ids, t_lon, t_lat, k=3, prune_res_deg=res).to_pandas()
+    for plan, max_bytes in (("broadcast", ops.BROADCAST_MAX_BYTES), ("partitioned", 0)):
+        monkeypatch.setattr(ops, "BROADCAST_MAX_BYTES", max_bytes)
+        out = ops.knn_join(ds, (t_ids, t_lon, t_lat), 3, id_col="qid", res_deg=10.0).to_pandas()
         got = out.sort_values("neighbor_rank")["neighbor_id"].tolist()
-        assert got == [3, 5, 7], (res, got)
+        assert got == [3, 5, 7], (plan, got)
 
 
-def test_knn_join_large_matches_brute(ray_session):
-    """Dataset×dataset kNN (nothing broadcast) must be exact vs brute force —
-    dense targets (one round) and sparse targets (multi-round ring growth,
-    including a query whose first rings hold zero targets)."""
+def test_knn_join_partitioned_matches_brute(ray_session, monkeypatch):
+    """A target Dataset over BROADCAST_MAX_BYTES takes the partitioned plan,
+    which must be exact vs brute force — dense targets (one round) and
+    sparse targets (multi-round ring growth, including a query whose first
+    rings hold zero targets)."""
     import ray.data as rd
 
     from projcl_ray.spatial import knn_brute
@@ -569,18 +624,17 @@ def test_knn_join_large_matches_brute(ray_session):
         t_lon = rng.uniform(-60, 60, m)
         t_lat = rng.uniform(-40, 80, m)
         t_ds = rd.from_items(
-            [{"tid": int(j), "lon": float(t_lon[j]), "lat": float(t_lat[j])} for j in range(m)]
+            [{"id": int(j), "lon": float(t_lon[j]), "lat": float(t_lat[j])} for j in range(m)]
         )
-        out = ops.knn_join_large(
-            q_ds, t_ds, k=3, query_id_col="qid", target_id_col="tid", res_deg=10.0
-        ).to_pandas()
+        monkeypatch.setattr(ops, "BROADCAST_MAX_BYTES", 0)
+        out = ops.knn_join(q_ds, t_ds, 3, id_col="qid", res_deg=10.0).to_pandas()
         assert len(out) == len(qlon) * 3, m
         got = out.sort_values(["qid", "neighbor_rank"]).reset_index(drop=True)
         idx, exp = knn_brute(qlon, qlat, t_lon, t_lat, 3, order_key=np.arange(m))
         np.testing.assert_allclose(
             got["distance_m"].to_numpy().reshape(-1, 3), exp, rtol=1e-12, err_msg=f"m={m}"
         )
-        np.testing.assert_array_equal(got["tid"].to_numpy().reshape(-1, 3), idx)
+        np.testing.assert_array_equal(got["neighbor_id"].to_numpy().reshape(-1, 3), idx)
 
 
 def test_resize_images_shapes_and_filters(ray_session):
@@ -723,10 +777,10 @@ def test_within_distance_join_small_radius_across_pole(ray_session):
     assert got == exp
 
 
-def test_knn_small_radius_polar_exact(ray_session):
-    """kNN pruned path + dataset×dataset path at tight resolutions near the
-    poles: nearest neighbors reached over the pole (far longitude) must win —
-    the knn_join_large termination bound shared the square-ring flaw."""
+def test_knn_small_radius_polar_exact(ray_session, monkeypatch):
+    """kNN, both plans, at tight resolutions near the poles: nearest
+    neighbors reached over the pole (far longitude) must win — the
+    partitioned plan's termination bound once shared the square-ring flaw."""
     import ray.data as rd
 
     from projcl_ray.spatial import knn_brute
@@ -740,19 +794,18 @@ def test_knn_small_radius_polar_exact(ray_session):
     q_ds = rd.from_items(
         [{"qid": i, "lon": float(qlon[i]), "lat": float(qlat[i])} for i in range(3)]
     )
-    out = ops.knn_join(q_ds, t_ids, t_lon, t_lat, k=2, prune_res_deg=0.5).to_pandas()
+    out = ops.knn_join(q_ds, (t_ids, t_lon, t_lat), 2, id_col="qid", res_deg=0.5).to_pandas()
     got = out.sort_values(["qid", "neighbor_rank"]).reset_index(drop=True)
     np.testing.assert_array_equal(got["neighbor_id"].to_numpy().reshape(-1, 2), t_ids[idx])
     np.testing.assert_allclose(got["distance_m"].to_numpy().reshape(-1, 2), exp, rtol=1e-12)
 
     t_ds = rd.from_items(
-        [{"tid": int(j), "lon": float(t_lon[j]), "lat": float(t_lat[j])} for j in range(5)]
+        [{"id": int(j), "lon": float(t_lon[j]), "lat": float(t_lat[j])} for j in range(5)]
     )
-    out2 = ops.knn_join_large(
-        q_ds, t_ds, k=2, query_id_col="qid", target_id_col="tid", res_deg=0.5
-    ).to_pandas()
+    monkeypatch.setattr(ops, "BROADCAST_MAX_BYTES", 0)
+    out2 = ops.knn_join(q_ds, t_ds, 2, id_col="qid", res_deg=0.5).to_pandas()
     got2 = out2.sort_values(["qid", "neighbor_rank"]).reset_index(drop=True)
-    np.testing.assert_array_equal(got2["tid"].to_numpy().reshape(-1, 2), t_ids[idx])
+    np.testing.assert_array_equal(got2["neighbor_id"].to_numpy().reshape(-1, 2), t_ids[idx])
     np.testing.assert_allclose(got2["distance_m"].to_numpy().reshape(-1, 2), exp, rtol=1e-12)
 
 
@@ -783,16 +836,15 @@ def _group_stage(name: str):
     from projcl_ray.index import cut_tiles
 
     pts = [{"pid": i, "lon": 10.0 + 0.3 * i, "lat": 20.0 + 0.2 * i} for i in range(20)]
-    if name == "pip_join_large":
+    if name == "pip_join_partitioned":
         polys = [(f"p{j}", make_convex_polygon(lon, lat, 2.0, 6, seed=j))
                  for j, (lon, lat) in enumerate([(12.0, 22.0), (-120.0, -60.0)])]
         poly_ds = rd.from_items([{"poly_id": p, "vertices": v.ravel().tolist()} for p, v in polys])
-        return ops.pip_join_large(rd.from_items(pts), poly_ds, res_deg=5.0)
-    if name == "knn_join_large":
+        return ops.pip_join(rd.from_items(pts), poly_ds)
+    if name == "knn_join_partitioned":
         queries = pts + [{"pid": 99, "lon": -150.0, "lat": -70.0}]  # its rings start empty
-        targets = rd.from_items([{"tid": j, "lon": 11.0 + j, "lat": 21.0} for j in range(6)])
-        return ops.knn_join_large(rd.from_items(queries), targets, k=2, query_id_col="pid",
-                                  target_id_col="tid", res_deg=10.0, init_ring=1)
+        targets = rd.from_items([{"id": j, "lon": 11.0 + j, "lat": 21.0} for j in range(6)])
+        return ops.knn_join(rd.from_items(queries), targets, 2, id_col="pid", res_deg=10.0)
     if name == "rasterize_points":
         return ops.rasterize_points(rd.from_items(pts), res_deg=5.0, tile_px=16)
     images = synth_images_table(2, seed=4, sizes=(64,))
@@ -810,13 +862,15 @@ def _group_stage(name: str):
     return ops.warp_tiled_mosaic(rd.from_items(rows), "mercator", ProjParams(spheroid="WGS_84"))
 
 
-@pytest.mark.parametrize("name", ["knn_join_large", "warp_tiled_mosaic", "build_tile_pyramid",
-                                  "rasterize_points", "pip_join_large"])
-def test_group_stages_emit_one_arrow_schema(ray_session, name):
+@pytest.mark.parametrize("name", ["knn_join_partitioned", "warp_tiled_mosaic",
+                                  "build_tile_pyramid", "rasterize_points",
+                                  "pip_join_partitioned"])
+def test_group_stages_emit_one_arrow_schema(ray_session, monkeypatch, name):
     """Every batch a group stage emits carries one schema, without the
     pandas metadata a pandas UDF's output gains on its way back to Arrow
     (the source of Ray's "Failed to hash the schemas" and "different
     schema than the previous one" warnings)."""
+    monkeypatch.setattr(ops, "BROADCAST_MAX_BYTES", 0)
     batches = list(_group_stage(name).iter_batches(batch_format="pyarrow", batch_size=None))
     assert batches and sum(b.num_rows for b in batches) > 0
     first = batches[0].schema
