@@ -52,21 +52,6 @@ def cell_bounds(cid: np.ndarray, res_deg: float = DEFAULT_RES_DEG):
     return lon_min, lat_min, lon_min + res_deg, lat_min + res_deg
 
 
-def cell_neighbors(cid: np.ndarray, res_deg: float = DEFAULT_RES_DEG, ring: int = 1):
-    """For each cell id return the (2·ring+1)² neighborhood (with lon wrap,
-    lat clamped) — the kNN candidate-generation ring. Returns array of shape
-    (len(cid), k)."""
-    cid = np.asarray(cid, np.int64).ravel()
-    _nx, _ny = nx(res_deg), ny(res_deg)
-    ix = cid % _nx
-    iy = cid // _nx
-    offs = np.arange(-ring, ring + 1)
-    dx, dy = np.meshgrid(offs, offs)
-    nbr_x = (ix[:, None] + dx.ravel()[None, :]) % _nx  # wrap antimeridian
-    nbr_y = np.clip(iy[:, None] + dy.ravel()[None, :], 0, _ny - 1)
-    return nbr_y * _nx + nbr_x
-
-
 LAT_DEG_M = 111194.9  # meters per degree of latitude (π/180 · 6 371 000, floored)
 
 
@@ -77,8 +62,8 @@ def ball_candidates_many(cid, ring: int, res_deg: float = DEFAULT_RES_DEG):
     query cell. Returns flat ``(src_idx, cell_id)`` pairs (ragged fan-out),
     duplicate-free.
 
-    Geometry (the replacement for the square ``cell_neighbors`` ring, which
-    silently dropped far-longitude matches near the poles): latitude rows
+    Geometry (a square ring of cells would silently drop far-longitude
+    matches near the poles): latitude rows
     within ±ring of the query row; each row's longitude half-width is widened
     to ``ceil(ring·(π/2) / cos φ_max)`` where φ_max is the larger \\|lat\\| edge
     of the query cell and that row — rows whose widened window spans the grid

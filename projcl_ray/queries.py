@@ -851,7 +851,7 @@ def q_knn(sf_dir: str):
 @q("knn_join_large_customers_suppliers")
 def q_knn_large(sf_dir: str):
     """kNN with the targets a Dataset, forced onto the partitioned plan with
-    hot cells salted (10° cells hold up to 17 customers at sf0.01), against
+    hot cells salted (10° cells hold up to 3 suppliers at sf0.01), against
     the SAME cross-join SQL oracle as the broadcast plan."""
     cust = _customer_points(sf_dir)
     s_ids, s_lon, s_lat = _supplier_points(sf_dir)
@@ -859,7 +859,7 @@ def q_knn_large(sf_dir: str):
         pa.table({"id": pa.array(np.asarray(s_ids, np.int64)),
                   "lon": pa.array(s_lon), "lat": pa.array(s_lat)})
     )
-    with _partitioned_join(16):
+    with _partitioned_join(2):
         out = ops.knn_join(cust, supp_ds, 3, id_col="c_custkey", res_deg=10.0).to_pandas()
     out["s_suppkey"] = out["neighbor_id"].astype(np.int64)
     out["neighbor_rank"] = out["neighbor_rank"].astype(np.int64)

@@ -500,6 +500,9 @@ def test_pip_join_partitioned_matches_broadcast(ray_session, sf_dir, monkeypatch
     key = lambda df: set(zip(df["lon"].round(9), df["lat"].round(9), df["poly_id"]))
     assert key(lg) == key(bc)
     assert len(lg) == len(bc)
+    # no points: an empty result, as the broadcast plan gives
+    empty = ops.pip_join(ds.filter(expr="lon > 1000"), poly_ds)
+    assert empty.count() == 0 and empty.schema().names == list(bc.columns)
 
 
 def test_skewed_join_salts_hot_cell_and_plans_agree(ray_session, monkeypatch):
@@ -635,6 +638,57 @@ def test_knn_join_partitioned_matches_brute(ray_session, monkeypatch):
             got["distance_m"].to_numpy().reshape(-1, 3), exp, rtol=1e-12, err_msg=f"m={m}"
         )
         np.testing.assert_array_equal(got["neighbor_id"].to_numpy().reshape(-1, 3), idx)
+    # no queries: an empty result, as the broadcast plan gives
+    assert ops.knn_join(q_ds.filter(expr="lon > 1000"), t_ds, 3, id_col="qid").count() == 0
+
+
+def test_knn_partitioned_keeps_targets_in_place(ray_session, monkeypatch):
+    """Targets far outnumber the queries, and three queries lie far from
+    every target, so their rings grow to the whole sphere. Every round's
+    shuffle keeps each target once, in its own cell, within GROUP_MAX_ROWS
+    (a salted cell replicates the queries, not the targets), and the result
+    equals brute force."""
+    import pyarrow.compute as pc
+    import ray.data as rd
+
+    from projcl_ray.spatial import knn_brute
+
+    rng = np.random.default_rng(5)
+    m = 3000
+    t_lon, t_lat = rng.normal(10.0, 2.0, m), rng.normal(48.0, 2.0, m)
+    qlon = np.r_[rng.uniform(0, 20, 12), [-150.0, 120.0, 0.0]]
+    qlat = np.r_[rng.uniform(40, 56, 12), [-60.0, -30.0, -89.0]]
+    tbl = pa.table({"id": np.arange(m), "lon": t_lon, "lat": t_lat})
+    t_ds = rd.from_arrow([tbl.slice(i, 500) for i in range(0, m, 500)])
+    q_ds = rd.from_arrow(pa.table({"qid": np.arange(len(qlon)), "lon": qlon, "lat": qlat}))
+    cap = 400
+    monkeypatch.setattr(ops, "BROADCAST_MAX_BYTES", 0)
+    monkeypatch.setattr(ops, "GROUP_MAX_ROWS", cap)
+
+    rounds = []
+    real = ops._cell_join
+    sizes_schema = pa.schema([("targets", pa.int64()), ("queries", pa.int64())])
+
+    def sizes(group: pa.Table) -> dict:
+        n_t = pc.sum(pc.is_valid(group["neighbor_id"]).cast(pa.int64())).as_py() or 0
+        return {"targets": [n_t], "queries": [group.num_rows - n_t]}
+
+    def spy(probe, tag_probe, build, tag_build, counts, fn, schema):
+        rounds.append(real(probe, tag_probe, build, tag_build, counts, sizes,
+                           sizes_schema).to_pandas())
+        return real(probe, tag_probe, build, tag_build, counts, fn, schema)
+
+    monkeypatch.setattr(ops, "_cell_join", spy)
+    out = ops.knn_join(q_ds, t_ds, 3, id_col="qid", res_deg=10.0).to_pandas()
+    assert len(rounds) >= 3  # the far queries go round again
+    cells = np.unique(ops.index_mod.cell_id(t_lon, t_lat, 10.0), return_counts=True)[1]
+    assert cells.max() > cap  # a hot cell is salted
+    for groups in rounds:
+        assert groups["targets"].sum() == m and groups["targets"].max() <= cap
+    got = out.sort_values(["qid", "neighbor_rank"]).reset_index(drop=True)
+    idx, exp = knn_brute(qlon, qlat, t_lon, t_lat, 3, order_key=np.arange(m))
+    np.testing.assert_array_equal(got["neighbor_id"].to_numpy().reshape(-1, 3), idx)
+    np.testing.assert_allclose(got["distance_m"].to_numpy().reshape(-1, 3), exp, rtol=1e-12)
 
 
 def test_resize_images_shapes_and_filters(ray_session):

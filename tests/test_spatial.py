@@ -5,7 +5,6 @@ import numpy as np
 from projcl_ray.index import (
     cell_bounds,
     cell_id,
-    cell_neighbors,
     cells_covering_bbox,
     cut_tiles,
     tile_index,
@@ -31,14 +30,6 @@ def test_cell_bounds_contain_points():
     cid = cell_id(lon, lat, 5.0)
     x0, y0, x1, y1 = cell_bounds(cid, 5.0)
     assert np.all((lon >= x0) & (lon < x1) & (lat >= y0) & (lat < y1))
-
-
-def test_cell_neighbors_ring1():
-    cid = cell_id(np.array([0.0]), np.array([0.0]), 5.0)
-    nbrs = cell_neighbors(cid, 5.0, ring=1)
-    assert nbrs.shape == (1, 9)
-    assert cid[0] in nbrs[0]
-    assert len(set(nbrs[0].tolist())) == 9
 
 
 def test_cells_covering_bbox():
