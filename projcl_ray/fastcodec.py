@@ -8,16 +8,18 @@ corpus the Python loop is the throughput ceiling (~2 MB/s/core). When a
 system C compiler is present, `_fastcodec.c` (the same algorithms,
 bit-exact) is compiled ONCE per machine into a cached shared object and
 loaded with ctypes; every failure mode — no compiler, build error, load
-error, `PROJCL_NO_FASTCODEC=1` — falls back to the pure-Python path
-silently. C twins exist only for loops on a measured path: the JPEG, PNG,
-TIFF-LZW and GIF-LZW decoders, the 8-bit JPEG decode tail (libjpeg's islow
+error, `PROJCL_NO_FASTCODEC=1` in the environment at import (read once
+into :data:`DISABLED`) — falls back to the pure-Python path silently. C
+twins exist only for loops on a measured path: the JPEG, PNG, TIFF-LZW
+and GIF-LZW decoders, the 8-bit JPEG decode tail (libjpeg's islow
 IDCT with clamp, one call per component, then upsampling and fixed-point
 YCbCr → RGBA, one call per image), and the bilinear sampler (the one
 per-pixel loop numpy runs as 4 gathers plus ~12 temporaries, alone and
 fused with the warp lattice fill; the fused one lerps 4-channel interior
 pixels in SSE2 and writes at a row stride, so the warp+tile stage warps
-straight into its tile-padded arrays). The encoders the package keeps (baseline
-JPEG, TIFF) run in Python only, and no other encoder is in the package.
+straight into its tile-padded arrays). The encoders the package keeps
+(baseline JPEG, deflate-strip TIFF) run in Python only, and no other
+encoder is in the package.
 Parity is pinned in tests/test_warp.py and tests/test_image_codecs.py.
 
 Concurrency: Ray workers race to build on first use; each builds to a
@@ -36,17 +38,20 @@ import numpy as np
 
 _LIB = None
 _TRIED = False
+# True runs the pure-Python paths. Read once from PROJCL_NO_FASTCODEC at
+# import (Ray workers inherit the variable); tests and tools toggle the
+# attribute itself.
+DISABLED = os.environ.get("PROJCL_NO_FASTCODEC", "").lower() in (
+    "1", "true", "yes", "on")
 
 
 def lib():
     """The loaded shared object, building it first if needed; None when
-    ``PROJCL_NO_FASTCODEC`` is set (read on every call, so it can be
-    toggled between calls) or the object is unavailable for any reason.
-    Every wrapper below returns its "use the pure-Python path" value when
-    this is None."""
+    :data:`DISABLED` or the object is unavailable for any reason. Every
+    wrapper below returns its "use the pure-Python path" value when this
+    is None."""
     global _LIB, _TRIED
-    if os.environ.get("PROJCL_NO_FASTCODEC", "").lower() in (
-            "1", "true", "yes", "on"):
+    if DISABLED:
         return None
     if _TRIED:
         return _LIB

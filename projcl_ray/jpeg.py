@@ -17,13 +17,14 @@ Scope:
   the integer ratio to the largest factor. The tests cover 4:4:4 (all
   factors 1) and 4:2:0 (luma 2×2), single- and multi-scan. Arithmetic
   coding and hierarchical modes are rejected with a clear error.
-- encode: gray/RGB/RGBA → baseline JFIF with the Annex-K standard
-  quantization (libjpeg quality scaling) and Huffman tables; 4:4:4 by
-  default, optional 4:2:0 (``subsample=True``), one scan per component
-  (``multiscan=True``), restart markers, and 12-bit SOF1 with Huffman
-  tables generated by the Annex K.2/K.3 flowcharts. Deterministic bytes.
-  No system path writes progressive JPEG, so its writer lives with the
-  tests (tests/codec_writers.py) and builds on :func:`_frame`.
+- encode (``encode_jpeg``): gray/RGB/RGBA → 8-bit baseline JFIF, one
+  interleaved scan, with the Annex-K standard quantization (libjpeg
+  quality scaling) and Huffman tables; 4:4:4 by default, optional 4:2:0
+  (``subsample=True``). Deterministic bytes. That is the only JPEG a
+  system path writes; the writers of the other layouts the decoder reads
+  (one scan per component, restart markers, 12-bit SOF1, progressive)
+  live with the tests (tests/codec_writers.py) and build on
+  :func:`_frame`, :func:`_dht` and :func:`_scan`.
 
 Numerics: decode is libjpeg's integer arithmetic. The IDCT is jidctint.c's
 "islow" (CONST_BITS 13, PASS1_BITS 2 at 8-bit and 1 at 12-bit) in int64,
@@ -155,61 +156,6 @@ def _decode_lut(table: bytes) -> tuple[bytes, bytes]:
     pad = bytes((1 << 16) - used)
     return (bytes(np.repeat(vals, spans)) + pad,
             bytes(np.repeat(lengths, spans)) + pad)
-
-
-def _gen_huffman(freq: np.ndarray) -> tuple[list[int], list[int]]:
-    """Optimal Huffman table from symbol frequencies → (BITS[1..16], HUFFVAL),
-    per the ITU T.81 Annex K.2 code-length flowchart (two-least-frequent
-    merge over FREQ/CODESIZE/OTHERS) and the K.3 16-bit length adjustment.
-    A reserved pseudo-symbol (index 256, freq 1) guarantees no real symbol
-    gets the all-ones code. Ties pick the larger symbol value."""
-    f = np.zeros(257, np.int64)
-    f[:256] = freq
-    f[256] = 1
-    codesize = np.zeros(257, np.int64)
-    others = np.full(257, -1, np.int64)
-    while True:
-        c1, v = -1, None
-        for i in range(257):
-            if f[i] and (v is None or f[i] <= v):
-                v, c1 = f[i], i
-        c2, v = -1, None
-        for i in range(257):
-            if f[i] and i != c1 and (v is None or f[i] <= v):
-                v, c2 = f[i], i
-        if c2 < 0:
-            break
-        f[c1] += f[c2]
-        f[c2] = 0
-        codesize[c1] += 1
-        while others[c1] >= 0:
-            c1 = others[c1]
-            codesize[c1] += 1
-        others[c1] = c2
-        codesize[c2] += 1
-        while others[c2] >= 0:
-            c2 = others[c2]
-            codesize[c2] += 1
-    bits = np.zeros(33, np.int64)
-    for i in range(257):
-        if codesize[i]:
-            bits[codesize[i]] += 1
-    for i in range(32, 16, -1):  # K.3: fold lengths > 16 down
-        while bits[i] > 0:
-            j = i - 2
-            while bits[j] == 0:
-                j -= 1
-            bits[i] -= 2
-            bits[i - 1] += 1
-            bits[j + 1] += 2
-            bits[j] -= 1
-    i = 16
-    while bits[i] == 0:
-        i -= 1
-    bits[i] -= 1  # drop the reserved pseudo-symbol's code point
-    huffval = [s for size in range(1, 33) for s in range(256)
-               if codesize[s] == size]
-    return [int(b) for b in bits[1:17]], huffval
 
 
 def _quality_tables(quality: int):
@@ -393,42 +339,13 @@ def _encode_block(w: _BitWriter, zz: np.ndarray, pred: int,
     return dc
 
 
-def _count_scan_symbols(c: dict, restart_interval: int,
-                        fdc: np.ndarray, fac: np.ndarray) -> None:
-    """Symbol statistics of one non-interleaved baseline scan — the same
-    traversal, run-length and restart-reset rules as the writer loop —
-    feeding :func:`_gen_huffman` for the 12-bit path (whose magnitudes
-    exceed the Annex-K example tables' categories)."""
-    pred = 0
-    m = 0
-    for row in range(c["hib"]):
-        for col in range(c["wib"]):
-            if restart_interval and m and m % restart_interval == 0:
-                pred = 0
-            zz = c["zz"][row * c["bpr"] + col]
-            dc = int(zz[0])
-            fdc[int(abs(dc - pred)).bit_length()] += 1
-            pred = dc
-            nz = np.nonzero(zz[1:])[0] + 1
-            prev = 0
-            for idx in nz:
-                run = int(idx) - prev - 1
-                while run >= 16:
-                    fac[0xF0] += 1  # ZRL
-                    run -= 16
-                fac[(run << 4) | int(abs(int(zz[idx]))).bit_length()] += 1
-                prev = int(idx)
-            if prev != 63:
-                fac[0x00] += 1  # EOB
-            m += 1
-
-
 def _frame(arr: np.ndarray, quality: int, subsample: bool, precision: int,
            sof: int, restart_interval: int = 0):
     """What every JFIF writer shares: per component the quantized zigzag
     coefficients over the MCU lattice plus scan geometry, and the headers
-    through the ``sof`` segment (DRI first when ``restart_interval``).
-    Returns (header bytes, components, mcus_x, mcus_y)."""
+    through the ``sof`` segment (16-bit DQT at ``precision`` 12, DRI first
+    when ``restart_interval``). Returns (header bytes, components, mcus_x,
+    mcus_y)."""
     level = float(1 << (precision - 1))
     gray = arr.ndim == 2
     h, w = arr.shape[:2]
@@ -497,131 +414,71 @@ def _frame(arr: np.ndarray, quality: int, subsample: bool, precision: int,
     return out, comps, mcus_x, mcus_y
 
 
-def encode_jpeg(arr: np.ndarray, *, quality: int = 90,
-                subsample: bool = False, multiscan: bool = False,
-                restart_interval: int = 0,
-                precision: int | None = None) -> bytes:
-    """(h, w) gray / (h, w, 3) RGB / (h, w, 4) RGBA uint8 → JFIF bytes.
-    RGBA alpha is dropped (JPEG has no alpha). ``subsample=True`` emits
-    4:2:0 chroma (smaller files, exercises the decoder's interleaved MCU
-    path); default is 4:4:4. ``multiscan=True`` emits BASELINE with one
-    non-interleaved scan per component (the T.81 §A.2 layout libjpeg scan
-    scripts produce) — same coefficients, so its decode is bit-identical
-    to the interleaved decode. ``restart_interval=N`` emits a DRI marker
-    and RSTn markers every N MCUs/data-units with DC-predictor resets —
-    same coefficients once more, so decode is bit-identical to the
-    restart-free encode.
+# the Annex-K example Huffman tables as (BITS, HUFFVAL), in DHT order: luma
+# DC, luma AC, chroma DC, chroma AC
+STD_HUFFMAN = ((DC_LUMA_BITS, DC_LUMA_VALS), (AC_LUMA_BITS, AC_LUMA_VALS),
+               (DC_CHROMA_BITS, DC_CHROMA_VALS), (AC_CHROMA_BITS, AC_CHROMA_VALS))
 
-    ``precision=12`` (auto-selected for uint16 input) emits the T.81
-    extended-sequential 12-bit form — SOF1, 16-bit DQT, level shift 2048
-    — as one non-interleaved scan per component with OPTIMAL per-table
-    Huffman codes (the Annex-K example tables stop at DC category 11 /
-    AC size 10, below what 12-bit magnitudes need). Gray and RGB; the
-    archival/DEM layout decode_jpeg returns as uint16."""
-    if precision is None:
-        precision = 12 if np.asarray(arr).dtype == np.uint16 else 8
-    if precision == 12:
-        arr = np.ascontiguousarray(arr, np.uint16)
-        if arr.max(initial=0) > 4095:
-            raise ValueError("12-bit JPEG samples must be in 0..4095")
-        multiscan = True  # per-component scans + optimal tables (see above)
-    elif precision == 8:
-        arr = np.ascontiguousarray(arr, np.uint8)
-    else:
-        raise ValueError("precision must be 8 or 12")
-    # SOF0 baseline (8-bit), SOF1 extended sequential (12-bit)
-    out, comps, mcus_x, mcus_y = _frame(
-        arr, quality, subsample, precision,
-        0xC1 if precision == 12 else 0xC0, restart_interval)
-    ncomp = len(comps)
-    gray = ncomp == 1
-    dc_l = _canonical_codes(DC_LUMA_BITS, DC_LUMA_VALS)
-    ac_l = _canonical_codes(AC_LUMA_BITS, AC_LUMA_VALS)
-    dc_c = _canonical_codes(DC_CHROMA_BITS, DC_CHROMA_VALS)
-    ac_c = _canonical_codes(AC_CHROMA_BITS, AC_CHROMA_VALS)
 
-    if precision == 12:
-        # optimal per-class tables from this image's symbol statistics —
-        # 12-bit magnitudes exceed the Annex-K categories (see docstring)
-        freqs = [(np.zeros(256, np.int64), np.zeros(256, np.int64))
-                 for _ in range(1 if gray else 2)]
-        for ci, c in enumerate(comps):
-            fdc, fac = freqs[0 if ci == 0 else 1]
-            _count_scan_symbols(c, restart_interval, fdc, fac)
-        dcl = _gen_huffman(freqs[0][0])
-        acl = _gen_huffman(freqs[0][1])
-        dc_l, ac_l = _canonical_codes(*dcl), _canonical_codes(*acl)
-        hts = [(0x00, *dcl), (0x10, *acl)]
-        if not gray:
-            dcc = _gen_huffman(freqs[1][0])
-            acc = _gen_huffman(freqs[1][1])
-            dc_c, ac_c = _canonical_codes(*dcc), _canonical_codes(*acc)
-            hts += [(0x01, *dcc), (0x11, *acc)]
-    else:
-        hts = [(0x00, DC_LUMA_BITS, DC_LUMA_VALS), (0x10, AC_LUMA_BITS, AC_LUMA_VALS)]
-        if not gray:
-            hts += [(0x01, DC_CHROMA_BITS, DC_CHROMA_VALS), (0x11, AC_CHROMA_BITS, AC_CHROMA_VALS)]
-    for tc, bits, vals in hts:
-        out += b"\xFF\xC4" + struct.pack(">HB", 3 + 16 + len(vals), tc)
+def _dht(out: bytearray, specs, ncomp: int) -> list:
+    """Append one DHT segment per table of ``specs`` ((BITS, HUFFVAL) in
+    :data:`STD_HUFFMAN` order; the chroma pair only when ``ncomp`` > 1) and
+    return each component's (DC codes, AC codes)."""
+    specs = specs[:2 if ncomp == 1 else 4]
+    for i, (bits, vals) in enumerate(specs):
+        out += b"\xFF\xC4" + struct.pack(">HB", 3 + 16 + len(vals),
+                                          (i % 2) << 4 | i // 2)
         out += bytes(bits) + bytes(vals)
-    if multiscan:
-        # one baseline scan per component, each over its own ceil-grid in
-        # raster order (lattice padding blocks are never coded; they only
-        # feed cropped pixels, so the decode is bit-identical)
-        tables = [(dc_l, ac_l)] + [(dc_c, ac_c)] * (ncomp - 1)
-        for ci, c in enumerate(comps):
-            out += b"\xFF\xDA" + struct.pack(">HB", 8, 1)
-            out += struct.pack("BB", c["cid"], (c["td"] << 4) | c["ta"])
-            out += b"\x00\x3F\x00"
-            wtr = _BitWriter()
-            pred = 0
-            m = 0
-            for row in range(c["hib"]):
-                for col in range(c["wib"]):
-                    if restart_interval and m and m % restart_interval == 0:
-                        wtr.flush()
-                        out += wtr.buf
-                        out += bytes([0xFF, 0xD0 + ((m // restart_interval
-                                                     - 1) % 8)])
-                        wtr = _BitWriter()
-                        pred = 0
-                    pred = _encode_block(wtr, c["zz"][row * c["bpr"] + col],
-                                         pred, *tables[ci])
-                    m += 1
-            wtr.flush()
-            out += wtr.buf
-        out += b"\xFF\xD9"
-        return bytes(out)
+    codes = [_canonical_codes(*s) for s in specs]
+    return [tuple(codes[:2])] + [tuple(codes[2:])] * (ncomp - 1)
 
-    out += b"\xFF\xDA" + struct.pack(">HB", 6 + 2 * ncomp, ncomp)
-    for i in range(ncomp):
-        out += struct.pack("BB", i + 1, 0x00 if i == 0 else 0x11)
-    out += b"\x00\x3F\x00"
 
-    # --- entropy-coded data (interleaved MCUs) ------------------------------
-    tables = [(dc_l, ac_l)] + [(dc_c, ac_c)] * (ncomp - 1)
-    wtr = _BitWriter()
-    preds = [0] * ncomp
-    m = 0
+def _mcus(comps: list, mcus_x: int, mcus_y: int):
+    """The interleaved scan's MCUs in raster order, each a list of
+    (component index, zigzag block) pairs in coding order (T.81 A.2.3)."""
     for my in range(mcus_y):
         for mx in range(mcus_x):
-            if restart_interval and m and m % restart_interval == 0:
-                wtr.flush()
-                out += wtr.buf
-                out += bytes([0xFF, 0xD0 + ((m // restart_interval - 1) % 8)])
-                wtr = _BitWriter()
-                preds = [0] * ncomp
-            m += 1
-            for ci, c in enumerate(comps):
-                hi, vi = c["h"], c["v"]
-                for by in range(vi):
-                    for bx in range(hi):
-                        bidx = (my * vi + by) * c["bpr"] + (mx * hi + bx)
-                        preds[ci] = _encode_block(
-                            wtr, c["zz"][bidx], preds[ci], *tables[ci]
-                        )
+            yield [(ci, c["zz"][(my * c["v"] + by) * c["bpr"] + mx * c["h"] + bx])
+                   for ci, c in enumerate(comps)
+                   for by in range(c["v"]) for bx in range(c["h"])]
+
+
+def _scan(out: bytearray, comps: list, mcus, tables: list,
+          restart_interval: int = 0) -> None:
+    """Append one sequential scan of ``comps``: the SOS header, then every
+    MCU of ``mcus`` (lists of (index into ``comps``, zigzag block))
+    Huffman-coded with ``tables[index]``, with an RSTn marker and DC
+    predictor reset every ``restart_interval`` MCUs when it is nonzero."""
+    out += b"\xFF\xDA" + struct.pack(">HB", 6 + 2 * len(comps), len(comps))
+    for c in comps:
+        out += struct.pack("BB", c["cid"], (c["td"] << 4) | c["ta"])
+    out += b"\x00\x3F\x00"
+    wtr = _BitWriter()
+    preds = [0] * len(comps)
+    for m, mcu in enumerate(mcus):
+        if restart_interval and m and m % restart_interval == 0:
+            wtr.flush()
+            out += wtr.buf
+            out += bytes([0xFF, 0xD0 + (m // restart_interval - 1) % 8])
+            wtr = _BitWriter()
+            preds = [0] * len(comps)
+        for ci, zz in mcu:
+            preds[ci] = _encode_block(wtr, zz, preds[ci], *tables[ci])
     wtr.flush()
     out += wtr.buf
+
+
+def encode_jpeg(arr: np.ndarray, *, quality: int = 90,
+                subsample: bool = False) -> bytes:
+    """(h, w) gray / (h, w, 3) RGB / (h, w, 4) RGBA uint8 → baseline JFIF
+    bytes: 8-bit samples, one interleaved scan, the Annex-K example Huffman
+    tables. RGBA alpha is dropped (JPEG has no alpha). ``subsample=True``
+    emits 4:2:0 chroma (smaller files, exercises the decoder's interleaved
+    MCU path); default is 4:4:4."""
+    out, comps, mcus_x, mcus_y = _frame(np.ascontiguousarray(arr, np.uint8),
+                                        quality, subsample, 8, 0xC0)
+    tables = _dht(out, STD_HUFFMAN, len(comps))
+    _scan(out, comps, _mcus(comps, mcus_x, mcus_y), tables)
     out += b"\xFF\xD9"  # EOI
     return bytes(out)
 

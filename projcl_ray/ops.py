@@ -446,57 +446,6 @@ class WarpTileActor:
         )
 
 
-def resize_images(
-    ds: ray.data.Dataset,
-    out_w: int,
-    out_h: int,
-    *,
-    filter: str = "bilinear",
-    bytes_col: str = "bytes",
-    batch_size: int = 16,
-) -> ray.data.Dataset:
-    """Fixed-size image resize — the model-input normalization stage of a
-    training-data pipeline: decode → center-aligned sampling with the
-    reference's filters (nearest/bilinear/bicubic/quasi_bicubic) → encode.
-    Stateless tasks over ``batch_size``-image slices of each block (rows are
-    wide); bytes/w/h columns are replaced in place, everything else passes
-    through."""
-    from .warp import SAMPLERS
-
-    sampler = SAMPLERS[filter]
-
-    def _resize(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        bufs, ws, hs, fmts = (batch[c].to_pylist() for c in (bytes_col, "w", "h", "fmt"))
-        out_bufs = []
-        # center-aligned mapping: output pixel center (i+0.5) → source
-        # (i+0.5)·scale − 0.5 (the standard align-centers convention)
-        gx = (np.arange(out_w, dtype=np.float64) + 0.5)[None, :]
-        gy = (np.arange(out_h, dtype=np.float64) + 0.5)[:, None]
-        for i in range(n):
-            img = decode_image(bufs[i], ws[i], hs[i], fmts[i])
-            px = np.broadcast_to(gx * (ws[i] / out_w) - 0.5, (out_h, out_w))
-            py = np.broadcast_to(gy * (hs[i] / out_h) - 0.5, (out_h, out_w))
-            with np.errstate(all="ignore"):
-                res = sampler(img, px, py)
-            out_bufs.append(encode_image(np.clip(res, 0, 255).astype(np.uint8)))
-        cols = {}
-        for name in batch.column_names:
-            if name == bytes_col:
-                cols[name] = pa.array(out_bufs, pa.binary())
-            elif name == "w":
-                cols[name] = pa.array(np.full(n, out_w, np.int32), pa.int32())
-            elif name == "h":
-                cols[name] = pa.array(np.full(n, out_h, np.int32), pa.int32())
-            elif name == "fmt":
-                cols[name] = pa.array(["raw"] * n, pa.string())
-            else:
-                cols[name] = batch[name]
-        return pa.table(cols)
-
-    return _map_blocks(ds, _resize, batch_size=batch_size, stream=True)
-
-
 def warp_and_tile(
     ds: ray.data.Dataset,
     proj_name: str,
@@ -1497,40 +1446,6 @@ def rasterize_points(
                 "w": [tile_px], "h": [tile_px], "fmt": ["rawl"]}
 
     return _map_groups(_map_blocks(ds, partial, batch_size=batch_size), "cell_id", densify, schema)
-
-
-def vectorize_tiles(
-    tiles: ray.data.Dataset,
-    *,
-    bytes_col: str = "bytes",
-    batch_size: int | None = 64,
-) -> ray.data.Dataset:
-    """RASTER→VECTOR: per-tile feature rows from pixel payloads (mean band
-    values, nonzero coverage, brightness percentiles) — the feature-extract
-    direction of the raster↔vector bullet. A stateless map over tile rows;
-    emits the input columns minus bytes plus the feature columns."""
-    def _feats(batch: pa.Table) -> pa.Table:
-        bufs = batch[bytes_col].to_pylist()
-        ws = batch["w"].to_pylist()
-        hs = batch["h"].to_pylist()
-        fmts = batch["fmt"].to_pylist()
-        mean_v = np.empty(len(bufs), np.float64)
-        cover = np.empty(len(bufs), np.float64)
-        p95 = np.empty(len(bufs), np.float64)
-        for i, buf in enumerate(bufs):
-            if fmts[i] == "rawl":
-                a = np.frombuffer(buf, np.uint8).reshape(hs[i], ws[i]).astype(np.float64)
-            else:
-                a = decode_image(buf, ws[i], hs[i], fmts[i])[..., :3].mean(axis=2)
-            mean_v[i] = a.mean()
-            cover[i] = (a > 0).mean()
-            p95[i] = np.quantile(a, 0.95)
-        out = batch.drop_columns([bytes_col])
-        out = out.append_column("mean_value", pa.array(mean_v))
-        out = out.append_column("coverage", pa.array(cover))
-        return out.append_column("p95_value", pa.array(p95))
-
-    return _map_blocks(tiles, _feats, batch_size=batch_size)
 
 
 def cell_counts(

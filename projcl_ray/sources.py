@@ -27,7 +27,7 @@ import ray.data as rd
 from ray.data import DataContext
 
 from .index import DEFAULT_RES_DEG
-from .ops import _map_blocks, ingest_geotiff
+from .ops import _map_blocks
 
 
 def _one_block_per_file(files: list[pads.ParquetFileFragment], schema: pa.Schema) -> int | None:
@@ -129,7 +129,10 @@ def write_geotiffs(ds: rd.Dataset, out_dir: str, *, batch_size: int | None = 16)
     skips rows whose file already exists. Returns the manifest
     Dataset (image_id, path, n_bytes, skipped) — consume it (write/iterate)
     to drive the export. Each block is exported ``batch_size`` rows at a
-    time."""
+    time. An ``image_id`` that is not a plain file name (empty, ``.`` or
+    ``..``, absolute, or holding a path separator or NUL) raises
+    ``ValueError`` before its slice writes anything, so no file lands
+    outside ``out_dir``."""
     os.makedirs(out_dir, exist_ok=True)
 
     def _export(batch: pa.Table) -> pa.Table:
@@ -137,6 +140,10 @@ def write_geotiffs(ds: rd.Dataset, out_dir: str, *, batch_size: int | None = 16)
         from .tiff import GeoTags, encode_tiff
 
         ids = batch["image_id"].to_pylist()
+        for iid in ids:
+            if (not iid or iid in (".", "..") or os.path.isabs(iid)
+                    or any(c in iid for c in ("/", os.sep, "\0"))):
+                raise ValueError(f"write_geotiffs: image_id {iid!r} is not a plain file name")
         paths, sizes, skipped = [], [], []
         for i, iid in enumerate(ids):
             path = os.path.join(out_dir, f"{iid}.tif")
@@ -150,7 +157,7 @@ def write_geotiffs(ds: rd.Dataset, out_dir: str, *, batch_size: int | None = 16)
             img = decode_image(row["bytes"], row["w"], row["h"], row["fmt"])
             geo = GeoTags(row["px_deg"], row["px_deg"], 0.0, 0.0,
                           row["lon0"], row["lat0"])
-            blob = encode_tiff(img, geo=geo, compression="deflate", predictor=2)
+            blob = encode_tiff(img, geo=geo, predictor=2)
             tmp = path + ".part"
             with open(tmp, "wb") as f:
                 f.write(blob)
@@ -165,24 +172,3 @@ def write_geotiffs(ds: rd.Dataset, out_dir: str, *, batch_size: int | None = 16)
         })
 
     return _map_blocks(ds, _export, batch_size=batch_size)
-
-
-def read_geotiffs(paths: str | list[str], *, batch_size: int | None = 16) -> rd.Dataset:
-    """Read a directory (or explicit list) of GeoTIFF files into the images
-    schema via ops.ingest_geotiff — georeference comes from the embedded
-    tags. image_id = file stem. The paths go into blocks of
-    ``batch_size`` files (one block when None), so one task reads and
-    decodes each block: a block per file would cost a Ray task per file."""
-    if isinstance(paths, str):
-        paths = [os.path.join(paths, f) for f in sorted(os.listdir(paths))
-                 if f.endswith((".tif", ".tiff"))]
-
-    def load(row: dict) -> dict:
-        with open(row["path"], "rb") as f:
-            blob = f.read()
-        stem = os.path.splitext(os.path.basename(row["path"]))[0]
-        return {"image_id": stem, "bytes": blob}
-
-    n_blocks = 1 if batch_size is None else -(-len(paths) // batch_size)
-    files = rd.from_items([{"path": p} for p in paths], override_num_blocks=max(n_blocks, 1))
-    return ingest_geotiff(files.map(load), batch_size=batch_size)

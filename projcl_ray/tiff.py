@@ -13,12 +13,16 @@ Scope:
   32773 (PackBits); photometric 0/1 (gray, incl. MinIsWhite inversion),
   2 (RGB, with or without alpha), 3 (palette); 8-bit samples; predictor 2
   (horizontal differencing). Multi-IFD files decode the first image.
-- encode: (h, w, 4)|(h, w, 3)|(h, w) uint8 → little-endian RGB(A)/gray
-  TIFF; strip- or tile-organized, none/LZW/deflate, optional horizontal-
-  differencing predictor and GeoTIFF georeference tags. Deterministic
-  bytes.
+- encode (``encode_tiff``): gray/RGB/RGBA rasters of uint8 up to
+  float32 samples → little-endian TIFF in 64-row deflate strips, optional
+  horizontal-differencing predictor and GeoTIFF georeference tags.
+  Deterministic bytes. That is the only TIFF a system path writes (the
+  GeoTIFF export, the DEM gate inputs); the writer of the other layouts
+  the decoder reads (LZW, uncompressed, tiles, other strip heights) lives
+  with the tests (tests/codec_writers.py) on :func:`_samples`,
+  :func:`_predicted` and :func:`_layout`.
 
-All pixel work is vectorized; the only Python loop is the LZW code loop,
+All pixel work is vectorized; the only Python loop is the LZW decode loop,
 inherent to the format (see gif.py — same reasoning).
 """
 
@@ -127,60 +131,6 @@ def _lzw_decode_tiff(data: bytes, expected: int) -> bytes:
         if len(table) + 1 == (1 << width) and width < 12:
             width += 1
     return bytes(out[:expected])
-
-
-def _lzw_encode_tiff(data: bytes) -> bytes:
-    """Bytes → TIFF LZW (MSB-first codes, early change, a clear code first
-    and again before the table tops out). Pure Python: no measured path
-    encodes LZW TIFF, so it has no C twin."""
-    out = bytearray()
-    acc = 0
-    nbits = 0
-
-    def emit(code: int, width: int):
-        nonlocal acc, nbits
-        acc = (acc << width) | code
-        nbits += width
-        while nbits >= 8:
-            out.append((acc >> (nbits - 8)) & 0xFF)
-            nbits -= 8
-            acc &= (1 << nbits) - 1  # drop emitted high bits (keep acc small)
-
-    # (prefix_code, next_byte) → code keys: O(1) per input byte, no
-    # byte-string building (roots are implicit: code == byte value)
-    table: dict[tuple[int, int], int] = {}
-    next_code = 258
-    width = 9
-    emit(256, width)  # clear
-    prev_code = -1
-    for byte in data:
-        if prev_code < 0:
-            prev_code = byte
-            continue
-        hit = table.get((prev_code, byte))
-        if hit is not None:
-            prev_code = hit
-            continue
-        emit(prev_code, width)
-        table[(prev_code, byte)] = next_code
-        next_code += 1
-        # early change: the decoder grows its width when table len hits
-        # 2^w - 1; with the decoder one entry behind, that is when our
-        # just-assigned code is 2^w - 1, i.e. next_code reaches 2^w
-        if next_code == (1 << width) and width < 12:
-            width += 1
-        if next_code == 4094:  # re-clear before the table tops out
-            emit(256, width)
-            table = {}
-            next_code = 258
-            width = 9
-        prev_code = byte
-    if prev_code >= 0:
-        emit(prev_code, width)
-    emit(257, width)  # EOI
-    if nbits:
-        out.append((acc << (8 - nbits)) & 0xFF)
-    return bytes(out)
 
 
 def _packbits_decode(data: bytes, expected: int) -> bytes:
@@ -434,20 +384,14 @@ def _decode_tiff(buf: bytes, *, native: bool):
 # ---------------------------------------------------------------------------
 
 
-def encode_tiff(arr: np.ndarray, *, geo: GeoTags | None = None,
-                compression: str = "deflate", rows_per_strip: int = 64,
-                tiled: bool = False, tile_size: int = 64,
-                predictor: int = 1) -> bytes:
-    """(h, w, 4)|(h, w, 3)|(h, w) uint8 → little-endian classic TIFF.
-    ``compression``: "deflate" (tag 8), "lzw" (tag 5, TIFF variant),
-    "packbits" is decode-only, "none". ``tiled`` emits tile organization
-    (TileWidth/TileLength, edge tiles zero-padded per spec) instead of
-    strips. ``predictor=2`` applies horizontal differencing before
-    compression. ``geo`` writes the GeoTIFF ModelPixelScale/ModelTiepoint
-    tags. Sample types beyond uint8 — uint16/int16/uint32/int32/float32,
-    the real-world GeoTIFF DEM/band types — encode with the matching
-    BitsPerSample + SampleFormat tags (predictor 2 applies per SAMPLE and
-    is rejected for float, per TIFF 6.0)."""
+_ROWS_PER_STRIP = 64
+
+
+def _samples(arr: np.ndarray, predictor: int) -> np.ndarray:
+    """``arr`` as (h, w, samples per pixel) little-endian samples of a type
+    TIFF stores: uint8, uint16, int16, uint32, int32 or float32 (float64
+    narrows to float32, any other type casts to uint8). Predictor 2 is
+    integer-only (TIFF 6.0)."""
     arr = np.asarray(arr)
     if arr.dtype == np.float64:
         arr = arr.astype(np.float32)
@@ -455,44 +399,32 @@ def encode_tiff(arr: np.ndarray, *, geo: GeoTags | None = None,
                          np.int32, np.float32):
         arr = arr.astype(np.uint8)
     sdtype = np.dtype(arr.dtype).newbyteorder("<")
-    arr = np.ascontiguousarray(arr.astype(sdtype, copy=False))
     if predictor == 2 and sdtype.kind == "f":
         raise ValueError("TIFF predictor 2 is integer-only")
-    gray = arr.ndim == 2
-    h, w = arr.shape[:2]
-    spp = 1 if gray else arr.shape[2]
-    photometric = 1 if gray else 2
-    px = arr.reshape(h, w, spp)
+    arr = np.ascontiguousarray(arr.astype(sdtype, copy=False))
+    return arr.reshape(arr.shape[0], arr.shape[1], 1 if arr.ndim == 2 else arr.shape[2])
 
-    def pack_segment(seg: np.ndarray) -> bytes:
-        if predictor == 2:
-            u = seg.view(np.dtype(f"<u{sdtype.itemsize}"))  # mod-2^n diff
-            d = u.copy()
-            d[:, 1:, :] -= u[:, :-1, :]
-            seg = d.view(sdtype)
-        raw = seg.tobytes()
-        if compression == "deflate":
-            return zlib.compress(raw, 6)
-        if compression == "lzw":
-            return _lzw_encode_tiff(raw)
-        return raw
 
-    comp_tag = {"none": 1, "lzw": 5, "deflate": 8}[compression]
-    segments: list[bytes] = []
-    if tiled:
-        tiles_x = (w + tile_size - 1) // tile_size
-        tiles_y = (h + tile_size - 1) // tile_size
-        padded = np.zeros((tiles_y * tile_size, tiles_x * tile_size, spp), sdtype)
-        padded[:h, :w] = px
-        for ty in range(tiles_y):
-            for tx in range(tiles_x):
-                segments.append(pack_segment(
-                    padded[ty * tile_size:(ty + 1) * tile_size,
-                           tx * tile_size:(tx + 1) * tile_size]))
-    else:
-        for y0 in range(0, h, rows_per_strip):
-            segments.append(pack_segment(px[y0:y0 + rows_per_strip]))
+def _predicted(seg: np.ndarray, predictor: int) -> bytes:
+    """A segment's sample bytes, horizontally differenced per sample
+    (modulo 2^bits) under ``predictor`` 2."""
+    if predictor == 2:
+        u = seg.view(np.dtype(f"<u{seg.dtype.itemsize}"))
+        d = u.copy()
+        d[:, 1:, :] -= u[:, :-1, :]
+        return d.tobytes()
+    return seg.tobytes()
 
+
+def _layout(px: np.ndarray, segments: list[bytes], compression: int,
+            predictor: int, geo: GeoTags | None, rows_per_strip: int,
+            tile_size: int = 0) -> bytes:
+    """The classic little-endian TIFF around ``segments``, the coded strips
+    of ``rows_per_strip`` rows of ``px`` (or, when ``tile_size`` is
+    nonzero, its square tiles in raster order): header, one IFD in
+    ascending tag order, out-of-line tag data, then the segments, each
+    padded to a word boundary."""
+    h, w, spp = px.shape
     entries: list[tuple[int, int, int, bytes | int]] = []
 
     def tag(tid: int, typ: int, vals):
@@ -501,19 +433,19 @@ def encode_tiff(arr: np.ndarray, *, geo: GeoTags | None = None,
         entries.append((tid, typ, len(vals), payload))
 
     n_strips = len(segments)
-    offsets_tag = _T_TILE_OFFSETS if tiled else _T_STRIP_OFFSETS
+    offsets_tag = _T_TILE_OFFSETS if tile_size else _T_STRIP_OFFSETS
     tag(_T_WIDTH, 4, [w])
     tag(_T_HEIGHT, 4, [h])
-    tag(_T_BITS, 3, [sdtype.itemsize * 8] * spp)
-    tag(_T_COMPRESSION, 3, [comp_tag])
-    tag(_T_PHOTOMETRIC, 3, [photometric])
-    if sdtype.kind != "u":
-        tag(_T_SAMPLEFMT, 3, [{"i": 2, "f": 3}[sdtype.kind]] * spp)
+    tag(_T_BITS, 3, [px.dtype.itemsize * 8] * spp)
+    tag(_T_COMPRESSION, 3, [compression])
+    tag(_T_PHOTOMETRIC, 3, [1 if spp == 1 else 2])
+    if px.dtype.kind != "u":
+        tag(_T_SAMPLEFMT, 3, [{"i": 2, "f": 3}[px.dtype.kind]] * spp)
     tag(offsets_tag, 4, [0] * n_strips)  # patched below
     tag(_T_SPP, 3, [spp])
     if predictor == 2:
         tag(_T_PREDICTOR, 3, [2])
-    if tiled:
+    if tile_size:
         tag(_T_TILE_W, 4, [tile_size])
         tag(_T_TILE_H, 4, [tile_size])
         tag(_T_TILE_COUNTS, 4, [len(s) for s in segments])
@@ -572,6 +504,22 @@ def encode_tiff(arr: np.ndarray, *, geo: GeoTags | None = None,
     for s in segments:
         out += s + (b"\x00" if len(s) & 1 else b"")
     return bytes(out)
+
+
+def encode_tiff(arr: np.ndarray, *, geo: GeoTags | None = None,
+                predictor: int = 1) -> bytes:
+    """(h, w, 4)|(h, w, 3)|(h, w) raster → little-endian classic TIFF in
+    64-row deflate strips (tag 8), the layout of the GeoTIFF export and the
+    DEM inputs. ``predictor=2`` applies horizontal differencing before
+    compression. ``geo`` writes the GeoTIFF ModelPixelScale/ModelTiepoint
+    tags. Sample types beyond uint8 — uint16/int16/uint32/int32/float32,
+    the real-world GeoTIFF DEM/band types — encode with the matching
+    BitsPerSample + SampleFormat tags (predictor 2 applies per SAMPLE and
+    is rejected for float, per TIFF 6.0)."""
+    px = _samples(arr, predictor)
+    strips = [zlib.compress(_predicted(px[y:y + _ROWS_PER_STRIP], predictor), 6)
+              for y in range(0, px.shape[0], _ROWS_PER_STRIP)]
+    return _layout(px, strips, 8, predictor, geo, _ROWS_PER_STRIP)
 
 
 def georef_from_tags(geo: GeoTags):

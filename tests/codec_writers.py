@@ -1,8 +1,11 @@
-"""Writers for the formats the engine only reads (GIF, BMP, PNG,
-progressive JPEG), for test inputs and the checked-in coded corpora of
-``projcl_ray/fixtures/`` (FIXTURES.md §8), which test_fixture_provenance.py
-checks they still make byte for byte. They call package internals
-(``jpeg._frame``, ``png._ADAM7``, ...) and copy none. Not a test module.
+"""Writers for what the engine only reads: GIF, BMP, PNG, progressive
+JPEG, the sequential JPEG layouts beyond baseline (one scan per component,
+restart markers, 12-bit) and the TIFF layouts beyond deflate strips (LZW,
+uncompressed, tiles). They make test inputs and the checked-in coded
+corpora of ``projcl_ray/fixtures/`` (FIXTURES.md §8), which
+test_fixture_provenance.py checks they still make byte for byte. They
+call package internals (``jpeg._frame``, ``jpeg._scan``, ``tiff._layout``,
+``png._ADAM7``, ...) and copy none. Not a test module.
 
     PYTHONPATH=. python tests/codec_writers.py [out_dir=projcl_ray/fixtures]
 """
@@ -276,6 +279,126 @@ def encode_png(arr: np.ndarray, *, level: int = 6, filter_type: int = 0,
     return png._SIG + _chunk(b"IHDR", ihdr) + _chunk(b"IDAT", idat) + _chunk(b"IEND", b"")
 
 
+# --- Sequential JPEG beyond baseline: jpeg._frame, then jpeg._scan ---
+
+def _gen_huffman(freq: np.ndarray) -> tuple[list[int], list[int]]:
+    """Optimal Huffman table from symbol frequencies → (BITS[1..16], HUFFVAL),
+    per the ITU T.81 Annex K.2 code-length flowchart (two-least-frequent
+    merge over FREQ/CODESIZE/OTHERS) and the K.3 16-bit length adjustment.
+    A reserved pseudo-symbol (index 256, freq 1) guarantees no real symbol
+    gets the all-ones code. Ties pick the larger symbol value."""
+    f = np.zeros(257, np.int64)
+    f[:256] = freq
+    f[256] = 1
+    codesize = np.zeros(257, np.int64)
+    others = np.full(257, -1, np.int64)
+    while True:
+        c1, v = -1, None
+        for i in range(257):
+            if f[i] and (v is None or f[i] <= v):
+                v, c1 = f[i], i
+        c2, v = -1, None
+        for i in range(257):
+            if f[i] and i != c1 and (v is None or f[i] <= v):
+                v, c2 = f[i], i
+        if c2 < 0:
+            break
+        f[c1] += f[c2]
+        f[c2] = 0
+        codesize[c1] += 1
+        while others[c1] >= 0:
+            c1 = others[c1]
+            codesize[c1] += 1
+        others[c1] = c2
+        codesize[c2] += 1
+        while others[c2] >= 0:
+            c2 = others[c2]
+            codesize[c2] += 1
+    bits = np.zeros(33, np.int64)
+    for i in range(257):
+        if codesize[i]:
+            bits[codesize[i]] += 1
+    for i in range(32, 16, -1):  # K.3: fold lengths > 16 down
+        while bits[i] > 0:
+            j = i - 2
+            while bits[j] == 0:
+                j -= 1
+            bits[i] -= 2
+            bits[i - 1] += 1
+            bits[j + 1] += 2
+            bits[j] -= 1
+    i = 16
+    while bits[i] == 0:
+        i -= 1
+    bits[i] -= 1  # drop the reserved pseudo-symbol's code point
+    huffval = [s for size in range(1, 33) for s in range(256)
+               if codesize[s] == size]
+    return [int(b) for b in bits[1:17]], huffval
+
+
+class _Counts:
+    """A Huffman code table's stand-in in a statistics pass: counts each
+    symbol ``jpeg._encode_block`` looks up and gives it an empty code."""
+
+    def __init__(self):
+        self.freq = np.zeros(256, np.int64)
+
+    def __getitem__(self, s: int):
+        self.freq[s] += 1
+        return 0, 0
+
+
+def encode_jpeg_sequential(arr: np.ndarray, *, quality: int = 90,
+                           subsample: bool = False, multiscan: bool = False,
+                           restart_interval: int = 0,
+                           precision: int | None = None) -> bytes:
+    """Sequential JFIF in the layouts ``jpeg.encode_jpeg`` does not write.
+    ``multiscan=True`` emits one non-interleaved scan per component (the
+    T.81 §A.2 layout libjpeg scan scripts produce), each over the
+    component's own ceil-grid in raster order. ``restart_interval=N``
+    emits a DRI marker and RSTn markers every N MCUs (data units in a
+    per-component scan) with DC-predictor resets. ``precision=12``
+    (the default for uint16 input) emits the T.81 extended-sequential
+    12-bit form — SOF1, 16-bit DQT, level shift 2048 — as one scan per
+    component with optimal per-table Huffman codes from a statistics pass
+    (the Annex-K example tables stop at DC category 11 / AC size 10, below
+    what 12-bit magnitudes need). At 8 bits the coefficients equal
+    ``encode_jpeg``'s, so every layout decodes to the same pixels."""
+    if precision is None:
+        precision = 12 if np.asarray(arr).dtype == np.uint16 else 8
+    if precision == 12:
+        arr = np.ascontiguousarray(arr, np.uint16)
+        if arr.max(initial=0) > 4095:
+            raise ValueError("12-bit JPEG samples must be in 0..4095")
+        multiscan = True
+    elif precision == 8:
+        arr = np.ascontiguousarray(arr, np.uint8)
+    else:
+        raise ValueError("precision must be 8 or 12")
+    # SOF0 baseline (8-bit), SOF1 extended sequential (12-bit)
+    out, comps, mcus_x, mcus_y = jpeg._frame(
+        arr, quality, subsample, precision,
+        0xC1 if precision == 12 else 0xC0, restart_interval)
+
+    def scans(out: bytearray, tables: list):
+        if not multiscan:
+            return jpeg._scan(out, comps, jpeg._mcus(comps, mcus_x, mcus_y),
+                              tables, restart_interval)
+        for c, t in zip(comps, tables):
+            units = ([(0, c["zz"][r * c["bpr"] + k])]
+                     for r in range(c["hib"]) for k in range(c["wib"]))
+            jpeg._scan(out, [c], units, [t], restart_interval)
+
+    specs = jpeg.STD_HUFFMAN
+    if precision == 12:
+        counts = [_Counts() for _ in range(2 if len(comps) == 1 else 4)]
+        scans(bytearray(), [tuple(counts[:2])] + [tuple(counts[2:])] * (len(comps) - 1))
+        specs = [_gen_huffman(c.freq) for c in counts]
+    scans(out, jpeg._dht(out, specs, len(comps)))
+    out += b"\xFF\xD9"
+    return bytes(out)
+
+
 # --- Progressive JPEG (SOF2): jpeg._frame, then the scan script ---
 
 def encode_jpeg_progressive(arr: np.ndarray, *, quality: int = 90,
@@ -488,7 +611,7 @@ def _emit_progressive(out: bytearray, comps: list[dict],
         run(stats)
         codes = {}
         for tbl_key, freq in sorted(stats.freq.items()):
-            bits, vals = jpeg._gen_huffman(freq)
+            bits, vals = _gen_huffman(freq)
             codes[tbl_key] = jpeg._canonical_codes(bits, vals)
             tc = 0 if tbl_key[0] == "dc" else 1
             out += b"\xFF\xC4" + struct.pack(
@@ -503,6 +626,88 @@ def _emit_progressive(out: bytearray, comps: list[dict],
         run(wsink)
         wsink.w.flush()
         out += wsink.w.buf
+
+
+# --- TIFF beyond deflate strips: tiff._samples, tiff._predicted, tiff._layout ---
+
+def _lzw_encode_tiff(data: bytes) -> bytes:
+    """Bytes → TIFF LZW (MSB-first codes, early change, a clear code first
+    and again before the table tops out)."""
+    out = bytearray()
+    acc = 0
+    nbits = 0
+
+    def emit(code: int, width: int):
+        nonlocal acc, nbits
+        acc = (acc << width) | code
+        nbits += width
+        while nbits >= 8:
+            out.append((acc >> (nbits - 8)) & 0xFF)
+            nbits -= 8
+            acc &= (1 << nbits) - 1  # drop emitted high bits (keep acc small)
+
+    # (prefix_code, next_byte) → code keys: O(1) per input byte, no
+    # byte-string building (roots are implicit: code == byte value)
+    table: dict[tuple[int, int], int] = {}
+    next_code = 258
+    width = 9
+    emit(256, width)  # clear
+    prev_code = -1
+    for byte in data:
+        if prev_code < 0:
+            prev_code = byte
+            continue
+        hit = table.get((prev_code, byte))
+        if hit is not None:
+            prev_code = hit
+            continue
+        emit(prev_code, width)
+        table[(prev_code, byte)] = next_code
+        next_code += 1
+        # early change: the decoder grows its width when table len hits
+        # 2^w - 1; with the decoder one entry behind, that is when our
+        # just-assigned code is 2^w - 1, i.e. next_code reaches 2^w
+        if next_code == (1 << width) and width < 12:
+            width += 1
+        if next_code == 4094:  # re-clear before the table tops out
+            emit(256, width)
+            table = {}
+            next_code = 258
+            width = 9
+        prev_code = byte
+    if prev_code >= 0:
+        emit(prev_code, width)
+    emit(257, width)  # EOI
+    if nbits:
+        out.append((acc << (8 - nbits)) & 0xFF)
+    return bytes(out)
+
+
+def encode_tiff_layout(arr: np.ndarray, *, compression: str = "deflate",
+                       rows_per_strip: int = 64, tiled: bool = False,
+                       tile_size: int = 64, predictor: int = 1,
+                       geo: tiff.GeoTags | None = None) -> bytes:
+    """``tiff.encode_tiff`` in another layout: ``compression`` "deflate"
+    (tag 8), "lzw" (tag 5, TIFF variant) or "none" (tag 1); strips of
+    ``rows_per_strip`` rows, or with ``tiled`` square tiles of
+    ``tile_size`` (TileWidth/TileLength, edge tiles zero-padded per
+    spec)."""
+    px = tiff._samples(arr, predictor)
+    h, w, spp = px.shape
+    if tiled:
+        ny, nx = -(-h // tile_size), -(-w // tile_size)
+        padded = np.zeros((ny * tile_size, nx * tile_size, spp), px.dtype)
+        padded[:h, :w] = px
+        segs = [padded[ty * tile_size:(ty + 1) * tile_size,
+                       tx * tile_size:(tx + 1) * tile_size]
+                for ty in range(ny) for tx in range(nx)]
+    else:
+        segs = [px[y:y + rows_per_strip] for y in range(0, h, rows_per_strip)]
+    pack, tag = {"none": (bytes, 1), "lzw": (_lzw_encode_tiff, 5),
+                 "deflate": (lambda b: zlib.compress(b, 6), 8)}[compression]
+    return tiff._layout(px, [pack(tiff._predicted(s, predictor)) for s in segs],
+                        tag, predictor, geo, rows_per_strip,
+                        tile_size if tiled else 0)
 
 
 # --- The checked-in coded corpora (FIXTURES.md §8) ---
@@ -535,7 +740,7 @@ def fuzz_seeds() -> pa.Table:
              ("png", "png", encode_png(img)),
              ("gif", "gif", encode_gif(img64)),
              ("bmp", "bmp", encode_bmp(img[..., :3])),
-             ("tiff", "tiff", tiff.encode_tiff(img[..., :3], compression="lzw"))]
+             ("tiff", "tiff", encode_tiff_layout(img[..., :3], compression="lzw"))]
     return pa.Table.from_pylist([dict(zip(("name", "fmt", "bytes"), s))
                                  for s in seeds])
 

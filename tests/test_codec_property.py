@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from codec_writers import encode_bmp, encode_gif
-from projcl_ray import bmp, gif, jpeg, tiff
+from codec_writers import encode_bmp, encode_gif, encode_tiff_layout
+from projcl_ray import bmp, fastcodec, gif, jpeg, tiff
 from tools.fuzz_codecs import FORMATS, mutants, seeds
 
 
@@ -57,8 +57,8 @@ def test_tiff_roundtrip_property(h, w, seed, comp, tiled, predictor, channels):
     rng = np.random.default_rng(seed)
     shape = (h, w) if channels == 1 else (h, w, channels)
     img = rng.integers(0, 256, shape, dtype=np.uint8)
-    buf = tiff.encode_tiff(img, compression=comp, tiled=tiled,
-                           tile_size=16, rows_per_strip=13, predictor=predictor)
+    buf = encode_tiff_layout(img, compression=comp, tiled=tiled,
+                             tile_size=16, rows_per_strip=13, predictor=predictor)
     dec = tiff.decode_tiff(buf)
     if channels == 1:
         np.testing.assert_array_equal(dec[..., 0], img)
@@ -127,7 +127,7 @@ def test_gif_logical_screen_bomb_rejected():
 def test_corrupt_input_fuzz_pure_paths(monkeypatch):
     """Same contract with the C twins disabled (the pure-Python loops are
     the parity oracles and must hold the contract on their own)."""
-    monkeypatch.setenv("PROJCL_NO_FASTCODEC", "1")
+    monkeypatch.setattr(fastcodec, "DISABLED", True)
     samples = seeds()
     for name in ("jpeg_prog", "gif", "png"):
         buf, dec = samples[name]

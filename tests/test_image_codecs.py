@@ -19,8 +19,9 @@ import subprocess
 import numpy as np
 import pytest
 
-from codec_writers import (encode_bmp, encode_gif, encode_jpeg_progressive,
-                           encode_png)
+from codec_writers import (_gen_huffman, encode_bmp, encode_gif,
+                           encode_jpeg_progressive, encode_jpeg_sequential,
+                           encode_png, encode_tiff_layout)
 from projcl_ray import fastcodec, jpeg, tiff
 from projcl_ray.images import (decode_image, encode_image, synth_images_table,
                                synth_pixels)
@@ -32,17 +33,19 @@ CASES = [
     ("png", "png", encode_png, {}, True),
     ("png_paeth_adam7", "png", encode_png, {"filter_type": 4, "interlace": True}, True),
     ("jpeg", "jpeg", jpeg.encode_jpeg, {"quality": 90}, False),
-    ("jpeg_420_restart", "jpeg", jpeg.encode_jpeg,
+    ("jpeg_420_restart", "jpeg", encode_jpeg_sequential,
      {"quality": 85, "subsample": True, "restart_interval": 2}, False),
-    ("jpeg_multiscan", "jpeg", jpeg.encode_jpeg, {"quality": 90, "multiscan": True}, False),
+    ("jpeg_multiscan", "jpeg", encode_jpeg_sequential,
+     {"quality": 90, "multiscan": True}, False),
     ("jpeg_progressive", "jpeg", encode_jpeg_progressive, {"quality": 90}, False),
     ("gif", "gif", encode_gif, {}, True),
     ("gif_interlaced", "gif", encode_gif, {"interlace": True}, True),
     ("bmp", "bmp", encode_bmp, {}, True),
     ("tiff_deflate", "tiff", tiff.encode_tiff, {}, True),
-    ("tiff_lzw_tiled", "tiff", tiff.encode_tiff,
+    ("tiff_lzw_tiled", "tiff", encode_tiff_layout,
      {"compression": "lzw", "tiled": True, "tile_size": 16}, True),
-    ("tiff_lzw_predictor", "tiff", tiff.encode_tiff, {"compression": "lzw", "predictor": 2}, True),
+    ("tiff_lzw_predictor", "tiff", encode_tiff_layout,
+     {"compression": "lzw", "predictor": 2}, True),
 ]
 IDS = [c[0] for c in CASES]
 # SHA-256 prefix of each case's encoded bytes. The encoders are pure Python
@@ -102,11 +105,11 @@ def test_bytes_and_pixels_independent_of_c_twins(case, fmt, enc, kw, lossless,
     pixels."""
     buf = _encode(fmt, enc, kw)
     assert hashlib.sha256(buf).hexdigest()[:16] == ENCODED_SHA256[case]
-    monkeypatch.setenv("PROJCL_NO_FASTCODEC", "")
+    monkeypatch.setattr(fastcodec, "DISABLED", False)
     if fastcodec.lib() is None:
         pytest.skip("no C compiler in this environment")
     fast_px = decode_image(buf, W, H, fmt)
-    monkeypatch.setenv("PROJCL_NO_FASTCODEC", "1")
+    monkeypatch.setattr(fastcodec, "DISABLED", True)
     np.testing.assert_array_equal(decode_image(buf, W, H, fmt), fast_px)
 
 
@@ -156,7 +159,7 @@ def _huffman_specs():
         keep = rng.random(256) < rng.uniform(0.01, 1.0)
         keep[rng.integers(256)] = True
         freq = rng.integers(1, 1 << int(rng.integers(1, 24)), 256) * keep
-        specs.append(jpeg._gen_huffman(freq))
+        specs.append(_gen_huffman(freq))
     return specs
 
 
@@ -196,21 +199,21 @@ def test_decode_lut_memo_stays_bounded():
     assert info.misses > 32 and info.currsize <= 32
 
 
-@pytest.mark.parametrize("env", ["", "1"], ids=["c", "pure"])
-def test_decode_lut_memo_does_not_change_pixels(env, monkeypatch):
+@pytest.mark.parametrize("pure", [False, True], ids=["c", "pure"])
+def test_decode_lut_memo_does_not_change_pixels(pure, monkeypatch):
     """A mixed sequence decoded with a warm memo gives the pixels each file
     gives when decoded right after a cache_clear()."""
-    monkeypatch.setenv("PROJCL_NO_FASTCODEC", env)
-    if not env and fastcodec.lib() is None:
+    monkeypatch.setattr(fastcodec, "DISABLED", pure)
+    if not pure and fastcodec.lib() is None:
         pytest.skip("no C compiler in this environment")
     img = _source("jpeg")
     dem = synth_pixels(5, W, H)[..., 0].astype(np.uint16) * 16 + 7  # 12-bit
     files = [jpeg.encode_jpeg(img),
-             jpeg.encode_jpeg(img, subsample=True, restart_interval=3),
+             encode_jpeg_sequential(img, subsample=True, restart_interval=3),
              encode_jpeg_progressive(img),
              encode_jpeg_progressive(synth_pixels(9, W, H)),
-             jpeg.encode_jpeg(dem),
-             jpeg.encode_jpeg(img, quality=60, multiscan=True)]
+             encode_jpeg_sequential(dem),
+             encode_jpeg_sequential(img, quality=60, multiscan=True)]
     cold = []
     for buf in files:
         jpeg._decode_lut.cache_clear()
@@ -307,7 +310,7 @@ def _oracle_files():
     for sub in (False, True):
         tag = "420" if sub else "444"
         for name, kw in layouts.items():
-            files.append((f"{name}_{tag}", jpeg.encode_jpeg(
+            files.append((f"{name}_{tag}", encode_jpeg_sequential(
                 img, quality=90, subsample=sub, **kw)))
         files.append((f"progressive_{tag}", encode_jpeg_progressive(
             img, quality=90, subsample=sub)))
@@ -330,13 +333,13 @@ def _oracle_files():
             for sof in [b"\xFF\xC2" if b"\xFF\xC2" in buf else b"\xFF\xC0"]]
 
 
-@pytest.mark.parametrize("env", ["", "1"], ids=["c", "pure"])
-def test_jpeg_decode_equals_libjpeg_islow(env, libjpeg_rgb, monkeypatch):
+@pytest.mark.parametrize("pure", [False, True], ids=["c", "pure"])
+def test_jpeg_decode_equals_libjpeg_islow(pure, libjpeg_rgb, monkeypatch):
     """8-bit decode is libjpeg's: islow IDCT, fixed-point YCbCr → RGB and
     replicating (non-fancy) upsampling give every sample of every file
     exactly, with and without the C twins."""
-    monkeypatch.setenv("PROJCL_NO_FASTCODEC", env)
-    if not env and fastcodec.lib() is None:
+    monkeypatch.setattr(fastcodec, "DISABLED", pure)
+    if not pure and fastcodec.lib() is None:
         pytest.skip("no C compiler in this environment")
     differing = {}
     for name, buf, h, w in _oracle_files():
@@ -395,12 +398,12 @@ def test_jpeg_extreme_coefficients_stay_in_range(prec, layout, monkeypatch):
     [0, 2^P − 1], and a gray file equals islow evaluated in Python's
     unbounded integers."""
     buf, blocks = _extreme_jpeg(prec, layout)
-    monkeypatch.setenv("PROJCL_NO_FASTCODEC", "1")
+    monkeypatch.setattr(fastcodec, "DISABLED", True)
     pure = jpeg.decode_jpeg(buf)
     maxv = (1 << prec) - 1
     assert pure.dtype == (np.uint8 if prec == 8 else np.uint16)
     assert int(pure.max()) <= maxv
-    monkeypatch.setenv("PROJCL_NO_FASTCODEC", "")
+    monkeypatch.setattr(fastcodec, "DISABLED", False)
     np.testing.assert_array_equal(jpeg.decode_jpeg(buf), pure)
     if layout != "gray":
         return

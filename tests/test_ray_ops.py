@@ -691,35 +691,9 @@ def test_knn_partitioned_keeps_targets_in_place(ray_session, monkeypatch):
     np.testing.assert_allclose(got["distance_m"].to_numpy().reshape(-1, 3), exp, rtol=1e-12)
 
 
-def test_resize_images_shapes_and_filters(ray_session):
-    """Resize stage: exact output shape, all four filters run, identity-size
-    bilinear resize is a no-op on the pixels, passthrough columns survive."""
-    import ray.data as rd
-
-    from projcl_ray.images import decode_image, synth_images_table
-
-    ds = rd.from_arrow(synth_images_table(6, seed=1))
-    for filt in ("nearest", "bilinear", "bicubic", "quasi_bicubic"):
-        out = ops.resize_images(ds, 32, 24, filter=filt).to_pandas()
-        assert (out["w"] == 32).all() and (out["h"] == 24).all()
-        img = decode_image(out["bytes"].iloc[0], 32, 24, "raw")
-        assert img.shape == (24, 32, 4)
-        assert "caption" in out.columns  # passthrough preserved
-    # identity resize (same size, bilinear) must reproduce the source pixels
-    src = synth_images_table(1, seed=2)
-    w, h = src["w"][0].as_py(), src["h"][0].as_py()
-    out = ops.resize_images(rd.from_arrow(src), w, h).to_pandas()
-    np.testing.assert_array_equal(
-        decode_image(out["bytes"].iloc[0], w, h, "raw"),
-        decode_image(src["bytes"][0].as_py(), w, h, "raw"),
-    )
-
-
-def test_rasterize_and_vectorize_roundtrip(ray_session, sf_dir):
-    """Vector→raster tiles sum to the input point count (no clip at test
-    scale per cell-pixel) and raster→vector features match direct numpy."""
-    import ray.data as rd
-
+def test_rasterize_points_bins_every_point(ray_session, sf_dir):
+    """Vector→raster density tiles sum to the input point count (no clip
+    at test scale per cell-pixel)."""
     pts = lineitem_points(ray_session, sf_dir, limit=2000)
     n_pts = pts.count()
     tiles = ops.rasterize_points(pts, res_deg=5.0, tile_px=64).to_pandas()
@@ -727,14 +701,6 @@ def test_rasterize_and_vectorize_roundtrip(ray_session, sf_dir):
         np.frombuffer(b, np.uint8).astype(np.int64).sum() for b in tiles["bytes"]
     )
     assert total == n_pts  # every point binned exactly once
-    feats = ops.vectorize_tiles(rd.from_pandas(tiles)).to_pandas()
-    assert len(feats) == len(tiles)
-    t0 = tiles.iloc[0]
-    a = np.frombuffer(t0["bytes"], np.uint8).reshape(64, 64).astype(np.float64)
-    f0 = feats[feats["cell_id"] == t0["cell_id"]].iloc[0]
-    assert abs(f0["mean_value"] - a.mean()) < 1e-12
-    assert abs(f0["coverage"] - (a > 0).mean()) < 1e-12
-    assert abs(f0["p95_value"] - np.quantile(a, 0.95)) < 1e-12
 
 
 def test_tile_pyramid_level1_matches_direct_downsample(ray_session):

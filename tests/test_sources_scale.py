@@ -2,6 +2,7 @@
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 from projcl_ray import ops, sources
@@ -160,21 +161,26 @@ def test_datum_shift_on_grids():
 
 
 def test_geotiff_export_roundtrip_and_resume(ray_session, tmp_path):
-    """write_geotiffs → read_geotiffs round-trips pixels bit-exactly and the
-    georeference through the embedded tags; a second export run skips every
-    already-written file (resumable file-per-image sink)."""
-    import numpy as np
+    """write_geotiffs → ops.ingest_geotiff over the written files' blobs
+    round-trips pixels bit-exactly and the georeference through the
+    embedded tags; a second export run skips every already-written file
+    (resumable file-per-image sink)."""
+    import pyarrow as pa
     import ray.data as rd
 
-    from projcl_ray import sources
-    from projcl_ray.images import decode_image, synth_images_table
+    from projcl_ray.images import decode_image
 
     tbl = synth_images_table(6, seed=42)
     out = str(tmp_path / "geotiffs")
     man = sources.write_geotiffs(rd.from_arrow(tbl), out).to_pandas()
     assert len(man) == 6 and not man["skipped"].any()
 
-    back = sources.read_geotiffs(out).to_pandas().sort_values("image_id")
+    blobs = []
+    for iid, path in zip(man["image_id"], man["path"]):
+        with open(path, "rb") as f:
+            blobs.append({"image_id": iid, "bytes": f.read()})
+    back = ops.ingest_geotiff(rd.from_arrow(pa.Table.from_pylist(blobs)))
+    back = back.to_pandas().sort_values("image_id")
     orig = tbl.to_pandas().sort_values("image_id")
     assert list(back["image_id"]) == list(orig["image_id"])
     for (_, b), (_, o) in zip(back.iterrows(), orig.iterrows()):
@@ -185,3 +191,25 @@ def test_geotiff_export_roundtrip_and_resume(ray_session, tmp_path):
 
     man2 = sources.write_geotiffs(rd.from_arrow(tbl), out).to_pandas()
     assert man2["skipped"].all()  # rerun touches nothing
+
+
+@pytest.mark.parametrize("bad", ["../escaped", "abs"])
+def test_geotiff_export_rejects_ids_that_leave_out_dir(ray_session, tmp_path, bad):
+    """An image_id is a file name inside out_dir: a relative escape or an
+    absolute path fails the export, and no file is written outside it."""
+    import ray.data as rd
+
+    if bad == "abs":
+        bad = str(tmp_path / "abs")
+    tbl = synth_images_table(3, seed=42)
+    ids = tbl["image_id"].to_pylist()
+    tbl = tbl.set_column(tbl.schema.get_field_index("image_id"), "image_id",
+                         pa.array(ids[:1] + [bad] + ids[2:], pa.string()))
+    out = tmp_path / "out"
+    # Ray Data re-raises the stage's ValueError as a UserCodeException
+    with pytest.raises(Exception, match="ValueError: write_geotiffs: "
+                       "image_id .* is not a plain file name"):
+        sources.write_geotiffs(rd.from_arrow(tbl), str(out)).materialize()
+    written = [p for p in tmp_path.rglob("*")
+               if p.suffix in (".tif", ".part") and out not in p.parents]
+    assert written == []

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from codec_writers import (_chunk, encode_bmp, encode_gif,
-                           encode_jpeg_progressive, encode_png)
+                           encode_jpeg_progressive, encode_jpeg_sequential,
+                           encode_png, encode_tiff_layout)
+from projcl_ray import fastcodec
 from projcl_ray.images import decode_image, encode_image, phash64, synth_pixels
 from projcl_ray.proj import ProjParams, prepare
 from projcl_ray.warp import (
@@ -189,8 +191,6 @@ def test_bilinear_c_twin_bit_identical(monkeypatch):
     """The C bilinear sampler (uint8 image, float32 coords) is bit-identical
     to the numpy sampler: inside, exactly on and just past the border, far
     outside, and at NaN/inf coordinates."""
-    from projcl_ray import fastcodec
-
     if fastcodec.lib() is None:
         pytest.skip("no C compiler in this environment")
     rng = np.random.default_rng(5)
@@ -211,7 +211,7 @@ def test_bilinear_c_twin_bit_identical(monkeypatch):
         cases.append((img, px, py))
     with np.errstate(all="ignore"):
         got = [sample_bilinear(img, px, py) for img, px, py in cases]
-        monkeypatch.setenv("PROJCL_NO_FASTCODEC", "1")
+        monkeypatch.setattr(fastcodec, "DISABLED", True)
         ref = [sample_bilinear(img, px, py) for img, px, py in cases]
     for g, r in zip(got, ref):
         assert g.dtype == r.dtype == np.float32 and g.shape == r.shape
@@ -222,8 +222,8 @@ def test_warp_c_path_equals_numpy_fallback(monkeypatch):
     """The same bilinear warps with the C twins disabled (numpy samplers)
     give bit-identical output."""
     runs = []
-    for env in ("", "1"):
-        monkeypatch.setenv("PROJCL_NO_FASTCODEC", env)
+    for pure in (False, True):
+        monkeypatch.setattr(fastcodec, "DISABLED", pure)
         with np.errstate(all="ignore"):
             runs.append([warp_image(img, georef, spec, prepped)
                          for _, img, georef, prepped, spec in _golden_specs()])
@@ -320,9 +320,8 @@ def test_lattice_sampler_c_bit_identical(monkeypatch):
     every boundary of the kernel's all-outside and 4-channel interior
     paths, with NaN and ±inf nodes, for 1-, 3- and 4-channel images, at
     float32 and uint8 output (every NaN counted as one value, see
-    :func:`_bits`). The warp equals the pure-numpy (PROJCL_NO_FASTCODEC=1)
+    :func:`_bits`). The warp equals the pure-numpy (fastcodec.DISABLED)
     warp."""
-    from projcl_ray import fastcodec
     from projcl_ray.warp import LATTICE_STEP, _lattice_fill, _lattice_nodes, warp_images_u8
 
     if fastcodec.lib() is None:
@@ -356,7 +355,7 @@ def test_lattice_sampler_c_bit_identical(monkeypatch):
         got = [[fastcodec.warp_lattice_bilinear_u8(img, *nodes, w, h, u8) for u8 in (False, True)]
                for img, nodes, w, h in checks]
         fused = warp_images_u8(*zip(*[c[:3] for c in cases]), cases[0][3])
-        monkeypatch.setenv("PROJCL_NO_FASTCODEC", "1")
+        monkeypatch.setattr(fastcodec, "DISABLED", True)
         refs = [sample_bilinear(img, *(_lattice_fill(v, w, h) for v in nodes))
                 for img, nodes, w, h in checks]
         numpy_u8 = warp_images_u8(*zip(*[c[:3] for c in cases]), cases[0][3])
@@ -376,7 +375,7 @@ def test_warp_into_tile_padded_buffer(monkeypatch):
     (fused C kernel at a padded row stride) and a 1×40 one (exact path), C
     and pure numpy. The kernel writes nothing outside its corner of
     ``out``."""
-    from projcl_ray import fastcodec, index
+    from projcl_ray import index
     from projcl_ray.warp import _lattice_nodes, warp_images_u8
 
     params = ProjParams(spheroid="WGS_84")
@@ -388,8 +387,8 @@ def test_warp_into_tile_padded_buffer(monkeypatch):
         imgs.append(synth_pixels(k, w, h))
         georefs.append(georef)
         specs.append(WarpSpec("transverse_mercator", params, ox, oy, sx, sy, w, h))
-    for no_c in ("", "1"):
-        monkeypatch.setenv("PROJCL_NO_FASTCODEC", no_c)
+    for pure in (False, True):
+        monkeypatch.setattr(fastcodec, "DISABLED", pure)
         with np.errstate(all="ignore"):
             plain = warp_images_u8(imgs, georefs, specs, prepped)
             padded = warp_images_u8(imgs, georefs, specs, prepped, tile_size=32)
@@ -405,7 +404,7 @@ def test_warp_into_tile_padded_buffer(monkeypatch):
             for (tx, ty, idx, tile), got in zip(want, cut):
                 assert idx == ty * a + tx
                 np.testing.assert_array_equal(got, tile)
-    monkeypatch.delenv("PROJCL_NO_FASTCODEC")
+    monkeypatch.setattr(fastcodec, "DISABLED", False)
     if fastcodec.lib() is None:
         return
     w, h = 65, 33
@@ -865,96 +864,68 @@ def test_png_interlaced_and_deep_depths():
         P.decode_png(build(2, 1, 2, 2, b"\x00\x00"))  # 2-bit RGB is illegal
 
 
-def test_fastcodec_c_entropy_parity():
+def test_fastcodec_c_entropy_parity(monkeypatch):
     """The compiled entropy decoder (projcl_ray/_fastcodec.c, built on
     first use when a C compiler exists) must be BIT-exact with the pure
     Python loop it replaces — across 4:4:4/4:2:0, interleaved and
     per-component multi-scan layouts, restart intervals (DRI/RSTn segment
     mapping + per-segment DC-predictor resets), gray/RGB, odd sizes.
-    Skipped where no compiler is available; the PROJCL_NO_FASTCODEC escape
+    Skipped where no compiler is available; the fastcodec.DISABLED escape
     hatch is tested regardless."""
-    import os
+    from projcl_ray import gif as G, jpeg as J, png as P, tiff as T
 
-    import pytest
+    def same(decode, buf):
+        monkeypatch.setattr(fastcodec, "DISABLED", True)
+        pure = decode(buf)
+        monkeypatch.setattr(fastcodec, "DISABLED", False)
+        np.testing.assert_array_equal(decode(buf), pure)
 
-    from projcl_ray import fastcodec, jpeg as J
-    from projcl_ray.images import synth_pixels
-
-    old = os.environ.get("PROJCL_NO_FASTCODEC")
-    try:
-        os.environ["PROJCL_NO_FASTCODEC"] = "1"
-        assert not fastcodec.jpeg_baseline_scan(None, None, None, None,
-                                                None, 0, 0)
-        os.environ["PROJCL_NO_FASTCODEC"] = ""
-        if fastcodec.lib() is None:
-            pytest.skip("no C compiler in this environment")
-        rng = np.random.default_rng(31)
-        for trial in range(8):
-            hh, ww = int(rng.integers(1, 60)), int(rng.integers(1, 60))
-            img = synth_pixels(trial, ww, hh)
-            src = img[..., :3].copy() if trial % 2 else img[..., 0].copy()
-            for sub in (False, True):
-                bufs = [J.encode_jpeg(src, quality=87, subsample=sub,
-                                      multiscan=ms) for ms in (False, True)]
-                # progressive: DC first/refine + AC first/refine + EOB runs
-                bufs.append(encode_jpeg_progressive(src, quality=87,
-                                                    subsample=sub))
-                # restart intervals: segment index mapping + DC resets
-                bufs += [J.encode_jpeg(src, quality=87, subsample=sub,
-                                       multiscan=ms, restart_interval=ri)
-                         for ms in (False, True) for ri in (1, 5)]
-                for buf in bufs:
-                    os.environ["PROJCL_NO_FASTCODEC"] = "1"
-                    pure = J.decode_jpeg(buf)
-                    os.environ["PROJCL_NO_FASTCODEC"] = ""
-                    np.testing.assert_array_equal(J.decode_jpeg(buf), pure)
-        # PNG unfilter: the C row-sequential loop vs the numpy wavefront,
-        # across all 5 filters and Adam7
-        from projcl_ray import png as P
-
-        for trial in range(4):
-            hh, ww = int(rng.integers(1, 50)), int(rng.integers(1, 50))
-            img = synth_pixels(100 + trial, ww, hh)
-            for ft in (0, 1, 2, 3, 4):
-                for il in (False, True):
-                    buf = encode_png(img, filter_type=ft, interlace=il)
-                    os.environ["PROJCL_NO_FASTCODEC"] = "1"
-                    pure = P.decode_png(buf)
-                    os.environ["PROJCL_NO_FASTCODEC"] = ""
-                    np.testing.assert_array_equal(P.decode_png(buf), pure)
-        # GIF LZW: LSB-first codes, deferred clear, interlace
-        from projcl_ray import gif as G
-
-        for trial in range(3):
-            hh, ww = int(rng.integers(1, 60)), int(rng.integers(1, 60))
-            idx = rng.integers(0, 200, (hh, ww)).astype(np.uint8)
-            pal = rng.integers(0, 256, (256, 3)).astype(np.uint8)
-            rgba = np.dstack([pal[idx], np.full((hh, ww), 255, np.uint8)])
+    monkeypatch.setattr(fastcodec, "DISABLED", True)
+    assert not fastcodec.jpeg_baseline_scan(None, None, None, None, None, 0, 0)
+    monkeypatch.setattr(fastcodec, "DISABLED", False)
+    if fastcodec.lib() is None:
+        pytest.skip("no C compiler in this environment")
+    rng = np.random.default_rng(31)
+    for trial in range(8):
+        hh, ww = int(rng.integers(1, 60)), int(rng.integers(1, 60))
+        img = synth_pixels(trial, ww, hh)
+        src = img[..., :3].copy() if trial % 2 else img[..., 0].copy()
+        for sub in (False, True):
+            bufs = [encode_jpeg_sequential(src, quality=87, subsample=sub,
+                                           multiscan=ms) for ms in (False, True)]
+            # progressive: DC first/refine + AC first/refine + EOB runs
+            bufs.append(encode_jpeg_progressive(src, quality=87,
+                                                subsample=sub))
+            # restart intervals: segment index mapping + DC resets
+            bufs += [encode_jpeg_sequential(src, quality=87, subsample=sub,
+                                            multiscan=ms, restart_interval=ri)
+                     for ms in (False, True) for ri in (1, 5)]
+            for buf in bufs:
+                same(J.decode_jpeg, buf)
+    # PNG unfilter: the C row-sequential loop vs the numpy wavefront,
+    # across all 5 filters and Adam7
+    for trial in range(4):
+        hh, ww = int(rng.integers(1, 50)), int(rng.integers(1, 50))
+        img = synth_pixels(100 + trial, ww, hh)
+        for ft in (0, 1, 2, 3, 4):
             for il in (False, True):
-                buf = encode_gif(rgba, interlace=il)
-                os.environ["PROJCL_NO_FASTCODEC"] = "1"
-                pure = G.decode_gif(buf)
-                os.environ["PROJCL_NO_FASTCODEC"] = ""
-                np.testing.assert_array_equal(G.decode_gif(buf), pure)
-        # TIFF LZW: the C table-building loop vs the pure one, strips and
-        # tiles, incl. noise payloads that churn the code table
-        from projcl_ray import tiff as T
-
-        for trial in range(4):
-            hh, ww = int(rng.integers(1, 70)), int(rng.integers(1, 70))
-            img = (synth_pixels(200 + trial, ww, hh) if trial % 2 else
-                   rng.integers(0, 256, (hh, ww, 3)).astype(np.uint8))
-            for tiled in (False, True):
-                buf = T.encode_tiff(img, compression="lzw", tiled=tiled)
-                os.environ["PROJCL_NO_FASTCODEC"] = "1"
-                pure = T.decode_tiff(buf)
-                os.environ["PROJCL_NO_FASTCODEC"] = ""
-                np.testing.assert_array_equal(T.decode_tiff(buf), pure)
-    finally:
-        if old is None:
-            os.environ.pop("PROJCL_NO_FASTCODEC", None)
-        else:
-            os.environ["PROJCL_NO_FASTCODEC"] = old
+                same(P.decode_png, encode_png(img, filter_type=ft, interlace=il))
+    # GIF LZW: LSB-first codes, deferred clear, interlace
+    for trial in range(3):
+        hh, ww = int(rng.integers(1, 60)), int(rng.integers(1, 60))
+        idx = rng.integers(0, 200, (hh, ww)).astype(np.uint8)
+        pal = rng.integers(0, 256, (256, 3)).astype(np.uint8)
+        rgba = np.dstack([pal[idx], np.full((hh, ww), 255, np.uint8)])
+        for il in (False, True):
+            same(G.decode_gif, encode_gif(rgba, interlace=il))
+    # TIFF LZW: the C table-building loop vs the pure one, strips and
+    # tiles, incl. noise payloads that churn the code table
+    for trial in range(4):
+        hh, ww = int(rng.integers(1, 70)), int(rng.integers(1, 70))
+        img = (synth_pixels(200 + trial, ww, hh) if trial % 2 else
+               rng.integers(0, 256, (hh, ww, 3)).astype(np.uint8))
+        for tiled in (False, True):
+            same(T.decode_tiff, encode_tiff_layout(img, compression="lzw", tiled=tiled))
 
 
 def test_jpeg_progressive_query_matches_baseline_query(ray_session):
@@ -1022,12 +993,12 @@ def test_jpeg_baseline_multiscan_matches_interleaved():
         src = [img, img[..., :3].copy(), img[..., 0].copy()][trial % 3]
         for sub in (False, True):
             base = J.decode_jpeg(J.encode_jpeg(src, quality=88, subsample=sub))
-            ms_bytes = J.encode_jpeg(src, quality=88, subsample=sub,
-                                     multiscan=True)
+            ms_bytes = encode_jpeg_sequential(src, quality=88, subsample=sub,
+                                              multiscan=True)
             np.testing.assert_array_equal(J.decode_jpeg(ms_bytes), base)
     # marker-level sanity: baseline SOF0 with one SOS per component
-    mb = J.encode_jpeg(synth_pixels(3, 40, 40)[..., :3], quality=90,
-                       multiscan=True)
+    mb = encode_jpeg_sequential(synth_pixels(3, 40, 40)[..., :3], quality=90,
+                                multiscan=True)
     assert b"\xFF\xC0" in mb and mb.count(b"\xFF\xDA") == 3
 
 
@@ -1140,8 +1111,8 @@ def test_tiff_codec_roundtrip_and_geotags():
 
     img = synth_pixels(5, 97, 61)  # odd dims exercise strip tails
     for comp in ("none", "deflate", "lzw"):
-        buf = tiff.encode_tiff(img, compression=comp)
-        assert tiff.encode_tiff(img, compression=comp) == buf  # deterministic
+        buf = encode_tiff_layout(img, compression=comp)
+        assert encode_tiff_layout(img, compression=comp) == buf  # deterministic
         dec, geo = tiff.decode_tiff_geo(buf)
         np.testing.assert_array_equal(dec, img)
         assert geo is None
@@ -1154,8 +1125,8 @@ def test_tiff_codec_roundtrip_and_geotags():
     # LZW 12-bit code growth + re-clear (large, low-redundancy input)
     big = synth_pixels(9, 300, 200)
     np.testing.assert_array_equal(
-        tiff.decode_tiff(tiff.encode_tiff(big, compression="lzw",
-                                          rows_per_strip=200)), big)
+        tiff.decode_tiff(encode_tiff_layout(big, compression="lzw",
+                                            rows_per_strip=200)), big)
 
     # GeoTIFF tags → GeoRef
     gt = tiff.GeoTags(0.25, 0.25, 0.0, 0.0, -120.0, 45.0)
@@ -1186,7 +1157,7 @@ def test_tiff_codec_roundtrip_and_geotags():
     dec = tiff.decode_tiff(f)
     np.testing.assert_array_equal(dec[0, :, 0], 255 - np.array([7, 7, 7, 7, 1, 2, 3]))
 
-    bad = tiff.encode_tiff(img, compression="none").replace(
+    bad = encode_tiff_layout(img, compression="none").replace(
         struct.pack("<HHIHH", 259, 3, 1, 1, 0), struct.pack("<HHIHH", 259, 3, 1, 6, 0), 1)
     with pytest.raises(NotImplementedError):
         tiff.decode_tiff(bad)
@@ -1250,8 +1221,8 @@ def test_tiff_deep_samples_roundtrip_and_dem_ingest(ray_session):
                 for tiled in (False, True):
                     preds = (1, 2) if a.dtype.kind != "f" else (1,)
                     for pr in preds:
-                        buf = tiff.encode_tiff(a, compression=comp,
-                                               tiled=tiled, predictor=pr)
+                        buf = encode_tiff_layout(a, compression=comp,
+                                                 tiled=tiled, predictor=pr)
                         dec, _ = tiff.decode_tiff_native(buf)
                         np.testing.assert_array_equal(
                             dec, a.reshape(a.shape[0], a.shape[1], -1))
@@ -1414,14 +1385,14 @@ def test_tiff_tiled_and_predictor_roundtrip():
                dict(predictor=2),
                dict(tiled=True, predictor=2, tile_size=16, compression="none"),
                dict(predictor=2, compression="lzw")):
-        buf = tiff.encode_tiff(img, **kw)
+        buf = encode_tiff_layout(img, **kw)
         np.testing.assert_array_equal(tiff.decode_tiff(buf), img)
     plain = len(tiff.encode_tiff(img))
     pred = len(tiff.encode_tiff(img, predictor=2))
     assert pred < plain
 
 
-def test_jpeg_12bit_roundtrip_and_parity():
+def test_jpeg_12bit_roundtrip_and_parity(monkeypatch):
     """12-bit JPEG (T.81 extended sequential, SOF1): uint16 encode/decode
     round-trips at high PSNR on smooth DEM-like data, emits 16-bit DQT +
     image-optimal Huffman tables (Annex-K examples stop below 12-bit
@@ -1430,16 +1401,14 @@ def test_jpeg_12bit_roundtrip_and_parity():
     untouched — its encoded bytes are pinned by digest, and the C fastcodec
     twin stays BIT-exact on decode for the 12-bit form too."""
     import hashlib
-    import os
 
-    from projcl_ray import fastcodec
     from projcl_ray import jpeg as J
 
     rng = np.random.default_rng(5)
     yy, xx = np.mgrid[0:45, 0:61]
     dem = (1000 + 800 * np.sin(xx / 9.0) + 600 * np.cos(yy / 7.0)
            + rng.normal(0, 3, (45, 61))).clip(0, 4095).astype(np.uint16)
-    buf = J.encode_jpeg(dem, quality=95)
+    buf = encode_jpeg_sequential(dem, quality=95)
     assert hashlib.sha256(buf).hexdigest()[:16] == "083be3e91613cda5"
     out = J.decode_jpeg(buf)
     assert out.shape == dem.shape and out.dtype == np.uint16
@@ -1447,27 +1416,20 @@ def test_jpeg_12bit_roundtrip_and_parity():
     assert 10 * np.log10(4095.0**2 / max(mse, 1e-12)) > 50.0
 
     img12 = rng.integers(0, 4096, (30, 42, 3)).astype(np.uint16)
-    o2 = J.decode_jpeg(J.encode_jpeg(img12, quality=80))
+    o2 = J.decode_jpeg(encode_jpeg_sequential(img12, quality=80))
     assert o2.shape == (30, 42, 3) and o2.dtype == np.uint16
     # subsampled color + restart markers decode to the same pixels
-    o3 = J.decode_jpeg(J.encode_jpeg(dem, quality=95, restart_interval=3))
+    o3 = J.decode_jpeg(encode_jpeg_sequential(dem, quality=95, restart_interval=3))
     np.testing.assert_array_equal(o3, out)
 
     with pytest.raises(NotImplementedError):
         encode_jpeg_progressive(img12)
     with pytest.raises(ValueError):
-        J.encode_jpeg((img12.astype(np.uint32) * 8).astype(np.uint16))
+        encode_jpeg_sequential((img12.astype(np.uint32) * 8).astype(np.uint16))
 
     if fastcodec.lib() is None:
         return
-    old = os.environ.get("PROJCL_NO_FASTCODEC")
-    try:
-        os.environ["PROJCL_NO_FASTCODEC"] = "1"
-        pure_d = J.decode_jpeg(buf)
-        os.environ["PROJCL_NO_FASTCODEC"] = ""
-        np.testing.assert_array_equal(J.decode_jpeg(buf), pure_d)
-    finally:
-        if old is None:
-            os.environ.pop("PROJCL_NO_FASTCODEC", None)
-        else:
-            os.environ["PROJCL_NO_FASTCODEC"] = old
+    monkeypatch.setattr(fastcodec, "DISABLED", True)
+    pure_d = J.decode_jpeg(buf)
+    monkeypatch.setattr(fastcodec, "DISABLED", False)
+    np.testing.assert_array_equal(J.decode_jpeg(buf), pure_d)

@@ -2,15 +2,15 @@
 
 Regenerates BENCH/codec_throughput_r{N}.json: best-of-REPS wall time per
 codec direction as MB/s of RAW (decoded RGB) payload. The package's writers
-(baseline JPEG, TIFF) encode and decode a seeded raster; PNG, GIF, BMP and
-progressive JPEG decode the gate's checked-in corpora (FIXTURES.md §8).
+(baseline JPEG, deflate TIFF) encode and decode a seeded raster; PNG, GIF,
+BMP, progressive JPEG and LZW TIFF decode checked-in streams (the gate's
+corpora and the fuzz seeds, FIXTURES.md §8).
 
 Usage: PYTHONPATH=. python tools/bench_codecs.py [out.json]
 """
 from __future__ import annotations
 
 import json
-import os
 import sys
 import time
 
@@ -58,7 +58,7 @@ def main(out_path: str) -> None:
 
     def record(name, dec_fn, bufs, payload_mb, enc_s=None, cfast=False):
         """Time the decode of ``bufs`` with the pure-Python loops (under
-        PROJCL_NO_FASTCODEC=1); ``enc_s`` is the encode time of a writer
+        ``fastcodec.DISABLED``); ``enc_s`` is the encode time of a writer
         the package keeps. ``cfast`` adds a ``<name>_cfast`` row timed
         with the C twins (the encoders have none) when a compiler exists.
         JPEG rows also time the decode tail alone (``tail_MBps``)."""
@@ -77,24 +77,27 @@ def main(out_path: str) -> None:
         enc = {} if enc_s is None else {"enc_MBps": round(payload_mb / enc_s, 2)}
         res[name] = {**enc, **decode_row(), **size}
         print(f"{name:26s} {res[name]}")
-        os.environ["PROJCL_NO_FASTCODEC"] = ""
+        fastcodec.DISABLED = False
         if cfast and fastcodec.lib() is not None:
             res[name + "_cfast"] = {**decode_row(), **size}
             print(f"{name + '_cfast':26s} {res[name + '_cfast']}")
-        os.environ["PROJCL_NO_FASTCODEC"] = "1"
+        fastcodec.DISABLED = True
 
-    os.environ["PROJCL_NO_FASTCODEC"] = "1"
+    fastcodec.DISABLED = True
     # the writers the package keeps: encode, then decode, the 256px raster
     for name, enc_fn, dec_fn, cfast in (
             ("jpeg_q90", lambda: jpeg.encode_jpeg(img, quality=90),
              jpeg.decode_jpeg, True),
             ("tiff_deflate_pred2",
-             lambda: tiff.encode_tiff(img, compression="deflate", predictor=2),
-             tiff.decode_tiff, False),
-            ("tiff_lzw", lambda: tiff.encode_tiff(img, compression="lzw"),
-             tiff.decode_tiff, True)):
+             lambda: tiff.encode_tiff(img, predictor=2),
+             tiff.decode_tiff, False)):
         buf, te = _best(enc_fn)
         record(name, dec_fn, [buf], raw_mb, te, cfast)
+    # LZW TIFF has no writer in the package: decode the fuzz corpus's seed
+    lzw = next(r["bytes"] for r in read_fixture("fuzz_seeds").to_pylist()
+               if r["name"] == "tiff")
+    h, w = tiff.decode_tiff(lzw).shape[:2]
+    record("tiff_lzw", tiff.decode_tiff, [lzw], h * w * 3 / 1e6, cfast=True)
     # the formats the package only reads: decode the gate's coded corpora
     record("png_ingest", png.decode_png, *_corpus("png_ingest"), cfast=True)
     record("jpeg_progressive_ingest", jpeg.decode_jpeg,
@@ -103,15 +106,17 @@ def main(out_path: str) -> None:
            cfast=True)
     record("bmp_ingest", bmp.decode_bmp, *_corpus("gif_bmp_ingest", "bmp"))
 
-    os.environ.pop("PROJCL_NO_FASTCODEC", None)
+    fastcodec.DISABLED = False
 
     out = {
         "metric": ("single-core codec throughput (in-repo pure-Python "
                    "codecs, MB/s of raw payload)"),
         "codecs": res,
         "note": ("regenerated by tools/bench_codecs.py; best-of-%d per "
-                 "direction on a 256px synthetic raster (jpeg_q90, tiff_*) "
-                 "or a checked-in 24-image corpus (*_ingest)" % REPS),
+                 "direction on a 256px synthetic raster (jpeg_q90, "
+                 "tiff_deflate_pred2), the checked-in 48x32 LZW TIFF fuzz "
+                 "seed (tiff_lzw) or a checked-in 24-image corpus "
+                 "(*_ingest)" % REPS),
     }
     with open(out_path, "w") as f:
         json.dump(out, f, indent=1)
