@@ -474,9 +474,13 @@ def encode_jpeg(arr: np.ndarray, *, quality: int = 90,
     bytes: 8-bit samples, one interleaved scan, the Annex-K example Huffman
     tables. RGBA alpha is dropped (JPEG has no alpha). ``subsample=True``
     emits 4:2:0 chroma (smaller files, exercises the decoder's interleaved
-    MCU path); default is 4:4:4."""
-    out, comps, mcus_x, mcus_y = _frame(np.ascontiguousarray(arr, np.uint8),
-                                        quality, subsample, 8, 0xC0)
+    MCU path); default is 4:4:4. Other sample types raise ``ValueError``
+    (the 12-bit form of uint16 input is written only by the tests)."""
+    arr = np.asarray(arr)
+    if arr.dtype != np.uint8:
+        raise ValueError(f"encode_jpeg writes 8-bit samples, not {arr.dtype}")
+    out, comps, mcus_x, mcus_y = _frame(np.ascontiguousarray(arr), quality,
+                                        subsample, 8, 0xC0)
     tables = _dht(out, STD_HUFFMAN, len(comps))
     _scan(out, comps, _mcus(comps, mcus_x, mcus_y), tables)
     out += b"\xFF\xD9"  # EOI

@@ -1426,6 +1426,8 @@ def test_jpeg_12bit_roundtrip_and_parity(monkeypatch):
         encode_jpeg_progressive(img12)
     with pytest.raises(ValueError):
         encode_jpeg_sequential((img12.astype(np.uint32) * 8).astype(np.uint16))
+    with pytest.raises(ValueError, match="8-bit samples"):
+        J.encode_jpeg(dem)  # the package writes 8-bit baseline only
 
     if fastcodec.lib() is None:
         return
