@@ -629,11 +629,12 @@ long gif_lzw_decode(const uint8_t *data, long n, int min_code_size,
     return oi < n_pixels ? -3 : 0;
 }
 
-/* Bilinear warp sampler for uint8 (h, w, c) images at float32 source-pixel
- * coordinates: the C twin of warp.sample_bilinear. Same 4 taps, border
- * zero outside the image (CLK_ADDRESS_CLAMP), same float32 operation
- * order, so the output is bit-identical to the numpy sampler (built with
- * -ffp-contract=off: a fused multiply-add would round differently). */
+/* The taps of warp.sample_bilinear on a uint8 (h, w, c) image at float32
+ * source-pixel coordinates, for the fused lattice sampler below: same 4
+ * taps, border zero outside the image (CLK_ADDRESS_CLAMP), same float32
+ * operation order, so its samples are bit-identical to the numpy sampler
+ * (built with -ffp-contract=off: a fused multiply-add would round
+ * differently). */
 static inline int64_t floor_i64(float v)
 {
     /* numpy's floor(v).astype(int64) on x86-64: NaN and values outside
@@ -679,16 +680,6 @@ static inline float bilinear_at(const Taps *t, long k)
     return top + (bot - top) * t->fy;
 }
 
-void warp_bilinear_u8(const uint8_t *img, long h, long w, long c,
-                      const float *px, const float *py, long n, float *out)
-{
-    for (long i = 0; i < n; i++) {
-        Taps t = bilinear_taps(img, h, w, c, px[i], py[i]);
-        for (long k = 0; k < c; k++)
-            out[i * c + k] = bilinear_at(&t, k);
-    }
-}
-
 /* np.clip(v, 0, 255).astype(np.uint8): truncation; NaN passes the clip
  * and numpy's cast turns it into 0. */
 static inline uint8_t clip_u8(float v)
@@ -698,10 +689,10 @@ static inline uint8_t clip_u8(float v)
     return v >= 255.0f ? 255 : (uint8_t)v;
 }
 
-/* The bilinear sampler above with each pixel's source coordinates filled
- * in inline from the warp lattice (warp._lattice_fill): nodes_x/nodes_y
- * are the float64 source-pixel maps at the lattice nodes, (ny, nx)
- * row-major, and (xj, xt) / (yj, yt) the per-axis cell and position
+/* warp.sample_bilinear (the taps above) with each pixel's source
+ * coordinates filled in inline from the warp lattice (warp._lattice_fill):
+ * nodes_x/nodes_y are the float64 source-pixel maps at the lattice nodes,
+ * (ny, nx) row-major, and (xj, xt) / (yj, yt) the per-axis cell and position
  * tables of warp._lattice_axis. The fill is the numpy separable fill's
  * float64 operation order, rounded to float32, so the samples are
  * bit-identical to filling the full px/py grids and sampling them: the

@@ -13,11 +13,11 @@ into :data:`DISABLED`) — falls back to the pure-Python path silently. C
 twins exist only for loops on a measured path: the JPEG, PNG, TIFF-LZW
 and GIF-LZW decoders, the 8-bit JPEG decode tail (libjpeg's islow
 IDCT with clamp, one call per component, then upsampling and fixed-point
-YCbCr → RGBA, one call per image), and the bilinear sampler (the one
-per-pixel loop numpy runs as 4 gathers plus ~12 temporaries, alone and
-fused with the warp lattice fill; the fused one lerps 4-channel interior
-pixels in SSE2 and writes at a row stride, so the warp+tile stage warps
-straight into its tile-padded arrays). The encoders the package keeps
+YCbCr → RGBA, one call per image), and the bilinear sampler fused with
+the warp lattice fill (the one per-pixel loop numpy runs as 4 gathers
+plus ~12 temporaries; it lerps 4-channel interior pixels in SSE2 and
+writes at a row stride, so the warp+tile stage warps straight into its
+tile-padded arrays). The encoders the package keeps
 (baseline JPEG, deflate-strip TIFF) run in Python only, and no other
 encoder is in the package.
 Parity is pinned in tests/test_warp.py and tests/test_image_codecs.py.
@@ -148,12 +148,6 @@ def lib():
         L.gif_lzw_decode.restype = ctypes.c_long
         L.gif_lzw_decode.argtypes = [
             ctypes.c_char_p, ctypes.c_long, ctypes.c_int, u8p, ctypes.c_long,
-        ]
-        f32p = ctypes.POINTER(ctypes.c_float)
-        L.warp_bilinear_u8.restype = None
-        L.warp_bilinear_u8.argtypes = [
-            u8p, ctypes.c_long, ctypes.c_long, ctypes.c_long,  # img, h, w, c
-            f32p, f32p, ctypes.c_long, f32p,                # px, py, n, out
         ]
         L.warp_lattice_bilinear_u8.restype = None
         L.warp_lattice_bilinear_u8.argtypes = [
@@ -365,29 +359,6 @@ def gif_lzw_decode(data: bytes, min_code_size: int, n_pixels: int):
         raise ValueError("GIF: LZW stream ended early")
     if rc < 0:
         raise ValueError("GIF: corrupt LZW code")
-    return out
-
-
-def warp_bilinear_u8(img, px, py):
-    """C path for warp.sample_bilinear on a uint8 (h, w, c) image at
-    float32 coordinates: returns the float32 (*px.shape, c) samples,
-    bit-identical to the numpy sampler, or None when unavailable."""
-    if (img.dtype != np.uint8 or img.ndim != 3 or px.dtype != np.float32
-            or py.dtype != np.float32 or px.shape != py.shape):
-        raise ValueError("warp_bilinear_u8 needs a uint8 (h, w, c) image and "
-                         "float32 coordinate arrays of one shape")
-    L = lib()
-    if L is None:
-        return None
-    img = np.ascontiguousarray(img)
-    px = np.ascontiguousarray(px)
-    py = np.ascontiguousarray(py)
-    h, w, c = img.shape
-    out = np.empty(px.shape + (c,), np.float32)
-    f32p = ctypes.POINTER(ctypes.c_float)
-    L.warp_bilinear_u8(img.ctypes.data_as(ctypes.POINTER(ctypes.c_uint8)),
-                       h, w, c, px.ctypes.data_as(f32p), py.ctypes.data_as(f32p),
-                       px.size, out.ctypes.data_as(f32p))
     return out
 
 

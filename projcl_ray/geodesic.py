@@ -5,11 +5,13 @@ Reference semantics:
   `src/projcl_run.c:637-692` applies an optional output ``scale``);
 - spherical direct, fixed distance × many azimuths and fixed azimuth × many
   distances (`kernel/pl_geodesic.opencl:61-122`);
-- Vincenty direct for the ellipsoid: the reference ships the NGS
-  Vincenty/Rainsford routine commented out (`kernel/pl_geodesic.opencl:139-209`,
-  listed in its TODO); we implement the published algorithm (Vincenty 1975,
-  Survey Review 23(176)) in float64, plus the inverse problem the reference
-  lacks entirely (required by the north-star spec).
+- Vincenty direct for the ellipsoid, the one ellipsoidal direct solver: the
+  reference ships the NGS Vincenty/Rainsford routine commented out
+  (`kernel/pl_geodesic.opencl:139-209`, listed in its TODO); we implement the
+  published algorithm (Vincenty 1975, Survey Review 23(176)) in float64, plus
+  the inverse problem the reference lacks entirely (required by the
+  north-star spec). Karney's inverse (Karney 2013) re-solves the pairs where
+  Vincenty's λ iteration does not converge, and is the tests' oracle.
 
 All angles degrees in/out, distances meters (radius defaults to the
 reference's SPHERE radius 6370997.0, projcl_spheroid.c:20).
@@ -152,8 +154,9 @@ def vincenty_direct(lon, lat, azimuth_deg, distance_m, spheroid: str = "WGS_84")
 # quadrature (machine precision for these smooth integrands), and α1 is found
 # by bisection on the monotone λ12(α1) — slower per point than Vincenty but
 # convergent EVERYWHERE, including the antipodal region where Vincenty's λ
-# iteration diverges. Used as the rescue path of vincenty_inverse and as an
-# independent test oracle.
+# iteration diverges. It has two roles: the rescue of vincenty_inverse for
+# the pairs its λ iteration leaves unconverged, and the tests' independent
+# oracle. The direct problem has one solver, vincenty_direct.
 # ---------------------------------------------------------------------------
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(32)
@@ -273,76 +276,14 @@ def karney_inverse(lon1, lat1, lon2, lat2, spheroid: str = "WGS_84",
     return s12.reshape(shape), azi1.reshape(shape), azi2.reshape(shape)
 
 
-def karney_direct(lon, lat, azimuth_deg, distance_m, spheroid: str = "WGS_84",
-                  newton_iters: int = 30):
-    """Ellipsoidal DIRECT problem by Karney's auxiliary-sphere method (Karney
-    2013 §3-4) — the mirror of :func:`karney_inverse`, completing the
-    north-star's "Vincenty/Karney" pair on the direct side. The geodesic
-    integrals are evaluated by the same Gauss-Legendre quadrature, and σ2 is
-    found by Newton on s(σ2) = s12, which is globally convergent because
-    ds/dσ = b·√(1 + k²sin²σ) ≥ b > 0 (strictly monotone, smooth).
-
-    Returns (lon2_deg, lat2_deg, back_azimuth_deg) with the same conventions
-    as :func:`vincenty_direct` (azimuths = direction of travel, [0, 360)).
-    """
-    info = get_spheroid(spheroid)
-    b = info.minor_axis
-    f = info.flattening
-    ep2 = info.ecc2 / info.one_ecc2
-
-    lam1 = np.asarray(lon, np.float64) * DEG
-    phi1 = np.asarray(lat, np.float64) * DEG
-    alpha1 = np.asarray(azimuth_deg, np.float64) * DEG
-    s12 = np.asarray(distance_m, np.float64)
-    shape = np.broadcast_shapes(lam1.shape, phi1.shape, alpha1.shape, s12.shape)
-    lam1, phi1, alpha1, s12 = (np.broadcast_to(v, shape).astype(np.float64)
-                               for v in (lam1, phi1, alpha1, s12))
-
-    beta1 = np.arctan((1.0 - f) * np.tan(phi1))
-    sbet1, cbet1 = np.sin(beta1), np.maximum(np.cos(beta1), _TINY)
-    salp1, calp1 = np.sin(alpha1), np.cos(alpha1)
-    salp0 = salp1 * cbet1  # Clairaut's constant (eq. 10)
-    calp0 = np.hypot(calp1, salp1 * sbet1)
-    ssig1, csig1 = sbet1, calp1 * cbet1
-    sig1 = np.arctan2(ssig1, csig1)
-    k2 = ep2 * calp0 * calp0
-
-    def i1(t):
-        return np.sqrt(1.0 + k2[..., None] * np.sin(t) ** 2)
-
-    def i3(t):
-        return (2.0 - f) / (1.0 + (1.0 - f) * np.sqrt(1.0 + k2[..., None] * np.sin(t) ** 2))
-
-    target = s12 / b + _gl_integral(sig1, i1)
-    sig2 = sig1 + s12 / (b * np.sqrt(1.0 + 0.5 * k2))  # spherical-ish start
-    for _ in range(newton_iters):
-        step = (_gl_integral(sig2, i1) - target) / np.sqrt(1.0 + k2 * np.sin(sig2) ** 2)
-        sig2 = sig2 - step
-        if np.all(np.abs(step) < 1e-15):
-            break
-
-    ssig2, csig2 = np.sin(sig2), np.cos(sig2)
-    sbet2 = calp0 * ssig2
-    cbet2 = np.hypot(salp0, calp0 * csig2)
-    phi2 = np.arctan2(sbet2, (1.0 - f) * np.maximum(cbet2, _TINY))
-    alp2 = np.arctan2(salp0, calp0 * csig2)
-    omg1 = np.arctan2(salp0 * ssig1, csig1)
-    omg2 = np.arctan2(salp0 * ssig2, csig2)
-    lam12 = (omg2 - omg1) - f * salp0 * (_gl_integral(sig2, i3) - _gl_integral(sig1, i3))
-    lam2 = lam1 + lam12
-    lam2 = (lam2 + math.pi) % (2.0 * math.pi) - math.pi
-    return lam2 / DEG, phi2 / DEG, (alp2 / DEG) % 360.0
-
-
 def vincenty_inverse(lon1, lat1, lon2, lat2, spheroid: str = "WGS_84", max_iter: int = 200):
     """Ellipsoidal inverse problem (Vincenty 1975): distance + fwd/back azimuths.
 
     The reference has no ellipsoidal inverse kernel (its `_e` lookup fails at
     runtime, src/projcl_geodesic.c:316); this fills that gap per the north-star.
-    Near-antipodal pairs where classic Vincenty diverges are refined with
-    Newton iterations on the DIRECT problem (see below), so the returned
-    geodesic lands on the target to ~1e-13° everywhere, including exactly
-    antipodal points.
+    Near-antipodal pairs where classic Vincenty diverges are re-solved with
+    :func:`karney_inverse` (see below), so the returned geodesic lands on
+    the target everywhere, including exactly antipodal points.
 
     Returns (distance_m, azimuth12_deg, azimuth21_deg).
     """

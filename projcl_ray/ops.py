@@ -48,15 +48,13 @@ from .geodesic import (
     SPHERE_RADIUS,
     forward_sphere,
     haversine,
-    karney_direct,
-    karney_inverse,
     vincenty_direct,
     vincenty_inverse,
 )
 from .images import CHANNELS, decode_image, encode_image
 from .proj import ProjParams, prepare
 from .warp import GeoRef, WarpSpec, warp_images_u8, warp_windows
-from .warp import warp_image  # noqa: F401  ops.warp_image, the per-image warp (perfbench traces it)
+from .warp import warp_image  # ops.warp_image, the per-image warp (perfbench traces it)
 
 # ---------------------------------------------------------------------------
 # Worker-process state cache.
@@ -216,14 +214,11 @@ def shift_datum(
 # Geodesic stages
 # ---------------------------------------------------------------------------
 
-_ELL_INVERSE = {"vincenty": vincenty_inverse, "karney": karney_inverse}
-_ELL_DIRECT = {"vincenty": vincenty_direct, "karney": karney_direct}
-
-
-def _check_method(method: str, accepted) -> None:
-    """Reject a geodesic method the stage does not implement, at build time."""
-    if method not in accepted:
-        raise ValueError(f"unknown geodesic method {method!r}; expected one of {sorted(accepted)}")
+def _check_method(method: str) -> None:
+    """Reject a geodesic method other than 'sphere' and 'vincenty', at build
+    time."""
+    if method not in ("sphere", "vincenty"):
+        raise ValueError(f"unknown geodesic method {method!r}; expected 'sphere' or 'vincenty'")
 
 
 def geodesic_distance(
@@ -234,25 +229,25 @@ def geodesic_distance(
     lon2="lon2",
     lat2="lat2",
     out="distance_m",
-    method: str = "haversine",
+    method: str = "sphere",
     spheroid: str = "WGS_84",
     radius: float = SPHERE_RADIUS,
     batch_size: int | None = 128 * 1024,
 ) -> ray.data.Dataset:
-    """Row-wise inverse geodesic (pl_inverse_geodesic_s semantics for
-    'haversine'; ellipsoidal 'vincenty' (Karney rescue on the antipodal
-    subset) or pure 'karney', incl. azimuth columns)."""
-    _check_method(method, {"haversine", *_ELL_INVERSE})
+    """Row-wise inverse geodesic: 'sphere' is the haversine distance
+    (pl_inverse_geodesic_s semantics); 'vincenty' is the ellipsoidal
+    distance with azimuth columns, its non-converged (near-antipodal) pairs
+    re-solved by Karney's method (geodesic.vincenty_inverse)."""
+    _check_method(method)
 
     def _hav(cols: dict) -> dict:
         return {out: haversine(cols[lon1], cols[lat1], cols[lon2], cols[lat2], radius)}
 
     def _ell(cols: dict) -> dict:
-        solver = _ELL_INVERSE[method]
-        d, a12, a21 = solver(cols[lon1], cols[lat1], cols[lon2], cols[lat2], spheroid)
+        d, a12, a21 = vincenty_inverse(cols[lon1], cols[lat1], cols[lon2], cols[lat2], spheroid)
         return {out: d, "azi1_deg": a12, "azi2_deg": a21}
 
-    fn = _hav if method == "haversine" else _ell
+    fn = _hav if method == "sphere" else _ell
     return map_columns(ds, fn, batch_size=batch_size)
 
 
@@ -270,9 +265,9 @@ def forward_geodesic(
 ) -> ray.data.Dataset:
     """“Blast radius” fan-out: each input point × each azimuth → destination
     point rows (the reference's fixed-distance cross product,
-    src/projcl_run.c:694-745, as a controlled flat-map): 'sphere',
-    'vincenty' or 'karney'."""
-    _check_method(method, {"sphere", *_ELL_DIRECT})
+    src/projcl_run.c:694-745, as a controlled flat-map): 'sphere' (closed
+    form) or 'vincenty' (ellipsoidal, geodesic.vincenty_direct)."""
+    _check_method(method)
     az = np.asarray(list(azimuths_deg), np.float64)
 
     def _fan(batch: pa.Table) -> pa.Table:
@@ -282,8 +277,8 @@ def forward_geodesic(
         if method == "sphere":
             lon2, lat2 = forward_sphere(lon[:, None], lat[:, None], az[None, :], distance_m, radius)
         else:
-            lon2, lat2, _ = _ELL_DIRECT[method](lon[:, None], lat[:, None], az[None, :],
-                                                distance_m, spheroid)
+            lon2, lat2, _ = vincenty_direct(lon[:, None], lat[:, None], az[None, :],
+                                            distance_m, spheroid)
         out = batch.take(pa.array(np.repeat(np.arange(n), m)))
         out = out.append_column("azimuth_deg", pa.array(np.tile(az, n)))
         out = out.append_column("lon2", pa.array(lon2.ravel()))
@@ -1096,6 +1091,11 @@ def _knn_partitioned(queries, targets, k, cols, res_deg) -> ray.data.Dataset:
     cand_schema = pa.schema([(id_col, qid_type), (lon_col, f64), (lat_col, f64),
                              ("neighbor_id", tid_type), ("distance_m", f64)])
     out_schema = cand_schema.insert(4, pa.field("neighbor_rank", pa.int32()))
+    # each candidate carries its query's merge-sort partition, ``_part``
+    part_schema = cand_schema.append(pa.field("_part", pa.int64()))
+
+    def part(ids: pa.ChunkedArray, cuts: np.ndarray) -> np.ndarray:
+        return np.searchsorted(cuts, ids.to_numpy(), side="right")
 
     def tag_targets(batch: pa.Table) -> pa.Table:
         lon, lat = np.asarray(batch["lon"], np.float64), np.asarray(batch["lat"], np.float64)
@@ -1121,29 +1121,38 @@ def _knn_partitioned(queries, targets, k, cols, res_deg) -> ray.data.Dataset:
 
         return explode
 
-    def cell_topk(group: pa.Table) -> dict | None:
-        is_target = pc.is_valid(group["neighbor_id"])
-        tg, qg = group.filter(is_target), group.filter(pc.invert(is_target))
-        if not tg.num_rows or not qg.num_rows:
-            return None
-        ci, cd = _knn_cell(qg[lon_col].to_numpy(), qg[lat_col].to_numpy(), tg[lon_col].to_numpy(),
-                           tg[lat_col].to_numpy(), _id_rank(tg["neighbor_id"]), k)
-        rep = pa.array(np.repeat(np.arange(qg.num_rows), ci.shape[1]))
-        return {**{c: qg[c].take(rep) for c in cols},
-                "neighbor_id": tg["neighbor_id"].take(ci.ravel()), "distance_m": cd.ravel()}
+    def make_topk(cuts: np.ndarray):
+        def cell_topk(group: pa.Table) -> dict | None:
+            is_target = pc.is_valid(group["neighbor_id"])
+            tg, qg = group.filter(is_target), group.filter(pc.invert(is_target))
+            if not tg.num_rows or not qg.num_rows:
+                return None
+            ci, cd = _knn_cell(qg[lon_col].to_numpy(), qg[lat_col].to_numpy(),
+                               tg[lon_col].to_numpy(), tg[lat_col].to_numpy(),
+                               _id_rank(tg["neighbor_id"]), k)
+            rep = np.repeat(np.arange(qg.num_rows), ci.shape[1])
+            return {**{c: qg[c].take(pa.array(rep)) for c in cols},
+                    "neighbor_id": tg["neighbor_id"].take(ci.ravel()), "distance_m": cd.ravel(),
+                    "_part": part(qg[id_col], cuts)[rep]}
 
-    def sentinel(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table({**{c: batch[c] for c in cols}, "neighbor_id": pa.nulls(n),
-                         "distance_m": np.full(n, np.inf)}, schema=cand_schema)
+        return cell_topk
+
+    def make_sentinel(cuts: np.ndarray):
+        def sentinel(batch: pa.Table) -> pa.Table:
+            n = batch.num_rows
+            return pa.table({**{c: batch[c] for c in cols}, "neighbor_id": pa.nulls(n),
+                             "distance_m": np.full(n, np.inf),
+                             "_part": part(batch[id_col], cuts)}, schema=part_schema)
+
+        return sentinel
 
     def make_merge(ring: int):
         def merge(t: pa.Table) -> pa.Table:
             # one block holds every row of its queries (a range-partitioned
-            # sort on the id): the k nearest by (distance, target id), and
+            # sort on the id's partition): the k nearest by (distance, target id), and
             # the ring bound decides whether they are final
-            t = t.sort_by([(id_col, "ascending"), ("distance_m", "ascending"),
-                           ("neighbor_id", "ascending")])
+            t = t.drop_columns("_part").sort_by([
+                (id_col, "ascending"), ("distance_m", "ascending"), ("neighbor_id", "ascending")])
             ids, dist = t[id_col], t["distance_m"].to_numpy()
             starts = np.flatnonzero(np.r_[True, pc.not_equal(ids[1:], ids[:-1]).to_numpy()])
             sizes = np.diff(np.r_[starts, t.num_rows])
@@ -1170,14 +1179,17 @@ def _knn_partitioned(queries, targets, k, cols, res_deg) -> ray.data.Dataset:
         t = t.select([id_col]).sort_by(id_col)
         return t.take(pa.array(np.arange(0, t.num_rows, max(1, t.num_rows // 64))))
 
-    def id_bounds(pending: ray.data.Dataset) -> list:
-        # the merge sort's boundaries, at ids of pending queries: every
-        # partition holds the id it starts at, so none is empty
+    def id_cuts(pending: ray.data.Dataset) -> np.ndarray:
+        # the merge sort's partitions start at ids of pending queries: every
+        # partition holds the id it starts at, so none is empty. Ray's sort
+        # takes only int or float boundaries, so the rows sort on their
+        # id's partition number (``part``), whatever the id type
         parts = list(_map_blocks(pending, id_sample, batch_size=None)
                      .iter_batches(batch_format="pyarrow", batch_size=None))
         ids = sorted(set(pa.concat_tables(parts)[id_col].to_pylist()))
         p = min(len(ids), max(2, int(ray.cluster_resources().get("CPU", 1)), len(parts)))
-        return sorted({ids[len(ids) * i // p] for i in range(1, p)})
+        cuts = sorted({ids[len(ids) * i // p] for i in range(1, p)})
+        return pa.array(cuts, qid_type).to_numpy(zero_copy_only=False)
 
     # without 0-row blocks: Ray hands one to the next stage as a block with
     # no schema, which every later operator logs as a schema change
@@ -1188,12 +1200,13 @@ def _knn_partitioned(queries, targets, k, cols, res_deg) -> ray.data.Dataset:
 
     pending, ring, results = nonempty(queries.select_columns(list(cols))), 2, []
     while pending is not None:
-        cands = _cell_join(targets, tag_targets, pending, make_explode(ring), counts, cell_topk,
-                           cand_schema).union(_map_blocks(pending, sentinel, batch_size=None))
-        bounds = id_bounds(pending)
+        cuts = id_cuts(pending)
+        cands = _cell_join(targets, tag_targets, pending, make_explode(ring), counts,
+                           make_topk(cuts), part_schema).union(
+            _map_blocks(pending, make_sentinel(cuts), batch_size=None))
         # one pending query sorts as one block
-        cands = cands.sort(id_col, boundaries=bounds) if bounds else \
-            cands.repartition(1).sort(id_col)
+        cands = cands.sort("_part", boundaries=list(range(1, len(cuts) + 1))) if len(cuts) \
+            else cands.repartition(1)
         merged = _map_blocks(cands, make_merge(ring), batch_size=None).materialize()
         results.append(_map_blocks(merged, finished, batch_size=None))
         pending = nonempty(_map_blocks(merged, unfinished, batch_size=None))
@@ -1272,8 +1285,8 @@ def forward_geodesic_fixed_angle(
     """Great-circle trace: ONE origin + fixed azimuth × a Dataset of distances
     (pl_forward_geodesic_fixed_angle_s, src/projcl_run.c:747-787). The origin
     is broadcast; each distance row gains (lon2, lat2). Methods: 'sphere'
-    or 'vincenty'."""
-    _check_method(method, {"sphere", "vincenty"})
+    (closed form) or 'vincenty' (ellipsoidal, geodesic.vincenty_direct)."""
+    _check_method(method)
 
     def _trace(cols: dict) -> dict:
         d = np.asarray(cols[dist_col], np.float64)
@@ -1297,14 +1310,18 @@ def warp_tiled_mosaic(
     """Warp images stored as TILE rows (the reference's PLImageArrayBuffer
     path, pl_sample_image_array_*): group tiles by image, assemble them into
     one image over the tiles' full extent (:func:`warp.mosaic_from_tiles`),
-    inverse-map and sample it with the ordinary sampler, emit one warped row
-    per image.
+    warp it with :func:`warp.warp_image` into the image's default window
+    (:func:`warp.default_warp_window`) and clip to uint8, emit one warped
+    row per image. The pixels equal a direct ``warp_image`` of the whole
+    image byte for byte: the mosaic's padding past the image reads 0, as
+    the border does (bicubic, which clamps to the edge instead, equals it
+    when the image fills its tiles).
 
     Expects columns: image_id, tile_col, tile_row, tile_size, bytes, w(full),
     h(full), lon0, lat0, px_deg. Partitioning assumption: all of an image's
     tiles co-locate via the groupby shuffle (tile payloads move once).
     """
-    from .warp import SAMPLERS, GeoRef, default_warp_window, dest_grid, mosaic_from_tiles
+    from .warp import default_warp_window, mosaic_from_tiles
 
     params = params or ProjParams(**param_kw)
     prepped_ref = (proj_name, params)
@@ -1321,12 +1338,10 @@ def warp_tiled_mosaic(
                                     for tx, ty, buf in zip(*cols)), ts)
         w, h = r0["w"], r0["h"]
         georef = GeoRef(r0["lon0"], r0["lat0"], r0["px_deg"])
-        ox, oy, sx, sy = default_warp_window(prepped, georef, w, h)
-        gx, gy = dest_grid(ox, oy, sx, sy, w, h)
+        spec = WarpSpec(proj_name, params, *default_warp_window(prepped, georef, w, h), w, h,
+                        filter=filter)
         with np.errstate(all="ignore"):
-            lon, lat = prepped.inverse(gx.astype(np.float32), gy.astype(np.float32))
-        px, py = georef.to_pixels(lon, lat)
-        out = SAMPLERS[filter](mosaic, px, py)
+            out = warp_image(mosaic, georef, spec, prepped)
         out8 = np.clip(out, 0, 255).astype(np.uint8)
         return {"image_id": [r0["image_id"]], "bytes": [encode_image(out8)],
                 "w": [w], "h": [h], "fmt": ["raw"]}

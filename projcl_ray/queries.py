@@ -451,7 +451,7 @@ def q_haversine_pairs(sf_dir: str):
 
     ds = ops.map_columns(ds, second_point, batch_size=None)
     ds = ops.geodesic_distance(ds, lon1="lon", lat1="lat", lon2="lon2", lat2="lat2",
-                               out="dist", method="haversine")
+                               out="dist", method="sphere")
     df = ds.select_columns(["l_orderkey", "l_partkey", "dist"]).to_pandas()
     df = _quant_df(df, {"dist": 1.0})
     return df.rename(columns={"dist": "dist_m"})
@@ -625,19 +625,6 @@ def q_forward_vincenty(sf_dir: str):
     direct-problem SQL."""
     ds = ops.forward_geodesic(_customer_points(sf_dir), [30.0, 120.0, 210.0, 300.0],
                               2_000_000.0, method="vincenty", spheroid="WGS_84")
-    df = ds.select_columns(["c_custkey", "azimuth_deg", "lon2", "lat2"]).to_pandas()
-    df = _quant_df(df, {"lon2": 1e4, "lat2": 1e4})
-    return df.rename(columns={"lon2": "lon2_q", "lat2": "lat2_q"})
-
-
-@q("forward_geodesic_karney", _vincenty_direct_oracle_sql(2_000_000.0))
-def q_forward_karney(sf_dir: str):
-    """Karney DIRECT solver (auxiliary sphere + quadrature, geodesic.py) —
-    gated against the SAME unrolled Vincenty-direct SQL oracle: both exact
-    ellipsoidal algorithms agree to ~1e-9 deg, far inside the 1e-4-degree
-    quantization lattice."""
-    ds = ops.forward_geodesic(_customer_points(sf_dir), [30.0, 120.0, 210.0, 300.0],
-                              2_000_000.0, method="karney", spheroid="WGS_84")
     df = ds.select_columns(["c_custkey", "azimuth_deg", "lon2", "lat2"]).to_pandas()
     df = _quant_df(df, {"lon2": 1e4, "lat2": 1e4})
     return df.rename(columns={"lon2": "lon2_q", "lat2": "lat2_q"})
@@ -1007,6 +994,27 @@ def q_geotiff_export(sf_dir: str):
     return write_geotiffs(ds, out)  # second run: all rows skipped=True
 
 
+def _geotiff_blobs(n: int, seed: int, *, dem: bool, id_col: str) -> pa.Table:
+    """GeoTIFF blobs of ``synth_images_table(n, seed)``: one row per image,
+    ``id_col`` (the image id), ``caption`` and ``bytes``, a deflate-strip
+    TIFF with the image's georeference in embedded GeoTIFF tags. The TIFF
+    holds the RGBA pixels, or with ``dem`` a deterministic single-band
+    float32 elevation field driven by the pixels' first two channels."""
+    from .images import decode_image, synth_images_table
+    from .tiff import GeoTags, encode_tiff
+
+    blobs = []
+    for r in synth_images_table(n, seed=seed).to_pylist():
+        img = decode_image(r["bytes"], r["w"], r["h"], "raw")
+        if dem:
+            img = (100.0 + 12.5 * img[..., 0].astype(np.float32)
+                   + 0.25 * img[..., 1].astype(np.float32))
+        geo = GeoTags(r["px_deg"], r["px_deg"], 0.0, 0.0, r["lon0"], r["lat0"])
+        blobs.append({id_col: r["image_id"], "caption": r["caption"],
+                      "bytes": encode_tiff(img, geo=geo)})
+    return pa.Table.from_pylist(blobs)
+
+
 @q("geotiff_ingest_warp_tile", _ingest_oracle_sql(24, 42))
 def q_geotiff_ingest(sf_dir: str):
     """GeoTIFF ingest end-to-end: bare georeferenced-raster blobs (pixels +
@@ -1016,18 +1024,8 @@ def q_geotiff_ingest(sf_dir: str):
     tags round-trip the georeference exactly, so the layout hash-compares
     against the DuckDB transcription); tests pin tile PIXEL bit-equality
     vs the raw path."""
-    from .images import decode_image, synth_images_table
-    from .tiff import GeoTags, encode_tiff
-
-    rows = synth_images_table(24, seed=42).to_pylist()
-    blobs = []
-    for r in rows:
-        img = decode_image(r["bytes"], r["w"], r["h"], "raw")
-        geo = GeoTags(r["px_deg"], r["px_deg"], 0.0, 0.0, r["lon0"], r["lat0"])
-        blobs.append({"image_id": r["image_id"], "caption": r["caption"],
-                      "bytes": encode_tiff(img, geo=geo)})
     return _ingest_layout(_ingest_tiles(
-        ops.ingest_geotiff(rd.from_arrow(pa.Table.from_pylist(blobs)))))
+        ops.ingest_geotiff(rd.from_arrow(_geotiff_blobs(24, 42, dem=False, id_col="image_id")))))
 
 
 @q("geotiff_dem_ingest_warp_tile", _ingest_oracle_sql(24, 43))
@@ -1039,21 +1037,8 @@ def q_geotiff_dem_ingest(sf_dir: str):
     (decode_tiff_native keeps the exact values for numeric pipelines) →
     warp → tile → oracle-checked tile layout; pixel determinism is gated
     in pytest."""
-    from .images import decode_image, synth_images_table
-    from .tiff import GeoTags, encode_tiff
-
-    rows = synth_images_table(24, seed=43).to_pylist()
-    blobs = []
-    for r in rows:
-        img = decode_image(r["bytes"], r["w"], r["h"], "raw")
-        # deterministic synthetic elevation: luminance-driven float32 field
-        dem = (100.0 + 12.5 * img[..., 0].astype(np.float32)
-               + 0.25 * img[..., 1].astype(np.float32))
-        geo = GeoTags(r["px_deg"], r["px_deg"], 0.0, 0.0, r["lon0"], r["lat0"])
-        blobs.append({"image_id": r["image_id"], "caption": r["caption"],
-                      "bytes": encode_tiff(dem, geo=geo)})
     return _ingest_layout(_ingest_tiles(
-        ops.ingest_geotiff(rd.from_arrow(pa.Table.from_pylist(blobs)))))
+        ops.ingest_geotiff(rd.from_arrow(_geotiff_blobs(24, 43, dem=True, id_col="image_id")))))
 
 
 @q("zonal_stats_dem")  # pixel-derived values — exact brute-force oracle in pytest
@@ -1065,20 +1050,10 @@ def q_zonal_stats(sf_dir: str):
     groupby-aggregate merges partials. Values derive from decoded raster
     bytes, so correctness is gated by the exact brute-force pytest
     (test_zonal_stats_matches_bruteforce), not SQL."""
-    from .images import decode_image, synth_images_table
     from .pipelines import synth_polygons
-    from .tiff import GeoTags, encode_tiff
 
-    rows = synth_images_table(24, seed=44).to_pylist()
-    blobs = []
-    for r in rows:
-        img = decode_image(r["bytes"], r["w"], r["h"], "raw")
-        dem = (100.0 + 12.5 * img[..., 0].astype(np.float32)
-               + 0.25 * img[..., 1].astype(np.float32))
-        geo = GeoTags(r["px_deg"], r["px_deg"], 0.0, 0.0, r["lon0"], r["lat0"])
-        blobs.append({"raster_id": r["image_id"], "bytes": encode_tiff(dem, geo=geo)})
     # three blocks of 8 rasters, the stage's slice size
-    ds = rd.from_arrow(pa.Table.from_pylist(blobs)).repartition(3)
+    ds = rd.from_arrow(_geotiff_blobs(24, 44, dem=True, id_col="raster_id")).repartition(3)
     return ops.zonal_stats(ds, synth_polygons(32))
 
 
@@ -1089,20 +1064,9 @@ def q_dem_terrain(sf_dir: str):
     circular-mean aspect, mean hillshade, roughness). Zero-movement map —
     pixels never leave the decode task (ops.dem_terrain_features);
     correctness gated by the per-pixel scalar-Horn pytest."""
-    from .images import decode_image, synth_images_table
-    from .tiff import GeoTags, encode_tiff
-
-    rows = synth_images_table(24, seed=44).to_pylist()
-    blobs = []
-    for r in rows:
-        img = decode_image(r["bytes"], r["w"], r["h"], "raw")
-        dem = (100.0 + 12.5 * img[..., 0].astype(np.float32)
-               + 0.25 * img[..., 1].astype(np.float32))
-        geo = GeoTags(r["px_deg"], r["px_deg"], 0.0, 0.0, r["lon0"], r["lat0"])
-        blobs.append({"raster_id": r["image_id"], "bytes": encode_tiff(dem, geo=geo)})
     # three blocks of 8 rasters, the stage's slice size
     return ops.dem_terrain_features(
-        rd.from_arrow(pa.Table.from_pylist(blobs)).repartition(3))
+        rd.from_arrow(_geotiff_blobs(24, 44, dem=True, id_col="raster_id")).repartition(3))
 
 
 def _fixture_layout(name: str) -> pd.DataFrame:

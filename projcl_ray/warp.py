@@ -20,8 +20,10 @@ Reference semantics (`include/projcl/projcl_warp.h:30-82`, `src/projcl_warp.c`,
 - dest write is out[i, j] = sample(grid[i, j]) (grid row-major = image rows).
 
 Everything is vectorized NumPy over the whole dest grid; the bilinear sampler
-also has a bit-identical C twin, alone and fused with the lattice fill
-(fastcodec.py; the fused one lerps 4-channel interior pixels in SSE2).
+also has a bit-identical C twin fused with the lattice fill (fastcodec.py;
+it lerps 4-channel interior pixels in SSE2), which warps uint8 images whose
+map passes the lattice check; the NumPy sampler is its reference and warps
+the rest.
 ``warp_image`` warps one image. The warp+tile stage (ops.WarpTileActor)
 warps a batch: ``warp_windows`` runs one forward projection for every
 image's window and ``warp_images_u8`` one inverse projection for every
@@ -87,11 +89,6 @@ def sample_nearest(img: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarra
 
 
 def sample_bilinear(img: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    if (img.dtype == np.uint8 and img.ndim == 3 and px.dtype == np.float32
-            and py.dtype == np.float32 and px.shape == py.shape):
-        out = fastcodec.warp_bilinear_u8(img, px, py)  # bit-identical C twin
-        if out is not None:
-            return out
     x0 = np.floor(px).astype(np.int64)
     y0 = np.floor(py).astype(np.int64)
     # fractional weights in the image dtype: float32 pixels must not be
@@ -312,17 +309,6 @@ def _lattice_nodes(georef, spec: WarpSpec, prepped: PreparedProjection):
         return None
     px, py = _source_pixels(*pts, georef, spec, prepped)
     return _lattice_check(px, py, spec.width, spec.height)
-
-
-def _lattice_pixels(georef, spec: WarpSpec, prepped: PreparedProjection):
-    """Float32 source-pixel coordinates of every dest pixel, interpolated from
-    the exact float64 map on the lattice; None when the lattice misses the
-    exact map by more than LATTICE_TOL_PX (or is non-finite) at any cell
-    centre, or the grid is too small to have cells."""
-    nodes = _lattice_nodes(georef, spec, prepped)
-    if nodes is None:
-        return None
-    return [_lattice_fill(v, spec.width, spec.height) for v in nodes]
 
 
 def _sample(img: np.ndarray, georef, spec: WarpSpec, prepped: PreparedProjection,

@@ -60,6 +60,9 @@ def test_transform_and_project_grid():
 
 
 def test_warp_tiled_mosaic_stage_matches_direct_warp(ray_session):
+    """The mosaic stage's pixels equal a direct warp_image of the whole
+    image byte for byte, for the nearest, bilinear and bicubic filters."""
+    import pyarrow as pa
     import ray.data as rd
 
     img = synth_pixels(3, 96, 96)
@@ -73,17 +76,20 @@ def test_warp_tiled_mosaic_stage_matches_direct_warp(ray_session):
                 "lon0": georef.lon0, "lat0": georef.lat0, "px_deg": georef.px_deg,
             }
         )
-    out = ops.warp_tiled_mosaic(rd.from_items(rows), "mercator", ProjParams(spheroid="WGS_84"),
-                                filter="bilinear").to_pandas()
-    assert len(out) == 1
-    got = decode_image(out.iloc[0]["bytes"], 96, 96, "raw")
-    # direct whole-image warp for comparison
+    # one block: from_items would make one block, and one sort partition, per tile
+    tiles = rd.from_arrow(pa.Table.from_pylist(rows))
     prepped = prepare("mercator", spheroid="WGS_84")
     ox, oy, sx, sy = default_warp_window(prepped, georef, 96, 96)
-    spec = WarpSpec("mercator", ProjParams(spheroid="WGS_84"), ox, oy, sx, sy, 96, 96)
-    direct = np.clip(warp_image(img, georef, spec), 0, 255).astype(np.uint8)
-    assert np.mean(np.abs(got.astype(int) - direct.astype(int))) < 1.0
-    assert (got == direct).mean() > 0.95
+    for filt in ("nearest", "bilinear", "bicubic"):
+        out = ops.warp_tiled_mosaic(tiles, "mercator", ProjParams(spheroid="WGS_84"),
+                                    filter=filt).to_pandas()
+        assert len(out) == 1
+        got = decode_image(out.iloc[0]["bytes"], 96, 96, "raw")
+        # direct whole-image warp for comparison
+        spec = WarpSpec("mercator", ProjParams(spheroid="WGS_84"), ox, oy, sx, sy, 96, 96,
+                        filter=filt)
+        direct = np.clip(warp_image(img, georef, spec), 0, 255).astype(np.uint8)
+        assert np.array_equal(got, direct), filt
 
 
 def test_fixed_angle_trace_stage(ray_session):

@@ -100,7 +100,7 @@ _GEODESIC_STAGES = {
 }
 
 
-@pytest.mark.parametrize("method", ["haversine", "vincenty", "karney"])
+@pytest.mark.parametrize("method", ["sphere", "vincenty"])
 def test_geodesic_distance_stage_equals_kernel(ray_session, method):
     import ray.data as rd
 
@@ -109,16 +109,16 @@ def test_geodesic_distance_stage_equals_kernel(ray_session, method):
     lon1, lat1, lon2, lat2 = _geodesic_pairs()
     ds = rd.from_arrow(pa.table({"lon1": lon1, "lat1": lat1, "lon2": lon2, "lat2": lat2}))
     out = _GEODESIC_STAGES["geodesic_distance"](ds, method).to_pandas()
-    if method == "haversine":
+    if method == "sphere":
         exp = {"distance_m": geodesic.haversine(lon1, lat1, lon2, lat2)}
     else:
-        kernel = {"vincenty": geodesic.vincenty_inverse, "karney": geodesic.karney_inverse}[method]
-        exp = dict(zip(("distance_m", "azi1_deg", "azi2_deg"), kernel(lon1, lat1, lon2, lat2)))
+        exp = dict(zip(("distance_m", "azi1_deg", "azi2_deg"),
+                       geodesic.vincenty_inverse(lon1, lat1, lon2, lat2)))
     for col, want in exp.items():
         np.testing.assert_array_equal(out[col].to_numpy(), want, err_msg=col)
 
 
-@pytest.mark.parametrize("method", ["sphere", "vincenty", "karney"])
+@pytest.mark.parametrize("method", ["sphere", "vincenty"])
 def test_forward_geodesic_stage_equals_kernel(ray_session, method):
     import ray.data as rd
 
@@ -132,8 +132,7 @@ def test_forward_geodesic_stage_equals_kernel(ray_session, method):
     if method == "sphere":
         lon2, lat2 = geodesic.forward_sphere(*args)
     else:
-        kernel = {"vincenty": geodesic.vincenty_direct, "karney": geodesic.karney_direct}[method]
-        lon2, lat2, _ = kernel(*args)
+        lon2, lat2, _ = geodesic.vincenty_direct(*args)
     np.testing.assert_array_equal(out["azimuth_deg"].to_numpy(), np.tile(az, len(lon)))
     np.testing.assert_array_equal(out["lon2"].to_numpy(), lon2.ravel())
     np.testing.assert_array_equal(out["lat2"].to_numpy(), lat2.ravel())
@@ -157,14 +156,17 @@ def test_fixed_angle_stage_equals_kernel(ray_session, method):
 
 
 @pytest.mark.parametrize("stage, method", [
-    ("geodesic_distance", "sphere"),
     ("geodesic_distance", "Vincenty"),
+    ("geodesic_distance", "haversine"),
+    ("geodesic_distance", "karney"),
     ("forward_geodesic", "haversine"),
+    ("forward_geodesic", "karney"),
     ("forward_geodesic_fixed_angle", "karney"),
 ])
 def test_geodesic_stage_rejects_unknown_method(stage, method):
-    """An unimplemented method raises when the stage is built (no Dataset is
-    needed), instead of running another solver."""
+    """Every geodesic stage accepts exactly 'sphere' and 'vincenty': any
+    other method raises when the stage is built (no Dataset is needed),
+    instead of running another solver."""
     with pytest.raises(ValueError, match="unknown geodesic method"):
         _GEODESIC_STAGES[stage](None, method)
 
@@ -612,7 +614,7 @@ def test_knn_join_partitioned_matches_brute(ray_session, monkeypatch):
     """A target Dataset over BROADCAST_MAX_BYTES takes the partitioned plan,
     which must be exact vs brute force — dense targets (one round) and
     sparse targets (multi-round ring growth, including a query whose first
-    rings hold zero targets)."""
+    rings hold zero targets) — with integer and with string query ids."""
     import ray.data as rd
 
     from projcl_ray.spatial import knn_brute
@@ -620,24 +622,26 @@ def test_knn_join_partitioned_matches_brute(ray_session, monkeypatch):
     rng = np.random.default_rng(21)
     qlon = np.concatenate([rng.uniform(-60, 60, 60), [170.0]])  # far outlier query
     qlat = np.concatenate([rng.uniform(-40, 80, 60), [-85.0]])
-    q_ds = rd.from_items(
-        [{"qid": i, "lon": float(qlon[i]), "lat": float(qlat[i])} for i in range(len(qlon))]
-    )
+    targets = []
     for m in (2000, 12):  # dense / sparse
         t_lon = rng.uniform(-60, 60, m)
         t_lat = rng.uniform(-40, 80, m)
         t_ds = rd.from_items(
             [{"id": int(j), "lon": float(t_lon[j]), "lat": float(t_lat[j])} for j in range(m)]
         )
-        monkeypatch.setattr(ops, "BROADCAST_MAX_BYTES", 0)
-        out = ops.knn_join(q_ds, t_ds, 3, id_col="qid", res_deg=10.0).to_pandas()
-        assert len(out) == len(qlon) * 3, m
-        got = out.sort_values(["qid", "neighbor_rank"]).reset_index(drop=True)
-        idx, exp = knn_brute(qlon, qlat, t_lon, t_lat, 3, order_key=np.arange(m))
-        np.testing.assert_allclose(
-            got["distance_m"].to_numpy().reshape(-1, 3), exp, rtol=1e-12, err_msg=f"m={m}"
-        )
-        np.testing.assert_array_equal(got["neighbor_id"].to_numpy().reshape(-1, 3), idx)
+        targets.append((m, t_lon, t_lat, t_ds))
+    monkeypatch.setattr(ops, "BROADCAST_MAX_BYTES", 0)
+    for qid in (int, "q{:04d}".format):  # string ids sort in the integers' order
+        q_ds = rd.from_items([{"qid": qid(i), "lon": float(qlon[i]), "lat": float(qlat[i])}
+                              for i in range(len(qlon))])
+        for m, t_lon, t_lat, t_ds in targets:
+            out = ops.knn_join(q_ds, t_ds, 3, id_col="qid", res_deg=10.0).to_pandas()
+            assert len(out) == len(qlon) * 3, m
+            got = out.sort_values(["qid", "neighbor_rank"]).reset_index(drop=True)
+            idx, exp = knn_brute(qlon, qlat, t_lon, t_lat, 3, order_key=np.arange(m))
+            np.testing.assert_allclose(got["distance_m"].to_numpy().reshape(-1, 3), exp,
+                                       rtol=1e-12, err_msg=f"m={m}")
+            np.testing.assert_array_equal(got["neighbor_id"].to_numpy().reshape(-1, 3), idx)
     # no queries: an empty result, as the broadcast plan gives
     assert ops.knn_join(q_ds.filter(expr="lon > 1000"), t_ds, 3, id_col="qid").count() == 0
 

@@ -187,37 +187,6 @@ def test_pipeline_matches_checked_in_goldens():
             assert p >= 50.0, (key, filt, p)
 
 
-def test_bilinear_c_twin_bit_identical(monkeypatch):
-    """The C bilinear sampler (uint8 image, float32 coords) is bit-identical
-    to the numpy sampler: inside, exactly on and just past the border, far
-    outside, and at NaN/inf coordinates."""
-    if fastcodec.lib() is None:
-        pytest.skip("no C compiler in this environment")
-    rng = np.random.default_rng(5)
-    cases = []
-    for _ in range(50):
-        h, w, c = int(rng.integers(1, 40)), int(rng.integers(1, 40)), int(rng.choice([1, 3, 4]))
-        img = rng.integers(0, 256, (h, w, c), dtype=np.uint8)
-        shape = (int(rng.integers(1, 30)), int(rng.integers(1, 30)))
-        px = rng.uniform(-2.5, w + 1.5, shape).astype(np.float32)
-        py = rng.uniform(-2.5, h + 1.5, shape).astype(np.float32)
-        edges_x = np.array([-1, -0.5, 0, w - 1, w - 0.5, w, 1e30, -1e30], np.float32)
-        edges_y = np.array([-1, -0.5, 0, h - 1, h - 0.5, h, 3e19, -0.0], np.float32)
-        flat_x, flat_y = px.reshape(-1), py.reshape(-1)
-        k = min(len(flat_x), 8)
-        flat_x[:k], flat_y[-k:] = edges_x[:k], edges_y[:k]
-        flat_x[rng.random(flat_x.size) < 0.05] = np.nan
-        flat_y[rng.random(flat_y.size) < 0.05] = np.inf
-        cases.append((img, px, py))
-    with np.errstate(all="ignore"):
-        got = [sample_bilinear(img, px, py) for img, px, py in cases]
-        monkeypatch.setattr(fastcodec, "DISABLED", True)
-        ref = [sample_bilinear(img, px, py) for img, px, py in cases]
-    for g, r in zip(got, ref):
-        assert g.dtype == r.dtype == np.float32 and g.shape == r.shape
-        np.testing.assert_array_equal(g.view(np.uint32), r.view(np.uint32))
-
-
 def test_warp_c_path_equals_numpy_fallback(monkeypatch):
     """The same bilinear warps with the C twins disabled (numpy samplers)
     give bit-identical output."""
@@ -234,15 +203,16 @@ def test_warp_c_path_equals_numpy_fallback(monkeypatch):
 def test_lattice_inverse_within_tolerance_on_goldens():
     """On every golden case the lattice-interpolated source-pixel map is
     used and stays within LATTICE_TOL_PX of the exact float64 map."""
-    from projcl_ray.warp import LATTICE_TOL_PX, _lattice_pixels, _source_pixels
+    from projcl_ray.warp import LATTICE_TOL_PX, _lattice_fill, _lattice_nodes, _source_pixels
 
     for _, img, georef, prepped, spec in _golden_specs():
         with np.errstate(all="ignore"):
-            approx = _lattice_pixels(georef, spec, prepped)
+            nodes = _lattice_nodes(georef, spec, prepped)
             gx, gy = dest_grid(spec.origin_x, spec.origin_y, spec.size_x, spec.size_y,
                                spec.width, spec.height)
             exact = _source_pixels(gx, gy, georef, spec, prepped)
-        assert approx is not None, spec.proj_name
+        assert nodes is not None, spec.proj_name
+        approx = [_lattice_fill(v, spec.width, spec.height) for v in nodes]
         err = max(np.abs(a - e).max() for a, e in zip(approx, exact))
         assert err <= LATTICE_TOL_PX, (spec.proj_name, err)
 
@@ -252,7 +222,7 @@ def test_lattice_failure_takes_exact_path():
     the map too much between lattice nodes: the check rejects the lattice
     and the warp equals the exact per-pixel path (float32 dest grid →
     inverse → pixels → sampler) bit for bit."""
-    from projcl_ray.warp import SAMPLERS, _lattice_pixels
+    from projcl_ray.warp import SAMPLERS, _lattice_nodes
 
     params = ProjParams(spheroid="WGS_84")
     prepped = prepare("transverse_mercator", params)
@@ -262,7 +232,7 @@ def test_lattice_failure_takes_exact_path():
     for filt in SAMPLERS:
         spec = WarpSpec("transverse_mercator", params, ox, oy, sx, sy, 64, 64, filter=filt)
         with np.errstate(all="ignore"):
-            assert _lattice_pixels(georef, spec, prepped) is None
+            assert _lattice_nodes(georef, spec, prepped) is None
             got = warp_image(img, georef, spec, prepped)
             gx, gy = dest_grid(ox, oy, sx, sy, 64, 64)
             lon, lat = prepped.inverse(gx.astype(np.float32), gy.astype(np.float32))
@@ -452,7 +422,7 @@ def test_warp_tile_batch_equals_per_image():
     import pyarrow as pa
 
     from projcl_ray import index, ops
-    from projcl_ray.warp import _lattice_pixels
+    from projcl_ray.warp import _lattice_nodes
 
     params = ProjParams(spheroid="WGS_84")
     prepped = prepare("transverse_mercator", params)
@@ -470,7 +440,7 @@ def test_warp_tile_batch_equals_per_image():
         spec = WarpSpec("transverse_mercator", params, ox, oy, sx, sy, w, h,
                         src_datum=r["src_datum"], dst_datum="NAD_27")
         with np.errstate(all="ignore"):
-            lattice_failed += w > 1 and _lattice_pixels(georef, spec, prepped) is None
+            lattice_failed += w > 1 and _lattice_nodes(georef, spec, prepped) is None
             warped = warp_image(decode_image(r["bytes"], w, h, "raw"), georef, spec, prepped)
             warped = np.clip(warped, 0, 255).astype(np.uint8)
         tiles = list(index.cut_tiles(warped, 64))
