@@ -1314,8 +1314,8 @@ def warp_tiled_mosaic(
     (:func:`warp.default_warp_window`) and clip to uint8, emit one warped
     row per image. The pixels equal a direct ``warp_image`` of the whole
     image byte for byte: the mosaic's padding past the image reads 0, as
-    the border does (bicubic, which clamps to the edge instead, equals it
-    when the image fills its tiles).
+    the border does (the cubic filters, which clamp to the edge instead,
+    equal it when the image fills its tiles).
 
     Expects columns: image_id, tile_col, tile_row, tile_size, bytes, w(full),
     h(full), lon0, lat0, px_deg. Partitioning assumption: all of an image's
