@@ -188,3 +188,25 @@ def test_vincenty_inverse_rescue_uses_karney():
     lo, la, _ = vincenty_direct(lon1, lat1, a1, d)
     err_deg = np.maximum(np.abs((lo - lon2 + 180) % 360 - 180), np.abs(la - lat2))
     assert err_deg.max() * 111194.9 < 1e-3
+
+
+def test_karney_inverse_vincenty_direct_roundtrip_general():
+    """The inverse's Karney solver and the one direct solver compose on
+    general pairs: direct(karney_inverse(p1, p2)) lands back on p2 sub-mm,
+    over random pairs with near and exact antipodes planted among them."""
+    from projcl_ray.geodesic import karney_inverse
+
+    rng = np.random.default_rng(11)
+    lon1 = rng.uniform(-180, 180, 500)
+    lat1 = rng.uniform(-89, 89, 500)
+    lon2 = rng.uniform(-180, 180, 500)
+    lat2 = rng.uniform(-89.9, 89.9, 500)
+    lon2[:40] = ((lon1[:40] + 360.0) % 360.0) - 180.0
+    lat2[:40] = -lat1[:40] + rng.uniform(-0.02, 0.02, 40)
+    lon2[40:50] = ((lon1[40:50] + 360.0) % 360.0) - 180.0
+    lat2[40:50] = -lat1[40:50]
+    d, a1, _ = karney_inverse(lon1, lat1, lon2, lat2)
+    gx, gy, _ = vincenty_direct(lon1, lat1, a1, d)
+    lon_err_m = np.abs((gx - lon2 + 180) % 360 - 180) * 111194.9 * np.cos(np.radians(lat2))
+    lat_err_m = np.abs(gy - lat2) * 111194.9
+    assert max(lon_err_m.max(), lat_err_m.max()) < 1e-3  # sub-mm

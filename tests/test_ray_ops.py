@@ -646,6 +646,38 @@ def test_knn_join_partitioned_matches_brute(ray_session, monkeypatch):
     assert ops.knn_join(q_ds.filter(expr="lon > 1000"), t_ds, 3, id_col="qid").count() == 0
 
 
+def test_knn_join_partitioned_string_ids_match_broadcast(ray_session, monkeypatch):
+    """String query ids spread over several blocks take the partitioned plan,
+    whose id bounds are strings: it answers as the broadcast plan does, and
+    so does a lone query."""
+    import ray.data as rd
+
+    from projcl_ray.spatial import knn_brute
+
+    rng = np.random.default_rng(23)
+    qlon, qlat = rng.uniform(-60, 60, 300), rng.uniform(-40, 80, 300)
+    t_lon, t_lat = rng.uniform(-60, 60, 500), rng.uniform(-40, 80, 500)
+    qids = [f"q{i:04d}" for i in range(300)]
+    q_ds = rd.from_arrow([
+        pa.table({"qid": qids[i:i + 100], "lon": qlon[i:i + 100], "lat": qlat[i:i + 100]})
+        for i in range(0, 300, 100)
+    ])
+    t_ds = rd.from_arrow(pa.table({"id": np.arange(500), "lon": t_lon, "lat": t_lat}))
+    got = {}
+    for plan, max_bytes in (("broadcast", ops.BROADCAST_MAX_BYTES), ("partitioned", 0)):
+        monkeypatch.setattr(ops, "BROADCAST_MAX_BYTES", max_bytes)
+        out = ops.knn_join(q_ds, t_ds, 3, id_col="qid", res_deg=10.0).to_pandas()
+        got[plan] = out.sort_values(["qid", "neighbor_rank"]).reset_index(drop=True)
+        lone = ops.knn_join(q_ds.limit(1), t_ds, 3, id_col="qid", res_deg=10.0).to_pandas()
+        lone = lone.sort_values("neighbor_rank").reset_index(drop=True)
+        assert lone.equals(got[plan].head(3)), plan
+    assert got["broadcast"].equals(got["partitioned"])
+    idx, exp = knn_brute(qlon, qlat, t_lon, t_lat, 3, order_key=np.arange(500))
+    np.testing.assert_allclose(got["partitioned"]["distance_m"].to_numpy().reshape(-1, 3), exp,
+                               rtol=1e-12)
+    np.testing.assert_array_equal(got["partitioned"]["neighbor_id"].to_numpy().reshape(-1, 3), idx)
+
+
 def test_knn_partitioned_keeps_targets_in_place(ray_session, monkeypatch):
     """Targets far outnumber the queries, and three queries lie far from
     every target, so their rings grow to the whole sphere. Every round's

@@ -1133,6 +1133,33 @@ def test_tiff_codec_roundtrip_and_geotags():
         tiff.decode_tiff(bad)
 
 
+def test_gate_geotiff_blobs_hold_pixels_and_georeference():
+    """The gate's GeoTIFF blob builder stores each synthetic image's RGBA
+    pixels, or its float32 elevation field, with the image's georeference,
+    under the id column it is given."""
+    from projcl_ray.images import synth_images_table
+    from projcl_ray.queries import _geotiff_blobs
+    from projcl_ray.tiff import decode_tiff_native
+
+    src = synth_images_table(3, seed=7).to_pylist()
+    for dem, id_col in ((False, "image_id"), (True, "raster_id")):
+        blobs = _geotiff_blobs(3, 7, dem=dem, id_col=id_col).to_pylist()
+        assert [b[id_col] for b in blobs] == [r["image_id"] for r in src]
+        assert [b["caption"] for b in blobs] == [r["caption"] for r in src]
+        for b, r in zip(blobs, src):
+            img = decode_image(r["bytes"], r["w"], r["h"], "raw")
+            px, geo = decode_tiff_native(b["bytes"])
+            if dem:
+                want = (100.0 + 12.5 * img[..., 0].astype(np.float32)
+                        + 0.25 * img[..., 1].astype(np.float32))[..., None]
+                assert px.dtype == np.float32
+            else:
+                want = img
+            np.testing.assert_array_equal(px, want)
+            assert (geo.scale_x, geo.scale_y, geo.tie_i, geo.tie_j, geo.tie_x, geo.tie_y) == (
+                r["px_deg"], r["px_deg"], 0.0, 0.0, r["lon0"], r["lat0"])
+
+
 def test_geotiff_ingest_warp_tile_matches_raw_path(ray_session):
     """ops.ingest_geotiff recovers the georeference from embedded GeoTIFF
     tags; the downstream warp+tile output is bit-identical to the raw path
